@@ -1,0 +1,7 @@
+module dynalloc/benchmark
+
+go 1.22
+
+require dynalloc v0.0.0
+
+replace dynalloc => ../
