@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-all alloc-budget bench bench-json bench-check profile experiments experiments-full serve-drill recovery-drill failover-drill chaos-drill cluster-drill explore explore-full cover clean
+.PHONY: all build vet test race race-all alloc-budget bench bench-json bench-check profile experiments experiments-full serve-drill recovery-drill failover-drill chaos-drill cluster-drill explore explore-full cover loc clean
 
 all: build vet test
 
@@ -103,6 +103,11 @@ experiments-full: build
 
 cover:
 	$(GO) test -cover ./internal/...
+
+# Non-test Go lines per serving-stack package: the number whose delta
+# every PR reports in CHANGES.md (ROADMAP aim 2).
+loc:
+	./scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

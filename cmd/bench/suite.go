@@ -18,6 +18,7 @@ import (
 	"dynalloc/internal/rules"
 	"dynalloc/internal/serve"
 	"dynalloc/internal/simfs"
+	"dynalloc/internal/vfs"
 	"dynalloc/internal/wal"
 )
 
@@ -271,19 +272,18 @@ func suiteWorkloads(quick bool) []workload {
 			if err := l.Close(); err != nil {
 				panic(err)
 			}
-			if _, err := serve.Restore(st, dir); err != nil {
+			if _, err := serve.RestoreFSOpts(st, vfs.OS, dir, serve.RestoreOptions{}); err != nil {
 				panic(err)
 			}
 		}
 	}
 	walReplayParallel := func() func(uint64, int) {
-		// Restore-only throughput through the parallel pipeline: the WAL
-		// fixture is built once (the persistent-fixture pattern the router
-		// workloads use) and every pass replays it into a fresh store with
-		// the default worker count. wal/replay above pays the append that
-		// builds its log *plus* a sequential replay every pass, so the
-		// ns/op ratio between the two is the headline restore win the
-		// acceptance gate checks (>= 3x on the CI runner).
+		// Restore-only throughput: the WAL fixture is built once (the
+		// persistent-fixture pattern the router workloads use) and every
+		// pass replays it into a fresh store with the default worker
+		// count. wal/replay above runs the same restore but also pays the
+		// per-record appends that build its log every pass, so the ns/op
+		// gap between the two rows is fixture construction, not replay.
 		var (
 			once sync.Once
 			dir  string
@@ -316,7 +316,7 @@ func suiteWorkloads(quick bool) []workload {
 				}
 			})
 			st := serve.NewStoreShards(1<<16, 64)
-			if _, err := serve.RestoreOpts(st, dir, serve.RestoreOptions{}); err != nil {
+			if _, err := serve.RestoreFSOpts(st, vfs.OS, dir, serve.RestoreOptions{}); err != nil {
 				panic(err)
 			}
 		}
@@ -361,7 +361,7 @@ func suiteWorkloads(quick bool) []workload {
 				}
 			})
 			st := serve.NewStoreShards(n, 64)
-			if _, err := serve.RestoreOpts(st, dir, serve.RestoreOptions{}); err != nil {
+			if _, err := serve.RestoreFSOpts(st, vfs.OS, dir, serve.RestoreOptions{}); err != nil {
 				panic(err)
 			}
 		}

@@ -115,7 +115,6 @@ func main() {
 		fsyncIntvl = flag.Duration("fsync-interval", 100*time.Millisecond, "max fsync lag under -fsync interval")
 		walStall   = flag.Duration("wal-stall-timeout", 0, "drop a mutation's WAL record after waiting this long on a stalled writer (0: block, full backpressure)")
 		walBatch   = flag.Int("wal-max-batch", 0, "max records per group-commit WAL batch (0: default 512)")
-		restoreWk  = flag.Int("restore-workers", 0, "parallel WAL-replay apply workers at boot (0: auto, GOMAXPROCS clamped to [2,8]; 1: sequential replay)")
 
 		repListen = flag.String("replica-listen", "", "serve the WAL as a replication stream on this address (needs -wal-dir; port 0: ephemeral)")
 		repFile   = flag.String("replica-port-file", "", "write the resolved replication listen address to this file once listening")
@@ -147,7 +146,7 @@ func main() {
 		checkInterval: *checkIntvl,
 		walDir:        *walDir, ckptEvery: *ckptEvery,
 		fsync: *fsyncPol, fsyncInterval: *fsyncIntvl, walStall: *walStall,
-		walMaxBatch: *walBatch, restoreWorkers: *restoreWk,
+		walMaxBatch:   *walBatch,
 		replicaListen: *repListen, replicaPortFile: *repFile,
 		replicateFrom: *repFrom,
 		chaos:         *chaos, chaosRate: *chaosRate, chaosFaults: *chaosFaults,
@@ -163,36 +162,35 @@ func main() {
 }
 
 type options struct {
-	addr           string
-	portFile       string
-	dgramAddr      string
-	dgramPortFile  string
-	n, m           int
-	ruleSpec       string
-	d              int
-	x              string
-	beta           float64
-	scenario       string
-	seed           uint64
-	workers        int
-	shards         int
-	slack          int
-	drive          bool
-	batch          int
-	rate           float64
-	crashK         int
-	crashBin       int
-	maxSteps       int64
-	stay           bool
-	checkEvery     int64
-	checkInterval  time.Duration
-	walDir         string
-	ckptEvery      time.Duration
-	fsync          string
-	fsyncInterval  time.Duration
-	walStall       time.Duration
-	walMaxBatch    int
-	restoreWorkers int
+	addr          string
+	portFile      string
+	dgramAddr     string
+	dgramPortFile string
+	n, m          int
+	ruleSpec      string
+	d             int
+	x             string
+	beta          float64
+	scenario      string
+	seed          uint64
+	workers       int
+	shards        int
+	slack         int
+	drive         bool
+	batch         int
+	rate          float64
+	crashK        int
+	crashBin      int
+	maxSteps      int64
+	stay          bool
+	checkEvery    int64
+	checkInterval time.Duration
+	walDir        string
+	ckptEvery     time.Duration
+	fsync         string
+	fsyncInterval time.Duration
+	walStall      time.Duration
+	walMaxBatch   int
 
 	replicaListen   string
 	replicaPortFile string
@@ -271,7 +269,7 @@ func run(opt options) int {
 		if err != nil {
 			return fail(err)
 		}
-		res, err := serve.RestoreOpts(st, opt.walDir, serve.RestoreOptions{Workers: opt.restoreWorkers})
+		res, err := serve.RestoreFSOpts(st, vfs.OS, opt.walDir, serve.RestoreOptions{})
 		if err != nil {
 			return fail(err)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"dynalloc/internal/process"
 	"dynalloc/internal/serve"
+	"dynalloc/internal/vfs"
 )
 
 func newTestServer(t *testing.T) (*server, *serve.Store) {
@@ -286,7 +287,7 @@ func TestRunDurableBootRestoreDrill(t *testing.T) {
 		t.Fatalf("seeding run exited %d", code)
 	}
 	st := serve.NewStoreShards(128, 4)
-	res, err := serve.Restore(st, dir)
+	res, err := serve.RestoreFSOpts(st, vfs.OS, dir, serve.RestoreOptions{})
 	if err != nil || !res.Restored || st.Total() != 128 {
 		t.Fatalf("after seeding run: res=%+v err=%v total=%d", res, err, st.Total())
 	}
@@ -297,7 +298,7 @@ func TestRunDurableBootRestoreDrill(t *testing.T) {
 		t.Fatalf("drill run exited %d", code)
 	}
 	st2 := serve.NewStoreShards(128, 4)
-	res2, err := serve.Restore(st2, dir)
+	res2, err := serve.RestoreFSOpts(st2, vfs.OS, dir, serve.RestoreOptions{})
 	if err != nil || !res2.Restored {
 		t.Fatalf("after drill run: res=%+v err=%v", res2, err)
 	}

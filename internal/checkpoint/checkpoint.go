@@ -2,16 +2,17 @@
 // snapshots of the live allocation store, pairing each snapshot with
 // the WAL sequence number it covers so restore is "load the latest
 // valid checkpoint, then replay the WAL suffix with seq > Snapshot.Seq"
-// (see internal/wal and serve.Restore).
+// (see internal/wal and serve.RestoreFSOpts).
 //
 // A checkpoint is a single binary file written via temp + fsync +
 // rename, so a crash mid-checkpoint leaves either the previous
 // checkpoint set intact plus a stray *.tmp file (ignored and swept by
-// the next Write) or the complete new file — never a half-visible one.
-// The whole file is covered by one trailing CRC32C; LoadLatest skips
-// files that fail validation and falls back to the next-newest, which
-// is why callers keep at least two (see Prune) and truncate the WAL
-// only up to the *oldest* retained checkpoint's seq.
+// the next WriteFS) or the complete new file — never a half-visible
+// one. Every byte is covered by a CRC32C (see sections.go for the
+// layout); LoadLatestFS skips files that fail validation and falls
+// back to the next-newest, which is why callers keep at least two (see
+// PruneFS) and truncate the WAL only up to the *oldest* retained
+// checkpoint's seq.
 package checkpoint
 
 import (
@@ -28,7 +29,7 @@ import (
 	"dynalloc/internal/vfs"
 )
 
-// ErrNoCheckpoint is returned by LoadLatest when dir holds no valid
+// ErrNoCheckpoint is returned by LoadLatestFS when dir holds no valid
 // checkpoint (including when it holds only corrupt ones).
 var ErrNoCheckpoint = errors.New("checkpoint: no valid checkpoint found")
 
@@ -39,11 +40,12 @@ var ErrNoCheckpoint = errors.New("checkpoint: no valid checkpoint found")
 // A striped checkpoint additionally carries Sections — per-stripe seq
 // watermarks from copies taken under the store's stripe locks one at a
 // time instead of under a stop-the-world cut. Seq is then the MINIMUM
-// section watermark, which keeps the v1 reading true (everything with
-// seq <= Seq is reflected in its section) and so keeps WAL truncation
-// through Seq sound; restore filters replayed records per section with
-// WatermarkFor. Empty Sections (format v1 files, replica snapshots)
-// mean one uniform watermark: Seq.
+// section watermark, which keeps the reading above true (everything
+// with seq <= Seq is reflected in its section) and so keeps WAL
+// truncation through Seq sound; restore filters replayed records per
+// section with WatermarkFor. Empty Sections (replica snapshots,
+// decoded v1 files) mean one uniform watermark, Seq; WriteFS persists
+// such a snapshot as a single section [0, n) at that watermark.
 type Snapshot struct {
 	Seq      uint64
 	Allocs   int64
@@ -52,7 +54,9 @@ type Snapshot struct {
 	Sections []Section
 }
 
-// magic identifies a checkpoint file (format version 1).
+// magic identifies a format version 1 checkpoint file: one flat blob
+// under a trailing CRC. Nothing writes v1 any more; the decoder stays
+// because the committed fuzz corpus (seed_v1, seed_v1_torn) reads it.
 var magic = [8]byte{'d', 'c', 'k', 'p', 't', '0', '0', '1'}
 
 // headerSize is magic(8) + seq(8) + allocs(8) + frees(8) + n(4).
@@ -73,22 +77,6 @@ func seqOfName(name string) (uint64, bool) {
 		return 0, false
 	}
 	return v, true
-}
-
-// encode serializes s with its trailing CRC.
-func encode(s Snapshot) []byte {
-	buf := make([]byte, headerSize+4*len(s.Loads)+4)
-	copy(buf[:8], magic[:])
-	binary.LittleEndian.PutUint64(buf[8:16], s.Seq)
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(s.Allocs))
-	binary.LittleEndian.PutUint64(buf[24:32], uint64(s.Frees))
-	binary.LittleEndian.PutUint32(buf[32:36], uint32(len(s.Loads)))
-	for i, l := range s.Loads {
-		binary.LittleEndian.PutUint32(buf[headerSize+4*i:], uint32(l))
-	}
-	body := buf[:len(buf)-4]
-	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc32.Checksum(body, crcTable))
-	return buf
 }
 
 // decode parses and validates a checkpoint file's bytes, dispatching
@@ -124,21 +112,16 @@ func decode(buf []byte) (Snapshot, error) {
 	return s, nil
 }
 
-// Write atomically persists s into dir (created if missing) on the
-// real filesystem; WriteFS is the same against any vfs.FS.
-func Write(dir string, s Snapshot) (string, error) { return WriteFS(vfs.OS, dir, s) }
-
 // WriteFS atomically persists s into dir (created if missing) and
 // returns the file path. The write path is temp file -> fsync ->
 // rename -> directory fsync, so the named file is either absent or
 // complete. Stray temp files from crashed writers are swept first.
 //
-// A sectioned snapshot (Sections non-empty) is written in format v2:
-// the sections are encoded — CRCs computed in parallel — and each
-// section's payload goes out in its own Write call. A crash between
-// section writes therefore tears only the invisible temp file; the
-// rename that publishes the checkpoint happens strictly after every
-// section and the fsync.
+// The file is always format v2: the sections are encoded — CRCs
+// computed in parallel — and each section's payload goes out in its
+// own Write call. A crash between section writes therefore tears only
+// the invisible temp file; the rename that publishes the checkpoint
+// happens strictly after every section and the fsync.
 func WriteFS(fsys vfs.FS, dir string, s Snapshot) (string, error) {
 	defer metrics.Span("checkpoint.write_ns")()
 	if err := fsys.MkdirAll(dir); err != nil {
@@ -150,17 +133,11 @@ func WriteFS(fsys vfs.FS, dir string, s Snapshot) (string, error) {
 		}
 	}
 
-	var chunks [][]byte
-	if len(s.Sections) > 0 {
-		var err error
-		chunks, err = encodeV2(s)
-		if err != nil {
-			return "", err
-		}
-		metrics.SetGauge("checkpoint.stripe.sections", float64(len(s.Sections)))
-	} else {
-		chunks = [][]byte{encode(s)}
+	chunks, err := encodeV2(s)
+	if err != nil {
+		return "", err
 	}
+	metrics.SetGauge("checkpoint.stripe.sections", float64(len(chunks)-1)) // chunks: table + one per section
 	size := 0
 	for _, c := range chunks {
 		size += len(c)
@@ -206,13 +183,9 @@ type Meta struct {
 	Path string
 }
 
-// List returns dir's checkpoint files sorted by seq ascending on the
-// real filesystem; ListFS is the same against any vfs.FS. File
-// contents are not validated here (LoadLatest does that); names that
+// ListFS returns dir's checkpoint files sorted by seq ascending. File
+// contents are not validated here (LoadLatestFS does that); names that
 // do not parse are ignored.
-func List(dir string) ([]Meta, error) { return ListFS(vfs.OS, dir) }
-
-// ListFS is List against an explicit filesystem.
 func ListFS(fsys vfs.FS, dir string) ([]Meta, error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -234,13 +207,9 @@ func ListFS(fsys vfs.FS, dir string) ([]Meta, error) {
 	return out, nil
 }
 
-// LoadLatest returns the newest valid checkpoint in dir on the real
-// filesystem; LoadLatestFS is the same against any vfs.FS. It skips
-// any file that fails validation (a crash mid-write cannot produce
-// one, but disk corruption can). ErrNoCheckpoint when none validates.
-func LoadLatest(dir string) (Snapshot, string, error) { return LoadLatestFS(vfs.OS, dir) }
-
-// LoadLatestFS is LoadLatest against an explicit filesystem.
+// LoadLatestFS returns the newest valid checkpoint in dir. It skips any
+// file that fails validation (a crash mid-write cannot produce one, but
+// disk corruption can). ErrNoCheckpoint when none validates.
 func LoadLatestFS(fsys vfs.FS, dir string) (Snapshot, string, error) {
 	metas, err := ListFS(fsys, dir)
 	if err != nil {
@@ -260,12 +229,8 @@ func LoadLatestFS(fsys vfs.FS, dir string) (Snapshot, string, error) {
 	return Snapshot{}, "", ErrNoCheckpoint
 }
 
-// Prune deletes all but the newest keep checkpoints (by seq) on the
-// real filesystem; PruneFS is the same against any vfs.FS. It returns
-// how many files were removed. keep < 1 is treated as 1.
-func Prune(dir string, keep int) (int, error) { return PruneFS(vfs.OS, dir, keep) }
-
-// PruneFS is Prune against an explicit filesystem.
+// PruneFS deletes all but the newest keep checkpoints (by seq). It
+// returns how many files were removed. keep < 1 is treated as 1.
 func PruneFS(fsys vfs.FS, dir string, keep int) (int, error) {
 	if keep < 1 {
 		keep = 1

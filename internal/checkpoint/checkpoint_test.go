@@ -45,18 +45,18 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRealDiskRoundTrip keeps the production vfs.OS wrappers covered.
+// TestRealDiskRoundTrip keeps the production vfs.OS filesystem covered.
 func TestRealDiskRoundTrip(t *testing.T) {
 	d := t.TempDir()
 	want := snap(9, 1, 2, 3)
-	if _, err := Write(d, want); err != nil {
+	if _, err := WriteFS(vfs.OS, d, want); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatest(d)
+	got, _, err := LoadLatestFS(vfs.OS, d)
 	if err != nil || !equal(got, want) {
 		t.Fatalf("real-disk roundtrip: %+v, %v", got, err)
 	}
-	if removed, err := Prune(d, 1); err != nil || removed != 0 {
+	if removed, err := PruneFS(vfs.OS, d, 1); err != nil || removed != 0 {
 		t.Fatalf("Prune = %d, %v", removed, err)
 	}
 }

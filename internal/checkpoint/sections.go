@@ -1,6 +1,8 @@
-// Checkpoint format version 2: the striped-checkpoint layout. A v2
-// file carries the same header fields as v1 plus a section table — one
-// entry per lock stripe of the store that wrote it — where each
+// Checkpoint format version 2, the only format WriteFS produces: the
+// striped-checkpoint layout. A v2 file carries a CRC-sealed header
+// (seq, counters, bin count) plus a section table — one entry per lock
+// stripe of the store that wrote it, or a single entry for a snapshot
+// taken at one uniform watermark — where each
 // section records the bin range it covers, the WAL seq watermark its
 // copy is consistent with, and a CRC32C over its own loads payload.
 // Per-section CRCs are what make encode and decode parallelizable:
@@ -45,8 +47,8 @@ const v2HeaderSize = 8 + 8 + 8 + 8 + 4 + 4 + 4
 const v2SectionSize = 4 + 4 + 8 + 4
 
 // WatermarkFor returns the seq watermark governing bin: the section's
-// watermark when the snapshot is sectioned, Seq otherwise (format v1
-// files and replica snapshots have one uniform watermark).
+// watermark when the snapshot is sectioned, Seq otherwise (an
+// in-memory snapshot without sections has one uniform watermark).
 func (s *Snapshot) WatermarkFor(bin int) uint64 {
 	secs := s.Sections
 	lo, hi := 0, len(secs)
@@ -78,8 +80,9 @@ func (s *Snapshot) MaxWatermark() uint64 {
 }
 
 // validateSections checks that a snapshot's sections tile [0, n)
-// contiguously in ascending order and that no watermark is below Seq.
-// WriteFS refuses to persist a snapshot that would not decode.
+// contiguously in ascending order (none at all when n == 0) and that
+// no watermark is below Seq. WriteFS refuses to persist a snapshot
+// that would not decode.
 func validateSections(s Snapshot) error {
 	n := len(s.Loads)
 	prev := 0
@@ -92,7 +95,7 @@ func validateSections(s Snapshot) error {
 		}
 		prev = sec.Hi
 	}
-	if len(s.Sections) > 0 && prev != n {
+	if prev != n {
 		return fmt.Errorf("checkpoint: sections cover %d of %d bins", prev, n)
 	}
 	return nil
@@ -143,13 +146,18 @@ func forSections(nsec, bins int, fn func(i int) error) error {
 	return firstErr
 }
 
-// encodeV2 serializes a sectioned snapshot into chunks: the header +
-// section table first, then one chunk per section's loads payload.
+// encodeV2 serializes a snapshot into chunks: the header + section
+// table first, then one chunk per section's loads payload. A snapshot
+// without sections is one section [0, n) whose watermark is Seq, so
+// restore's MaxWatermark() > Seq test still skips per-record filtering.
 // WriteFS issues one Write per chunk, so a simulated power cut can
 // land between any two section writes — the torn temp file never
 // becomes visible (rename happens after all writes + fsync), which the
 // crash tests pin. Section payload CRCs are computed in parallel.
 func encodeV2(s Snapshot) ([][]byte, error) {
+	if len(s.Sections) == 0 && len(s.Loads) > 0 {
+		s.Sections = []Section{{Lo: 0, Hi: len(s.Loads), Watermark: s.Seq}}
+	}
 	if err := validateSections(s); err != nil {
 		return nil, err
 	}
@@ -200,9 +208,6 @@ func decodeV2(buf []byte) (Snapshot, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(buf[32:36]))
 	nsec := int(binary.LittleEndian.Uint32(buf[36:40]))
-	if nsec < 1 {
-		return Snapshot{}, errors.New("checkpoint: v2 file has no sections")
-	}
 	want := uint64(v2HeaderSize) + uint64(v2SectionSize)*uint64(nsec) + 4 + 4*uint64(n)
 	if uint64(len(buf)) != want {
 		return Snapshot{}, fmt.Errorf("checkpoint: v2 size %d does not match n=%d nsec=%d", len(buf), n, nsec)

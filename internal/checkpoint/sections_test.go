@@ -56,7 +56,8 @@ func TestV2RoundTrip(t *testing.T) {
 		t.Fatalf("LoadLatest = %+v at %q, %v; want %+v at %q", got, gotPath, err, want, path)
 	}
 	// Per-bin watermarks come from the owning section; out-of-range
-	// bins and v1 snapshots degrade to the uniform Seq watermark.
+	// bins and section-less snapshots degrade to the uniform Seq
+	// watermark.
 	for bin := 0; bin < 13; bin++ {
 		want := got.Sections[bin/4].Watermark
 		if wm := got.WatermarkFor(bin); wm != want {
@@ -71,7 +72,79 @@ func TestV2RoundTrip(t *testing.T) {
 	}
 	flat := snap(7, 1, 2)
 	if wm := flat.WatermarkFor(0); wm != 7 {
-		t.Fatalf("v1 WatermarkFor = %d, want Seq", wm)
+		t.Fatalf("section-less WatermarkFor = %d, want Seq", wm)
+	}
+}
+
+// TestSectionlessSnapshotWritesV2 pins the single write format: a
+// snapshot without sections (what a replica follower persists) goes to
+// disk as a v2 file with one section [0, n) at watermark Seq, so it
+// round-trips and MaxWatermark() == Seq still tells restore to skip
+// per-record watermark filtering. An empty load vector is the empty
+// tiling: a v2 file with no sections.
+func TestSectionlessSnapshotWritesV2(t *testing.T) {
+	for _, want := range []Snapshot{snap(42, 3, 0, 7, 1, 0, 0, 5), {Seq: 1}} {
+		fs := simfs.New()
+		path, err := WriteFS(fs, dir, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := fs.ReadFile(path)
+		if err != nil || len(raw) < 8 || [8]byte(raw[:8]) != magicV2 {
+			t.Fatalf("n=%d: file is not format v2 (err %v)", len(want.Loads), err)
+		}
+		got, _, err := LoadLatestFS(fs, dir)
+		if err != nil || !equal(got, want) {
+			t.Fatalf("n=%d: roundtrip %+v, %v; want %+v", len(want.Loads), got, err, want)
+		}
+		wantSecs := []Section{{Lo: 0, Hi: len(want.Loads), Watermark: want.Seq}}
+		if len(want.Loads) == 0 {
+			wantSecs = nil
+		}
+		if len(got.Sections) != len(wantSecs) || (len(wantSecs) == 1 && got.Sections[0] != wantSecs[0]) {
+			t.Fatalf("n=%d: sections %+v, want %+v", len(want.Loads), got.Sections, wantSecs)
+		}
+		if mw := got.MaxWatermark(); mw != want.Seq {
+			t.Fatalf("n=%d: MaxWatermark %d, want Seq %d (restore would filter per record)", len(want.Loads), mw, want.Seq)
+		}
+	}
+}
+
+// encodeV1 is the retired format-v1 encoder, kept test-local so the v1
+// decode branch (and the committed seed_v1 corpus entries) stays
+// exercised: header, loads, one trailing CRC over everything.
+func encodeV1(s Snapshot) []byte {
+	buf := make([]byte, headerSize+4*len(s.Loads)+4)
+	copy(buf[:8], magic[:])
+	binary.LittleEndian.PutUint64(buf[8:16], s.Seq)
+	binary.LittleEndian.PutUint64(buf[16:24], uint64(s.Allocs))
+	binary.LittleEndian.PutUint64(buf[24:32], uint64(s.Frees))
+	binary.LittleEndian.PutUint32(buf[32:36], uint32(len(s.Loads)))
+	for i, l := range s.Loads {
+		binary.LittleEndian.PutUint32(buf[headerSize+4*i:], uint32(l))
+	}
+	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc32.Checksum(buf[:len(buf)-4], crcTable))
+	return buf
+}
+
+// TestV1BytesStillDecode: a v1 file left on disk by an older build is
+// still a loadable checkpoint, with no sections and so one uniform
+// watermark.
+func TestV1BytesStillDecode(t *testing.T) {
+	fs := simfs.New()
+	want := snap(42, 3, 0, 7, 1)
+	if err := fs.MkdirAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(filepath.Join(dir, fileName(want.Seq)), encodeV1(want)); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := LoadLatestFS(fs, dir)
+	if err != nil || !equal(got, want) || len(got.Sections) != 0 {
+		t.Fatalf("v1 load: %+v, %v; want %+v without sections", got, err, want)
+	}
+	if wm := got.WatermarkFor(2); wm != want.Seq {
+		t.Fatalf("v1 WatermarkFor = %d, want Seq %d", wm, want.Seq)
 	}
 }
 
@@ -278,12 +351,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 				t.Fatalf("WatermarkFor(%d) = %d beyond MaxWatermark %d", bin, wm, max)
 			}
 		}
-		// Canonical form: decoded snapshots re-encode byte-identically.
-		// The one v2 escape hatch is a fuzzed watermark below Seq —
-		// decodable (CRCs cover it) but unwritable (validateSections
-		// refuses), so the re-encode check only applies when the
-		// encoder accepts the snapshot back.
-		if len(s.Sections) > 0 {
+		// Canonical form: decoded snapshots re-encode byte-identically,
+		// v1 through the test-local encoder. The one v2 escape hatch is
+		// a fuzzed watermark below Seq — decodable (CRCs cover it) but
+		// unwritable (validateSections refuses), so the re-encode check
+		// only applies when the encoder accepts the snapshot back.
+		if [8]byte(b[:8]) == magicV2 {
 			chunks, err := encodeV2(s)
 			if err != nil {
 				for _, sec := range s.Sections {
@@ -296,7 +369,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if re := bytes.Join(chunks, nil); !bytes.Equal(re, b) {
 				t.Fatalf("v2 re-encode differs: %d vs %d bytes", len(re), len(b))
 			}
-		} else if re := encode(s); !bytes.Equal(re, b) {
+		} else if re := encodeV1(s); !bytes.Equal(re, b) {
 			t.Fatalf("v1 re-encode differs: %d vs %d bytes", len(re), len(b))
 		}
 	})
@@ -305,7 +378,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // fuzzSeeds builds the seed inputs shared by FuzzDecodeSnapshot's
 // f.Add calls and the committed corpus writer.
 func fuzzSeeds() map[string][]byte {
-	v1 := encode(snap(42, 3, 0, 7, 1))
+	v1 := encodeV1(snap(42, 3, 0, 7, 1))
 	chunks, err := encodeV2(sectioned(42, 13, 4))
 	if err != nil {
 		panic(err)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dynalloc/internal/metrics"
 )
@@ -126,6 +127,14 @@ func TestForEachPanicRecordsSkippedIndices(t *testing.T) {
 	}()
 	const n = 1000
 	var executed atomic.Int64
+	// Indices 0..2 park three of the four workers on the gate until the
+	// fourth has picked index 3, and every non-panicking index then
+	// costs a millisecond: the panic becomes visible to the pool within
+	// microseconds of the gate opening, while draining the other 996
+	// indices would take the three survivors a third of a second. A
+	// trivial fn instead races the panic's visibility against the whole
+	// queue, and on a 2-CPU runner the queue sometimes won.
+	gate := make(chan struct{})
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -135,8 +144,11 @@ func TestForEachPanicRecordsSkippedIndices(t *testing.T) {
 		ForEach(n, 4, func(i int) {
 			executed.Add(1)
 			if i == 3 {
+				close(gate)
 				panic("boom")
 			}
+			<-gate
+			time.Sleep(time.Millisecond)
 		})
 	}()
 	s := metrics.Default().Snapshot()

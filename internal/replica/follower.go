@@ -136,7 +136,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, *serve.RestoreResult, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, nil, err
 	}
-	res, err := serve.RestoreFS(cfg.Store, cfg.FS, cfg.Dir)
+	res, err := serve.RestoreFSOpts(cfg.Store, cfg.FS, cfg.Dir, serve.RestoreOptions{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("replica: restore follower state: %w", err)
 	}
@@ -311,7 +311,7 @@ func (f *Follower) applyBatch(recs []wal.Record) error {
 	if err := f.log.AppendBatch(fresh); err != nil {
 		return fmt.Errorf("replica: persist batch: %w", err)
 	}
-	// One batch-applier call instead of a per-record serve.Apply loop:
+	// One batch-applier call instead of a per-record apply loop:
 	// one stripe-lock acquisition per touched stripe, per-bin order
 	// preserved (see serve.ApplyRecords).
 	skipped, err := serve.ApplyRecords(f.cfg.Store, fresh)

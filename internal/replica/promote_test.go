@@ -170,7 +170,7 @@ func TestPromoteSplitBrainGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := serve.NewStoreShards(schedN, schedShards)
-	if _, err := serve.RestoreFS(ref, lp.sfs, "/standby"); err != nil {
+	if _, err := serve.RestoreFSOpts(ref, lp.sfs, "/standby", serve.RestoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	rl, sl2 := ref.LoadsCopy(), lp.sst.LoadsCopy()

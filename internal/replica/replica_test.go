@@ -93,7 +93,7 @@ func (p *primary) powerCutRestart() {
 		p.t.Fatal(err)
 	}
 	st := serve.NewStoreShards(schedN, schedShards)
-	res, err := serve.RestoreFS(st, p.fs, p.dir)
+	res, err := serve.RestoreFSOpts(st, p.fs, p.dir, serve.RestoreOptions{})
 	if err != nil {
 		p.t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func assertConverged(t *testing.T, p *primary, s *standby, repro string) {
 func assertSelfConsistent(t *testing.T, s *standby, repro string) {
 	t.Helper()
 	ref := serve.NewStoreShards(schedN, schedShards)
-	res, err := serve.RestoreFS(ref, s.fs.Clone(), "/standby")
+	res, err := serve.RestoreFSOpts(ref, s.fs.Clone(), "/standby", serve.RestoreOptions{})
 	if err != nil {
 		t.Fatalf("reference restore: %v (%s)", err, repro)
 	}

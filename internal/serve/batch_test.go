@@ -312,9 +312,13 @@ func TestAdmitBatchJournalSeqOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int
-	if _, err := wal.ReplayFS(fs, dir, 0, func(rec wal.Record) error {
-		got = append(got, int(rec.Bin))
-		return nil
+	if _, err := wal.ReplayPipelineFS(fs, dir, 0, wal.PipelineOptions{
+		ApplyBatch: func(_ int, recs []wal.Record) error { // one lane: file order
+			for _, rec := range recs {
+				got = append(got, int(rec.Bin))
+			}
+			return nil
+		},
 	}); err != nil {
 		t.Fatal(err)
 	}

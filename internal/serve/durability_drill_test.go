@@ -59,7 +59,7 @@ func TestRestartDrillRecoversWithinBudget(t *testing.T) {
 	// "Reboot": restore into a fresh store and verify the disruption
 	// survived — the crashed bin must still be far above typical.
 	st2 := NewStoreShards(n, shards)
-	res, err := RestoreFS(st2, fs, dir)
+	res, err := RestoreFSOpts(st2, fs, dir, RestoreOptions{})
 	if err != nil || !res.Restored {
 		t.Fatalf("restore: %+v, %v", res, err)
 	}

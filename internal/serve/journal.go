@@ -417,9 +417,9 @@ func (j *Journal) OnCrash(bin, k int) { j.push(wal.OpCrash, bin, k) }
 // batch hook's range reservation — happens under the stripe lock,
 // after the mutation), and any later record draws a strictly higher
 // seq. Each stripe therefore becomes a checkpoint Section with an
-// exact watermark; Snapshot.Seq is the minimum watermark, preserving
-// the v1 truncation contract, and restore filters replayed records per
-// section (see RestoreFS).
+// exact watermark; Snapshot.Seq is the minimum watermark, which keeps
+// WAL truncation through Seq sound, and restore filters replayed records per
+// section (see RestoreFSOpts).
 func (j *Journal) Checkpoint() (checkpoint.Snapshot, string, error) {
 	j.ckptMu.Lock()
 	defer j.ckptMu.Unlock()

@@ -104,7 +104,7 @@ func TestJournalRoundTripThroughRestore(t *testing.T) {
 	}
 
 	fresh := NewStoreShards(n, 4)
-	res, err := RestoreFS(fresh, fs, dir)
+	res, err := RestoreFSOpts(fresh, fs, dir, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestJournalRoundTripThroughRestore(t *testing.T) {
 	}
 }
 
-// TestRealDiskRestore keeps the production Restore path (vfs.OS)
+// TestRealDiskRestore keeps restore over the production vfs.OS
 // covered end to end; everything else runs on simfs.
 func TestRealDiskRestore(t *testing.T) {
 	dir := t.TempDir()
@@ -145,7 +145,7 @@ func TestRealDiskRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := NewStoreShards(8, 2)
-	res, err := Restore(fresh, dir)
+	res, err := RestoreFSOpts(fresh, vfs.OS, dir, RestoreOptions{})
 	if err != nil || !res.Restored {
 		t.Fatalf("real-disk restore: %+v, %v", res, err)
 	}
@@ -330,7 +330,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			}
 
 			fresh := NewStoreShards(n, shards)
-			res, err := RestoreFS(fresh, cfs, dir)
+			res, err := RestoreFSOpts(fresh, cfs, dir, RestoreOptions{})
 			if err != nil {
 				t.Fatalf("%s round %d: restore: %v", tr.name, round, err)
 			}
@@ -367,7 +367,7 @@ func TestJournalUnderConcurrentTraffic(t *testing.T) {
 	}
 
 	fresh := NewStoreShards(n, 8)
-	res, err := RestoreFS(fresh, fs, dir)
+	res, err := RestoreFSOpts(fresh, fs, dir, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestCheckpointTruncatesCoveredSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := NewStoreShards(8, 2)
-	res, err := RestoreFS(fresh, fs, dir)
+	res, err := RestoreFSOpts(fresh, fs, dir, RestoreOptions{})
 	if err != nil || !res.Restored {
 		t.Fatalf("restore after truncation: %+v, %v", res, err)
 	}
@@ -461,7 +461,7 @@ func TestRestoreSkipsFreeOfEmptyBinFromForgedLog(t *testing.T) {
 	l.Close()
 
 	st := NewStoreShards(4, 2)
-	res, err := RestoreFS(st, fs, dir)
+	res, err := RestoreFSOpts(st, fs, dir, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestDoubleCrashKeepsPostRestartMutations(t *testing.T) {
 	// Run 2: restore, boot checkpoint (as cmd/dynallocd does), traffic.
 	surviving1 := ops1[:len(ops1)-1]
 	st2 := NewStoreShards(n, 4)
-	res, err := RestoreFS(st2, fs, dir)
+	res, err := RestoreFSOpts(st2, fs, dir, RestoreOptions{})
 	if err != nil || !res.Restored || !res.Torn {
 		t.Fatalf("first restore: %+v, %v", res, err)
 	}
@@ -562,7 +562,7 @@ func TestDoubleCrashKeepsPostRestartMutations(t *testing.T) {
 	// the two torn-off records must be present.
 	want := append(append([]refOp{}, surviving1...), ops2[:len(ops2)-1]...)
 	st3 := NewStoreShards(n, 4)
-	res3, err := RestoreFS(st3, fs, dir)
+	res3, err := RestoreFSOpts(st3, fs, dir, RestoreOptions{})
 	if err != nil || !res3.Restored || !res3.Torn {
 		t.Fatalf("second restore: %+v, %v", res3, err)
 	}
@@ -596,7 +596,7 @@ func TestCheckpointMaintenanceFailureIsNonFatal(t *testing.T) {
 	}
 	// The snapshot really is on disk and restorable despite the error.
 	fresh := NewStoreShards(8, 2)
-	if res, err := RestoreFS(fresh, fs, dir); err != nil || !res.Restored {
+	if res, err := RestoreFSOpts(fresh, fs, dir, RestoreOptions{}); err != nil || !res.Restored {
 		t.Fatalf("restore after degraded checkpoint: %+v, %v", res, err)
 	}
 	// The fault has disarmed: the next checkpoint's maintenance succeeds.
@@ -702,7 +702,7 @@ func TestJournalGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := NewStoreShards(8, 2)
-	res, err := RestoreFS(fresh, fs, "/wal")
+	res, err := RestoreFSOpts(fresh, fs, "/wal", RestoreOptions{})
 	if err != nil || res.LastSeq != 64 {
 		t.Fatalf("restore: %+v, %v", res, err)
 	}

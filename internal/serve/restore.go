@@ -1,11 +1,7 @@
 // Cold-start restore: load the newest valid checkpoint, replay the WAL
-// suffix, fence the unreachable tail. This file is the parallel form of
-// that pipeline — wal.ReplayPipelineFS partitions records by the
-// store's lock stripes and a batch applier applies each stripe's
-// records, in file order, on one worker — plus the sequential fallback
-// (Workers <= 1) that drives the exact same applier through the classic
-// wal.ReplayFS walk, which is what the equivalence suite pins the
-// parallel path against.
+// suffix, fence the unreachable tail. wal.ReplayPipelineFS partitions
+// records by the store's lock stripes and a batch applier applies each
+// stripe's records, in file order, on one worker.
 package serve
 
 import (
@@ -24,14 +20,14 @@ import (
 // RestoreOptions tunes the restore pipeline.
 type RestoreOptions struct {
 	// Workers is the number of parallel apply workers for WAL replay.
-	// 0 means DefaultRestoreWorkers(); 1 forces the classic sequential
-	// replay (same applier, same final state — the parallel path is
-	// bit-exact against it). The effective count is clamped to the
-	// store's stripe count, since a stripe is the unit of partitioning.
+	// 0 means DefaultRestoreWorkers(); 1 is the same pipeline with one
+	// apply lane (the final state is bit-identical at every count). The
+	// effective count is clamped to the store's stripe count, since a
+	// stripe is the unit of partitioning.
 	Workers int
 }
 
-// DefaultRestoreWorkers is the worker count Restore uses when the
+// DefaultRestoreWorkers is the worker count RestoreFSOpts uses when the
 // caller does not pin one: GOMAXPROCS clamped to [2, 8]. The floor of 2
 // keeps the pipeline (read-ahead, decode, apply overlap) on even a
 // single-core runner, where overlapping segment reads with CRC checks
@@ -48,8 +44,8 @@ func DefaultRestoreWorkers() int {
 	return w
 }
 
-// RestoreResult reports what Restore rebuilt, and how long each restore
-// phase took (the MTTR decomposition the drills print).
+// RestoreResult reports what RestoreFSOpts rebuilt, and how long each
+// restore phase took (the MTTR decomposition the drills print).
 type RestoreResult struct {
 	Restored       bool   // any durable state was found
 	CheckpointSeq  uint64 // seq covered by the loaded checkpoint (0 if none)
@@ -66,42 +62,27 @@ type RestoreResult struct {
 	FenceNs      int64 // fencing the stale post-gap suffix
 }
 
-// Restore rebuilds st from the durability directory: load the newest
-// valid checkpoint (if any), then replay the WAL suffix with
-// seq > checkpoint seq. Call it on a fresh store before any traffic
-// and before NewJournal (replayed mutations must not re-journal).
-// Restore runs against the real filesystem with the default worker
-// count; RestoreFS is the same against any vfs.FS, and RestoreFSOpts
-// additionally pins the options.
+// RestoreFSOpts rebuilds st from the durability directory: load the
+// newest valid checkpoint (if any), then replay the WAL suffix with
+// seq > checkpoint seq, then fence the unreachable tail. Call it on a
+// fresh store before any traffic and before NewJournal (replayed
+// mutations must not re-journal).
+//
+// The suffix is replayed by wal.ReplayPipelineFS — segment read-ahead
+// and record decode overlap with application, and records fan out to
+// Workers appliers partitioned by the store's lock stripes, so the
+// final state (loads, counters, and every RestoreResult field except
+// the timings) does not depend on the worker count. A checkpoint whose
+// sections carry distinct watermarks (see Journal.Checkpoint)
+// additionally filters each replayed record against its stripe's seq
+// watermark, so records already reflected in the stripe's copy are not
+// applied twice.
 //
 // Replay is defensive the same way the paper's processes are: a free
 // whose bin is already empty (possible only against a forged or
 // hand-edited log — per-bin order makes it impossible in our own) is
 // skipped and counted, never fatal, so an adversarially bad WAL still
 // yields *a* state the process can recover from.
-func Restore(st *Store, dir string) (RestoreResult, error) {
-	return RestoreFS(st, vfs.OS, dir)
-}
-
-// RestoreOpts is Restore with explicit options.
-func RestoreOpts(st *Store, dir string, opts RestoreOptions) (RestoreResult, error) {
-	return RestoreFSOpts(st, vfs.OS, dir, opts)
-}
-
-// RestoreFS is Restore against an explicit filesystem.
-func RestoreFS(st *Store, fsys vfs.FS, dir string) (RestoreResult, error) {
-	return RestoreFSOpts(st, fsys, dir, RestoreOptions{})
-}
-
-// RestoreFSOpts is the full restore pipeline. With Workers > 1 the WAL
-// suffix is replayed by wal.ReplayPipelineFS — segment read-ahead and
-// record decode overlap with application, and records fan out to
-// Workers appliers partitioned by the store's lock stripes, so the
-// final state (loads, counters, and every RestoreResult field except
-// the timings) is bit-identical to the sequential replay. A sectioned
-// checkpoint (see Journal.Checkpoint) additionally filters each
-// replayed record against its stripe's seq watermark, so records
-// already reflected in the stripe's copy are not applied twice.
 func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (RestoreResult, error) {
 	defer metrics.Span("checkpoint.restore_ns")()
 	workers := opts.Workers
@@ -134,17 +115,11 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 
 	ap := newReplayApplier(st, &snap, workers)
 	t0 = time.Now()
-	var stats wal.ReplayStats
-	if workers > 1 {
-		stats, err = wal.ReplayPipelineFS(fsys, dir, res.CheckpointSeq, wal.PipelineOptions{
-			Workers:    workers,
-			Partition:  func(rec wal.Record) int { return int(rec.Bin) / st.shardSize },
-			ApplyBatch: ap.applyBatch,
-		})
-	} else {
-		metrics.SetGauge("wal.replay.workers", 1)
-		stats, err = wal.ReplayFS(fsys, dir, res.CheckpointSeq, ap.applyOne)
-	}
+	stats, err := wal.ReplayPipelineFS(fsys, dir, res.CheckpointSeq, wal.PipelineOptions{
+		Workers:    workers,
+		Partition:  func(rec wal.Record) int { return int(rec.Bin) / st.shardSize },
+		ApplyBatch: ap.applyBatch,
+	})
 	res.ReplayNs = time.Since(t0).Nanoseconds()
 	res.Replayed = ap.applied.Load()
 	res.SkippedFrees = ap.skippedFrees.Load()
@@ -204,29 +179,18 @@ type applyScratch struct {
 	tail    []int32
 	next    []int32
 	touched []int32
-	one     [1]wal.Record // applyOne's batch buffer (sequential path only)
 }
 
 // newReplayApplier builds an applier for workers concurrent lanes. The
 // snapshot is consulted per record only when its sections carry
-// watermarks above Seq — a v1 or quiesced checkpoint skips the lookup
-// entirely.
+// watermarks above Seq — a quiesced or section-less checkpoint skips
+// the lookup entirely.
 func newReplayApplier(st *Store, snap *checkpoint.Snapshot, workers int) *replayApplier {
 	a := &replayApplier{st: st, scratch: make([]applyScratch, workers)}
 	if snap.MaxWatermark() > snap.Seq {
 		a.snap = snap
 	}
 	return a
-}
-
-// applyOne drives the applier from the sequential wal.ReplayFS walk —
-// one single-record batch per callback, so both replay paths share
-// every semantic (watermark filter, skipped frees, counter updates)
-// by construction.
-func (a *replayApplier) applyOne(rec wal.Record) error {
-	sc := &a.scratch[0]
-	sc.one[0] = rec
-	return a.applyBatch(0, sc.one[:])
 }
 
 // applyBatch applies one pipeline batch on worker w. Records are
@@ -345,34 +309,4 @@ func ApplyRecords(st *Store, recs []wal.Record) (skippedFrees int64, err error) 
 	ap := newReplayApplier(st, &snap, 1)
 	err = ap.applyBatch(0, recs)
 	return ap.skippedFrees.Load(), err
-}
-
-// Apply replays one WAL record into st — the warm-replay hook shared
-// by restore and by a replication follower continuously applying the
-// primary's stream. skippedFree reports a free that hit an
-// already-empty bin (possible only against a forged or divergent log;
-// counted, never fatal — see RestoreFS). The store must not have a
-// journal hook installed, or the replayed mutation would be journaled
-// again.
-func Apply(st *Store, rec wal.Record) (skippedFree bool, err error) {
-	bin := int(rec.Bin)
-	if bin < 0 || bin >= st.N() {
-		return false, fmt.Errorf("serve: replay record seq %d targets bin %d of %d", rec.Seq, bin, st.N())
-	}
-	switch rec.Op {
-	case wal.OpAlloc:
-		st.Alloc(bin)
-	case wal.OpFree:
-		if _, err := st.FreeBin(bin); err != nil {
-			return true, nil
-		}
-	case wal.OpCrash:
-		if rec.K < 0 {
-			return false, fmt.Errorf("serve: replay crash record seq %d has k=%d", rec.Seq, rec.K)
-		}
-		st.Crash(bin, int(rec.K))
-	default:
-		return false, fmt.Errorf("serve: replay record seq %d has unknown op %v", rec.Seq, rec.Op)
-	}
-	return false, nil
 }

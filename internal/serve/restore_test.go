@@ -8,6 +8,7 @@ import (
 
 	"dynalloc/internal/checkpoint"
 	"dynalloc/internal/rng"
+	"dynalloc/internal/simfs"
 	"dynalloc/internal/wal"
 )
 
@@ -45,11 +46,10 @@ func assertStoresEqual(t *testing.T, what string, a, b *Store) {
 
 // TestParallelRestoreMatchesSequential is the serve-level equivalence
 // property: randomized journaled traffic with mid-stream (striped)
-// checkpoints, then a restore at workers=1 and at several parallel
-// widths — every RestoreResult field except timings and the full store
-// state must be bit-identical. The explorer sweeps the same property
-// across randomized crash schedules; this pins it on dense layouts
-// with exact worker counts.
+// checkpoints, then a restore with one apply lane (workers=1, so every
+// record applies in file order) and at several parallel widths of the
+// same pipeline — every RestoreResult field except timings and the
+// full store state must be bit-identical.
 func TestParallelRestoreMatchesSequential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		const n, shards = 64, 8
@@ -145,18 +145,70 @@ func TestStripedCheckpointCarriesSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := NewStoreShards(n, shards)
-	if _, err := RestoreFS(fresh, fs, dir); err != nil {
+	if _, err := RestoreFSOpts(fresh, fs, dir, RestoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	assertStoresEqual(t, "sectioned restore", fresh, st)
+}
+
+// TestSectionlessCheckpointRestoresUnfiltered: a snapshot without
+// sections (what a replica follower checkpoints) is persisted as one
+// v2 section at watermark Seq, so restore takes the afterSeq filter
+// only — no per-record watermark lookup — and lands on checkpoint +
+// suffix exactly, at one apply lane and at several.
+func TestSectionlessCheckpointRestoresUnfiltered(t *testing.T) {
+	const n, shards = 8, 4
+	fs := simfs.New()
+	dir := "/wal"
+	snap := checkpoint.Snapshot{Seq: 5, Allocs: 9, Frees: 3, Loads: []int32{2, 0, 1, 0, 0, 3, 0, 0}}
+	if _, err := checkpoint.WriteFS(fs, dir, snap); err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(wal.Options{Dir: dir, FS: fs, Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(4); seq <= 8; seq++ { // 4 and 5 are already in the checkpoint
+		if err := l.Append(wal.Record{Op: wal.OpAlloc, Bin: uint32(seq % n), K: 1, Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, _, err := checkpoint.LoadLatestFS(fs, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded.Sections) != 1 || newReplayApplier(NewStoreShards(n, shards), &loaded, 1).snap != nil {
+		t.Fatalf("sections %+v: restore would filter per record against a uniform watermark", loaded.Sections)
+	}
+	for _, workers := range []int{1, 2, shards} {
+		st := NewStoreShards(n, shards)
+		res, err := RestoreFSOpts(st, fs.Clone(), dir, RestoreOptions{Workers: workers})
+		if err != nil || res.CheckpointSeq != 5 || res.Replayed != 3 || res.LastSeq != 8 {
+			t.Fatalf("workers=%d: restore %+v, %v", workers, res, err)
+		}
+		want := []int{3, 0, 1, 0, 0, 3, 1, 1} // checkpoint + allocs into bins 6, 7, 0
+		got := st.LoadsCopy()
+		for b := range want {
+			if got[b] != want[b] {
+				t.Fatalf("workers=%d: bin %d = %d, want %d", workers, b, got[b], want[b])
+			}
+		}
+		if st.Allocs() != 12 || st.Frees() != 3 {
+			t.Fatalf("workers=%d: clocks %d/%d, want 12/3", workers, st.Allocs(), st.Frees())
+		}
+	}
 }
 
 // TestStripedCheckpointUnderConcurrentTraffic checkpoints repeatedly
 // while mutator goroutines hammer the journaled store — the striped
 // snapshot holds only one stripe lock at a time, so traffic keeps
 // flowing mid-checkpoint. Every checkpoint written during the storm
-// must restore (with the WAL suffix on top) to the final state, in
-// both restore modes.
+// must restore (with the WAL suffix on top) to the final state, with
+// one apply lane and with one per stripe.
 func TestStripedCheckpointUnderConcurrentTraffic(t *testing.T) {
 	const n, shards = 128, 8
 	st, j, fs, dir := newJournaled(t, n, shards, wal.Options{SegmentBytes: 1 << 16})
@@ -226,8 +278,35 @@ func TestStripedCheckpointUnderConcurrentTraffic(t *testing.T) {
 	}
 }
 
+// applyOne replays one WAL record into st through the store's public
+// per-ball verbs — the one-record apply the batch applier replaced,
+// kept as the independent reference TestApplyRecordsMatchesApply holds
+// it against. skippedFree reports a free that hit an already-empty bin.
+func applyOne(st *Store, rec wal.Record) (skippedFree bool, err error) {
+	bin := int(rec.Bin)
+	if bin < 0 || bin >= st.N() {
+		return false, fmt.Errorf("serve: replay record seq %d targets bin %d of %d", rec.Seq, bin, st.N())
+	}
+	switch rec.Op {
+	case wal.OpAlloc:
+		st.Alloc(bin)
+	case wal.OpFree:
+		if _, err := st.FreeBin(bin); err != nil {
+			return true, nil
+		}
+	case wal.OpCrash:
+		if rec.K < 0 {
+			return false, fmt.Errorf("serve: replay crash record seq %d has k=%d", rec.Seq, rec.K)
+		}
+		st.Crash(bin, int(rec.K))
+	default:
+		return false, fmt.Errorf("serve: replay record seq %d has unknown op %v", rec.Seq, rec.Op)
+	}
+	return false, nil
+}
+
 // TestApplyRecordsMatchesApply pins the follower's batched warm-apply
-// against the one-record Apply it replaced, including the forged-log
+// against the one-record reference, including the forged-log
 // skipped-free path.
 func TestApplyRecordsMatchesApply(t *testing.T) {
 	const n = 48
@@ -250,7 +329,7 @@ func TestApplyRecordsMatchesApply(t *testing.T) {
 	one := NewStoreShards(n, 4)
 	var oneSkipped int64
 	for _, rec := range recs {
-		skipped, err := Apply(one, rec)
+		skipped, err := applyOne(one, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,9 +380,9 @@ func TestApplyRecordsErrors(t *testing.T) {
 		if batchErr == nil || !strings.Contains(batchErr.Error(), tc.want) {
 			t.Fatalf("%s: ApplyRecords err = %v, want %q", tc.name, batchErr, tc.want)
 		}
-		_, oneErr := Apply(NewStoreShards(8, 2), tc.rec)
+		_, oneErr := applyOne(NewStoreShards(8, 2), tc.rec)
 		if oneErr == nil || !strings.Contains(oneErr.Error(), tc.want) {
-			t.Fatalf("%s: Apply err = %v, want %q", tc.name, oneErr, tc.want)
+			t.Fatalf("%s: applyOne err = %v, want %q", tc.name, oneErr, tc.want)
 		}
 	}
 }

@@ -66,6 +66,7 @@ import (
 	"dynalloc/internal/rng"
 	"dynalloc/internal/serve"
 	"dynalloc/internal/simfs"
+	"dynalloc/internal/vfs"
 	"dynalloc/internal/wal"
 )
 
@@ -120,14 +121,16 @@ type Config struct {
 
 	// RestoreWorkers is the apply-worker count every restore in the
 	// schedule runs with (0 means the suite default of 2, so sweeps
-	// exercise the parallel replay pipeline by default; 1 forces the
-	// classic sequential replay). With workers > 1 every restore is
-	// additionally cross-checked: a second, sequential restore runs
-	// against a clone of the post-cut filesystem and the two stores and
-	// RestoreResults (minus timings) must match bit for bit — the
-	// parallel ≡ sequential equivalence property, checked across every
-	// crash shape the sweep produces.
+	// exercise the partitioned fan-out; 1 is the same pipeline with one
+	// apply lane).
 	RestoreWorkers int
+
+	// Restore is the restore under test (nil means serve.RestoreFSOpts,
+	// the only one production has). It is the harness's one seam: the
+	// mutation self-checks substitute a restore with a historical replay
+	// bug reinstated and demand the explorer rediscover it, which proves
+	// the oracle bites without any bug switch living in production code.
+	Restore RestoreFunc
 
 	// ChaosFaults, when > 0, arms that many transient write-path faults
 	// per round at pseudo-random points DURING traffic (see
@@ -143,6 +146,9 @@ type Config struct {
 	// the dropped records leave behind.
 	ChaosFaults int
 }
+
+// RestoreFunc is the signature of serve.RestoreFSOpts.
+type RestoreFunc func(st *serve.Store, fsys vfs.FS, dir string, opts serve.RestoreOptions) (serve.RestoreResult, error)
 
 // Default returns the configuration the test suite runs: 3 rounds of
 // 120 mutations over 16 bins / 4 shards, checkpoints every 25
@@ -239,6 +245,9 @@ func (c Config) withDefaults() Config {
 	if c.RestoreWorkers <= 0 {
 		c.RestoreWorkers = d.RestoreWorkers
 	}
+	if c.Restore == nil {
+		c.Restore = serve.RestoreFSOpts
+	}
 	if c.Burst > 1 && c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultBatched().MaxBatch
 	}
@@ -318,7 +327,6 @@ type Stats struct {
 	BatchedAdmits  int64 // admission groups of >= 2 balls driven through Store.AdmitBatch
 	FaultsArmed    int64 // chaos faults armed (ChaosFaults per round)
 	DegradedRounds int   // rounds where a chaos fault wedged the journal before the cut
-	EquivChecks    int   // parallel-vs-sequential restore cross-checks performed
 }
 
 func (s *Stats) add(o Stats) {
@@ -331,7 +339,6 @@ func (s *Stats) add(o Stats) {
 	s.BatchedAdmits += o.BatchedAdmits
 	s.FaultsArmed += o.FaultsArmed
 	s.DegradedRounds += o.DegradedRounds
-	s.EquivChecks += o.EquivChecks
 }
 
 // Result is what Explore found.
@@ -536,35 +543,13 @@ func runSchedule(cfg Config, schedule int) (*Violation, Stats) {
 			return keep
 		})
 
-		// Restart: fresh store, restore from whatever survived. With
-		// workers > 1 the sequential reference restore runs first,
-		// against a clone of the cut filesystem (restore mutates it:
-		// the stale-suffix fence removes segments), so both paths see
-		// the identical crash shape.
-		var (
-			seqSt  *serve.Store
-			seqRes serve.RestoreResult
-		)
-		if cfg.RestoreWorkers > 1 {
-			seqSt = serve.NewStoreShards(cfg.Bins, cfg.Shards)
-			sr, err := serve.RestoreFSOpts(seqSt, fs.Clone(), dir, serve.RestoreOptions{Workers: 1})
-			if err != nil {
-				return fail(round, "sequential reference restore failed: %v", err)
-			}
-			seqRes = sr
-		}
+		// Restart: fresh store, restore from whatever survived.
 		st = serve.NewStoreShards(cfg.Bins, cfg.Shards)
-		res, err := serve.RestoreFSOpts(st, fs, dir, serve.RestoreOptions{Workers: cfg.RestoreWorkers})
+		res, err := cfg.Restore(st, fs, dir, serve.RestoreOptions{Workers: cfg.RestoreWorkers})
 		stats.Restores++
 		stats.FSOps = fs.OpCount()
 		if err != nil {
 			return fail(round, "restore failed: %v", err)
-		}
-		if seqSt != nil {
-			stats.EquivChecks++
-			if msg := diffRestoreModes(st, res, seqSt, seqRes); msg != "" {
-				return fail(round, "parallel restore (workers=%d) diverges from sequential: %s", cfg.RestoreWorkers, msg)
-			}
 		}
 		if res.LastSeq < durable {
 			return fail(round, "lost fsynced mutations: restored through seq %d, but seq %d was acknowledged durable", res.LastSeq, durable)
@@ -685,49 +670,6 @@ func diffAgainstRef(got *serve.Store, ref []refOp, cfg Config) string {
 	}
 	if got.Frees() != want.Frees() {
 		return fmt.Sprintf("frees = %d, want %d", got.Frees(), want.Frees())
-	}
-	return ""
-}
-
-// diffRestoreModes compares a parallel restore against the sequential
-// reference restore of the same cut filesystem: every RestoreResult
-// field except the timings and worker count, then the stores' loads and
-// counters. Empty string means bit-identical — the equivalence property
-// the parallel pipeline promises.
-func diffRestoreModes(par *serve.Store, pr serve.RestoreResult, seq *serve.Store, sr serve.RestoreResult) string {
-	switch {
-	case pr.Restored != sr.Restored:
-		return fmt.Sprintf("Restored = %v, sequential %v", pr.Restored, sr.Restored)
-	case pr.CheckpointSeq != sr.CheckpointSeq:
-		return fmt.Sprintf("CheckpointSeq = %d, sequential %d", pr.CheckpointSeq, sr.CheckpointSeq)
-	case pr.CheckpointPath != sr.CheckpointPath:
-		return fmt.Sprintf("CheckpointPath = %q, sequential %q", pr.CheckpointPath, sr.CheckpointPath)
-	case pr.Replayed != sr.Replayed:
-		return fmt.Sprintf("Replayed = %d, sequential %d", pr.Replayed, sr.Replayed)
-	case pr.SkippedFrees != sr.SkippedFrees:
-		return fmt.Sprintf("SkippedFrees = %d, sequential %d", pr.SkippedFrees, sr.SkippedFrees)
-	case pr.Torn != sr.Torn:
-		return fmt.Sprintf("Torn = %v, sequential %v", pr.Torn, sr.Torn)
-	case pr.LastSeq != sr.LastSeq:
-		return fmt.Sprintf("LastSeq = %d, sequential %d", pr.LastSeq, sr.LastSeq)
-	case pr.StaleRemoved != sr.StaleRemoved:
-		return fmt.Sprintf("StaleRemoved = %d, sequential %d", pr.StaleRemoved, sr.StaleRemoved)
-	}
-	pl, sl := par.LoadsCopy(), seq.LoadsCopy()
-	for b := range sl {
-		if pl[b] != sl[b] {
-			return fmt.Sprintf("bin %d load = %d, sequential %d", b, pl[b], sl[b])
-		}
-	}
-	switch {
-	case par.Total() != seq.Total():
-		return fmt.Sprintf("total = %d, sequential %d", par.Total(), seq.Total())
-	case par.NonEmpty() != seq.NonEmpty():
-		return fmt.Sprintf("nonEmpty = %d, sequential %d", par.NonEmpty(), seq.NonEmpty())
-	case par.Allocs() != seq.Allocs():
-		return fmt.Sprintf("allocs = %d, sequential %d", par.Allocs(), seq.Allocs())
-	case par.Frees() != seq.Frees():
-		return fmt.Sprintf("frees = %d, sequential %d", par.Frees(), seq.Frees())
 	}
 	return ""
 }

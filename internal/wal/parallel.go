@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -12,11 +11,10 @@ import (
 	"dynalloc/internal/vfs"
 )
 
-// PipelineOptions configures ReplayPipelineFS, the parallel form of
-// ReplayFS: a segment read-ahead stage feeds record-decode workers, a
-// sequential validator preserves ReplayFS's exact torn-tail / seq-gap
-// semantics, and validated records fan out to partitioned apply
-// workers.
+// PipelineOptions configures ReplayPipelineFS: a segment read-ahead
+// stage feeds record-decode workers, a sequential validator makes every
+// torn-tail / seq-gap decision, and validated records fan out to
+// partitioned apply workers.
 type PipelineOptions struct {
 	// Workers is the number of apply workers (< 1 is treated as 1).
 	// Each partition id maps to exactly one worker (id % Workers), so
@@ -47,7 +45,7 @@ type PipelineOptions struct {
 type rawSegment struct {
 	idx     int
 	data    []byte
-	openErr error // fatal, like ReplayFS's segment-open failure
+	openErr error // fatal: a segment that cannot be opened fails the replay
 	readErr bool  // mid-read failure: the undecoded tail counts as torn
 }
 
@@ -61,10 +59,9 @@ type decodedSegment struct {
 	openErr  error
 }
 
-// readSegment reads one segment file whole. Open failures are fatal
-// (exactly like ReplayFS); a failure mid-read keeps the bytes already
-// read and taints the tail, which is how the streaming reader would
-// have experienced the same fault.
+// readSegment reads one segment file whole. Open failures are fatal; a
+// failure mid-read keeps the bytes already read and taints the tail, so
+// the segment counts as torn after its readable prefix.
 func readSegment(fsys vfs.FS, path string, idx int) rawSegment {
 	raw := rawSegment{idx: idx}
 	f, err := fsys.Open(path)
@@ -80,24 +77,21 @@ func readSegment(fsys vfs.FS, path string, idx int) rawSegment {
 }
 
 // decodeSegmentData decodes one segment's bytes into records, stopping
-// at the first torn or corrupted record — the same valid-prefix rule
-// replaySegment applies while streaming.
+// at the first torn or corrupted record: a segment contributes its
+// valid prefix and nothing after it.
 func decodeSegmentData(raw rawSegment) decodedSegment {
 	d := decodedSegment{openErr: raw.openErr}
 	if raw.openErr != nil {
 		return d
 	}
-	data := raw.data
-	if len(data) < segHeaderSize || [8]byte(data[:8]) != segMagic {
-		return d // missing/short/foreign header: torn at segment birth
+	if d.firstSeq, d.hdrOK = parseSegmentHeader(raw.data); !d.hdrOK {
+		return d // torn at segment birth
 	}
-	d.hdrOK = true
-	d.firstSeq = binary.LittleEndian.Uint64(data[8:16])
-	body := data[segHeaderSize:]
+	body := raw.data[segHeaderSize:]
 	n := len(body) / RecordSize
 	d.recs = make([]Record, 0, n)
 	for i := 0; i < n; i++ {
-		rec, ok := decodeRecord(body[i*RecordSize : (i+1)*RecordSize])
+		rec, ok := DecodeRecord(body[i*RecordSize : (i+1)*RecordSize])
 		if !ok {
 			return d // corrupted record: valid prefix ends here
 		}
@@ -107,22 +101,32 @@ func decodeSegmentData(raw rawSegment) decodedSegment {
 	return d
 }
 
-// ReplayPipelineFS is ReplayFS restructured as a parallel pipeline:
-// a read-ahead goroutine loads segments whole, decode workers verify
-// CRCs and parse records concurrently, and a sequential validator —
-// consuming decode results strictly in segment order — applies the
-// exact same torn-tail / seq-gap / continuity rules as ReplayFS
-// (including the legacy test hooks) before fanning validated records
-// out to opts.Workers apply workers by partition. Records of one
-// partition are always applied, in file order, by one worker, so
-// callers whose partitions commute (the store's lock stripes) get a
-// bit-identical final state to the sequential replay.
+// ReplayPipelineFS is the WAL replay: it walks the segments of dir in
+// order and hands every valid record with Seq > afterSeq to
+// opts.ApplyBatch. A read-ahead goroutine loads segments whole, decode
+// workers verify CRCs and parse records concurrently, and a sequential
+// validator — consuming decode results strictly in segment order —
+// decides what is sound to apply before fanning records out to
+// opts.Workers apply workers by partition. Records of one partition are
+// always applied, in file order, by one worker, so callers whose
+// partitions commute (the store's lock stripes) get a final state that
+// does not depend on the worker count; Workers == 1 is the same
+// pipeline with a single apply lane.
 //
-// The success path produces exactly the stats ReplayFS would. On an
-// ApplyBatch error the pipeline stops and returns the first error
+// A torn or corrupted record (CRC mismatch, partial tail, or bad
+// segment header) ends the current segment without error and sets
+// stats.Torn. Replay continues into a later segment — after a torn tail
+// or a clean end alike — only when that segment's header proves no
+// record would be skipped (see opensGap), and stops for good at the
+// first segment that would: recovery is "everything reachable without
+// skipping a record". The records past a gap stay on disk but are
+// unsound to apply until a checkpoint covers it.
+//
+// On an ApplyBatch error the pipeline stops and returns the first error
 // observed; records already handed to other workers may or may not
-// have been applied, so — like ReplayFS's apply-error contract — the
-// store's state is unspecified and stats are best-effort.
+// have been applied, so the store's state is unspecified and stats are
+// best-effort. A segment that cannot be opened is fatal too, after the
+// sound prefix before it was applied.
 //
 // Stage totals are observed into the wal.replay.read_ns /
 // wal.replay.decode_ns / wal.replay.apply_ns timers, and the worker
@@ -237,10 +241,10 @@ func ReplayPipelineFS(fsys vfs.FS, dir string, afterSeq uint64, opts PipelineOpt
 		}(w)
 	}
 
-	// Sequential validator: the single place replay decisions are made,
-	// mirroring ReplayFS line for line. It consumes decoded segments in
-	// order, so stats.LastSeq/Torn evolve exactly as in the sequential
-	// walk, and only records it admits reach the apply workers.
+	// Sequential validator: the single place replay decisions are made.
+	// It consumes decoded segments in order, so stats.LastSeq/Torn evolve
+	// as in a plain front-to-back walk whatever the decode interleaving,
+	// and only records it admits reach the apply workers.
 	var finalErr error
 	batches := make([][]Record, workers)
 	for idx := range paths {
@@ -248,20 +252,10 @@ func ReplayPipelineFS(fsys vfs.FS, dir string, afterSeq uint64, opts PipelineOpt
 			break
 		}
 		d := <-outs[idx]
-		if stats.Torn && legacyTornStop {
-			break // mutation hook: the pre-fix early stop
-		}
-		if d.openErr == nil && (stats.Torn || !legacyGapSkip) {
-			// The same continuity rule as ReplayFS, at EVERY segment:
-			// a header opening past covered+1 is a real seq gap, and
-			// the suffix is unsound to apply.
-			covered := stats.LastSeq
-			if afterSeq > covered {
-				covered = afterSeq
-			}
-			if d.hdrOK && d.firstSeq > covered+1 {
-				break
-			}
+		// An unreadable header falls through: nothing is applied from
+		// such a segment, so contiguity is preserved.
+		if d.hdrOK && opensGap(d.firstSeq, max(stats.LastSeq, afterSeq)) {
+			break
 		}
 		stats.Segments++
 		if d.openErr != nil {

@@ -31,55 +31,23 @@ func pipelineRun(t *testing.T, fs *simfs.FS, dir string, afterSeq uint64, worker
 	return streams, stats, err
 }
 
-// checkParity asserts the pipeline replay of dir is indistinguishable
-// from the sequential ReplayFS at every worker count: identical stats,
-// and each worker observing exactly its partitions' records in file
-// order. Every crash-shape test below funnels through here, so the
-// validator's torn-tail / seq-gap / continuity decisions are pinned
-// against the sequential walk they must mirror.
-func checkParity(t *testing.T, fs *simfs.FS, dir string, afterSeq uint64) {
-	t.Helper()
-	want, wantStats := collect(t, fs, dir, afterSeq)
-	for _, workers := range []int{1, 2, 3, 4, 7} {
-		streams, stats, err := pipelineRun(t, fs, dir, afterSeq, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: pipeline error: %v", workers, err)
-		}
-		if stats != wantStats {
-			t.Fatalf("workers=%d: stats %+v, sequential %+v", workers, stats, wantStats)
-		}
-		for w, got := range streams {
-			var exp []Record
-			for _, r := range want {
-				if int(r.Bin)%workers == w {
-					exp = append(exp, r)
-				}
-			}
-			if len(got) != len(exp) {
-				t.Fatalf("workers=%d worker %d: %d records, want %d", workers, w, len(got), len(exp))
-			}
-			for i := range got {
-				if got[i] != exp[i] {
-					t.Fatalf("workers=%d worker %d record %d: got %+v want %+v", workers, w, i, got[i], exp[i])
-				}
-			}
-		}
-	}
-}
+// The TestPipelineParity* cases build one crash shape each and hand it
+// to collect (wal_test.go), which replays it with one apply lane and
+// demands 2, 3 and 8 workers be indistinguishable from that.
 
 func TestPipelineParityCleanRotation(t *testing.T) {
 	fs := testFS()
 	l := testOpen(t, fs, Options{Fsync: FsyncNever})
 	appendN(t, l, 1, 100) // tiny segments: a dozen rotations
 	l.Close()
-	checkParity(t, fs, l.Dir(), 0)
-	checkParity(t, fs, l.Dir(), 25) // afterSeq filter
-	checkParity(t, fs, l.Dir(), 1000)
+	collect(t, fs, l.Dir(), 0)
+	collect(t, fs, l.Dir(), 25) // afterSeq filter
+	collect(t, fs, l.Dir(), 1000)
 }
 
 func TestPipelineParityEmptyDir(t *testing.T) {
 	fs := testFS()
-	checkParity(t, fs, "/wal", 0)
+	collect(t, fs, "/wal", 0)
 }
 
 func TestPipelineParityTornTail(t *testing.T) {
@@ -91,7 +59,7 @@ func TestPipelineParityTornTail(t *testing.T) {
 	if err := fs.Truncate(segs[0], int64(segHeaderSize+48*RecordSize+RecordSize/2)); err != nil {
 		t.Fatal(err)
 	}
-	checkParity(t, fs, l.Dir(), 0)
+	collect(t, fs, l.Dir(), 0)
 }
 
 func TestPipelineParityCorruptedCRC(t *testing.T) {
@@ -103,7 +71,7 @@ func TestPipelineParityCorruptedCRC(t *testing.T) {
 	if err := fs.Corrupt(segs[1], segHeaderSize+2*RecordSize+3, 0xff); err != nil {
 		t.Fatal(err)
 	}
-	checkParity(t, fs, l.Dir(), 0)
+	collect(t, fs, l.Dir(), 0)
 }
 
 func TestPipelineParityBadSegmentHeader(t *testing.T) {
@@ -115,12 +83,12 @@ func TestPipelineParityBadSegmentHeader(t *testing.T) {
 	if err := fs.Corrupt(segs[1], 0, 0xff); err != nil {
 		t.Fatal(err)
 	}
-	checkParity(t, fs, l.Dir(), 0)
+	collect(t, fs, l.Dir(), 0)
 }
 
 // TestPipelineParityHealedTornSegment is the double-crash layout: run
-// 1's tail is torn, run 2's segment opens contiguously past it. Both
-// replays must walk through the tear into run 2's records.
+// 1's tail is torn, run 2's segment opens contiguously past it. Every
+// worker count must walk through the tear into run 2's records.
 func TestPipelineParityHealedTornSegment(t *testing.T) {
 	fs := testFS()
 	dir := "/wal"
@@ -132,12 +100,12 @@ func TestPipelineParityHealedTornSegment(t *testing.T) {
 	l2 := testOpen(t, fs, Options{Dir: dir, Fsync: FsyncNever, SegmentBytes: 1 << 20})
 	appendN(t, l2, 10, 25)
 	l2.Close()
-	checkParity(t, fs, dir, 0)
+	collect(t, fs, dir, 0)
 }
 
 // TestPipelineParitySeqGap: the segment after the tear does NOT
-// continue the stream; both replays must stop at the last reachable
-// record, and both must accept the suffix when a checkpoint covers the
+// continue the stream; every worker count must stop at the last
+// reachable record, and accept the suffix when a checkpoint covers the
 // gap (afterSeq = 11).
 func TestPipelineParitySeqGap(t *testing.T) {
 	fs := testFS()
@@ -150,13 +118,13 @@ func TestPipelineParitySeqGap(t *testing.T) {
 	l2 := testOpen(t, fs, Options{Dir: dir, Fsync: FsyncNever, SegmentBytes: 1 << 20})
 	appendN(t, l2, 12, 20)
 	l2.Close()
-	checkParity(t, fs, dir, 0)
-	checkParity(t, fs, dir, 11)
+	collect(t, fs, dir, 0)
+	collect(t, fs, dir, 11)
 }
 
 // TestPipelineParityTruncatedHead: a head segment opening past
 // afterSeq+1 is a gap from scratch but contiguous once the checkpoint
-// covers it — both replays must agree in both modes.
+// covers it — every worker count must agree in both modes.
 func TestPipelineParityTruncatedHead(t *testing.T) {
 	fs := testFS()
 	l := testOpen(t, fs, Options{Fsync: FsyncNever, SegmentBytes: segHeaderSize + 10*RecordSize})
@@ -165,32 +133,9 @@ func TestPipelineParityTruncatedHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	checkParity(t, fs, l.Dir(), 0)
-	checkParity(t, fs, l.Dir(), 20)
-	checkParity(t, fs, l.Dir(), 30)
-}
-
-// TestPipelineParityLegacyHooks pins that the pipeline honors the
-// explorer's mutation hooks exactly like the sequential walk.
-func TestPipelineParityLegacyHooks(t *testing.T) {
-	fs := testFS()
-	dir := "/wal"
-	l1 := testOpen(t, fs, Options{Dir: dir, Fsync: FsyncNever, SegmentBytes: 1 << 20})
-	appendN(t, l1, 1, 10)
-	l1.Close()
-	segs, _ := listSegments(fs, dir)
-	fs.Truncate(segs[0], int64(segHeaderSize+9*RecordSize+RecordSize/2))
-	l2 := testOpen(t, fs, Options{Dir: dir, Fsync: FsyncNever, SegmentBytes: 1 << 20})
-	appendN(t, l2, 12, 20)
-	l2.Close()
-
-	SetLegacyTornStopForTest(true)
-	checkParity(t, fs, dir, 0)
-	SetLegacyTornStopForTest(false)
-
-	SetLegacyGapSkipForTest(true)
-	checkParity(t, fs, dir, 0)
-	SetLegacyGapSkipForTest(false)
+	collect(t, fs, l.Dir(), 0)
+	collect(t, fs, l.Dir(), 20)
+	collect(t, fs, l.Dir(), 30)
 }
 
 // TestPipelineApplyErrorAborts: an ApplyBatch error must surface from
@@ -232,8 +177,7 @@ func TestPipelineApplyErrorAborts(t *testing.T) {
 }
 
 // TestPipelineOpenErrorIsFatal: a segment that cannot be opened fails
-// the replay with the same error ReplayFS reports, after the sound
-// prefix was applied.
+// the replay at every worker count, after the sound prefix was applied.
 func TestPipelineOpenErrorIsFatal(t *testing.T) {
 	fs := testFS()
 	l := testOpen(t, fs, Options{Fsync: FsyncNever, SegmentBytes: segHeaderSize + 4*RecordSize})
@@ -244,32 +188,27 @@ func TestPipelineOpenErrorIsFatal(t *testing.T) {
 		t.Fatalf("want >= 2 segments, got %d", len(segs))
 	}
 
-	// Replay opens segments strictly in order, so the 2nd Open is the
-	// second segment — in both the sequential walk and the pipeline's
-	// read-ahead stage. Faults are one-shot; arm one per run.
-	fs.FailOp(simfs.OpOpen, 2, nil)
-	_, seqErr := ReplayFS(fs, l.Dir(), 0, func(Record) error { return nil })
-	if seqErr == nil {
-		t.Fatal("sequential replay survived the open fault")
-	}
-
-	fs.FailOp(simfs.OpOpen, 2, nil)
-	streams, _, err := pipelineRun(t, fs, l.Dir(), 0, 2)
-	if err == nil || !strings.Contains(err.Error(), "wal: replay:") {
-		t.Fatalf("pipeline error = %v, want a replay open error like %v", err, seqErr)
-	}
-	got := 0
-	for _, s := range streams {
-		got += len(s)
-	}
-	if got != 4 {
-		t.Fatalf("applied %d records before the fatal segment, want the first segment's 4", got)
+	// The read-ahead stage opens segments strictly in order, so the 2nd
+	// Open is the second segment. Faults are one-shot; arm one per run.
+	for _, workers := range []int{1, 2} {
+		fs.FailOp(simfs.OpOpen, 2, nil)
+		streams, _, err := pipelineRun(t, fs, l.Dir(), 0, workers)
+		if err == nil || !strings.Contains(err.Error(), "wal: replay:") {
+			t.Fatalf("workers=%d: error = %v, want a replay open error", workers, err)
+		}
+		got := 0
+		for _, s := range streams {
+			got += len(s)
+		}
+		if got != 4 {
+			t.Fatalf("workers=%d: applied %d records before the fatal segment, want the first segment's 4", workers, got)
+		}
 	}
 }
 
 // TestPipelineNilPartitionAndApply: nil Partition routes everything to
 // worker 0; nil ApplyBatch counts without applying. Stats must still
-// match the sequential walk.
+// match the partitioned replay.
 func TestPipelineNilPartitionAndApply(t *testing.T) {
 	fs := testFS()
 	l := testOpen(t, fs, Options{Fsync: FsyncNever})

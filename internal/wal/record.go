@@ -87,10 +87,10 @@ func (r Record) encode(buf []byte) {
 	binary.LittleEndian.PutUint32(buf[17:21], crc32.Checksum(buf[:payloadSize], crcTable))
 }
 
-// decodeRecord parses one record from buf, verifying the CRC. It
-// returns ok=false on checksum mismatch or an invalid op byte — the
-// two shapes a torn or corrupted record takes.
-func decodeRecord(buf []byte) (Record, bool) {
+// DecodeRecord parses one record from buf (RecordSize bytes), verifying
+// the CRC. It returns ok=false on checksum mismatch or an invalid op
+// byte — the two shapes a torn or corrupted record takes.
+func DecodeRecord(buf []byte) (Record, bool) {
 	want := binary.LittleEndian.Uint32(buf[17:21])
 	if crc32.Checksum(buf[:payloadSize], crcTable) != want {
 		return Record{}, false

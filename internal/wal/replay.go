@@ -10,7 +10,7 @@ import (
 	"dynalloc/internal/vfs"
 )
 
-// ReplayStats summarizes one Replay pass.
+// ReplayStats summarizes one ReplayPipelineFS pass.
 type ReplayStats struct {
 	Segments int    // segment files visited
 	Records  int64  // valid records decoded (including ones skipped by seq)
@@ -20,103 +20,32 @@ type ReplayStats struct {
 	Torn     bool   // a torn tail or corrupted record was encountered
 }
 
-// legacyTornStop reinstates the original (buggy) replay behavior that
-// stopped at the first torn segment even when the next segment's
-// header proved the record stream stayed contiguous — the double-crash
-// data-loss defect fixed in an earlier release. It exists ONLY so the
-// crash-schedule explorer's mutation self-check can prove it would
-// have caught that bug; see SetLegacyTornStopForTest.
-var legacyTornStop = false
-
-// SetLegacyTornStopForTest toggles the pre-fix "stop replay at first
-// torn segment" behavior. Test hook for the simulation harness's
-// mutation self-check; never enable outside a test.
-func SetLegacyTornStopForTest(on bool) { legacyTornStop = on }
-
-// legacyGapSkip reinstates the second historical replay defect: the
-// seq-continuity check at segment boundaries used to run only after a
-// TORN segment, so a cleanly-ended segment followed by a gap-opening
-// successor — the on-disk shape an aborted segment leaves behind when a
-// failed append's bytes never reached the disk — was silently replayed
-// across, applying records on top of missing mutations. It exists ONLY
-// so the chaos explorer's mutation self-check can prove its injected
-// write faults produce that shape and would have caught the bug.
-var legacyGapSkip = false
-
-// SetLegacyGapSkipForTest toggles the pre-fix "continuity check only
-// after torn segments" behavior. Test hook for the simulation
-// harness's mutation self-check; never enable outside a test.
-func SetLegacyGapSkipForTest(on bool) { legacyGapSkip = on }
-
-// Replay walks the segments of dir in order and hands every valid
-// record with Seq > afterSeq to apply. A torn or corrupted record
-// (CRC mismatch, partial tail, or bad segment header) ends the current
-// segment without error; replay continues into a later segment — after
-// a torn tail or a clean end alike — only when that segment's header
-// firstSeq proves no record would be skipped: firstSeq <= 1 + the
-// highest seq already covered (valid records seen, or afterSeq from
-// the caller's checkpoint). A clean gap arises when the log aborts a
-// wedged segment after a failed append whose bytes never reached the
-// disk and heals onto a fresh segment; the records past the gap stay
-// on disk but are unsound to apply until a checkpoint covers it. That is
-// exactly the crash → restore → traffic → crash-again layout: the
-// pre-crash segment keeps its torn tail (until truncation removes it)
-// while the post-restore segment opens at the restored seq + 1, and
-// both must replay. A later segment that would open a true seq gap is
-// unsound to apply, so replay stops there: recovery is "everything
-// reachable without skipping a record". An error from apply aborts
-// the replay and is returned as-is.
-//
-// Replay runs against the real filesystem; ReplayFS is the same pass
-// against any vfs.FS.
-func Replay(dir string, afterSeq uint64, apply func(Record) error) (ReplayStats, error) {
-	return ReplayFS(vfs.OS, dir, afterSeq, apply)
+// parseSegmentHeader is the one parser of the on-disk segment header:
+// the magic followed by the first record seq the segment was opened
+// for. ok=false when hdr is short or carries the wrong magic — a
+// segment torn at birth, or not a segment at all; every reader applies
+// nothing from such a file.
+func parseSegmentHeader(hdr []byte) (firstSeq uint64, ok bool) {
+	if len(hdr) < segHeaderSize || [8]byte(hdr[:8]) != segMagic {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(hdr[8:16]), true
 }
 
-// ReplayFS is Replay against an explicit filesystem.
-func ReplayFS(fsys vfs.FS, dir string, afterSeq uint64, apply func(Record) error) (ReplayStats, error) {
-	var stats ReplayStats
-	paths, err := listSegments(fsys, dir)
-	if err != nil {
-		return stats, fmt.Errorf("wal: replay: %w", err)
-	}
-	for _, p := range paths {
-		if stats.Torn && legacyTornStop {
-			return stats, nil // mutation hook: the pre-fix early stop
-		}
-		if stats.Torn || !legacyGapSkip {
-			// Continuity check at EVERY segment, torn or not — including
-			// the FIRST one: a head segment opening past afterSeq+1 means
-			// the log's earliest records were dropped before anything was
-			// written (an aborted first append heals onto a segment that
-			// starts at seq 2), and replaying the suffix onto the
-			// checkpoint state would skip them just like a mid-log gap. A
-			// cleanly-ended segment followed by a higher firstSeq is how
-			// an aborted segment looks when its failed batch never reached
-			// the disk (the log heals by opening a fresh segment for the
-			// next append — see Log.abortSegmentLocked). Applying the
-			// suffix would replay records on top of missing mutations.
-			covered := stats.LastSeq
-			if afterSeq > covered {
-				covered = afterSeq
-			}
-			if first, ok := readSegmentFirstSeq(fsys, p); ok && first > covered+1 {
-				return stats, nil // a real seq gap: the suffix is unsound
-			}
-			// An unreadable header falls through: replaySegment applies
-			// nothing from such a segment, so contiguity is preserved.
-		}
-		stats.Segments++
-		clean, err := replaySegment(fsys, p, afterSeq, apply, &stats)
-		if err != nil {
-			return stats, err
-		}
-		if !clean {
-			stats.Torn = true
-		}
-	}
-	return stats, nil
-}
+// opensGap is the continuity rule every segment walker checks at EVERY
+// segment boundary, torn predecessor or not, first segment included: a
+// header opening past covered+1 — covered being the highest seq already
+// accounted for (valid records seen, or the caller's checkpoint seq) —
+// means records are missing, and everything from that segment on is
+// unsound to apply. The shapes that produce it: a head segment whose
+// predecessors were truncated (or whose first append was aborted), and
+// a segment aborted after a failed append whose bytes never reached the
+// disk, which the log heals past by opening a fresh segment for the
+// next append (see Log.abortSegmentLocked). The opposite case matters
+// as much: the crash → restore → traffic → crash-again layout leaves a
+// torn pre-crash segment under a post-restore segment that opens at the
+// restored seq + 1, and that one must be walked into.
+func opensGap(firstSeq, covered uint64) bool { return firstSeq > covered+1 }
 
 // RemoveStaleFS deletes every segment that replay pinned at lastSeq
 // (the seq the restored state is consistent with) can never soundly
@@ -171,57 +100,8 @@ func readSegmentFirstSeq(fsys vfs.FS, path string) (uint64, bool) {
 	}
 	defer f.Close()
 	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, false
-	}
-	if [8]byte(hdr[:8]) != segMagic {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(hdr[8:16]), true
-}
-
-// replaySegment streams one segment through apply. It returns
-// clean=false when the segment ends in a torn or corrupted record (or
-// has a bad header); apply errors are returned verbatim.
-func replaySegment(fsys vfs.FS, path string, afterSeq uint64, apply func(Record) error, stats *ReplayStats) (bool, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("wal: replay: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return false, nil // truncated header: torn at segment birth
-	}
-	if [8]byte(hdr[:8]) != segMagic {
-		return false, nil
-	}
-
-	var buf [RecordSize]byte
-	for {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			// io.EOF: clean segment end. ErrUnexpectedEOF: torn tail.
-			return err == io.EOF, nil
-		}
-		rec, ok := decodeRecord(buf[:])
-		if !ok {
-			return false, nil
-		}
-		stats.Records++
-		stats.Bytes += RecordSize
-		if rec.Seq > stats.LastSeq {
-			stats.LastSeq = rec.Seq
-		}
-		if rec.Seq <= afterSeq || apply == nil {
-			continue
-		}
-		if err := apply(rec); err != nil {
-			return true, err
-		}
-		stats.Applied++
-	}
+	n, _ := io.ReadFull(f, hdr[:])
+	return parseSegmentHeader(hdr[:n])
 }
 
 // segInfo is the summary scanSegment produces for truncation
@@ -233,7 +113,10 @@ type segInfo struct {
 }
 
 // scanSegment reads a segment's valid prefix without applying it.
-// Corruption is not an error here — the scan just stops, like Replay.
+// Corruption is not an error here — the scan just stops, like replay.
+// It streams instead of sharing the pipeline's whole-segment read:
+// TruncateThrough runs at every checkpoint of a serving process and
+// must not pull rotation-sized segments into the heap.
 func scanSegment(fsys vfs.FS, path string) (segInfo, error) {
 	var info segInfo
 	f, err := fsys.Open(path)
@@ -244,20 +127,19 @@ func scanSegment(fsys vfs.FS, path string) (segInfo, error) {
 	br := bufio.NewReaderSize(f, 1<<16)
 
 	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	n, _ := io.ReadFull(br, hdr[:])
+	first, ok := parseSegmentHeader(hdr[:n])
+	if !ok {
 		return info, nil
 	}
-	if [8]byte(hdr[:8]) != segMagic {
-		return info, nil
-	}
-	info.firstSeq = binary.LittleEndian.Uint64(hdr[8:16])
+	info.firstSeq = first
 
 	var buf [RecordSize]byte
 	for {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return info, nil
 		}
-		rec, ok := decodeRecord(buf[:])
+		rec, ok := DecodeRecord(buf[:])
 		if !ok {
 			return info, nil
 		}

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -98,7 +97,7 @@ type TailResult struct {
 }
 
 // TailReader follows a live log directory as an ordered record stream:
-// the exact segment walk of ReplayFS — including its seq-continuity
+// the segment walk of ReplayPipelineFS — including its seq-continuity
 // rule at every segment boundary — but incremental, holding its
 // position at the live tail and picking up appended bytes and new
 // segments as they arrive. A record split across two flushes is held
@@ -197,7 +196,7 @@ func (t *TailReader) Next(max int) (TailResult, error) {
 				}
 				continue
 			}
-			rec, ok := decodeRecord(t.buf[t.r : t.r+RecordSize])
+			rec, ok := DecodeRecord(t.buf[t.r : t.r+RecordSize])
 			if !ok {
 				// Torn/corrupt record: this segment contributes nothing
 				// further. Park until a successor proves continuity.
@@ -275,16 +274,13 @@ func (t *TailReader) readHeader() (res TailResult, done bool, err error) {
 			return TailResult{Event: TailCaughtUp}, true, nil
 		}
 	}
-	hdr := t.buf[t.r : t.r+segHeaderSize]
-	if [8]byte(hdr[:8]) != segMagic {
+	first, ok := parseSegmentHeader(t.buf[t.r : t.r+segHeaderSize])
+	if !ok {
 		t.torn = true // not a segment; contributes nothing
 		return TailResult{}, false, nil
 	}
-	first := binary.LittleEndian.Uint64(hdr[8:16])
-	if first > t.covered+1 {
-		// The continuity rule of ReplayFS at every boundary: a header
-		// opening past covered+1 means records were lost under us.
-		return TailResult{Event: TailGap, FirstSeq: first}, true, nil
+	if opensGap(first, t.covered) {
+		return TailResult{Event: TailGap, FirstSeq: first}, true, nil // records were lost under us
 	}
 	t.r += segHeaderSize
 	t.hdrRead = true

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dynalloc/internal/simfs"
+	"dynalloc/internal/vfs"
 )
 
 // testFS returns a fresh simulated filesystem; the pure-logic tests in
@@ -61,17 +62,46 @@ func appendN(t *testing.T, l *Log, from, to int) {
 	}
 }
 
+// collect replays dir with one apply lane and returns the records in
+// file order plus the stats — after checking that the same replay at 2,
+// 3 and 8 workers is indistinguishable: identical stats, and each
+// worker observing exactly its partitions' records in file order. Every
+// replay-semantics test in this package funnels through here, so the
+// validator's torn-tail / seq-gap / continuity decisions are pinned at
+// every worker count.
 func collect(t *testing.T, fs *simfs.FS, dir string, afterSeq uint64) ([]Record, ReplayStats) {
 	t.Helper()
-	var got []Record
-	stats, err := ReplayFS(fs, dir, afterSeq, func(r Record) error {
-		got = append(got, r)
-		return nil
-	})
+	streams, wantStats, err := pipelineRun(t, fs, dir, afterSeq, 1)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	return got, stats
+	want := streams[0]
+	for _, workers := range []int{2, 3, 8} {
+		streams, stats, err := pipelineRun(t, fs, dir, afterSeq, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: replay: %v", workers, err)
+		}
+		if stats != wantStats {
+			t.Fatalf("workers=%d: stats %+v, workers=1 %+v", workers, stats, wantStats)
+		}
+		for w, got := range streams {
+			var exp []Record
+			for _, r := range want {
+				if int(r.Bin)%workers == w {
+					exp = append(exp, r)
+				}
+			}
+			if len(got) != len(exp) {
+				t.Fatalf("workers=%d worker %d: %d records, want %d", workers, w, len(got), len(exp))
+			}
+			for i := range got {
+				if got[i] != exp[i] {
+					t.Fatalf("workers=%d worker %d record %d: got %+v want %+v", workers, w, i, got[i], exp[i])
+				}
+			}
+		}
+	}
+	return want, wantStats
 }
 
 func TestRoundTripAcrossSegments(t *testing.T) {
@@ -112,9 +142,11 @@ func TestRealDiskRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Record
-	stats, err := Replay(l.Dir(), 0, func(r Record) error {
-		got = append(got, r)
-		return nil
+	stats, err := ReplayPipelineFS(vfs.OS, l.Dir(), 0, PipelineOptions{
+		ApplyBatch: func(_ int, recs []Record) error {
+			got = append(got, recs...)
+			return nil
+		},
 	})
 	if err != nil || len(got) != 30 || stats.Torn {
 		t.Fatalf("real-disk replay: %d records, stats %+v, err %v", len(got), stats, err)
@@ -404,29 +436,6 @@ func TestReplayStopsAtSeqGapAcrossSegments(t *testing.T) {
 	}
 }
 
-// TestLegacyTornStopHookRestoresOldBehavior pins the mutation hook the
-// crash-schedule explorer's self-check relies on: with the hook on,
-// replay exhibits the original double-crash data-loss bug.
-func TestLegacyTornStopHookRestoresOldBehavior(t *testing.T) {
-	fs := testFS()
-	dir := "/wal"
-	l1 := testOpen(t, fs, Options{Dir: dir, Fsync: FsyncNever, SegmentBytes: 1 << 20})
-	appendN(t, l1, 1, 10)
-	l1.Close()
-	segs, _ := listSegments(fs, dir)
-	fs.Truncate(segs[0], int64(segHeaderSize+9*RecordSize+RecordSize/2))
-	l2 := testOpen(t, fs, Options{Dir: dir, Fsync: FsyncNever, SegmentBytes: 1 << 20})
-	appendN(t, l2, 10, 25)
-	l2.Close()
-
-	SetLegacyTornStopForTest(true)
-	defer SetLegacyTornStopForTest(false)
-	got, stats := collect(t, fs, dir, 0)
-	if len(got) != 9 || stats.LastSeq != 9 {
-		t.Fatalf("legacy hook inactive: %d records (LastSeq %d), old bug would stop at 9", len(got), stats.LastSeq)
-	}
-}
-
 func TestFsyncAlwaysSyncsEveryAppend(t *testing.T) {
 	fs := testFS()
 	l := testOpen(t, fs, Options{Fsync: FsyncAlways, SegmentBytes: 1 << 20})
@@ -570,14 +579,14 @@ func TestRecordEncodingIsFixedWidth(t *testing.T) {
 	var buf [RecordSize]byte
 	r := Record{Op: OpCrash, Bin: 1<<32 - 1, K: -7, Seq: 1<<64 - 1}
 	r.encode(buf[:])
-	got, ok := decodeRecord(buf[:])
+	got, ok := DecodeRecord(buf[:])
 	if !ok || got != r {
 		t.Fatalf("roundtrip: %+v ok=%v", got, ok)
 	}
 	// Any single bit flip must fail the CRC.
 	for i := 0; i < RecordSize; i++ {
 		buf[i] ^= 1
-		if _, ok := decodeRecord(buf[:]); ok {
+		if _, ok := DecodeRecord(buf[:]); ok {
 			t.Fatalf("bit flip at byte %d not detected", i)
 		}
 		buf[i] ^= 1
