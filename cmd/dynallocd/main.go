@@ -64,6 +64,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -106,7 +107,7 @@ func main() {
 		crashBin   = flag.Int("crash-bin", 0, "bin the -crash balls land in")
 		maxSteps   = flag.Int64("max-steps", 0, "stop the drive after this many phases (0: 100x the Theorem 1 budget)")
 		stay       = flag.Bool("stay", false, "after the drive finishes, keep serving HTTP until interrupted")
-		checkEvery = flag.Int64("check-every", 0, "drive phases between detector checks (0: max(n, 1024))")
+		checkEvery = flag.Int64("check-every", 0, "drive phases between detector checks: the resolution of the measured recovery time; a check does not read the bins, so small values are cheap (0: max(n, 1024))")
 		checkIntvl = flag.Duration("check-interval", time.Second, "wall-clock detector check cadence while serving")
 
 		walDir     = flag.String("wal-dir", "", "durability directory for the WAL + checkpoints (empty: durability off)")
@@ -262,6 +263,7 @@ func run(opt options) int {
 	// seeded (or freshly compacted) state durable before traffic starts;
 	// without it a fresh boot's balls would exist nowhere on disk.
 	var j *serve.Journal
+	var replayed int64       // WAL records the boot restore applied
 	var faultFS *vfs.FaultFS // chaos mode's disk-fault seam on the WAL dir
 	walFS := vfs.FS(vfs.OS)  // the FS the WAL dir is reached through (replication reads it too)
 	if opt.walDir != "" {
@@ -273,6 +275,7 @@ func run(opt options) int {
 		if err != nil {
 			return fail(err)
 		}
+		replayed = res.Replayed
 		if res.Restored {
 			fmt.Printf("dynallocd: restored %d balls from %s (checkpoint seq %d, %d WAL records replayed, torn=%v)\n",
 				st.Total(), opt.walDir, res.CheckpointSeq, res.Replayed, res.Torn)
@@ -359,6 +362,16 @@ func run(opt options) int {
 			return fail(err)
 		}
 		fmt.Printf("dynallocd: dgram listening on %s\n", dgAddr)
+	}
+
+	// Replay's read-ahead and decode buffers are garbage by now, and the
+	// serving path allocates nothing, so no later collection would ever
+	// hand them back: without this the resident set after a restart
+	// depends on whether a GC cycle happened to follow the replay. It
+	// runs once, beside the listeners that are already answering, so it
+	// is not on the path to the first PROBE reply.
+	if replayed > 0 {
+		go debug.FreeOSMemory()
 	}
 
 	// The replication stream: followers subscribe here and tail the same

@@ -132,3 +132,25 @@ func TestAllocBudgetDurableAdmitBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The reads the index serves sit on the PROBE path (LoadSummary, once
+// per dgram probe) and on the drive's detector cadence (Check): both
+// must be allocation-free in steady state, with a crash tower standing
+// so Check's sparse-level scratch is in use.
+func TestAllocBudgetIndexReads(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are meaningless under -race instrumentation")
+	}
+	st := NewStoreShards(1<<12, 64)
+	st.FillBalanced(1 << 12)
+	st.Crash(7, 1<<10)
+	st.Crash(4000, 500)
+	det := NewDetector(st, Target{PredictedMax: 3, Slack: 1})
+	det.Check() // grows the scratch
+	if avg := testing.AllocsPerRun(100, func() { _ = st.LoadSummary() }); avg != 0 {
+		t.Errorf("LoadSummary: %v allocs/call, want exactly 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = det.Check() }); avg != 0 {
+		t.Errorf("Detector.Check: %v allocs/call, want exactly 0", avg)
+	}
+}

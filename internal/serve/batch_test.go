@@ -383,9 +383,12 @@ func TestEngineBatchDetectorCadence(t *testing.T) {
 
 // TestAdmitBatchConcurrentMixedTraffic is the batch lane's entry in
 // the targeted -race leg: AdmitBatch racing FreeBall, FreeNonEmpty,
-// FreeBin, Crash, Snapshot and LoadSummary on one store, with full
-// accounting checks at the end (the counters must balance exactly —
-// torn counts under concurrency would show up here).
+// FreeBin, Crash, Snapshot, LoadSummary and Detector.Check on one
+// store, with full accounting checks at the end (the counters must
+// balance exactly — torn counts under concurrency would show up here).
+// Check reads the index while every writer updates it, sparse table
+// growth included: it may be off by the operations in flight, but it
+// must not panic or report a negative field.
 func TestAdmitBatchConcurrentMixedTraffic(t *testing.T) {
 	const (
 		n      = 512
@@ -447,6 +450,9 @@ func TestAdmitBatchConcurrentMixedTraffic(t *testing.T) {
 		r := rng.New(300)
 		for i := 0; i < iters/4; i++ {
 			k := 1 + r.Intn(8)
+			if i%16 == 0 {
+				k += 2 * denseLevels // onto the sparse levels
+			}
 			st.Crash(r.Intn(n), k)
 			crashed.Add(int64(k))
 		}
@@ -454,10 +460,16 @@ func TestAdmitBatchConcurrentMixedTraffic(t *testing.T) {
 	wg.Add(1)
 	go func() { // readers
 		defer wg.Done()
+		det := NewDetector(st, Target{PredictedMax: 8, Slack: 2})
 		for i := 0; i < iters; i++ {
 			_ = st.Snapshot()
-			_ = st.LoadSummary()
 			_ = st.Stats()
+			if sum := st.LoadSummary(); sum.MaxLoad < 0 {
+				t.Errorf("LoadSummary under traffic: %+v", sum)
+			}
+			if s := det.Check(); s.MaxLoad < 0 || s.Gap < 0 || s.DeltaTypical < 0 || s.Total < 0 || s.NonEmpty < 0 {
+				t.Errorf("Check under traffic reported a negative field: %+v", s)
+			}
 		}
 	}()
 	wg.Wait()
@@ -488,8 +500,8 @@ func TestAdmitBatchConcurrentMixedTraffic(t *testing.T) {
 	if want := m + admitted.Load() + crashed.Load() - freed.Load(); sum != want {
 		t.Errorf("mass: sum=%d, want %d (m + admitted + crashed - freed)", sum, want)
 	}
-	var stripes []int64
-	for i, tot := range st.AppendStripeTotals(stripes) {
+	for i := range st.shards {
+		tot := st.shards[i].total.Load()
 		var shardSum int64
 		for b := 0; b < n; b++ {
 			if st.ShardOf(b) == i {

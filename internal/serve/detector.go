@@ -8,7 +8,6 @@ import (
 
 	"dynalloc/internal/core"
 	"dynalloc/internal/fluid"
-	"dynalloc/internal/loadvec"
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/process"
 )
@@ -82,27 +81,28 @@ type Status struct {
 	Recovered    bool  `json:"recovered"`
 }
 
-// Detector watches a Store converge to its typical state. Check
-// snapshots the store (lock-free, O(n)), computes the distance-to-
-// typical measures — maximum load against the fluid-limit prediction,
-// the gap above fair share, and the path-coupling metric
-// Delta(v, balanced) that Sections 4 and 5 contract — and tracks
-// recovered/disrupted transitions. Each not-recovered -> recovered
-// transition closes an Episode, recorded in the "serve.recovery.steps"
-// and "serve.recovery.wall_ns" histograms; the current state is
-// published through the "serve.recovered" gauge and friends (see
-// docs/SERVING.md for the full metric list).
+// Detector watches a Store converge to its typical state. Check reads
+// the store's load histogram (lock-free, a handful of levels per lock
+// stripe — not the bins), computes the distance-to-typical measures —
+// maximum load against the fluid-limit prediction, the gap above fair
+// share, and the path-coupling metric Delta(v, balanced) that Sections
+// 4 and 5 contract — and tracks recovered/disrupted transitions. Each
+// not-recovered -> recovered transition closes an Episode, recorded in
+// the "serve.recovery.steps" and "serve.recovery.wall_ns" histograms;
+// the current state is published through the "serve.recovered" gauge
+// and friends (see docs/SERVING.md for the full metric list).
 //
 // All methods are safe for concurrent use. Overlapping Check calls are
 // coalesced: a call that finds another check in flight returns the
-// previous observation instead of snapshotting again, so a wall-clock
-// ticker and a step-cadence driver can share one detector without
-// stacking O(n) scans.
+// previous observation instead of reading the store again, so a
+// wall-clock ticker and a step-cadence driver sharing one detector
+// observe one sequence of transitions.
 type Detector struct {
 	store  *Store
 	target Target
 
-	checkMu sync.Mutex // serializes the snapshot+transition critical section
+	checkMu sync.Mutex   // serializes the read+transition critical section
+	sparse  []levelCount // Check's scratch for levels >= denseLevels; guarded by checkMu
 
 	mu          sync.Mutex // guards everything below
 	recovered   bool
@@ -206,9 +206,15 @@ func (d *Detector) NoteFault(kind string) {
 	metrics.SetGauge("serve.recovered", 0)
 }
 
-// Check snapshots the store and updates the recovery state, returning
+// Check observes the store and updates the recovery state, returning
 // the observation. If another Check is already in flight the cached
 // observation is returned instead (see the type comment).
+//
+// The observation is computed from the store's level counts alone: the
+// normalized load vector is the levels in descending order, each
+// repeated once per bin on it. At rest it equals what Snapshot() would
+// give field for field; under traffic the counts are not one cut, so
+// the fields can be off by the operations in flight, never negative.
 func (d *Detector) Check() Status {
 	if !d.checkMu.TryLock() {
 		d.mu.Lock()
@@ -219,20 +225,51 @@ func (d *Detector) Check() Status {
 	defer d.checkMu.Unlock()
 
 	steps := d.store.Allocs()
-	v := d.store.Snapshot()
-	m := v.Total()
+	var atLeast [denseLevels]int64
+	d.sparse = d.store.levels(&atLeast, d.sparse[:0])
 	s := Status{
 		Steps:        steps,
-		MaxLoad:      v.MaxLoad(),
-		Gap:          v.Gap(),
 		PredictedMax: d.target.PredictedMax,
 		TargetMax:    d.target.MaxLoad(),
-		Total:        int64(m),
-		NonEmpty:     int64(v.NonEmpty()),
+		NonEmpty:     atLeast[1],
 	}
-	if v.N() > 0 {
-		s.DeltaTypical = v.Delta(loadvec.Balanced(v.N(), m))
+	// A bin of load v is counted by atLeast[1..v], so the levels sum to
+	// the mass; the dense levels stop at denseLevels-1 and the sparse
+	// list supplies the rest of each taller bin.
+	for l := 1; l < denseLevels; l++ {
+		s.Total += atLeast[l]
+		if atLeast[l] != 0 {
+			s.MaxLoad = l
+		}
 	}
+	for _, lv := range d.sparse {
+		s.Total += lv.bins * (lv.load - (denseLevels - 1))
+		s.MaxLoad = max(s.MaxLoad, int(lv.load))
+	}
+	// The balanced state of the same mass has r bins at q+1 and the
+	// rest at q, so against it level q+1 is over by the bins past r and
+	// every level above by all of its bins: that excess is Delta.
+	n := int64(d.store.N())
+	q, r := s.Total/n, s.Total%n
+	var next, above int64 // bins at >= q+1; sum over l >= q+2 of bins at >= l
+	for l := q + 1; l < denseLevels; l++ {
+		if l == q+1 {
+			next = atLeast[l]
+		} else {
+			above += atLeast[l]
+		}
+	}
+	for _, lv := range d.sparse {
+		if q+1 >= denseLevels && lv.load > q {
+			next += lv.bins
+		}
+		above += lv.bins * max(lv.load-max(q+1, denseLevels-1), 0)
+	}
+	s.DeltaTypical = int(max(next-r, 0) + above)
+	// Max load above the fair share ceil(m/n), as loadvec.Gap. Counts
+	// read mid-move can show one bin on two levels; then the fair share
+	// of the doubled mass may pass the max.
+	s.Gap = max(s.MaxLoad-int((s.Total+n-1)/n), 0)
 	s.Recovered = s.MaxLoad <= d.target.MaxLoad()
 
 	now := time.Now()

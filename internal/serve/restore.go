@@ -160,7 +160,8 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 // two workers at once, which is exactly what the pipeline's
 // stripe-to-worker partition guarantees. The store must not have a
 // journal hook installed (replayed mutations must not re-journal);
-// applier writes bypass the hook entirely.
+// applier writes bypass the hook entirely, but not the stripe's index:
+// every load change goes through shard.reindex like a live mutation.
 type replayApplier struct {
 	st   *Store
 	snap *checkpoint.Snapshot // non-nil only when stripes have distinct watermarks
@@ -251,7 +252,9 @@ func (a *replayApplier) applyBatch(w int, recs []wal.Record) error {
 			bin := int(rec.Bin)
 			switch rec.Op {
 			case wal.OpAlloc:
-				if st.loads[bin].Add(1) == 1 {
+				l := st.loads[bin].Add(1)
+				sh.reindex(bin, l-1, l)
+				if l == 1 {
 					nonEmpty++
 				}
 				total++
@@ -261,7 +264,9 @@ func (a *replayApplier) applyBatch(w int, recs []wal.Record) error {
 					skipped++
 					continue
 				}
-				if st.loads[bin].Add(-1) == 0 {
+				l := st.loads[bin].Add(-1)
+				sh.reindex(bin, l+1, l)
+				if l == 0 {
 					nonEmpty--
 				}
 				total--
@@ -274,7 +279,9 @@ func (a *replayApplier) applyBatch(w int, recs []wal.Record) error {
 				if rec.K == 0 {
 					continue
 				}
-				if st.loads[bin].Add(rec.K) == rec.K {
+				l := st.loads[bin].Add(rec.K)
+				sh.reindex(bin, l-rec.K, l)
+				if l == rec.K {
 					nonEmpty++
 				}
 				total += int64(rec.K)

@@ -14,13 +14,15 @@
 // applies to the live system unchanged.
 //
 // Concurrency model: per-bin loads live in a flat array of atomics, so
-// the admission path probes and the detector snapshots without taking
-// any lock. Mutations go through striped (power-of-two sharded) locks;
-// each shard additionally maintains an atomic ball total, which gives
-// the Scenario A departure stream a two-level weighted sample (pick a
-// shard by its total, then a bin within the shard) without a global
-// lock. Single-worker runs driven from one rng stream are fully
-// deterministic; see Engine.
+// the admission path probes without taking any lock. Mutations go
+// through striped (power-of-two sharded) locks; each shard additionally
+// maintains an atomic ball total and an index of its bins (index.go),
+// which give the Scenario A departure stream a weighted sample (pick a
+// shard by its total, then descend the shard's sums to a bin) without
+// a global lock, and give LoadSummary and the detector the maximum
+// load and the load histogram without reading the bins — and, like
+// every reader in this package, without a lock. Single-worker runs
+// driven from one rng stream are fully deterministic; see Engine.
 package serve
 
 import (
@@ -52,7 +54,8 @@ var ErrEmptyBin = errors.New("serve: bin is empty")
 // checkpoint reading them under each lock gets an exact per-section
 // counter cut without stopping the world (only the SUM over stripes is
 // persisted, which is why Restore may rebase the whole total onto one
-// stripe). The pad keeps adjacent shards off one cache line.
+// stripe). sum1 through atLeast are the stripe's index (see index.go). The pad
+// rounds the struct to whole cache lines, so adjacent shards share none.
 type shard struct {
 	mu     sync.Mutex
 	total  atomic.Int64
@@ -60,7 +63,13 @@ type shard struct {
 	frees  atomic.Int64
 	lo     int
 	hi     int
-	_      [8]byte
+
+	sum1    []int64                      // balls per run of 64 bins; guarded by mu
+	sum2    []int64                      // balls per run of 64 sum1 entries; guarded by mu
+	sparse  atomic.Pointer[sparseLevels] // bins on each load >= denseLevels
+	max     atomic.Int32                 // largest load in [lo, hi)
+	atLeast [denseLevels]atomic.Int32    // atLeast[l]: bins holding l balls or more
+	_       [20]byte
 }
 
 // StoreHook observes committed store mutations. Implementations are
@@ -158,6 +167,7 @@ func NewStoreShards(n, shards int) *Store {
 		}
 		st.shards[i].lo, st.shards[i].hi = lo, hi
 	}
+	st.initIndex()
 	return st
 }
 
@@ -209,6 +219,7 @@ func (st *Store) SetHook(h StoreHook) { st.hook = h }
 // (per ball, or per run via BatchStoreHook) before releasing it.
 func (st *Store) allocBareLocked(sh *shard, b int) int32 {
 	l := st.loads[b].Add(1)
+	sh.reindex(b, l-1, l)
 	if l == 1 {
 		st.nonEmpty.Add(1)
 	}
@@ -232,6 +243,7 @@ func (st *Store) allocLocked(sh *shard, b int) int32 {
 // and has verified the bin is nonempty.
 func (st *Store) freeLocked(sh *shard, b int) int32 {
 	l := st.loads[b].Add(-1)
+	sh.reindex(b, l+1, l)
 	if l == 0 {
 		st.nonEmpty.Add(-1)
 	}
@@ -409,13 +421,14 @@ func (st *Store) FreeBin(b int) (int, error) {
 // with probability proportional to its load) and returns the bin it
 // was taken from.
 //
-// The draw is two-level: one uniform variate in [0, Total()) selects a
-// shard by walking the atomic shard totals, then the residue selects a
-// bin inside the (locked) shard by a weighted scan. With quiescent
-// writers this is an exact weighted sample; under concurrent churn the
-// totals can drift during the walk, in which case the draw is retried
-// (and, within a confirmed shard, the residue is clamped — a bias of
-// at most one ball's weight per racing mutation).
+// One uniform variate in [0, Total()) selects a shard by walking the
+// atomic shard totals, then the residue selects a bin inside the
+// (locked) shard: the bin holding the residue-th ball in bin order,
+// found by descending the shard's sum index (shard.locate). With
+// quiescent writers this is an exact weighted sample; under concurrent
+// churn the totals can drift during the walk, in which case the draw
+// is retried (and, within a confirmed shard, the residue is clamped — a
+// bias of at most one ball's weight per racing mutation).
 func (st *Store) FreeBall(r *rng.RNG) (int, error) {
 	for attempt := 0; attempt < 64; attempt++ {
 		total := st.total.Load()
@@ -439,29 +452,21 @@ func (st *Store) FreeBall(r *rng.RNG) (int, error) {
 			if target >= t {
 				target = t - 1
 			}
-			for b := sh.lo; b < sh.hi; b++ {
-				l := int64(st.loads[b].Load())
-				if target < l {
-					st.freeLocked(sh, b)
-					sh.mu.Unlock()
-					return b, nil
-				}
-				target -= l
-			}
+			b := sh.locate(st.loads, target)
+			st.freeLocked(sh, b)
 			sh.mu.Unlock()
-			break // unreachable unless totals drifted; redraw
+			return b, nil
 		}
 	}
 	// Pathological churn: fall back to the first ball found under locks.
 	for si := range st.shards {
 		sh := &st.shards[si]
 		sh.mu.Lock()
-		for b := sh.lo; b < sh.hi; b++ {
-			if st.loads[b].Load() > 0 {
-				st.freeLocked(sh, b)
-				sh.mu.Unlock()
-				return b, nil
-			}
+		if sh.total.Load() > 0 {
+			b := sh.locate(st.loads, 0)
+			st.freeLocked(sh, b)
+			sh.mu.Unlock()
+			return b, nil
 		}
 		sh.mu.Unlock()
 	}
@@ -529,6 +534,7 @@ func (st *Store) Crash(b, k int) int {
 	sh := st.shardOf(b)
 	sh.mu.Lock()
 	l := st.loads[b].Add(int32(k))
+	sh.reindex(b, l-int32(k), l)
 	if l == int32(k) {
 		st.nonEmpty.Add(1)
 	}
@@ -543,23 +549,43 @@ func (st *Store) Crash(b, k int) int {
 
 // FillBalanced seeds the store with the most balanced state of Omega_m:
 // every bin gets floor(m/n) balls and the first m mod n bins one more.
-// Intended for initialization; it takes the shard locks bin by bin and
-// is safe (though pointless) to race with traffic. Seeding counts as
-// neither admissions nor departures.
+// Intended for initialization; it takes each shard lock once — the
+// hook sees one OnCrash per seeded bin, in bin order, as n Crash calls
+// would show it, but the shard's index is built and its counters are
+// added once — and is safe (though pointless) to race with traffic.
+// Seeding counts as neither admissions nor departures.
 func (st *Store) FillBalanced(m int) {
 	if m < 0 {
 		panic("serve: FillBalanced needs m >= 0")
 	}
 	q, rem := m/st.n, m%st.n
-	for b := 0; b < st.n; b++ {
-		add := q
-		if b < rem {
-			add++
+	for i := range st.shards {
+		sh := &st.shards[i]
+		sh.mu.Lock()
+		var added, filled int64
+		for b := sh.lo; b < sh.hi; b++ {
+			add := q
+			if b < rem {
+				add++
+			}
+			if add == 0 {
+				break // bins past rem get q == 0, here and in every later shard
+			}
+			if st.loads[b].Add(int32(add)) == int32(add) {
+				filled++
+			}
+			added += int64(add)
+			if st.hook != nil {
+				st.hook.OnCrash(b, add)
+			}
 		}
-		if add == 0 {
-			continue
+		if added > 0 {
+			sh.rebuild(st.loads)
+			sh.total.Add(added)
+			st.total.Add(added)
+			st.nonEmpty.Add(filled)
 		}
-		st.Crash(b, add)
+		sh.mu.Unlock()
 	}
 }
 
@@ -602,38 +628,26 @@ type LoadSummary struct {
 	Frees    int64 `json:"frees"`
 }
 
-// LoadSummary reads the store's load digest lock-free: the counters are
-// single atomic loads and MaxLoad is one pass over the bin atomics with
-// no allocation — unlike Snapshot, which copies all n loads and sorts
-// them into a normalized vector. Under concurrent traffic the digest
-// has Snapshot's consistency: per-field exact counters, a max that can
-// be off by the operations in flight during the scan. This is the
-// PROBE hot path of the dgram protocol, so it must not allocate.
+// LoadSummary reads the store's load digest lock-free and without
+// touching the bins: the counters are single atomic loads and MaxLoad
+// is the largest of the Shards() per-stripe maxima the index keeps.
+// Under concurrent traffic the digest has Snapshot's consistency:
+// per-field exact counters, a max that can be off by the operations in
+// flight during the read. This is the PROBE hot path of the dgram
+// protocol, so it must not allocate.
 func (st *Store) LoadSummary() LoadSummary {
-	max := 0
-	for b := range st.loads {
-		if l := int(st.loads[b].Load()); l > max {
-			max = l
-		}
+	var top int32
+	for i := range st.shards {
+		top = max(top, st.shards[i].max.Load())
 	}
 	return LoadSummary{
 		N:        st.n,
 		Total:    st.total.Load(),
-		MaxLoad:  max,
+		MaxLoad:  int(top),
 		NonEmpty: st.nonEmpty.Load(),
 		Allocs:   st.allocs.Load(),
 		Frees:    st.frees.Load(),
 	}
-}
-
-// AppendStripeTotals appends the per-stripe ball counts (one atomic
-// read per lock stripe, index order) to dst and returns it, so callers
-// on a hot path can reuse the slice across probes.
-func (st *Store) AppendStripeTotals(dst []int64) []int64 {
-	for i := range st.shards {
-		dst = append(dst, st.shards[i].total.Load())
-	}
-	return dst
 }
 
 // Stats is a cheap O(1) summary of the store's counters.
@@ -670,11 +684,23 @@ func (st *Store) Restore(loads []int32, allocs, frees int64) error {
 	if len(loads) != st.n {
 		return fmt.Errorf("serve: restore of %d bins into a store of %d", len(loads), st.n)
 	}
+	for b, l := range loads {
+		if l < 0 {
+			return fmt.Errorf("serve: restore bin %d has negative load %d", b, l)
+		}
+	}
+	for b, l := range loads {
+		st.loads[b].Store(l)
+	}
 	var total, nonEmpty int64
 	for i := range st.shards {
-		st.shards[i].total.Store(0)
-		st.shards[i].allocs.Store(0)
-		st.shards[i].frees.Store(0)
+		sh := &st.shards[i]
+		t, ne := sh.rebuild(st.loads)
+		sh.total.Store(t)
+		sh.allocs.Store(0)
+		sh.frees.Store(0)
+		total += t
+		nonEmpty += ne
 	}
 	// The restored totals cannot be attributed to individual stripes
 	// (the snapshot persists only the sums), so they rebase onto stripe
@@ -683,17 +709,6 @@ func (st *Store) Restore(loads []int32, allocs, frees int64) error {
 	// exact as subsequent mutations bump their own stripes.
 	st.shards[0].allocs.Store(allocs)
 	st.shards[0].frees.Store(frees)
-	for b, l := range loads {
-		if l < 0 {
-			return fmt.Errorf("serve: restore bin %d has negative load %d", b, l)
-		}
-		st.loads[b].Store(l)
-		if l > 0 {
-			nonEmpty++
-			total += int64(l)
-			st.shardOf(b).total.Add(int64(l))
-		}
-	}
 	st.total.Store(total)
 	st.nonEmpty.Store(nonEmpty)
 	st.allocs.Store(allocs)

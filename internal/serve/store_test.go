@@ -420,14 +420,9 @@ func TestLoadSummaryMatchesSnapshot(t *testing.T) {
 			if sum.Allocs != st.Allocs() || sum.Frees != st.Frees() {
 				t.Fatalf("n=%d: summary clocks (%d,%d) vs store (%d,%d)", tc.n, sum.Allocs, sum.Frees, st.Allocs(), st.Frees())
 			}
-			var stripes []int64
-			stripes = st.AppendStripeTotals(stripes[:0])
-			if len(stripes) != st.Shards() {
-				t.Fatalf("n=%d: %d stripe totals for %d stripes", tc.n, len(stripes), st.Shards())
-			}
 			var sumStripes int64
-			for _, s := range stripes {
-				sumStripes += s
+			for i := range st.shards {
+				sumStripes += st.shards[i].total.Load()
 			}
 			if sumStripes != sum.Total {
 				t.Fatalf("n=%d: stripe totals sum %d, total %d", tc.n, sumStripes, sum.Total)
