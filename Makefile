@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-all alloc-budget bench bench-json bench-check profile experiments experiments-full serve-drill recovery-drill failover-drill chaos-drill cluster-drill explore explore-full cover loc clean
+.PHONY: all build vet test race race-all alloc-budget bench-harness bench bench-json bench-check profile experiments experiments-full serve-drill recovery-drill failover-drill chaos-drill cluster-drill explore explore-full cover loc clean
 
 all: build vet test
 
@@ -22,12 +22,20 @@ race:
 race-all:
 	$(GO) test -race ./...
 
-# Allocation budgets on the batched admission pipeline: AllocsPerRun
-# gates pinning the engine lane at 0 allocs/pass and the durable lane
-# at a fixed ceiling. No -race: the budgets skip themselves under race
+# Allocation budgets: AllocsPerRun gates pinning the batched admission
+# pipeline's engine lane at 0 allocs/pass and its durable lane at a
+# fixed ceiling, and byte gates holding WAL replay to the segments it
+# has in flight. No -race: the budgets skip themselves under race
 # instrumentation, which allocates. Same leg as the alloc-budget CI job.
 alloc-budget:
 	$(GO) test ./internal/serve -run AllocBudget -count=1 -v
+
+# The end-to-end benchmark (benchmark/, its own module) is frozen and
+# compiles against this tree: a renamed or re-typed name from the list
+# in the header of benchmark/layers.go breaks it. Vet it and run its
+# short tests, so that shows here and in CI, not in an acceptance run.
+bench-harness:
+	cd benchmark && $(GO) vet . && $(GO) test -short .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -263,7 +263,6 @@ func run(opt options) int {
 	// seeded (or freshly compacted) state durable before traffic starts;
 	// without it a fresh boot's balls would exist nowhere on disk.
 	var j *serve.Journal
-	var replayed int64       // WAL records the boot restore applied
 	var faultFS *vfs.FaultFS // chaos mode's disk-fault seam on the WAL dir
 	walFS := vfs.FS(vfs.OS)  // the FS the WAL dir is reached through (replication reads it too)
 	if opt.walDir != "" {
@@ -275,12 +274,10 @@ func run(opt options) int {
 		if err != nil {
 			return fail(err)
 		}
-		replayed = res.Replayed
 		if res.Restored {
 			fmt.Printf("dynallocd: restored %d balls from %s (checkpoint seq %d, %d WAL records replayed, torn=%v)\n",
 				st.Total(), opt.walDir, res.CheckpointSeq, res.Replayed, res.Torn)
-			fmt.Printf("dynallocd: restore breakdown: checkpoint %v, replay %v, fence %v, workers %d\n",
-				time.Duration(res.CheckpointNs), time.Duration(res.ReplayNs), time.Duration(res.FenceNs), res.Workers)
+			printRestoreBreakdown(res)
 		} else {
 			st.FillBalanced(opt.m)
 		}
@@ -302,11 +299,11 @@ func run(opt options) int {
 			jo.SyncEvery = opt.fsyncInterval
 		}
 		j = serve.NewJournal(st, log, res.LastSeq, jo)
-		if _, _, err := j.Checkpoint(); err != nil {
+		// Durable before the listeners open; its maintenance runs behind them.
+		if _, _, err := j.CheckpointDeferMaint(); err != nil {
 			j.Close()
 			return fail(fmt.Errorf("boot checkpoint: %w", err))
 		}
-		warnMaint(j, "boot checkpoint")
 		fmt.Printf("dynallocd: durability on: wal-dir=%s fsync=%s checkpoint-every=%v\n",
 			opt.walDir, opt.fsync, opt.ckptEvery)
 	} else {
@@ -364,14 +361,22 @@ func run(opt options) int {
 		fmt.Printf("dynallocd: dgram listening on %s\n", dgAddr)
 	}
 
-	// Replay's read-ahead and decode buffers are garbage by now, and the
-	// serving path allocates nothing, so no later collection would ever
-	// hand them back: without this the resident set after a restart
-	// depends on whether a GC cycle happened to follow the replay. It
-	// runs once, beside the listeners that are already answering, so it
-	// is not on the path to the first PROBE reply.
-	if replayed > 0 {
-		go debug.FreeOSMemory()
+	// Two chores run once here, beside listeners that already answer, so
+	// neither delays the first PROBE reply. The boot checkpoint made the
+	// replayed segments garbage; unlinking them scans the log once more,
+	// and nothing waits for that (see Journal.Maintain). What the replay
+	// and that scan allocated is garbage by now, and the serving path
+	// allocates nothing, so no later collection would hand it back:
+	// without FreeOSMemory a shard's resident set depends on whether a GC
+	// cycle happened to follow its boot.
+	if j != nil {
+		go func() {
+			t0 := time.Now()
+			removed := j.Maintain()
+			fmt.Printf("dynallocd: boot checkpoint maintenance: %v, %d WAL segments removed\n", time.Since(t0), removed)
+			warnMaint(j, "boot checkpoint")
+			debug.FreeOSMemory()
+		}()
 	}
 
 	// The replication stream: followers subscribe here and tail the same
@@ -606,8 +611,7 @@ func runReplica(st *serve.Store, pol serve.Policy, sc process.Scenario, opt opti
 	if res.Restored {
 		fmt.Printf("dynallocd: replica restored %d balls from %s (seq %d)\n",
 			st.Total(), opt.walDir, f.AppliedSeq())
-		fmt.Printf("dynallocd: restore breakdown: checkpoint %v, replay %v, fence %v, workers %d\n",
-			time.Duration(res.CheckpointNs), time.Duration(res.ReplayNs), time.Duration(res.FenceNs), res.Workers)
+		printRestoreBreakdown(*res)
 	}
 	fmt.Printf("dynallocd: replica of %s: n=%d rule=%s scenario=%s wal-dir=%s\n",
 		opt.replicateFrom, opt.n, pol.Name(), sc, opt.walDir)
@@ -738,6 +742,15 @@ func runReplica(st *serve.Store, pol serve.Policy, sc process.Scenario, opt opti
 		}
 	}
 	return code
+}
+
+// printRestoreBreakdown prints the restore phases the drills assert on,
+// then the replay's stage totals (summed over each stage's goroutines:
+// they overlap, and can exceed the replay's wall time).
+func printRestoreBreakdown(res serve.RestoreResult) {
+	fmt.Printf("dynallocd: restore breakdown: checkpoint %v, replay %v, fence %v, workers %d, read %v, decode %v, apply %v\n",
+		time.Duration(res.CheckpointNs), time.Duration(res.ReplayNs), time.Duration(res.FenceNs), res.Workers,
+		time.Duration(res.ReadNs), time.Duration(res.DecodeNs), time.Duration(res.ApplyNs))
 }
 
 // warnMaint surfaces a checkpoint's non-fatal maintenance failure

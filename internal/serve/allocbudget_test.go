@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dynalloc/internal/metrics"
@@ -152,5 +153,68 @@ func TestAllocBudgetIndexReads(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { _ = det.Check() }); avg != 0 {
 		t.Errorf("Detector.Check: %v allocs/call, want exactly 0", avg)
+	}
+}
+
+// replayBytes builds a WAL of `segments` equal segments of `per` alloc
+// records on simfs (one AppendBatch per segment, so each rotates exactly
+// there) and returns the log's size and the bytes a restore of it into
+// a fresh store allocates.
+func replayBytes(t *testing.T, segments, per int, opts wal.PipelineOptions) (logBytes, allocated uint64) {
+	t.Helper()
+	const n = 1 << 12
+	fs := simfs.New()
+	l, err := wal.Open(wal.Options{Dir: "/wal", FS: fs, Fsync: wal.FsyncNever, SegmentBytes: int64(per * wal.RecordSize)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(0x5E6)
+	recs := make([]wal.Record, per)
+	for s := 0; s < segments; s++ {
+		for i := range recs {
+			recs[i] = wal.Record{Op: wal.OpAlloc, Bin: uint32(r.Intn(n)), K: 1, Seq: uint64(s*per + i + 1)}
+		}
+		if err := l.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := NewStoreShards(n, 8)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if opts.ApplyBatch == nil { // the whole restore
+		res, err := RestoreFSOpts(st, fs, "/wal", RestoreOptions{})
+		if err != nil || res.Replayed != int64(segments*per) {
+			t.Fatalf("restore of %d segments: %+v, %v", segments, res, err)
+		}
+	} else if stats, err := wal.ReplayPipelineFS(fs, "/wal", 0, opts); err != nil || stats.Segments != segments {
+		t.Fatalf("replay of %d segments: %+v, %v", segments, stats, err)
+	}
+	runtime.ReadMemStats(&m1)
+	return uint64(segments * (16 + per*wal.RecordSize)), m1.TotalAlloc - m0.TotalAlloc
+}
+
+// The replay allocates for the segments it holds in flight, never for
+// the log. Machine-independent forms of that: (a) a restore of a
+// single-segment log — cmd/bench's wal/replay-parallel and
+// serve/restore/n=1e5 rows, where the baseline's io.ReadAll and
+// decode-then-partition copies cost 8 x the log's bytes — stays under
+// 3 x; (b) four times the segments do not mean more bytes, once the
+// pipeline's depth is pinned below both logs' length.
+func TestAllocBudgetReplayBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are meaningless under -race instrumentation")
+	}
+	logBytes, got := replayBytes(t, 1, 100_000, wal.PipelineOptions{})
+	if got > 3*logBytes {
+		t.Errorf("restore of a %d-byte log allocated %d bytes (%.1fx), ceiling 3x", logBytes, got, float64(got)/float64(logBytes))
+	}
+	depth2 := wal.PipelineOptions{Workers: 1, ReadAhead: 1, ApplyBatch: func(int, []wal.Record) error { return nil }}
+	_, two := replayBytes(t, 2, 20_000, depth2)
+	_, eight := replayBytes(t, 8, 20_000, depth2)
+	if ratio := float64(eight) / float64(two); ratio >= 1.5 {
+		t.Errorf("replay of 8 segments allocated %d bytes, of 2 segments %d: ratio %.2f, want < 1.5", eight, two, ratio)
 	}
 }

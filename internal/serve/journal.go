@@ -421,6 +421,19 @@ func (j *Journal) OnCrash(bin, k int) { j.push(wal.OpCrash, bin, k) }
 // WAL truncation through Seq sound, and restore filters replayed records per
 // section (see RestoreFSOpts).
 func (j *Journal) Checkpoint() (checkpoint.Snapshot, string, error) {
+	return j.checkpoint(true)
+}
+
+// CheckpointDeferMaint is Checkpoint without the prune-and-truncate
+// pass: it returns as soon as the snapshot is durable, and the caller
+// runs Maintain later. The boot sequence uses it so that unlinking the
+// segments the boot checkpoint made garbage — after a long replay, a
+// scan of the whole log — happens behind the first reply.
+func (j *Journal) CheckpointDeferMaint() (checkpoint.Snapshot, string, error) {
+	return j.checkpoint(false)
+}
+
+func (j *Journal) checkpoint(maintain bool) (checkpoint.Snapshot, string, error) {
 	j.ckptMu.Lock()
 	defer j.ckptMu.Unlock()
 
@@ -474,15 +487,34 @@ func (j *Journal) Checkpoint() (checkpoint.Snapshot, string, error) {
 	if err != nil {
 		return snap, "", err
 	}
-	j.maintain()
+	if maintain {
+		j.maintain()
+	}
 	return snap, path, nil
+}
+
+// Maintain runs the pass CheckpointDeferMaint left out and returns how
+// many WAL segments it removed; a failure is reported by MaintErr. It
+// takes its turn with checkpoints (whose own pass covers all it would
+// do: running late or never costs disk space, not state), and after
+// Close, which waits for a pass in flight, it does nothing.
+func (j *Journal) Maintain() int {
+	j.ckptMu.Lock()
+	defer j.ckptMu.Unlock()
+	j.closeMu.RLock()
+	closed := j.closed
+	j.closeMu.RUnlock()
+	if closed {
+		return 0
+	}
+	return j.maintain()
 }
 
 // maintain prunes old checkpoints and truncates fully-covered WAL
 // segments after a successful snapshot write. A failure is recorded
 // (MaintErr, checkpoint.maintenance.errors) rather than returned:
 // durability is already intact and the next checkpoint retries.
-func (j *Journal) maintain() {
+func (j *Journal) maintain() (segments int) {
 	err := func() error {
 		if _, err := checkpoint.PruneFS(j.log.FS(), j.log.Dir(), j.opts.KeepCheckpoints); err != nil {
 			return err
@@ -492,11 +524,9 @@ func (j *Journal) maintain() {
 			return err
 		}
 		if len(metas) > 0 {
-			if _, err := j.log.TruncateThrough(metas[0].Seq); err != nil {
-				return err
-			}
+			segments, err = j.log.TruncateThrough(metas[0].Seq)
 		}
-		return nil
+		return err
 	}()
 	j.maintMu.Lock()
 	j.maintErr = err
@@ -504,6 +534,7 @@ func (j *Journal) maintain() {
 	if err != nil {
 		metrics.AddCounter("checkpoint.maintenance.errors", 1)
 	}
+	return segments
 }
 
 // MaintErr returns the maintenance (prune/truncate) failure of the
@@ -517,8 +548,11 @@ func (j *Journal) MaintErr() error {
 // Close detaches the journal from the store, flushes the queue, and
 // closes the WAL (fsyncing the tail unless the policy is never).
 // Callers quiesce traffic first; mutations racing Close are counted
-// in serve.journal.dropped rather than lost silently.
+// in serve.journal.dropped rather than lost silently. A checkpoint or
+// maintenance pass in flight finishes first.
 func (j *Journal) Close() error {
+	j.ckptMu.Lock()
+	defer j.ckptMu.Unlock()
 	j.closeMu.Lock()
 	if j.closed {
 		j.closeMu.Unlock()

@@ -611,6 +611,59 @@ func TestCheckpointMaintenanceFailureIsNonFatal(t *testing.T) {
 	}
 }
 
+// TestCheckpointDeferMaint: the boot sequence's split checkpoint. The
+// snapshot half is durable and restorable on its own and removes
+// nothing; Maintain then does exactly what Checkpoint's own pass would
+// have (same segments gone, failures through MaintErr); and after Close
+// a late Maintain touches nothing.
+func TestCheckpointDeferMaint(t *testing.T) {
+	st, j, fs, dir := newJournaled(t, 8, 2, wal.Options{SegmentBytes: 16 + 4*wal.RecordSize})
+	for i := 0; i < 12; i++ {
+		st.Alloc(i % 8)
+	}
+	waitForSeq(t, j, 12)
+	segments := func() int {
+		paths, err := fs.Glob(dir + "/wal-*.seg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(paths)
+	}
+	before := segments()
+	snap, path, err := j.CheckpointDeferMaint()
+	if err != nil || path == "" || snap.Seq != 12 {
+		t.Fatalf("deferred checkpoint: seq %d path %q, %v", snap.Seq, path, err)
+	}
+	if got := segments(); got != before {
+		t.Fatalf("the snapshot half removed segments: %d -> %d", before, got)
+	}
+	fresh := NewStoreShards(8, 2)
+	if res, err := RestoreFSOpts(fresh, fs.Clone(), dir, RestoreOptions{}); err != nil || res.CheckpointSeq != 12 || res.Replayed != 0 {
+		t.Fatalf("restore before maintenance: %+v, %v", res, err)
+	}
+
+	fs.FailOp(simfs.OpRemove, 1, errors.New("injected remove failure"))
+	if removed := j.Maintain(); removed != 0 || j.MaintErr() == nil {
+		t.Fatalf("failed maintenance: %d segments removed, MaintErr %v", removed, j.MaintErr())
+	}
+	removed := j.Maintain() // the fault has disarmed
+	if err := j.MaintErr(); err != nil || removed == 0 || segments() != before-removed {
+		t.Fatalf("maintenance: removed %d of %d segments, %d left, MaintErr %v", removed, before, segments(), err)
+	}
+
+	st.Alloc(0)
+	if _, _, err := j.CheckpointDeferMaint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	left := segments()
+	if removed := j.Maintain(); removed != 0 || segments() != left {
+		t.Fatalf("Maintain after Close removed %d segments (%d -> %d)", removed, left, segments())
+	}
+}
+
 // gateFS wraps a vfs.FS so every write to files it creates blocks
 // until the gate channel is closed — a hung (not erroring) disk.
 type gateFS struct {

@@ -1,7 +1,10 @@
 // Cold-start restore: load the newest valid checkpoint, replay the WAL
-// suffix, fence the unreachable tail. wal.ReplayPipelineFS partitions
-// records by the store's lock stripes and a batch applier applies each
-// stripe's records, in file order, on one worker.
+// suffix, fence the unreachable tail. wal.ReplayPipelineFS drops the
+// records the checkpoint's seq covers and partitions the rest by the
+// store's lock stripes in its decode workers; the batch applier here
+// filters each stripe's records against that stripe's own watermark and
+// applies them, in file order, on one worker, and the stripes' indexes
+// are rebuilt once when the replay ends.
 package serve
 
 import (
@@ -60,6 +63,10 @@ type RestoreResult struct {
 	CheckpointNs int64 // loading + installing the checkpoint
 	ReplayNs     int64 // replaying the WAL suffix
 	FenceNs      int64 // fencing the stale post-gap suffix
+
+	// The replay's stages (wal.ReplayStats), each summed over its
+	// goroutines: they overlap, so they do not add up to ReplayNs.
+	ReadNs, DecodeNs, ApplyNs int64
 }
 
 // RestoreFSOpts rebuilds st from the durability directory: load the
@@ -76,7 +83,9 @@ type RestoreResult struct {
 // sections carry distinct watermarks (see Journal.Checkpoint)
 // additionally filters each replayed record against its stripe's seq
 // watermark, so records already reflected in the stripe's copy are not
-// applied twice.
+// applied twice. Nothing reads the store while it is being rebuilt, so
+// the replay leaves the stripes' indexes alone and rebuilds them once
+// at the end, as Store.Restore does.
 //
 // Replay is defensive the same way the paper's processes are: a free
 // whose bin is already empty (possible only against a forged or
@@ -114,13 +123,20 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 	res.CheckpointNs = time.Since(t0).Nanoseconds()
 
 	ap := newReplayApplier(st, &snap, workers)
+	ap.index = false
 	t0 = time.Now()
 	stats, err := wal.ReplayPipelineFS(fsys, dir, res.CheckpointSeq, wal.PipelineOptions{
 		Workers:    workers,
 		Partition:  func(rec wal.Record) int { return int(rec.Bin) / st.shardSize },
 		ApplyBatch: ap.applyBatch,
 	})
+	if ap.applied.Load() > 0 {
+		for i := range st.shards {
+			st.shards[i].rebuild(st.loads)
+		}
+	}
 	res.ReplayNs = time.Since(t0).Nanoseconds()
+	res.ReadNs, res.DecodeNs, res.ApplyNs = stats.ReadNs, stats.DecodeNs, stats.ApplyNs
 	res.Replayed = ap.applied.Load()
 	res.SkippedFrees = ap.skippedFrees.Load()
 	if err != nil {
@@ -160,11 +176,14 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 // two workers at once, which is exactly what the pipeline's
 // stripe-to-worker partition guarantees. The store must not have a
 // journal hook installed (replayed mutations must not re-journal);
-// applier writes bypass the hook entirely, but not the stripe's index:
-// every load change goes through shard.reindex like a live mutation.
+// applier writes bypass the hook entirely. The stripe's index follows
+// every load change through shard.reindex like a live mutation, except
+// in the cold restore, which owns the store and rebuilds it afterwards.
 type replayApplier struct {
-	st   *Store
-	snap *checkpoint.Snapshot // non-nil only when stripes have distinct watermarks
+	st    *Store
+	snap  *checkpoint.Snapshot // non-nil only when stripes have distinct watermarks
+	wm    []uint64             // with snap: each stripe's watermark, wmPerBin where sections split it
+	index bool                 // reindex per record (false: the caller rebuilds the indexes itself)
 
 	applied      atomic.Int64 // records past the seq/watermark filters
 	skippedFrees atomic.Int64 // frees that hit an already-empty bin
@@ -182,14 +201,30 @@ type applyScratch struct {
 	touched []int32
 }
 
-// newReplayApplier builds an applier for workers concurrent lanes. The
-// snapshot is consulted per record only when its sections carry
-// watermarks above Seq — a quiesced or section-less checkpoint skips
-// the lookup entirely.
+// wmPerBin marks a stripe that lies across checkpoint sections with
+// different watermarks (a checkpoint taken under another stripe
+// geometry): its records ask the snapshot bin by bin.
+const wmPerBin = ^uint64(0)
+
+// newReplayApplier builds an applier for workers concurrent lanes.
+// Records are filtered against a watermark only when the snapshot's
+// sections carry watermarks above Seq — a quiesced or section-less
+// checkpoint skips the filter entirely — and then against a table with
+// one entry per stripe, since a checkpoint's sections are stripes.
 func newReplayApplier(st *Store, snap *checkpoint.Snapshot, workers int) *replayApplier {
-	a := &replayApplier{st: st, scratch: make([]applyScratch, workers)}
+	a := &replayApplier{st: st, index: true, scratch: make([]applyScratch, workers)}
 	if snap.MaxWatermark() > snap.Seq {
 		a.snap = snap
+		a.wm = make([]uint64, len(st.shards))
+		for i := range st.shards {
+			sh := &st.shards[i]
+			a.wm[i] = snap.WatermarkFor(sh.lo)
+			for _, sec := range snap.Sections {
+				if sec.Lo < sh.hi && sec.Hi > sh.lo && sec.Watermark != a.wm[i] {
+					a.wm[i] = wmPerBin
+				}
+			}
+		}
 	}
 	return a
 }
@@ -222,10 +257,16 @@ func (a *replayApplier) applyBatch(w int, recs []wal.Record) error {
 			}
 			return fmt.Errorf("serve: replay record seq %d targets bin %d of %d", rec.Seq, bin, st.n)
 		}
-		if a.snap != nil && rec.Seq <= a.snap.WatermarkFor(bin) {
-			continue // already reflected in the stripe's checkpoint section
-		}
 		si := int32(bin / st.shardSize)
+		if a.wm != nil {
+			wm := a.wm[si]
+			if wm == wmPerBin {
+				wm = a.snap.WatermarkFor(bin)
+			}
+			if rec.Seq <= wm {
+				continue // already reflected in the stripe's checkpoint section
+			}
+		}
 		sc.next[i] = 0
 		if sc.head[si] == 0 {
 			sc.head[si] = int32(i + 1)
@@ -250,44 +291,38 @@ func (a *replayApplier) applyBatch(w int, recs []wal.Record) error {
 		for e := sc.head[si]; e != 0 && err == nil; e = sc.next[e-1] {
 			rec := recs[e-1]
 			bin := int(rec.Bin)
+			var d int32 // the record's effect on its bin
 			switch rec.Op {
 			case wal.OpAlloc:
-				l := st.loads[bin].Add(1)
-				sh.reindex(bin, l-1, l)
-				if l == 1 {
-					nonEmpty++
-				}
-				total++
+				d = 1
 				allocs++
 			case wal.OpFree:
 				if st.loads[bin].Load() == 0 {
 					skipped++
 					continue
 				}
-				l := st.loads[bin].Add(-1)
-				sh.reindex(bin, l+1, l)
-				if l == 0 {
-					nonEmpty--
-				}
-				total--
+				d = -1
 				frees++
 			case wal.OpCrash:
-				if rec.K < 0 {
+				if d = rec.K; d < 0 {
 					err = fmt.Errorf("serve: replay crash record seq %d has k=%d", rec.Seq, rec.K)
-					continue
 				}
-				if rec.K == 0 {
-					continue
-				}
-				l := st.loads[bin].Add(rec.K)
-				sh.reindex(bin, l-rec.K, l)
-				if l == rec.K {
-					nonEmpty++
-				}
-				total += int64(rec.K)
 			default:
 				err = fmt.Errorf("serve: replay record seq %d has unknown op %v", rec.Seq, rec.Op)
 			}
+			if d == 0 || err != nil {
+				continue
+			}
+			l := st.loads[bin].Add(d)
+			if a.index {
+				sh.reindex(bin, l-d, l)
+			}
+			if l == d {
+				nonEmpty++
+			} else if l == 0 {
+				nonEmpty--
+			}
+			total += int64(d)
 		}
 		sh.total.Add(total)
 		sh.allocs.Add(allocs)

@@ -20,6 +20,7 @@ func diffResults(a, b RestoreResult) string {
 	a.CheckpointNs, b.CheckpointNs = 0, 0
 	a.ReplayNs, b.ReplayNs = 0, 0
 	a.FenceNs, b.FenceNs = 0, 0
+	a.ReadNs, a.DecodeNs, a.ApplyNs = b.ReadNs, b.DecodeNs, b.ApplyNs
 	if a != b {
 		return fmt.Sprintf("%+v vs %+v", a, b)
 	}
@@ -260,16 +261,20 @@ func TestStripedCheckpointUnderConcurrentTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, shards} {
-		fresh := NewStoreShards(n, shards)
+	// Also into stores striped differently from the one checkpointed: a
+	// stripe that spans several sections (1, 2, 4 stripes) filters bin by
+	// bin, one inside a section (16) by the section's watermark.
+	for _, geo := range [][2]int{{1, shards}, {shards, shards}, {2, 2}, {4, 4}, {4, 16}, {1, 1}} {
+		workers := geo[0]
+		fresh := NewStoreShards(n, geo[1])
 		res, err := RestoreFSOpts(fresh, fs.Clone(), dir, RestoreOptions{Workers: workers})
 		if err != nil || !res.Restored {
-			t.Fatalf("workers=%d: restore %+v, %v", workers, res, err)
+			t.Fatalf("workers=%d stripes=%d: restore %+v, %v", workers, geo[1], res, err)
 		}
 		got := fresh.LoadsCopy()
 		for b := range want {
 			if got[b] != want[b] {
-				t.Fatalf("workers=%d: bin %d restored %d, want %d", workers, b, got[b], want[b])
+				t.Fatalf("workers=%d stripes=%d: bin %d restored %d, want %d", workers, geo[1], b, got[b], want[b])
 			}
 		}
 		if fresh.Allocs() != wantAllocs || fresh.Frees() != wantFrees {

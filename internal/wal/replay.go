@@ -18,6 +18,11 @@ type ReplayStats struct {
 	Bytes    int64  // record bytes decoded
 	LastSeq  uint64 // highest seq seen (0 if none)
 	Torn     bool   // a torn tail or corrupted record was encountered
+
+	// Time spent in each stage, summed over the stage's goroutines (so
+	// they can exceed the wall time of the pass). Decode includes waiting
+	// for a record batch to come back from the apply stage.
+	ReadNs, DecodeNs, ApplyNs int64
 }
 
 // parseSegmentHeader is the one parser of the on-disk segment header:
