@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-all alloc-budget bench-harness bench bench-json bench-check profile experiments experiments-full serve-drill recovery-drill failover-drill chaos-drill cluster-drill explore explore-full cover loc clean
+.PHONY: all build vet test race race-all alloc-budget bench-harness bench bench-json bench-check profile experiments experiments-full serve-drill recovery-drill failover-drill chaos-drill cluster-drill explore explore-full cover loc loc-check clean
 
 all: build vet test
 
@@ -22,11 +22,13 @@ race:
 race-all:
 	$(GO) test -race ./...
 
-# Allocation budgets: AllocsPerRun gates pinning the batched admission
-# pipeline's engine lane at 0 allocs/pass and its durable lane at a
-# fixed ceiling, and byte gates holding WAL replay to the segments it
-# has in flight. No -race: the budgets skip themselves under race
-# instrumentation, which allocates. Same leg as the alloc-budget CI job.
+# Allocation budgets: AllocsPerRun gates pinning the admission lane at
+# 0 allocs/pass — Batcher passes of 64 and of one, Lane.Admit(1),
+# Lane.Admit(16) and Lane.Free — and its durable form (Batcher pass and
+# Lane.Admit(16) through a journal) at a fixed ceiling, and byte gates
+# holding WAL replay to the segments it has in flight. No -race: the
+# budgets skip themselves under race instrumentation, which allocates.
+# Same leg as the alloc-budget CI job.
 alloc-budget:
 	$(GO) test ./internal/serve -run AllocBudget -count=1 -v
 
@@ -117,6 +119,12 @@ cover:
 # every PR reports in CHANGES.md (ROADMAP aim 2).
 loc:
 	./scripts/loc.sh
+
+# The ledger as a ratchet: fail when the total exceeds scripts/loc.max,
+# the figure the last PR that moved it committed. Same check as CI.
+loc-check:
+	@total="$$(./scripts/loc.sh | awk '$$2 == "total" {print $$1}')"; max="$$(cat scripts/loc.max)"; \
+	echo "serving-stack non-test lines: $$total (ceiling $$max)"; test "$$total" -le "$$max"
 
 clean:
 	$(GO) clean ./...

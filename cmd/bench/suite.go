@@ -346,8 +346,11 @@ func suiteWorkloads(quick bool) []workload {
 				}
 				j := serve.NewJournal(st, l, 0, serve.JournalOptions{Buffer: 4096})
 				r := rng.New(seed)
+				var sc serve.AdmitScratch
+				bin := make([]int, 1)
 				for i := 0; i < trials; i++ {
-					st.Alloc(r.Intn(n))
+					bin[0] = r.Intn(n)
+					st.AdmitBatch(bin, nil, &sc)
 					if i == trials/2 {
 						// Mid-stream striped checkpoint: restore loads it and
 						// replays only the suffix, like a real boot.

@@ -11,9 +11,11 @@
 //	dynallocd -drive -crash 4096 -stay         # drill, then keep serving (CI smoke)
 //	dynallocd -rule adap:1,2,2 -scenario B     # ADAP(x) admissions, Scenario B frees
 //
-// Endpoints (see docs/SERVING.md):
+// Endpoints (see docs/SERVING.md; its "Verbs, refusals and errors"
+// table is the one statement of what the mutating three accept and
+// refuse — this file only decodes and encodes them):
 //
-//	POST /alloc        admit one ball, returns {bin, load, probes}
+//	POST /alloc[?count=N]  admit one ball (or N), returns {bin, load, probes}
 //	POST /free?bin=B   free from bin B (no bin: scenario departure)
 //	POST /crash?bin=B&k=K  fault injector: add K balls to bin B
 //	POST /checkpoint   force a durability checkpoint (409 if -wal-dir unset)
@@ -55,7 +57,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -68,14 +69,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
+	"dynalloc/internal/daemon"
 	"dynalloc/internal/metrics"
-	"dynalloc/internal/process"
 	"dynalloc/internal/replica"
-	"dynalloc/internal/rng"
 	"dynalloc/internal/router"
 	"dynalloc/internal/serve"
 	"dynalloc/internal/vfs"
@@ -83,52 +82,51 @@ import (
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", ":8080", "HTTP listen address (empty: no server, drive only; port 0: ephemeral, see -port-file)")
-		portFile = flag.String("port-file", "", "write the resolved HTTP listen address to this file once listening (for ephemeral ports)")
-		dgAddr   = flag.String("dgram-addr", "", "binary shard-protocol listen address (empty: off; port 0: ephemeral)")
-		dgFile   = flag.String("dgram-port-file", "", "write the resolved dgram listen address to this file once listening")
-		n        = flag.Int("n", 1<<16, "number of bins")
-		m        = flag.Int("m", 0, "initial balls, seeded balanced (0: same as -n)")
-		ruleSpec = flag.String("rule", "", "admission rule spec: abku:D | adap:x1,x2,... | mixed:BETA | uniform")
-		d        = flag.Int("d", 2, "shorthand for -rule abku:D")
-		x        = flag.String("x", "", "shorthand for -rule adap:x1,x2,...")
-		beta     = flag.Float64("beta", -1, "shorthand for -rule mixed:BETA")
-		scen     = flag.String("scenario", "A", "departure scenario: A (uniform ball) or B (uniform nonempty bin)")
-		seed     = flag.Uint64("seed", 1998, "rng seed (workers use derived streams)")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "drive worker goroutines (1 = deterministic)")
-		shards   = flag.Int("shards", 0, "store shard count, power of two (0: auto)")
-		slack    = flag.Int("slack", 1, "recovery threshold slack above the fluid-limit prediction")
+	var opt options
+	flag.StringVar(&opt.addr, "addr", ":8080", "HTTP listen address (empty: no server, drive only; port 0: ephemeral, see -port-file)")
+	flag.StringVar(&opt.portFile, "port-file", "", "write the resolved HTTP listen address to this file once listening (for ephemeral ports)")
+	flag.StringVar(&opt.dgramAddr, "dgram-addr", "", "binary shard-protocol listen address (empty: off; port 0: ephemeral)")
+	flag.StringVar(&opt.dgramPortFile, "dgram-port-file", "", "write the resolved dgram listen address to this file once listening")
+	flag.IntVar(&opt.n, "n", 1<<16, "number of bins")
+	flag.IntVar(&opt.m, "m", 0, "initial balls, seeded balanced (0: same as -n)")
+	flag.StringVar(&opt.ruleSpec, "rule", "", "admission rule spec: abku:D | adap:x1,x2,... | mixed:BETA | uniform")
+	flag.IntVar(&opt.d, "d", 2, "shorthand for -rule abku:D")
+	flag.StringVar(&opt.x, "x", "", "shorthand for -rule adap:x1,x2,...")
+	flag.Float64Var(&opt.beta, "beta", -1, "shorthand for -rule mixed:BETA")
+	flag.StringVar(&opt.scenario, "scenario", "A", "departure scenario: A (uniform ball) or B (uniform nonempty bin)")
+	flag.Uint64Var(&opt.seed, "seed", 1998, "rng seed (workers use derived streams)")
+	flag.IntVar(&opt.workers, "workers", runtime.GOMAXPROCS(0), "drive worker goroutines (1 = deterministic)")
+	flag.IntVar(&opt.shards, "shards", 0, "store shard count, power of two (0: auto)")
+	flag.IntVar(&opt.slack, "slack", 1, "recovery threshold slack above the fluid-limit prediction")
 
-		drive      = flag.Bool("drive", false, "run the built-in traffic driver")
-		batch      = flag.Int("batch", 0, "drive phases per batched admission pass (0 or 1: per-phase lane; see docs/SERVING.md)")
-		rate       = flag.Float64("rate", 0, "drive arrival rate per second, 0 = closed loop")
-		crashK     = flag.Int("crash", 0, "fault injection: add this many balls to one bin before driving")
-		crashBin   = flag.Int("crash-bin", 0, "bin the -crash balls land in")
-		maxSteps   = flag.Int64("max-steps", 0, "stop the drive after this many phases (0: 100x the Theorem 1 budget)")
-		stay       = flag.Bool("stay", false, "after the drive finishes, keep serving HTTP until interrupted")
-		checkEvery = flag.Int64("check-every", 0, "drive phases between detector checks: the resolution of the measured recovery time; a check does not read the bins, so small values are cheap (0: max(n, 1024))")
-		checkIntvl = flag.Duration("check-interval", time.Second, "wall-clock detector check cadence while serving")
+	flag.BoolVar(&opt.drive, "drive", false, "run the built-in traffic driver")
+	flag.IntVar(&opt.batch, "batch", 0, "drive pass size b: phases per admission pass (0 or 1: the paper's one-ball phase; see docs/SERVING.md)")
+	flag.Float64Var(&opt.rate, "rate", 0, "drive arrival rate per second, 0 = closed loop")
+	flag.IntVar(&opt.crashK, "crash", 0, "fault injection: add this many balls to one bin before driving")
+	flag.IntVar(&opt.crashBin, "crash-bin", 0, "bin the -crash balls land in")
+	flag.Int64Var(&opt.maxSteps, "max-steps", 0, "stop the drive after this many phases (0: 100x the Theorem 1 budget)")
+	flag.BoolVar(&opt.stay, "stay", false, "after the drive finishes, keep serving HTTP until interrupted")
+	flag.Int64Var(&opt.checkEvery, "check-every", 0, "drive phases between detector checks: the resolution of the measured recovery time; a check does not read the bins, so small values are cheap (0: max(n, 1024))")
+	flag.DurationVar(&opt.checkInterval, "check-interval", time.Second, "wall-clock detector check cadence while serving")
 
-		walDir     = flag.String("wal-dir", "", "durability directory for the WAL + checkpoints (empty: durability off)")
-		ckptEvery  = flag.Duration("checkpoint-every", 0, "periodic checkpoint cadence (0: only boot/shutdown/POST; needs -wal-dir)")
-		fsyncPol   = flag.String("fsync", "interval", "WAL fsync policy: always | interval | never")
-		fsyncIntvl = flag.Duration("fsync-interval", 100*time.Millisecond, "max fsync lag under -fsync interval")
-		walStall   = flag.Duration("wal-stall-timeout", 0, "drop a mutation's WAL record after waiting this long on a stalled writer (0: block, full backpressure)")
-		walBatch   = flag.Int("wal-max-batch", 0, "max records per group-commit WAL batch (0: default 512)")
+	flag.StringVar(&opt.walDir, "wal-dir", "", "durability directory for the WAL + checkpoints (empty: durability off)")
+	flag.DurationVar(&opt.ckptEvery, "checkpoint-every", 0, "periodic checkpoint cadence (0: only boot/shutdown/POST; needs -wal-dir)")
+	flag.StringVar(&opt.fsync, "fsync", "interval", "WAL fsync policy: always | interval | never")
+	flag.DurationVar(&opt.fsyncInterval, "fsync-interval", 100*time.Millisecond, "max fsync lag under -fsync interval")
+	flag.DurationVar(&opt.walStall, "wal-stall-timeout", 0, "drop a mutation's WAL record after waiting this long on a stalled writer (0: block, full backpressure)")
+	flag.IntVar(&opt.walMaxBatch, "wal-max-batch", 0, "max records per group-commit WAL batch (0: default 512)")
 
-		repListen = flag.String("replica-listen", "", "serve the WAL as a replication stream on this address (needs -wal-dir; port 0: ephemeral)")
-		repFile   = flag.String("replica-port-file", "", "write the resolved replication listen address to this file once listening")
-		repFrom   = flag.String("replicate-from", "", "run as a hot standby of the primary's -replica-listen address (needs -wal-dir)")
+	flag.StringVar(&opt.replicaListen, "replica-listen", "", "serve the WAL as a replication stream on this address (needs -wal-dir; port 0: ephemeral)")
+	flag.StringVar(&opt.replicaPortFile, "replica-port-file", "", "write the resolved replication listen address to this file once listening")
+	flag.StringVar(&opt.replicateFrom, "replicate-from", "", "run as a hot standby of the primary's -replica-listen address (needs -wal-dir)")
 
-		chaos       = flag.Bool("chaos", false, "fire Poisson-timed catastrophes while serving/driving (docs/CHAOS.md)")
-		chaosRate   = flag.Float64("chaos-rate", 0.5, "mean catastrophes per second under -chaos")
-		chaosFaults = flag.String("chaos-faults", "", "comma-separated catastrophe kinds under -chaos: crash,stall,enospc (empty: all available; stall/enospc need -wal-dir)")
-		chaosMinEp  = flag.Int64("chaos-min-episodes", 0, "with -chaos -drive: exit nonzero unless at least this many recovery episodes completed")
-		chaosMult   = flag.Float64("chaos-budget-mult", 8, "with -chaos -drive: exit nonzero when any recovery exceeded this multiple of the Theorem 1 budget (0: no gate)")
+	flag.BoolVar(&opt.chaos, "chaos", false, "fire Poisson-timed catastrophes while serving/driving (docs/CHAOS.md)")
+	flag.Float64Var(&opt.chaosRate, "chaos-rate", 0.5, "mean catastrophes per second under -chaos")
+	flag.StringVar(&opt.chaosFaults, "chaos-faults", "", "comma-separated catastrophe kinds under -chaos: crash,stall,enospc (empty: all available; stall/enospc need -wal-dir)")
+	flag.Int64Var(&opt.chaosMinEpisodes, "chaos-min-episodes", 0, "with -chaos -drive: exit nonzero unless at least this many recovery episodes completed")
+	flag.Float64Var(&opt.chaosBudgetMult, "chaos-budget-mult", 8, "with -chaos -drive: exit nonzero when any recovery exceeded this multiple of the Theorem 1 budget (0: no gate)")
 
-		prof = metrics.RegisterFlags(flag.CommandLine)
-	)
+	prof := metrics.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := prof.Start()
@@ -136,23 +134,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	code := run(options{
-		addr: *addr, portFile: *portFile,
-		dgramAddr: *dgAddr, dgramPortFile: *dgFile,
-		n: *n, m: *m,
-		ruleSpec: *ruleSpec, d: *d, x: *x, beta: *beta, scenario: *scen,
-		seed: *seed, workers: *workers, shards: *shards, slack: *slack,
-		drive: *drive, batch: *batch, rate: *rate, crashK: *crashK, crashBin: *crashBin,
-		maxSteps: *maxSteps, stay: *stay, checkEvery: *checkEvery,
-		checkInterval: *checkIntvl,
-		walDir:        *walDir, ckptEvery: *ckptEvery,
-		fsync: *fsyncPol, fsyncInterval: *fsyncIntvl, walStall: *walStall,
-		walMaxBatch:   *walBatch,
-		replicaListen: *repListen, replicaPortFile: *repFile,
-		replicateFrom: *repFrom,
-		chaos:         *chaos, chaosRate: *chaosRate, chaosFaults: *chaosFaults,
-		chaosMinEpisodes: *chaosMinEp, chaosBudgetMult: *chaosMult,
-	})
+	code := run(opt)
 	if err := stopProf(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		if code == 0 {
@@ -189,6 +171,7 @@ type options struct {
 	walDir        string
 	ckptEvery     time.Duration
 	fsync         string
+	fp            wal.FsyncPolicy // -fsync parsed; set by run when -wal-dir is given
 	fsyncInterval time.Duration
 	walStall      time.Duration
 	walMaxBatch   int
@@ -216,13 +199,15 @@ func parseChaosFaults(s string) []string {
 	return out
 }
 
-func run(opt options) int {
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "dynallocd:", err)
-		return 2
-	}
+// fail reports a boot error; 2 is the exit code of a daemon that never
+// served.
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "dynallocd:", err)
+	return 2
+}
 
-	sc, err := parseScenario(opt.scenario)
+func run(opt options) int {
+	sc, err := daemon.ParseScenario(opt.scenario)
 	if err != nil {
 		return fail(err)
 	}
@@ -243,6 +228,13 @@ func run(opt options) int {
 	if opt.m < 1 {
 		return fail(fmt.Errorf("-m must be >= 1, got %d", opt.m))
 	}
+	if opt.walDir != "" {
+		if opt.fp, err = wal.ParseFsyncPolicy(opt.fsync); err != nil {
+			return fail(err)
+		}
+	} else if opt.replicaListen != "" {
+		return fail(fmt.Errorf("-replica-listen needs -wal-dir (the stream ships the WAL)"))
+	}
 
 	var st *serve.Store
 	if opt.shards > 0 {
@@ -250,26 +242,24 @@ func run(opt options) int {
 	} else {
 		st = serve.NewStore(opt.n)
 	}
+	// The one Service both front ends (HTTP, dgram) are codecs over.
+	svc := serve.NewService(st, pol, sc, opt.seed)
 
 	// A hot standby is a different daemon shape: no seeding, no driver —
 	// just the follower replaying the primary's stream until promoted.
 	if opt.replicateFrom != "" {
-		return runReplica(st, pol, sc, opt)
+		return runReplica(svc, opt)
 	}
 
 	// Durability: restore the store from -wal-dir if it holds state,
-	// seed it balanced otherwise, then attach the journal so every
-	// mutation from here on is logged. The boot checkpoint makes the
-	// seeded (or freshly compacted) state durable before traffic starts;
+	// seed it balanced otherwise; arm then attaches the journal, so every
+	// mutation from there on is logged, and its boot checkpoint makes the
+	// seeded (or freshly compacted) state durable before traffic starts —
 	// without it a fresh boot's balls would exist nowhere on disk.
-	var j *serve.Journal
 	var faultFS *vfs.FaultFS // chaos mode's disk-fault seam on the WAL dir
 	walFS := vfs.FS(vfs.OS)  // the FS the WAL dir is reached through (replication reads it too)
+	var lastSeq uint64
 	if opt.walDir != "" {
-		fp, err := wal.ParseFsyncPolicy(opt.fsync)
-		if err != nil {
-			return fail(err)
-		}
 		res, err := serve.RestoreFSOpts(st, vfs.OS, opt.walDir, serve.RestoreOptions{})
 		if err != nil {
 			return fail(err)
@@ -281,102 +271,43 @@ func run(opt options) int {
 		} else {
 			st.FillBalanced(opt.m)
 		}
-		walOpts := wal.Options{Dir: opt.walDir, Fsync: fp, FsyncInterval: opt.fsyncInterval}
+		lastSeq = res.LastSeq
 		if opt.chaos {
 			// The WAL (and the checkpoint writer, which shares the log's
 			// FS) runs behind the fault seam so the injector can arm
 			// stalls and ENOSPC against a live daemon.
 			faultFS = vfs.NewFaultFS(vfs.OS)
 			walFS = faultFS
-			walOpts.FS = walFS
 		}
-		log, err := wal.Open(walOpts)
-		if err != nil {
-			return fail(err)
-		}
-		jo := serve.JournalOptions{StallTimeout: opt.walStall, MaxBatch: opt.walMaxBatch}
-		if fp == wal.FsyncInterval {
-			jo.SyncEvery = opt.fsyncInterval
-		}
-		j = serve.NewJournal(st, log, res.LastSeq, jo)
-		// Durable before the listeners open; its maintenance runs behind them.
-		if _, _, err := j.CheckpointDeferMaint(); err != nil {
-			j.Close()
-			return fail(fmt.Errorf("boot checkpoint: %w", err))
-		}
-		fmt.Printf("dynallocd: durability on: wal-dir=%s fsync=%s checkpoint-every=%v\n",
-			opt.walDir, opt.fsync, opt.ckptEvery)
 	} else {
 		st.FillBalanced(opt.m)
 	}
 
-	totalM := int(st.Total()) + opt.crashK
-	target, err := serve.NewTarget(pol, sc, opt.n, totalM, opt.slack)
+	fmt.Printf("dynallocd: n=%d m=%d rule=%s scenario=%s workers=%d shards=%d seed=%d\n",
+		opt.n, opt.m, pol.Name(), sc, opt.workers, st.Shards(), opt.seed)
+	p := &primary{svc: svc, opt: opt}
+	target, err := p.arm(walFS, lastSeq, int(st.Total())+opt.crashK, "")
 	if err != nil {
 		return fail(err)
 	}
-	det := serve.NewDetector(st, target)
-	det.AttachEpisodes(serve.NewEpisodeTracker(target.BudgetSteps))
-
-	fmt.Printf("dynallocd: n=%d m=%d rule=%s scenario=%s workers=%d shards=%d seed=%d\n",
-		opt.n, opt.m, pol.Name(), sc, opt.workers, st.Shards(), opt.seed)
-	fmt.Printf("dynallocd: recovery target max load %d (fluid prediction %d + slack %d), budget %.0f steps\n",
-		target.MaxLoad(), target.PredictedMax, target.Slack, target.BudgetSteps)
+	// From here on a failed boot step still shuts the primary down.
+	bail := func(err error) int {
+		fail(err)
+		return p.shutdown(2)
+	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	srv := newServer(st, det, pol, sc, opt.seed)
-	if j != nil {
-		srv.jp.Store(j)
-	}
+	srv := newServer(svc)
 	var httpDone chan error
 	if opt.addr != "" {
-		httpDone, err = srv.serve(ctx, opt.addr, opt.portFile)
+		// On shutdown: refuse new mutations before draining in-flight
+		// requests, so the final checkpoint sees the state clients saw.
+		httpDone, err = daemon.ServeHTTP(ctx, "dynallocd", opt.addr, opt.portFile, srv.routes(), svc.SetDraining)
 		if err != nil {
-			if j != nil {
-				j.Close()
-			}
-			return fail(err)
+			return bail(err)
 		}
-	}
-
-	// The binary shard protocol: the listener dynrouter probes and
-	// admits through. It shares the store, detector, and journal hooks
-	// with the HTTP surface, so dgram mutations are checkpointed and
-	// WAL-journaled exactly like HTTP ones.
-	var dgramSrv *router.Server
-	var dgramDone chan error
-	if opt.dgramAddr != "" {
-		var dgAddr net.Addr
-		dgramSrv, dgAddr, dgramDone, err = startDgram(opt.dgramAddr, opt.dgramPortFile, router.ServerConfig{
-			Store: st, Policy: pol, Scenario: sc, Seed: opt.seed, Detector: det,
-		})
-		if err != nil {
-			if j != nil {
-				j.Close()
-			}
-			return fail(err)
-		}
-		fmt.Printf("dynallocd: dgram listening on %s\n", dgAddr)
-	}
-
-	// Two chores run once here, beside listeners that already answer, so
-	// neither delays the first PROBE reply. The boot checkpoint made the
-	// replayed segments garbage; unlinking them scans the log once more,
-	// and nothing waits for that (see Journal.Maintain). What the replay
-	// and that scan allocated is garbage by now, and the serving path
-	// allocates nothing, so no later collection would hand it back:
-	// without FreeOSMemory a shard's resident set depends on whether a GC
-	// cycle happened to follow its boot.
-	if j != nil {
-		go func() {
-			t0 := time.Now()
-			removed := j.Maintain()
-			fmt.Printf("dynallocd: boot checkpoint maintenance: %v, %d WAL segments removed\n", time.Since(t0), removed)
-			warnMaint(j, "boot checkpoint")
-			debug.FreeOSMemory()
-		}()
 	}
 
 	// The replication stream: followers subscribe here and tail the same
@@ -386,36 +317,22 @@ func run(opt options) int {
 	var repStr *replica.Streamer
 	var repDone chan error
 	if opt.replicaListen != "" {
-		if j == nil {
-			return fail(fmt.Errorf("-replica-listen needs -wal-dir (the stream ships the WAL)"))
-		}
+		j := svc.Journal()
 		repStr, err = replica.NewStreamer(replica.StreamerConfig{
 			FS: walFS, Dir: opt.walDir, LastSeq: j.LastSeq,
 			OnPromote: func(force bool) (uint64, error) {
-				srv.draining.Store(true)
-				if dgramSrv != nil {
-					dgramSrv.SetDraining(true)
-				}
+				svc.SetDraining()
 				j.Drain()
 				fmt.Println("dynallocd: fenced by a promoting follower; refusing mutations")
 				return j.LastSeq(), nil
 			},
 		})
 		if err != nil {
-			j.Close()
-			return fail(err)
+			return bail(err)
 		}
-		ln, lerr := net.Listen("tcp", opt.replicaListen)
-		if lerr != nil {
-			j.Close()
-			return fail(fmt.Errorf("replica listen: %w", lerr))
-		}
-		if opt.replicaPortFile != "" {
-			if werr := writePortFile(opt.replicaPortFile, ln.Addr().String()); werr != nil {
-				ln.Close()
-				j.Close()
-				return fail(werr)
-			}
+		ln, err := daemon.Listen("replica", opt.replicaListen, opt.replicaPortFile)
+		if err != nil {
+			return bail(err)
 		}
 		repDone = make(chan error, 1)
 		go func() { repDone <- repStr.Serve(ln) }()
@@ -423,40 +340,30 @@ func run(opt options) int {
 	}
 
 	var ckptWG sync.WaitGroup
-	if j != nil && opt.ckptEvery > 0 {
+	if j := svc.Journal(); j != nil && opt.ckptEvery > 0 {
 		ckptWG.Add(1)
 		go func() {
 			defer ckptWG.Done()
-			t := time.NewTicker(opt.ckptEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if _, _, err := j.Checkpoint(); err != nil {
-						fmt.Fprintln(os.Stderr, "dynallocd: checkpoint:", err)
-					}
-					warnMaint(j, "checkpoint")
+			daemon.Every(ctx, opt.ckptEvery, func() {
+				if _, _, err := j.Checkpoint(); err != nil {
+					fmt.Fprintln(os.Stderr, "dynallocd: checkpoint:", err)
 				}
-			}
+				warnMaint(j, "checkpoint")
+			})
 		}()
 	}
 
 	var chaosWG sync.WaitGroup
 	if opt.chaos {
 		inj, err := serve.NewChaosInjector(serve.ChaosConfig{
-			Store: st, Detector: det,
+			Store: st, Detector: svc.Detector(),
 			Rate: opt.chaosRate, Seed: opt.seed,
 			Faults:  parseChaosFaults(opt.chaosFaults),
 			FaultFS: faultFS,
 			OnFault: func(kind string) { fmt.Printf("dynallocd: chaos: %s catastrophe\n", kind) },
 		})
 		if err != nil {
-			if j != nil {
-				j.Close()
-			}
-			return fail(err)
+			return bail(err)
 		}
 		fmt.Printf("dynallocd: chaos on: rate=%g/s faults=%s\n",
 			opt.chaosRate, strings.Join(inj.Kinds(), ","))
@@ -469,7 +376,7 @@ func run(opt options) int {
 
 	code := 0
 	if opt.drive {
-		code = runDrive(ctx, st, det, pol, sc, opt, target)
+		code = runDrive(ctx, svc, opt, target)
 		if !opt.stay {
 			cancel()
 		}
@@ -480,129 +387,190 @@ func run(opt options) int {
 		// cancel above unblocks the shutdown).
 		srv.watch(ctx, opt.checkInterval)
 		if err := <-httpDone; err != nil {
-			fmt.Fprintln(os.Stderr, "dynallocd:", err)
-			if code == 0 {
-				code = 1
-			}
+			failed(&code, "http", err)
 		}
-	} else if dgramDone != nil {
+	} else if p.dgram != nil {
 		// dgram is the only surface (a shard daemon): keep the detector
 		// ticking until interrupted, same as the HTTP path.
 		srv.watch(ctx, opt.checkInterval)
 	}
 
-	// Stop the dgram listener before the final checkpoint: SetDraining
-	// refuses new mutations and Close waits for in-flight handlers, so
-	// the checkpoint sees a quiesced store.
-	if dgramSrv != nil {
-		dgramSrv.SetDraining(true)
-		dgramSrv.Close()
-		if err := <-dgramDone; err != nil {
-			fmt.Fprintln(os.Stderr, "dynallocd: dgram:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-
-	// Stop the replication stream before the final checkpoint: a
+	// Before the final checkpoint: stop the replication stream (a
 	// follower mid-pump holds segment handles, and the final truncation
-	// should not race a tail read.
+	// should not race a tail read), the injector (its shutdown path
+	// clears any armed disk fault, so the checkpoint lands on a healthy
+	// filesystem) and the checkpoint ticker.
 	if repStr != nil {
 		repStr.Close()
 		if err := <-repDone; err != nil {
-			fmt.Fprintln(os.Stderr, "dynallocd: replica stream:", err)
-			if code == 0 {
-				code = 1
-			}
+			failed(&code, "replica stream", err)
 		}
 	}
-
-	// Stop the injector before the final checkpoint: its shutdown path
-	// clears any armed disk fault, so the checkpoint lands on a healthy
-	// filesystem.
 	cancel()
 	chaosWG.Wait()
+	ckptWG.Wait()
+	return p.shutdown(code)
+}
 
-	// Traffic has quiesced (HTTP shut down, drive finished): take the
-	// final checkpoint and close the WAL so a clean shutdown restarts
-	// from the checkpoint alone.
-	if j != nil {
-		ckptWG.Wait()
-		finalCkptOK := false
-		if snap, _, err := j.Checkpoint(); err != nil {
-			fmt.Fprintln(os.Stderr, "dynallocd: final checkpoint:", err)
-			if code == 0 {
-				code = 1
-			}
-		} else {
-			finalCkptOK = true
-			fmt.Printf("dynallocd: final checkpoint at seq %d (%d balls)\n", snap.Seq, st.Total())
+// failed reports a teardown error and turns a clean exit code into 1.
+func failed(code *int, what string, err error) {
+	fmt.Fprintf(os.Stderr, "dynallocd: %s: %v\n", what, err)
+	if *code == 0 {
+		*code = 1
+	}
+}
+
+// primary is the serving-primary role of a daemon: what arm sets up
+// and shutdown tears down, for a boot and for a promoted standby alike.
+type primary struct {
+	svc *serve.Service
+	opt options
+
+	dgram     *router.Server // nil without -dgram-addr
+	dgramDone chan error
+}
+
+// arm makes the daemon a serving primary over the store as it stands:
+// with -wal-dir, open the WAL after lastSeq, attach the journal and
+// checkpoint (durable before any listener opens); compute the recovery
+// target for m balls and build the detector + episode tracker, noting
+// `fault`, if any, so the episode is measured from it; bind the dgram
+// listener dynrouter probes and admits through (a promoted standby
+// binds the -dgram-addr the dead primary held, so a router's health
+// loop revives the shard there); then install journal and detector in
+// the Service, which ends the standby refusal. On error nothing is
+// installed and the WAL is closed again, so a promotion can be retried.
+//
+// Two chores follow behind listeners that already answer, so neither
+// delays the first PROBE reply. The checkpoint made the replayed
+// segments garbage; unlinking them scans the log once more (see
+// Journal.Maintain). What the replay and that scan allocated is garbage
+// by now and the serving path allocates nothing, so no later collection
+// would hand it back: without FreeOSMemory a shard's resident set
+// depends on whether a GC cycle happened to follow its boot.
+func (p *primary) arm(walFS vfs.FS, lastSeq uint64, m int, fault string) (serve.Target, error) {
+	svc, opt := p.svc, p.opt
+	st := svc.Store()
+	what := "boot"
+	if fault != "" {
+		what = fault
+	}
+	var j *serve.Journal
+	fail := func(err error) (serve.Target, error) {
+		if j != nil {
+			j.Close()
 		}
-		warnMaint(j, "final checkpoint")
-		if err := j.Close(); err != nil {
-			// Close resurfaces the journal's first append error. Under
-			// chaos that is the injected disk fault doing its job; once
-			// the final checkpoint has durably captured the full state,
-			// the dropped WAL records are covered and the run is sound.
-			if opt.chaos && finalCkptOK {
-				fmt.Fprintf(os.Stderr, "dynallocd: wal close: %v (chaos-injected; the final checkpoint covers it)\n", err)
-			} else {
-				fmt.Fprintln(os.Stderr, "dynallocd: wal close:", err)
-				if code == 0 {
-					code = 1
-				}
-			}
+		return serve.Target{}, err
+	}
+	if opt.walDir != "" {
+		log, err := wal.Open(wal.Options{Dir: opt.walDir, Fsync: opt.fp, FsyncInterval: opt.fsyncInterval, FS: walFS})
+		if err != nil {
+			return fail(err)
+		}
+		jo := serve.JournalOptions{StallTimeout: opt.walStall, MaxBatch: opt.walMaxBatch}
+		if opt.fp == wal.FsyncInterval {
+			jo.SyncEvery = opt.fsyncInterval
+		}
+		j = serve.NewJournal(st, log, lastSeq, jo)
+		// Durable before the listeners open; its maintenance runs behind them.
+		if _, _, err := j.CheckpointDeferMaint(); err != nil {
+			return fail(fmt.Errorf("%s checkpoint: %w", what, err))
+		}
+		fmt.Printf("dynallocd: durability on: wal-dir=%s fsync=%s checkpoint-every=%v\n",
+			opt.walDir, opt.fsync, opt.ckptEvery)
+	}
+
+	target, err := serve.NewTarget(svc.Policy(), svc.Scenario(), opt.n, m, opt.slack)
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Printf("dynallocd: recovery target max load %d (fluid prediction %d + slack %d), budget %.0f steps\n",
+		target.MaxLoad(), target.PredictedMax, target.Slack, target.BudgetSteps)
+	det := serve.NewDetector(st, target)
+	det.AttachEpisodes(serve.NewEpisodeTracker(target.BudgetSteps))
+	if fault != "" {
+		det.NoteFault(fault)
+	}
+
+	var ln net.Listener
+	if opt.dgramAddr != "" {
+		if ln, err = daemon.Listen("dgram", opt.dgramAddr, opt.dgramPortFile); err != nil {
+			return fail(err)
+		}
+	}
+	svc.Arm(j, det)
+	if ln != nil {
+		p.dgram, p.dgramDone = router.NewServiceServer(svc), make(chan error, 1)
+		go func() { p.dgramDone <- p.dgram.Serve(ln) }()
+		fmt.Printf("dynallocd: dgram listening on %s\n", ln.Addr())
+	}
+
+	if j != nil {
+		go func() {
+			t0 := time.Now()
+			removed := j.Maintain()
+			fmt.Printf("dynallocd: %s checkpoint maintenance: %v, %d WAL segments removed\n", what, time.Since(t0), removed)
+			warnMaint(j, what+" checkpoint")
+			debug.FreeOSMemory()
+		}()
+	}
+	return target, nil
+}
+
+// shutdown quiesces an armed primary and persists it: refuse mutations
+// (the Service's one gate covers HTTP and dgram), stop the dgram
+// listener — Close waits for in-flight handlers, so the checkpoint sees
+// a quiesced store — take the final checkpoint, and close the WAL so a
+// clean shutdown restarts from the checkpoint alone. It returns code,
+// or 1 when code was 0 and a step failed.
+func (p *primary) shutdown(code int) int {
+	p.svc.SetDraining()
+	if p.dgram != nil {
+		p.dgram.Close()
+		if err := <-p.dgramDone; err != nil {
+			failed(&code, "dgram", err)
+		}
+	}
+	j := p.svc.Journal()
+	if j == nil {
+		return code
+	}
+	snap, _, ckErr := j.Checkpoint()
+	if ckErr != nil {
+		failed(&code, "final checkpoint", ckErr)
+	} else {
+		fmt.Printf("dynallocd: final checkpoint at seq %d (%d balls)\n", snap.Seq, p.svc.Store().Total())
+	}
+	warnMaint(j, "final checkpoint")
+	if err := j.Close(); err != nil {
+		// Close resurfaces the journal's first append error. Under chaos
+		// that is the injected disk fault doing its job; once the final
+		// checkpoint has durably captured the full state, the dropped
+		// WAL records are covered and the run is sound.
+		if p.opt.chaos && ckErr == nil {
+			fmt.Fprintf(os.Stderr, "dynallocd: wal close: %v (chaos-injected; the final checkpoint covers it)\n", err)
+		} else {
+			failed(&code, "wal close", err)
 		}
 	}
 	return code
 }
 
-// startDgram binds the binary shard-protocol listener, publishes its
-// resolved address, and serves it. Shared between boot and the
-// promotion path (a promoted standby binds the same -dgram-addr the
-// dead primary held, so a router's health loop revives the shard
-// there).
-func startDgram(addr, portFile string, cfg router.ServerConfig) (*router.Server, net.Addr, chan error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("dgram listen: %w", err)
-	}
-	if portFile != "" {
-		if err := writePortFile(portFile, ln.Addr().String()); err != nil {
-			ln.Close()
-			return nil, nil, nil, err
-		}
-	}
-	srv := router.NewServer(cfg)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	return srv, ln.Addr(), done, nil
-}
-
 // runReplica is the hot-standby daemon shape: a Follower subscribed to
 // the primary's replication stream, replaying into the warm store and
 // persisting its own log copy, with HTTP serving the replication view
-// and POST /promote. Promotion re-arms a journal + detector on the
-// follower's own directory and (when -dgram-addr is set) binds the
-// shard listener — from then on the daemon is an ordinary primary.
-func runReplica(st *serve.Store, pol serve.Policy, sc process.Scenario, opt options) int {
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "dynallocd:", err)
-		return 2
-	}
+// and POST /promote. Promotion arms a primary on the follower's own
+// directory — from then on the daemon is an ordinary primary.
+func runReplica(svc *serve.Service, opt options) int {
 	if opt.walDir == "" {
 		return fail(fmt.Errorf("-replicate-from needs -wal-dir (the replica persists its own log copy)"))
 	}
 	if opt.drive || opt.chaos || opt.crashK > 0 || opt.replicaListen != "" {
 		return fail(fmt.Errorf("-replicate-from excludes -drive/-chaos/-crash/-replica-listen until promotion"))
 	}
-	fp, err := wal.ParseFsyncPolicy(opt.fsync)
-	if err != nil {
-		return fail(err)
-	}
+	st := svc.Store()
 	f, res, err := replica.NewFollower(replica.FollowerConfig{
-		Store: st, Dir: opt.walDir, Fsync: fp,
+		Store: st, Dir: opt.walDir, Fsync: opt.fp,
 		CheckpointEvery: 4096,
 	})
 	if err != nil {
@@ -614,63 +582,29 @@ func runReplica(st *serve.Store, pol serve.Policy, sc process.Scenario, opt opti
 		printRestoreBreakdown(*res)
 	}
 	fmt.Printf("dynallocd: replica of %s: n=%d rule=%s scenario=%s wal-dir=%s\n",
-		opt.replicateFrom, opt.n, pol.Name(), sc, opt.walDir)
+		opt.replicateFrom, opt.n, svc.Policy().Name(), svc.Scenario(), opt.walDir)
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	srv := newServer(st, nil, pol, sc, opt.seed)
+	svc.SetStandby() // the stream is the only writer until promotion
+	srv := newServer(svc)
 	srv.fol = f
 
 	// Promotion: stop the stream (fencing a live primary if forced),
-	// then re-arm everything a primary boot sets up — journal with a
-	// fresh checkpoint, detector with a promotion fault noted, and the
-	// shard listener the router revives this address through. The
-	// detector is installed last: its presence flips the mutation gate.
-	var promoteMu sync.Mutex
-	var pDgram *router.Server
-	var pDgramDone chan error
+	// then arm a primary on the follower's directory. The fail-over IS a
+	// disruption episode, so the detector starts with a "promote" fault.
+	var promoteMu sync.Mutex // guards p across promote and shutdown
+	p := &primary{svc: svc, opt: opt}
 	srv.promote = func(force bool) (replica.PromoteResult, error) {
 		promoteMu.Lock()
 		defer promoteMu.Unlock()
 		pres, err := f.Promote(force)
-		if err != nil || srv.detector() != nil {
+		if err != nil || svc.Detector() != nil {
 			return pres, err // refused, or an idempotent re-promote
 		}
-		log, err := wal.Open(wal.Options{Dir: opt.walDir, Fsync: fp, FsyncInterval: opt.fsyncInterval})
-		if err != nil {
-			return pres, fmt.Errorf("re-arm wal: %w", err)
-		}
-		jo := serve.JournalOptions{StallTimeout: opt.walStall, MaxBatch: opt.walMaxBatch}
-		if fp == wal.FsyncInterval {
-			jo.SyncEvery = opt.fsyncInterval
-		}
-		j := serve.NewJournal(st, log, pres.LastSeq, jo)
-		if _, _, err := j.Checkpoint(); err != nil {
-			j.Close()
-			return pres, fmt.Errorf("promotion checkpoint: %w", err)
-		}
-		warnMaint(j, "promotion checkpoint")
-		target, err := serve.NewTarget(pol, sc, opt.n, int(st.Total()), opt.slack)
-		if err != nil {
-			j.Close()
+		if _, err := p.arm(vfs.OS, pres.LastSeq, int(st.Total()), "promote"); err != nil {
 			return pres, err
-		}
-		det := serve.NewDetector(st, target)
-		det.AttachEpisodes(serve.NewEpisodeTracker(target.BudgetSteps))
-		det.NoteFault("promote") // the fail-over IS a disruption episode
-		srv.jp.Store(j)
-		srv.det.Store(det)
-		if opt.dgramAddr != "" {
-			dg, dgAddr, done, derr := startDgram(opt.dgramAddr, opt.dgramPortFile, router.ServerConfig{
-				Store: st, Policy: pol, Scenario: sc, Seed: opt.seed, Detector: det,
-			})
-			if derr != nil {
-				fmt.Fprintln(os.Stderr, "dynallocd: promote:", derr)
-			} else {
-				pDgram, pDgramDone = dg, done
-				fmt.Printf("dynallocd: dgram listening on %s\n", dgAddr)
-			}
 		}
 		fmt.Printf("dynallocd: promoted at seq %d (forced=%v, %d frees skipped in replay)\n",
 			pres.LastSeq, pres.Forced, pres.SkippedFrees)
@@ -679,7 +613,7 @@ func runReplica(st *serve.Store, pol serve.Policy, sc process.Scenario, opt opti
 
 	var httpDone chan error
 	if opt.addr != "" {
-		httpDone, err = srv.serve(ctx, opt.addr, opt.portFile)
+		httpDone, err = daemon.ServeHTTP(ctx, "dynallocd", opt.addr, opt.portFile, srv.routes(), svc.SetDraining)
 		if err != nil {
 			f.Close()
 			return fail(err)
@@ -696,8 +630,7 @@ func runReplica(st *serve.Store, pol serve.Policy, sc process.Scenario, opt opti
 	if httpDone != nil {
 		srv.watch(ctx, opt.checkInterval)
 		if err := <-httpDone; err != nil {
-			fmt.Fprintln(os.Stderr, "dynallocd:", err)
-			code = 1
+			failed(&code, "http", err)
 		}
 	} else {
 		<-ctx.Done()
@@ -707,39 +640,11 @@ func runReplica(st *serve.Store, pol serve.Policy, sc process.Scenario, opt opti
 
 	promoteMu.Lock()
 	defer promoteMu.Unlock()
-	if pDgram != nil {
-		pDgram.SetDraining(true)
-		pDgram.Close()
-		if err := <-pDgramDone; err != nil {
-			fmt.Fprintln(os.Stderr, "dynallocd: dgram:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
+	if svc.Detector() != nil {
+		return p.shutdown(code) // promoted: shut down exactly like a primary
 	}
-	if j := srv.journal(); j != nil {
-		// Promoted: shut down exactly like a primary — final checkpoint,
-		// then close the WAL.
-		if snap, _, err := j.Checkpoint(); err != nil {
-			fmt.Fprintln(os.Stderr, "dynallocd: final checkpoint:", err)
-			if code == 0 {
-				code = 1
-			}
-		} else {
-			fmt.Printf("dynallocd: final checkpoint at seq %d (%d balls)\n", snap.Seq, st.Total())
-		}
-		warnMaint(j, "final checkpoint")
-		if err := j.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "dynallocd: wal close:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	} else if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "dynallocd: replica close:", err)
-		if code == 0 {
-			code = 1
-		}
+	if err := f.Close(); err != nil {
+		failed(&code, "replica close", err)
 	}
 	return code
 }
@@ -764,9 +669,14 @@ func warnMaint(j *serve.Journal, what string) {
 // runDrive executes the crash/recover drill: optionally injects the
 // fault, then drives scenario traffic until the detector sees the
 // typical state (or the step budget runs out) and reports the outcome.
-func runDrive(ctx context.Context, st *serve.Store, det *serve.Detector, pol serve.Policy, sc process.Scenario, opt options, target serve.Target) int {
+func runDrive(ctx context.Context, svc *serve.Service, opt options, target serve.Target) int {
+	st, det := svc.Store(), svc.Detector()
 	if opt.crashK > 0 {
-		load := st.Crash(opt.crashBin, opt.crashK)
+		load, err := st.Crash(opt.crashBin, opt.crashK)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dynallocd: -crash:", err)
+			return 2
+		}
 		det.MarkDisrupted()
 		fmt.Printf("dynallocd: crashed bin %d to load %d (+%d balls)\n", opt.crashBin, load, opt.crashK)
 	}
@@ -775,7 +685,7 @@ func runDrive(ctx context.Context, st *serve.Store, det *serve.Detector, pol ser
 		maxSteps = int64(100 * target.BudgetSteps)
 	}
 	eng := serve.NewEngine(serve.Config{
-		Store: st, Policy: pol, Scenario: sc,
+		Store: st, Policy: svc.Policy(), Scenario: svc.Scenario(),
 		Workers: opt.workers, Seed: opt.seed, Rate: opt.rate,
 		Batch:    opt.batch,
 		MaxSteps: maxSteps, Detector: det, CheckEvery: opt.checkEvery,
@@ -829,56 +739,23 @@ func reportChaos(det *serve.Detector, target serve.Target, opt options, res serv
 	return code
 }
 
-// server is the HTTP face of the store: admissions, frees, fault
-// injection, and the detector's view of the state. In replica mode
-// (fol != nil) the detector and journal start nil and are installed
-// atomically by promotion — their presence IS the "promoted" state the
-// mutation gate checks.
+// server is the HTTP codec over the daemon's serve.Service: the
+// mutating handlers decode, make one Lane call and encode; the rest
+// read the store, the detector and the journal the Service holds. In
+// replica mode (fol != nil) those two start nil and promotion installs
+// them.
 type server struct {
-	st  *serve.Store
-	det atomic.Pointer[serve.Detector]
-	sc  process.Scenario
-	jp  atomic.Pointer[serve.Journal] // nil when durability is off
+	svc *serve.Service
 
 	fol     *replica.Follower // non-nil in replica mode
 	promote func(force bool) (replica.PromoteResult, error)
 
-	// draining flips on when shutdown starts: mutation endpoints refuse
-	// with 503 so the final checkpoint captures a quiesced store.
-	draining atomic.Bool
-
-	mu  sync.Mutex // guards pol, r and the batch scratch below
-	pol serve.Policy
-	r   *rng.RNG
-
-	// Batch-lane scratch for /alloc?count=N: picks and admissions go
-	// through serve.BatchPolicy + Store.AdmitBatch in one pass, reusing
-	// these across requests (under mu).
-	bpol       serve.BatchPolicy // nil when pol has no batch path
-	admitBins  []int
-	admitLoads []int32
-	admitSc    serve.AdmitScratch
+	mu   sync.Mutex // guards lane: one rng stream serves every HTTP request
+	lane *serve.Lane
 }
 
-func (s *server) detector() *serve.Detector { return s.det.Load() }
-func (s *server) journal() *serve.Journal   { return s.jp.Load() }
-
-// httpStreamOffset keeps the HTTP admission rng stream disjoint from
-// the drive workers' decision streams (streams 0..W-1) and their pacing
-// streams (offset 1<<32).
-const httpStreamOffset = 1 << 33
-
-func newServer(st *serve.Store, det *serve.Detector, pol serve.Policy, sc process.Scenario, seed uint64) *server {
-	s := &server{
-		st: st, sc: sc,
-		pol: pol.Clone(),
-		r:   rng.NewStream(seed, httpStreamOffset),
-	}
-	s.bpol, _ = s.pol.(serve.BatchPolicy)
-	if det != nil {
-		s.det.Store(det)
-	}
-	return s
+func newServer(svc *serve.Service) *server {
+	return &server{svc: svc, lane: svc.NewLane(serve.HTTPStream)}
 }
 
 func (s *server) routes() http.Handler {
@@ -893,264 +770,153 @@ func (s *server) routes() http.Handler {
 	return mux
 }
 
-// serve binds addr (resolving an ephemeral :0 port), optionally writes
-// the resolved address to portFile, and returns a channel that yields
-// the server's terminal error after ctx is cancelled and shutdown
-// completes. Binding synchronously means a port collision fails boot
-// instead of surfacing minutes later.
-func (s *server) serve(ctx context.Context, addr, portFile string) (chan error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("http listen: %w", err)
-	}
-	if portFile != "" {
-		if err := writePortFile(portFile, ln.Addr().String()); err != nil {
-			ln.Close()
-			return nil, err
-		}
-	}
-	hs := &http.Server{Handler: s.routes()}
-	done := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		// Refuse new mutations before draining in-flight requests, so
-		// the state the final checkpoint sees is the state clients saw.
-		s.draining.Store(true)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		hs.Shutdown(shutdownCtx)
-	}()
-	go func() {
-		fmt.Printf("dynallocd: listening on %s\n", ln.Addr())
-		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-			done <- err
-			return
-		}
-		done <- nil
-	}()
-	return done, nil
-}
-
-// writePortFile publishes a resolved listen address for scripts that
-// started the daemon with an ephemeral port. Written to a temp name
-// and renamed so a poller never reads a half-written file.
-func writePortFile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return fmt.Errorf("port file: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("port file: %w", err)
-	}
-	return nil
-}
-
 // watch runs periodic detector checks until ctx is done, so the
 // recovered gauge stays fresh even when no driver is stepping the
 // store. An un-promoted replica has no detector yet; the tick resumes
 // checking the moment promotion installs one.
 func (s *server) watch(ctx context.Context, every time.Duration) {
-	if every <= 0 {
-		every = time.Second
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if det := s.detector(); det != nil {
-				det.Check()
-			}
+	daemon.Every(ctx, every, func() {
+		if det := s.svc.Detector(); det != nil {
+			det.Check()
 		}
+	})
+}
+
+// writeVerbErr answers a Lane refusal in HTTP's vocabulary (the table
+// in docs/SERVING.md): 503 while draining, 400 for a refused argument,
+// 409 for a standby and for a departure that found nothing to free.
+func writeVerbErr(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, serve.ErrDraining):
+		code = http.StatusServiceUnavailable
+	case errors.Is(err, serve.ErrBadRequest):
+		code = http.StatusBadRequest
+	case errors.Is(err, serve.ErrStandby), errors.Is(err, serve.ErrEmpty), errors.Is(err, serve.ErrEmptyBin):
+		code = http.StatusConflict
 	}
+	daemon.WriteErr(w, code, err)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// refuseDraining rejects mutations once shutdown has started. Returns
-// true when the request was already answered.
-func (s *server) refuseDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
-		return false
+// intParam parses the query parameter name; a value that is not an
+// integer is the codec's own 400.
+func intParam(r *http.Request, name string) (int, error) {
+	q := r.URL.Query().Get(name)
+	v, err := strconv.Atoi(q)
+	if err != nil {
+		return 0, fmt.Errorf("%w: bad %s %q", serve.ErrBadRequest, name, q)
 	}
-	writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("shutting down"))
-	return true
+	return v, nil
 }
 
-// refuseReplica rejects mutations on an un-promoted replica: the
-// stream is the only writer until POST /promote installs a detector.
-func (s *server) refuseReplica(w http.ResponseWriter) bool {
-	if s.fol == nil || s.detector() != nil {
-		return false
+// verb runs one mutating request: call decodes the query, makes its one
+// Lane call (under mu: the lane is shared by every HTTP request) and
+// returns the JSON reply.
+func (s *server) verb(w http.ResponseWriter, r *http.Request, call func() (any, error)) {
+	if !daemon.PostOnly(w, r) {
+		return
 	}
-	writeErr(w, http.StatusConflict, fmt.Errorf("replica: not promoted (POST /promote to take over)"))
-	return true
+	s.mu.Lock()
+	out, err := call()
+	s.mu.Unlock()
+	if err != nil {
+		writeVerbErr(w, err)
+		return
+	}
+	daemon.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *server) handleAlloc(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.refuseDraining(w) || s.refuseReplica(w) {
-		return
-	}
-	count := 1
-	if q := r.URL.Query().Get("count"); q != "" {
-		var err error
-		count, err = strconv.Atoi(q)
-		if err != nil || count < 1 || count > 1<<20 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad count %q (want 1..%d)", q, 1<<20))
-			return
+	s.verb(w, r, func() (any, error) {
+		count := 1
+		if r.URL.Query().Get("count") != "" {
+			var err error
+			if count, err = intParam(r, "count"); err != nil {
+				return nil, err
+			}
 		}
-	}
-	if count == 1 {
-		s.mu.Lock()
-		bin, probes := s.pol.Pick(s.st, s.r)
-		s.mu.Unlock()
-		load := s.st.Alloc(bin)
-		writeJSON(w, http.StatusOK, map[string]int{"bin": bin, "load": load, "probes": probes})
-		return
-	}
-	// count > 1: the batch lane — picks drawn in one PickBatch pass,
-	// admissions applied by one Store.AdmitBatch (the choices within
-	// the batch do not see the batch's own admissions, as everywhere
-	// on the batch lane).
-	s.mu.Lock()
-	if cap(s.admitBins) < count {
-		s.admitBins = make([]int, count)
-		s.admitLoads = make([]int32, count)
-	}
-	bins := s.admitBins[:count]
-	loads := s.admitLoads[:count]
-	probes := 0
-	if s.bpol != nil {
-		probes = s.bpol.PickBatch(s.st, s.r, bins)
-	} else {
-		for i := range bins {
-			var m int
-			bins[i], m = s.pol.Pick(s.st, s.r)
-			probes += m
+		placed, probes, err := s.lane.Admit(count, nil)
+		if err != nil {
+			return nil, err
 		}
-	}
-	s.st.AdmitBatch(bins, loads, &s.admitSc)
-	// Copy out of the scratch before releasing mu; this surface is
-	// JSON (it allocates regardless — the zero-alloc lane is dgram),
-	// and a slow client must not hold up the admission stream.
-	respBins := append([]int(nil), bins...)
-	respLoads := append([]int32(nil), loads...)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, struct {
-		Count  int     `json:"count"`
-		Probes int     `json:"probes"`
-		Bins   []int   `json:"bins"`
-		Loads  []int32 `json:"loads"`
-	}{count, probes, respBins, respLoads})
+		if count == 1 {
+			return map[string]int{"bin": placed[0].Bin, "load": int(placed[0].Load), "probes": probes}, nil
+		}
+		bins, loads := make([]int, count), make([]int32, count)
+		for i, p := range placed {
+			bins[i], loads[i] = p.Bin, p.Load
+		}
+		return struct {
+			Count  int     `json:"count"`
+			Probes int     `json:"probes"`
+			Bins   []int   `json:"bins"`
+			Loads  []int32 `json:"loads"`
+		}{count, probes, bins, loads}, nil
+	})
 }
 
 func (s *server) handleFree(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.refuseDraining(w) || s.refuseReplica(w) {
-		return
-	}
-	var bin, load int
-	var err error
-	if q := r.URL.Query().Get("bin"); q != "" {
-		bin, err = strconv.Atoi(q)
-		if err != nil || bin < 0 || bin >= s.st.N() {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad bin %q", q))
-			return
-		}
-		load, err = s.st.FreeBin(bin)
-	} else {
+	s.verb(w, r, func() (any, error) {
 		// No bin: a departure drawn per the configured scenario.
-		s.mu.Lock()
-		switch s.sc {
-		case process.ScenarioB:
-			bin, err = s.st.FreeNonEmpty(s.r)
-		default:
-			bin, err = s.st.FreeBall(s.r)
+		fromBin, bin := r.URL.Query().Get("bin") != "", 0
+		if fromBin {
+			var err error
+			if bin, err = intParam(r, "bin"); err != nil {
+				return nil, err
+			}
 		}
-		s.mu.Unlock()
-		if err == nil {
-			load = s.st.Load(bin)
+		placed, err := s.lane.Free(fromBin, bin, 1, nil)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"bin": bin, "load": load})
+		return map[string]int{"bin": placed[0].Bin, "load": int(placed[0].Load)}, nil
+	})
 }
 
 func (s *server) handleCrash(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.refuseDraining(w) || s.refuseReplica(w) {
-		return
-	}
-	q := r.URL.Query()
-	bin, err := strconv.Atoi(q.Get("bin"))
-	if err != nil || bin < 0 || bin >= s.st.N() {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad bin %q", q.Get("bin")))
-		return
-	}
-	k, err := strconv.Atoi(q.Get("k"))
-	if err != nil || k < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad k %q", q.Get("k")))
-		return
-	}
-	load := s.st.Crash(bin, k)
-	if det := s.detector(); det != nil {
-		det.MarkDisrupted()
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"bin": bin, "load": load, "added": k})
+	s.verb(w, r, func() (any, error) {
+		bin, err := intParam(r, "bin")
+		if err != nil {
+			return nil, err
+		}
+		k, err := intParam(r, "k")
+		if err != nil {
+			return nil, err
+		}
+		load, err := s.lane.Crash(bin, k)
+		return map[string]int{"bin": bin, "load": load, "added": k}, err
+	})
 }
 
 // handleCheckpoint forces a durability checkpoint. 409 when the daemon
 // runs without -wal-dir: there is nothing to checkpoint into.
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	if !daemon.PostOnly(w, r) {
 		return
 	}
-	if s.refuseReplica(w) {
+	if s.fol != nil && s.svc.Detector() == nil {
+		writeVerbErr(w, serve.ErrStandby) // an un-promoted replica: the follower owns the log
 		return
 	}
-	j := s.journal()
+	j := s.svc.Journal()
 	if j == nil {
-		writeErr(w, http.StatusConflict, fmt.Errorf("durability disabled (-wal-dir not set)"))
+		daemon.WriteErr(w, http.StatusConflict, fmt.Errorf("durability disabled (-wal-dir not set)"))
 		return
 	}
 	snap, path, err := j.Checkpoint()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		daemon.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	resp := map[string]any{
-		"seq": snap.Seq, "path": path, "balls": s.st.Total(),
+		"seq": snap.Seq, "path": path, "balls": s.svc.Store().Total(),
 	}
 	// The snapshot above is durable even when post-write maintenance
 	// (pruning, truncation) failed; report that as a warning, not a 500.
 	if merr := j.MaintErr(); merr != nil {
 		resp["maintenance_error"] = merr.Error()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	daemon.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
@@ -1158,25 +924,25 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	det := s.detector()
+	st, det := s.svc.Store(), s.svc.Detector()
 	if det == nil {
 		// An un-promoted replica has no detector: report the replication
 		// view instead, with the same store-shape fields the drill diffs.
 		rs := s.fol.Status()
 		if r.URL.Query().Get("summary") != "" {
-			writeJSON(w, http.StatusOK, map[string]any{
-				"n": s.st.N(), "m": s.st.Total(), "role": "replica", "replica": rs,
+			daemon.WriteJSON(w, http.StatusOK, map[string]any{
+				"n": st.N(), "m": st.Total(), "role": "replica", "replica": rs,
 			})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"n":        s.st.N(),
-			"shards":   s.st.Shards(),
+		daemon.WriteJSON(w, http.StatusOK, map[string]any{
+			"n":        st.N(),
+			"shards":   st.Shards(),
 			"role":     "replica",
-			"scenario": s.sc.String(),
+			"scenario": s.svc.Scenario().String(),
 			"replica":  rs,
-			"stats":    s.st.Stats(),
-			"loads":    s.st.LoadsCopy(),
+			"stats":    st.Stats(),
+			"loads":    st.LoadsCopy(),
 		})
 		return
 	}
@@ -1185,8 +951,8 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 		// The cheap polling form: no load vector — but with the episode
 		// aggregate, which is how the chaos drills watch MTTR accrue.
 		out := map[string]any{
-			"n":         s.st.N(),
-			"m":         s.st.Total(),
+			"n":         st.N(),
+			"m":         st.Total(),
 			"max_load":  status.MaxLoad,
 			"gap":       status.Gap,
 			"recovered": status.Recovered,
@@ -1194,50 +960,47 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 		if tr := det.Episodes(); tr != nil {
 			out["episodes"] = tr.Summary()
 		}
-		writeJSON(w, http.StatusOK, out)
+		daemon.WriteJSON(w, http.StatusOK, out)
 		return
 	}
 	ep, episodes := det.LastEpisode()
 	target := det.Target()
-	s.mu.Lock()
-	name := s.pol.Name()
-	s.mu.Unlock()
 	state := map[string]any{
-		"n":            s.st.N(),
-		"shards":       s.st.Shards(),
-		"rule":         name,
-		"scenario":     s.sc.String(),
-		"stats":        s.st.Stats(),
+		"n":            st.N(),
+		"shards":       st.Shards(),
+		"rule":         s.svc.Policy().Name(),
+		"scenario":     s.svc.Scenario().String(),
+		"stats":        st.Stats(),
 		"status":       status,
 		"target":       target,
 		"episodes":     episodes,
 		"last_episode": ep,
-		"loads":        s.st.LoadsCopy(),
+		"loads":        st.LoadsCopy(),
 	}
 	if tr := det.Episodes(); tr != nil {
 		state["episode_summary"] = tr.Summary()
 	}
-	if j := s.journal(); j != nil {
+	if j := s.svc.Journal(); j != nil {
 		state["wal_last_seq"] = j.LastSeq()
 	}
 	if s.fol != nil {
 		state["replica"] = s.fol.Status() // promoted standby: shows its lineage
 	}
-	writeJSON(w, http.StatusOK, state)
+	daemon.WriteJSON(w, http.StatusOK, state)
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	det := s.detector()
+	det := s.svc.Detector()
 	if det == nil {
 		rs := s.fol.Status()
-		writeJSON(w, http.StatusOK, map[string]any{
+		daemon.WriteJSON(w, http.StatusOK, map[string]any{
 			"ok": true, "role": "replica",
 			"connected": rs.Connected, "lag_seq": rs.LagSeq,
 		})
 		return
 	}
 	status := det.Check()
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":        true,
 		"recovered": status.Recovered,
 		"max_load":  status.MaxLoad,
@@ -1249,15 +1012,15 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // with 409 while the primary still heartbeats unless force=1, which
 // fences the primary through the stream first (docs/REPLICATION.md).
 func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	if !daemon.PostOnly(w, r) {
 		return
 	}
-	if s.refuseDraining(w) {
+	if s.svc.Draining() {
+		writeVerbErr(w, serve.ErrDraining)
 		return
 	}
 	if s.fol == nil {
-		writeErr(w, http.StatusConflict, fmt.Errorf("not a replica (-replicate-from not set)"))
+		daemon.WriteErr(w, http.StatusConflict, fmt.Errorf("not a replica (-replicate-from not set)"))
 		return
 	}
 	res, err := s.promote(r.URL.Query().Get("force") != "")
@@ -1266,22 +1029,12 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, replica.ErrPrimaryAlive) {
 			code = http.StatusConflict
 		}
-		writeErr(w, code, err)
+		daemon.WriteErr(w, code, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"last_seq": res.LastSeq, "forced": res.Forced, "skipped_frees": res.SkippedFrees,
 	})
-}
-
-func parseScenario(s string) (process.Scenario, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "A":
-		return process.ScenarioA, nil
-	case "B":
-		return process.ScenarioB, nil
-	}
-	return 0, fmt.Errorf("unknown scenario %q (want A or B)", s)
 }
 
 // resolveRuleSpec folds the -d/-x/-beta shorthands into one ParsePolicy

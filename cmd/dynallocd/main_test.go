@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"dynalloc/internal/daemon"
 	"dynalloc/internal/process"
 	"dynalloc/internal/serve"
 	"dynalloc/internal/vfs"
@@ -24,7 +27,9 @@ func newTestServer(t *testing.T) (*server, *serve.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(st, serve.NewDetector(st, target), pol, process.ScenarioA, 7), st
+	svc := serve.NewService(st, pol, process.ScenarioA, 7)
+	svc.Arm(nil, serve.NewDetector(st, target))
+	return newServer(svc), st
 }
 
 func do(t *testing.T, h http.Handler, method, url string) (int, map[string]any) {
@@ -145,12 +150,12 @@ func TestParseScenario(t *testing.T) {
 		"A": process.ScenarioA, "a": process.ScenarioA,
 		"B": process.ScenarioB, " b ": process.ScenarioB,
 	} {
-		got, err := parseScenario(in)
+		got, err := daemon.ParseScenario(in)
 		if err != nil || got != want {
-			t.Fatalf("parseScenario(%q) = %v, %v", in, got, err)
+			t.Fatalf("daemon.ParseScenario(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := parseScenario("C"); err == nil {
+	if _, err := daemon.ParseScenario("C"); err == nil {
 		t.Fatal("parseScenario accepted C")
 	}
 }
@@ -207,7 +212,7 @@ func itoa(v int) string {
 func TestDrainRefusesMutations(t *testing.T) {
 	s, st := newTestServer(t)
 	h := s.routes()
-	s.draining.Store(true)
+	s.svc.SetDraining()
 
 	for _, url := range []string{"/alloc", "/free", "/free?bin=1", "/crash?bin=1&k=1"} {
 		code, body := do(t, h, http.MethodPost, url)
@@ -318,5 +323,98 @@ func TestRunRejectsBadFsyncPolicy(t *testing.T) {
 	})
 	if code != 2 {
 		t.Fatalf("bad -fsync exited %d, want 2", code)
+	}
+}
+
+// TestVerbErrStatusTable pins the HTTP codec's mapping of every Service
+// refusal (docs/SERVING.md, "Verbs, refusals and errors").
+func TestVerbErrStatusTable(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{serve.ErrDraining, http.StatusServiceUnavailable},
+		{serve.ErrStandby, http.StatusConflict},
+		{serve.ErrEmpty, http.StatusConflict},
+		{serve.ErrEmptyBin, http.StatusConflict},
+		{fmt.Errorf("%w: count 0", serve.ErrBadRequest), http.StatusBadRequest},
+		{fmt.Errorf("%w: %v", serve.ErrBadRequest, serve.ErrOverflow), http.StatusBadRequest},
+		{errors.New("anything else"), http.StatusInternalServerError},
+	} {
+		rec := httptest.NewRecorder()
+		writeVerbErr(rec, tc.err)
+		if rec.Code != tc.want {
+			t.Errorf("writeVerbErr(%v) = %d, want %d", tc.err, rec.Code, tc.want)
+		}
+	}
+}
+
+// TestHandleAllocCount covers /alloc?count=N: the batch reply shape,
+// count=1 keeping the single-ball shape, and the bound — the Service's,
+// so HTTP and dgram refuse the same counts.
+func TestHandleAllocCount(t *testing.T) {
+	s, st := newTestServer(t)
+	h := s.routes()
+	code, body := do(t, h, http.MethodPost, "/alloc?count=300")
+	if code != http.StatusOK || body["count"].(float64) != 300 || body["probes"].(float64) != 600 {
+		t.Fatalf("POST /alloc?count=300 = %d, body %v", code, body)
+	}
+	if bins, loads := body["bins"].([]any), body["loads"].([]any); len(bins) != 300 || len(loads) != 300 {
+		t.Fatalf("batch reply carries %d bins, %d loads", len(bins), len(loads))
+	}
+	if code, body = do(t, h, http.MethodPost, "/alloc?count=1"); code != http.StatusOK || body["bin"] == nil || body["bins"] != nil {
+		t.Fatalf("POST /alloc?count=1 = %d, body %v", code, body)
+	}
+	before := st.Stats()
+	for _, url := range []string{"/alloc?count=0", "/alloc?count=-3", "/alloc?count=1048577", "/alloc?count=3145728", "/alloc?count=many"} {
+		if code, _ := do(t, h, http.MethodPost, url); code != http.StatusBadRequest {
+			t.Fatalf("POST %s = %d, want 400", url, code)
+		}
+	}
+	if st.Stats() != before {
+		t.Fatalf("refused counts changed the store: %+v -> %+v", before, st.Stats())
+	}
+}
+
+// TestHandleCrashOverflow is the HTTP face of the crash-overflow
+// regression: a k the bin's int32 load cannot hold is a 400, not a
+// panic with the stripe lock held.
+func TestHandleCrashOverflow(t *testing.T) {
+	s, st := newTestServer(t)
+	h := s.routes()
+	before := st.Stats()
+	for _, url := range []string{"/crash?bin=0&k=2147483648", "/crash?bin=0&k=2147483647", "/crash?bin=0&k=9223372036854775807"} {
+		if code, body := do(t, h, http.MethodPost, url); code != http.StatusBadRequest {
+			t.Fatalf("POST %s = %d, body %v; want 400", url, code, body)
+		}
+	}
+	if st.Stats() != before {
+		t.Fatalf("refused crashes changed the store: %+v -> %+v", before, st.Stats())
+	}
+	if code, body := do(t, h, http.MethodPost, "/crash?bin=0&k=2147483646"); code != http.StatusOK || body["load"].(float64) != 2147483647 {
+		t.Fatalf("crash to the brim = %d, body %v", code, body)
+	}
+}
+
+// TestStandbyRefusesMutations: an un-promoted replica's Service answers
+// the mutating endpoints 409, and Arm — what promotion ends with —
+// lifts the refusal on the same server.
+func TestStandbyRefusesMutations(t *testing.T) {
+	st := serve.NewStoreShards(64, 8)
+	st.FillBalanced(64)
+	svc := serve.NewService(st, serve.NewABKUPolicy(2), process.ScenarioA, 7)
+	svc.SetStandby()
+	h := newServer(svc).routes()
+	for _, url := range []string{"/alloc", "/alloc?count=9", "/free", "/free?bin=1", "/crash?bin=1&k=1"} {
+		if code, body := do(t, h, http.MethodPost, url); code != http.StatusConflict {
+			t.Fatalf("POST %s on a standby = %d, body %v; want 409", url, code, body)
+		}
+	}
+	if st.Allocs() != 0 || st.Frees() != 0 || st.Total() != 64 {
+		t.Fatalf("standby mutated the store: %+v", st.Stats())
+	}
+	svc.Arm(nil, serve.NewDetector(st, serve.Target{PredictedMax: 4}))
+	if code, _ := do(t, h, http.MethodPost, "/alloc"); code != http.StatusOK {
+		t.Fatalf("POST /alloc after Arm = %d", code)
 	}
 }

@@ -13,7 +13,8 @@
 //	dynrouter -shards ... -traffic 8                            # plus continuous traffic workers
 //	dynrouter -shards ... -drive -crash 4096                    # cluster recovery drill, report vs budget
 //
-// Endpoints (the dynallocd surface, routed):
+// Endpoints (the dynallocd surface, routed; what the shard behind each
+// call accepts and refuses is the verb table in docs/SERVING.md):
 //
 //	POST /alloc                    admit one ball, returns {shard, bin, load, probes}
 //	POST /free[?shard=S&bin=B]     cluster departure (or targeted free)
@@ -31,10 +32,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"net"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -46,44 +47,38 @@ import (
 	"syscall"
 	"time"
 
+	"dynalloc/internal/daemon"
 	"dynalloc/internal/dgram"
 	"dynalloc/internal/metrics"
-	"dynalloc/internal/process"
 	"dynalloc/internal/rng"
 	"dynalloc/internal/router"
 	"dynalloc/internal/serve"
 )
 
-// httpStreamOffset keeps the HTTP admission rng stream disjoint from
-// the traffic/drive workers (streams 0..W-1), matching dynallocd's
-// stream layout.
-const httpStreamOffset = 1 << 33
-
 func main() {
-	var (
-		shards   = flag.String("shards", "", "comma-separated dgram addresses of the shard fleet (required)")
-		d        = flag.Int("d", 2, "cluster probe fan-out: admit at the least loaded of d probed shards")
-		addr     = flag.String("addr", ":8090", "HTTP listen address (empty: no server; port 0: ephemeral, see -port-file)")
-		portFile = flag.String("port-file", "", "write the resolved HTTP listen address to this file once listening")
-		ruleSpec = flag.String("rule", "abku:2", "the shards' local admission rule (for the aggregate fluid target)")
-		scen     = flag.String("scenario", "A", "the shards' departure scenario: A or B")
-		seed     = flag.Uint64("seed", 1998, "rng seed (workers use derived streams)")
-		slack    = flag.Int("slack", 2, "recovery threshold slack above the aggregate fluid prediction")
-		waitFor  = flag.Duration("wait", 15*time.Second, "max time to wait for every shard to answer at boot")
+	var opt options
+	flag.StringVar(&opt.shards, "shards", "", "comma-separated dgram addresses of the shard fleet (required)")
+	flag.IntVar(&opt.d, "d", 2, "cluster probe fan-out: admit at the least loaded of d probed shards")
+	flag.StringVar(&opt.addr, "addr", ":8090", "HTTP listen address (empty: no server; port 0: ephemeral, see -port-file)")
+	flag.StringVar(&opt.portFile, "port-file", "", "write the resolved HTTP listen address to this file once listening")
+	flag.StringVar(&opt.ruleSpec, "rule", "abku:2", "the shards' local admission rule (for the aggregate fluid target)")
+	flag.StringVar(&opt.scenario, "scenario", "A", "the shards' departure scenario: A or B")
+	flag.Uint64Var(&opt.seed, "seed", 1998, "rng seed (workers use derived streams)")
+	flag.IntVar(&opt.slack, "slack", 2, "recovery threshold slack above the aggregate fluid prediction")
+	flag.DurationVar(&opt.waitFor, "wait", 15*time.Second, "max time to wait for every shard to answer at boot")
 
-		traffic    = flag.Int("traffic", 0, "continuous closed-loop traffic workers (0: none)")
-		checkIntvl = flag.Duration("check-interval", time.Second, "cluster detector sweep cadence while serving")
+	flag.IntVar(&opt.traffic, "traffic", 0, "continuous closed-loop traffic workers (0: none)")
+	flag.DurationVar(&opt.checkInterval, "check-interval", time.Second, "cluster detector sweep cadence while serving")
 
-		drive    = flag.Bool("drive", false, "run the cluster recovery drill, then exit (unless -stay)")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "drive worker goroutines")
-		crashK   = flag.Int("crash", 4096, "drill fault: add this many balls to one bin of -crash-shard")
-		crashSh  = flag.Int("crash-shard", 0, "shard index the drill fault lands on")
-		crashBin = flag.Int("crash-bin", 0, "bin the drill fault lands in")
-		mult     = flag.Float64("budget-mult", 8, "with -drive: exit nonzero when recovery exceeds this multiple of the Theorem 1 budget (0: no gate)")
-		stay     = flag.Bool("stay", false, "after the drill, keep serving until interrupted")
+	flag.BoolVar(&opt.drive, "drive", false, "run the cluster recovery drill, then exit (unless -stay)")
+	flag.IntVar(&opt.workers, "workers", runtime.GOMAXPROCS(0), "drive worker goroutines")
+	flag.IntVar(&opt.crashK, "crash", 4096, "drill fault: add this many balls to one bin of -crash-shard")
+	flag.IntVar(&opt.crashShard, "crash-shard", 0, "shard index the drill fault lands on")
+	flag.IntVar(&opt.crashBin, "crash-bin", 0, "bin the drill fault lands in")
+	flag.Float64Var(&opt.budgetMult, "budget-mult", 8, "with -drive: exit nonzero when recovery exceeds this multiple of the Theorem 1 budget (0: no gate)")
+	flag.BoolVar(&opt.stay, "stay", false, "after the drill, keep serving until interrupted")
 
-		prof = metrics.RegisterFlags(flag.CommandLine)
-	)
+	prof := metrics.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := prof.Start()
@@ -91,14 +86,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	code := run(options{
-		shards: *shards, d: *d, addr: *addr, portFile: *portFile,
-		ruleSpec: *ruleSpec, scenario: *scen, seed: *seed, slack: *slack,
-		waitFor: *waitFor, traffic: *traffic, checkInterval: *checkIntvl,
-		drive: *drive, workers: *workers,
-		crashK: *crashK, crashShard: *crashSh, crashBin: *crashBin,
-		budgetMult: *mult, stay: *stay,
-	})
+	code := run(opt)
 	if err := stopProf(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		if code == 0 {
@@ -144,7 +132,7 @@ func run(opt options) int {
 	if len(addrs) == 0 {
 		return fail(fmt.Errorf("-shards is required (comma-separated dgram addresses)"))
 	}
-	sc, err := parseScenario(opt.scenario)
+	sc, err := daemon.ParseScenario(opt.scenario)
 	if err != nil {
 		return fail(err)
 	}
@@ -204,40 +192,23 @@ func run(opt options) int {
 	srv := newServer(rt, det, opt.seed)
 	var httpDone chan error
 	if opt.addr != "" {
-		httpDone, err = srv.serve(ctx, opt.addr, opt.portFile)
+		httpDone, err = daemon.ServeHTTP(ctx, "dynrouter", opt.addr, opt.portFile, srv.routes(), nil)
 		if err != nil {
 			return fail(err)
 		}
 	}
 
-	// Continuous traffic: closed-loop admit/free pairs, the live-fleet
-	// equivalent of the engine's closed loop. Total ball mass is
-	// conserved, so the fluid target stays valid, and every
-	// client-visible error is counted — the drill's "zero errors while
-	// degraded" assertion reads this counter off /state.
+	// Continuous traffic: the live-fleet equivalent of the engine's
+	// closed loop. Every client-visible error is counted — the drill's
+	// "zero errors while degraded" assertion reads this counter off
+	// /state.
 	var twg sync.WaitGroup
 	trafficStop := make(chan struct{})
 	for w := 0; w < opt.traffic; w++ {
 		twg.Add(1)
 		go func(w int) {
 			defer twg.Done()
-			ses := rt.NewSession()
-			defer ses.Close()
-			r := rng.NewStream(opt.seed, uint64(w))
-			for {
-				select {
-				case <-trafficStop:
-					return
-				default:
-				}
-				if _, err := ses.Admit(r); err != nil {
-					srv.trafficErrs.Add(1)
-				}
-				if _, err := ses.Free(r); err != nil {
-					srv.trafficErrs.Add(1)
-				}
-				srv.trafficOps.Add(2)
-			}
+			closedLoop(rt, opt.seed, w, trafficStop, &srv.trafficOps, &srv.trafficErrs)
 		}(w)
 	}
 	if opt.traffic > 0 {
@@ -253,7 +224,7 @@ func run(opt options) int {
 	}
 
 	if httpDone != nil {
-		srv.watch(ctx, opt.checkInterval)
+		daemon.Every(ctx, opt.checkInterval, func() { det.Check() })
 		if err := <-httpDone; err != nil {
 			fmt.Fprintln(os.Stderr, "dynrouter:", err)
 			if code == 0 {
@@ -274,6 +245,31 @@ func run(opt options) int {
 		}
 	}
 	return code
+}
+
+// closedLoop is one traffic worker: admit/free pairs on its own session
+// and rng stream (seed, w) until stop closes, counting every call in
+// ops and every client-visible error in errs. Ball mass is conserved,
+// which keeps the fluid target valid under -traffic and is what -drive
+// recovers through.
+func closedLoop(rt *router.Router, seed uint64, w int, stop <-chan struct{}, ops, errs *atomic.Int64) {
+	ses := rt.NewSession()
+	defer ses.Close()
+	r := rng.NewStream(seed, uint64(w))
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		if _, err := ses.Admit(r); err != nil {
+			errs.Add(1)
+		}
+		if _, err := ses.Free(r); err != nil {
+			errs.Add(1)
+		}
+		ops.Add(2)
+	}
 }
 
 // runDrive is the cluster recovery drill: crash one shard's bin to a
@@ -300,29 +296,13 @@ func runDrive(ctx context.Context, rt *router.Router, det *router.Detector, opt 
 
 	maxSteps := int64(100 * target.BudgetSteps)
 	stop := make(chan struct{})
-	var stopOnce sync.Once
 	var wg sync.WaitGroup
-	var workerErrs atomic.Int64
+	var workerOps, workerErrs atomic.Int64
 	for w := 0; w < opt.workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wses := rt.NewSession()
-			defer wses.Close()
-			r := rng.NewStream(opt.seed, uint64(w))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := wses.Admit(r); err != nil {
-					workerErrs.Add(1)
-				}
-				if _, err := wses.Free(r); err != nil {
-					workerErrs.Add(1)
-				}
-			}
+			closedLoop(rt, opt.seed, w, stop, &workerOps, &workerErrs)
 		}(w)
 	}
 
@@ -340,7 +320,7 @@ func runDrive(ctx context.Context, rt *router.Router, det *router.Detector, opt 
 			break
 		}
 	}
-	stopOnce.Do(func() { close(stop) })
+	close(stop)
 	wg.Wait()
 
 	if workerErrs.Load() > 0 {
@@ -383,7 +363,7 @@ func newServer(rt *router.Router, det *router.Detector, seed uint64) *server {
 	return &server{
 		rt: rt, det: det,
 		ses: rt.NewSession(),
-		r:   rng.NewStream(seed, httpStreamOffset),
+		r:   rng.NewStream(seed, serve.HTTPStream),
 	}
 }
 
@@ -397,97 +377,37 @@ func (s *server) routes() http.Handler {
 	return mux
 }
 
-func (s *server) serve(ctx context.Context, addr, portFile string) (chan error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("http listen: %w", err)
-	}
-	if portFile != "" {
-		if err := writePortFile(portFile, ln.Addr().String()); err != nil {
-			ln.Close()
-			return nil, err
-		}
-	}
-	hs := &http.Server{Handler: s.routes()}
-	done := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		hs.Shutdown(shutdownCtx)
-	}()
-	go func() {
-		fmt.Printf("dynrouter: listening on %s\n", ln.Addr())
-		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-			done <- err
-			return
-		}
-		done <- nil
-	}()
-	return done, nil
-}
-
-// writePortFile publishes a resolved listen address for scripts that
-// started the daemon with an ephemeral port (write + rename, so a
-// poller never reads a torn file).
-func writePortFile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return fmt.Errorf("port file: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("port file: %w", err)
-	}
-	return nil
-}
-
-// watch keeps the cluster detector sweeping until ctx is done.
-func (s *server) watch(ctx context.Context, every time.Duration) {
-	if every <= 0 {
-		every = time.Second
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			s.det.Check()
-		}
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
 func (s *server) handleAlloc(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	if !daemon.PostOnly(w, r) {
 		return
 	}
 	s.mu.Lock()
 	res, err := s.ses.Admit(s.r)
 	s.mu.Unlock()
 	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, err)
+		daemon.WriteErr(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{
+	daemon.WriteJSON(w, http.StatusOK, map[string]int{
 		"shard": res.Shard, "bin": int(res.Bin), "load": int(res.Load), "probes": res.Probes,
 	})
 }
 
+// uintParam parses the query parameter name as the uint32 the wire
+// carries it in, answering 400 (and returning false) when it is missing,
+// negative, not a number or past max — never truncating it.
+func uintParam(w http.ResponseWriter, r *http.Request, name string, max uint32) (uint32, bool) {
+	q := r.URL.Query().Get(name)
+	v, err := strconv.ParseUint(q, 10, 32)
+	if err != nil || v > uint64(max) {
+		daemon.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad %s %q", name, q))
+		return 0, false
+	}
+	return uint32(v), true
+}
+
 func (s *server) handleFree(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	if !daemon.PostOnly(w, r) {
 		return
 	}
 	q := r.URL.Query()
@@ -495,18 +415,16 @@ func (s *server) handleFree(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if q.Get("shard") != "" || q.Get("bin") != "" {
 		// Targeted free: shard + bin addressed explicitly.
-		shard, serr := strconv.Atoi(q.Get("shard"))
-		if serr != nil || shard < 0 || shard >= s.rt.NumShards() {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad shard %q", q.Get("shard")))
+		shard, ok := uintParam(w, r, "shard", uint32(s.rt.NumShards()-1))
+		if !ok {
 			return
 		}
-		bin, berr := strconv.Atoi(q.Get("bin"))
-		if berr != nil || bin < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad bin %q", q.Get("bin")))
+		bin, ok := uintParam(w, r, "bin", math.MaxUint32)
+		if !ok {
 			return
 		}
 		s.mu.Lock()
-		res, err = s.ses.FreeAt(shard, dgram.FreeReq{Mode: dgram.FreeBin, Bin: uint32(bin), Count: 1})
+		res, err = s.ses.FreeAt(int(shard), dgram.FreeReq{Mode: dgram.FreeBin, Bin: bin, Count: 1})
 		s.mu.Unlock()
 	} else {
 		s.mu.Lock()
@@ -514,45 +432,47 @@ func (s *server) handleFree(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 	}
 	if err != nil {
-		writeErr(w, http.StatusConflict, err)
+		daemon.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{
+	daemon.WriteJSON(w, http.StatusOK, map[string]int{
 		"shard": res.Shard, "bin": int(res.Bin), "load": int(res.Load),
 	})
 }
 
 func (s *server) handleCrash(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	if !daemon.PostOnly(w, r) {
 		return
 	}
-	q := r.URL.Query()
-	shard, err := strconv.Atoi(q.Get("shard"))
-	if err != nil || shard < 0 || shard >= s.rt.NumShards() {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad shard %q", q.Get("shard")))
+	shard, ok := uintParam(w, r, "shard", uint32(s.rt.NumShards()-1))
+	if !ok {
 		return
 	}
-	bin, err := strconv.Atoi(q.Get("bin"))
-	if err != nil || bin < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad bin %q", q.Get("bin")))
+	bin, ok := uintParam(w, r, "bin", math.MaxUint32)
+	if !ok {
 		return
 	}
-	k, err := strconv.Atoi(q.Get("k"))
-	if err != nil || k < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad k %q", q.Get("k")))
+	k, ok := uintParam(w, r, "k", math.MaxUint32)
+	if !ok {
 		return
 	}
 	s.mu.Lock()
-	load, err := s.ses.Crash(shard, uint32(bin), uint32(k))
+	load, err := s.ses.Crash(int(shard), bin, k)
 	s.mu.Unlock()
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, err)
+		// The shard's own refusal of the arguments is the client's error;
+		// anything else is the fleet's.
+		code := http.StatusBadGateway
+		var e dgram.ErrReply
+		if errors.As(err, &e) && e.Code == dgram.CodeBadRequest {
+			code = http.StatusBadRequest
+		}
+		daemon.WriteErr(w, code, err)
 		return
 	}
 	s.det.MarkDisrupted()
-	writeJSON(w, http.StatusOK, map[string]int{
-		"shard": shard, "bin": bin, "load": int(load), "added": k,
+	daemon.WriteJSON(w, http.StatusOK, map[string]int64{
+		"shard": int64(shard), "bin": int64(bin), "load": int64(load), "added": int64(k),
 	})
 }
 
@@ -566,7 +486,7 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 		"ops": s.trafficOps.Load(), "errors": s.trafficErrs.Load(),
 	}
 	if r.URL.Query().Get("summary") != "" {
-		writeJSON(w, http.StatusOK, map[string]any{
+		daemon.WriteJSON(w, http.StatusOK, map[string]any{
 			"max_load":    status.MaxLoad,
 			"recovered":   status.Recovered,
 			"degraded":    status.Degraded,
@@ -590,7 +510,7 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ep, episodes := s.det.LastEpisode()
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"d":            s.rt.D(),
 		"status":       status,
 		"target":       s.det.Target(),
@@ -603,20 +523,10 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := s.det.Check()
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":          true,
 		"recovered":   status.Recovered,
 		"degraded":    status.Degraded,
 		"live_shards": status.LiveShards,
 	})
-}
-
-func parseScenario(s string) (process.Scenario, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "A":
-		return process.ScenarioA, nil
-	case "B":
-		return process.ScenarioB, nil
-	}
-	return 0, fmt.Errorf("unknown scenario %q (want A or B)", s)
 }

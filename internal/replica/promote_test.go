@@ -159,8 +159,8 @@ func TestPromoteSplitBrainGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2 := serve.NewJournal(lp.sst, l2, res.LastSeq, serve.JournalOptions{MaxBatch: 4, SyncWriter: true})
-	lp.sst.Alloc(0)
-	lp.sst.Alloc(1)
+	admitOne(lp.sst, 0)
+	admitOne(lp.sst, 1)
 	lp.sst.FreeBin(2)
 	j2.Drain()
 	if _, _, err := j2.Checkpoint(); err != nil {

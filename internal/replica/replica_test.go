@@ -58,6 +58,12 @@ func newPrimary(t *testing.T, fill int, fsync wal.FsyncPolicy) *primary {
 	return p
 }
 
+// admitOne admits one ball into bin b: a pass of one through the
+// store's only admission path.
+func admitOne(st *serve.Store, b int) {
+	st.AdmitBatch([]int{b}, nil, new(serve.AdmitScratch))
+}
+
 // mutate applies ops random mutations and drains them to the log.
 func (p *primary) mutate(r *rng.RNG, ops int) {
 	for i := 0; i < ops; i++ {
@@ -67,7 +73,7 @@ func (p *primary) mutate(r *rng.RNG, ops int) {
 		case 3:
 			p.st.Crash(r.Intn(schedN), 1+r.Intn(3))
 		default:
-			p.st.Alloc(r.Intn(schedN))
+			admitOne(p.st, r.Intn(schedN))
 		}
 	}
 	p.j.Drain()

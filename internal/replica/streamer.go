@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"dynalloc/internal/dgram"
@@ -55,17 +54,11 @@ func (c *StreamerConfig) fill() error {
 
 // Streamer serves the primary's WAL to subscribed followers: one
 // Shipper per connection pumping frames off disk, heartbeats while
-// caught up, and the PROMOTE stand-down handshake. It follows the
-// accept-loop shape of router.Server: Serve on a listener, per-conn
-// goroutines tracked for Close.
+// caught up, and the PROMOTE stand-down handshake. It runs the accept
+// loop router.Server runs (dgram.Acceptor).
 type Streamer struct {
 	cfg StreamerConfig
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	acc dgram.Acceptor
 }
 
 // NewStreamer returns a Streamer for the given config.
@@ -73,81 +66,27 @@ func NewStreamer(cfg StreamerConfig) (*Streamer, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	return &Streamer{cfg: cfg, conns: make(map[net.Conn]struct{})}, nil
+	return &Streamer{cfg: cfg}, nil
 }
 
-// Serve accepts subscriptions on ln until Close. It returns nil after
-// Close, or the accept error that stopped it.
+// Serve accepts subscriptions on ln until Close, then returns nil once
+// every subscription has ended — or the accept error that stopped it.
 func (s *Streamer) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return errors.New("replica: streamer is closed")
+	if err := s.acc.Serve(ln, s.handle); err != nil {
+		return fmt.Errorf("replica: accept: %w", err)
 	}
-	s.ln = ln
-	s.mu.Unlock()
-
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return fmt.Errorf("replica: accept: %w", err)
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			c.Close()
-			return nil
-		}
-		s.conns[c] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.handle(c)
-	}
+	return nil
 }
 
 // Close stops accepting, drops every subscription, and waits for the
 // per-connection goroutines to finish.
-func (s *Streamer) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
-	return nil
-}
-
-func (s *Streamer) dropConn(c net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-	c.Close()
-}
+func (s *Streamer) Close() error { return s.acc.Close() }
 
 // handle runs one subscription: expect SUBSCRIBE, then pump the log to
 // the follower forever — records while behind, heartbeats while caught
 // up — until the connection breaks, the streamer closes, or a PROMOTE
 // fence ends the primary's reign.
 func (s *Streamer) handle(c net.Conn) {
-	defer s.wg.Done()
-	defer s.dropConn(c)
-
 	fr := dgram.NewReader(c)
 	fw := dgram.NewWriter(c)
 

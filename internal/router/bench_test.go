@@ -1,10 +1,13 @@
 package router
 
 import (
+	"bytes"
+	"io"
 	"net"
 	"sync"
 	"testing"
 
+	"dynalloc/internal/dgram"
 	"dynalloc/internal/process"
 	"dynalloc/internal/rng"
 	"dynalloc/internal/serve"
@@ -102,3 +105,57 @@ func BenchmarkSessionAdmitParallel8(b *testing.B) {
 		}
 	})
 }
+
+// feedConn is a net.Conn that serves pre-encoded request frames from
+// memory and discards the replies: the handler loop with no socket, no
+// scheduler and no peer in it.
+type feedConn struct {
+	net.Conn // nil: the handler only reads and writes
+	buf      []byte
+}
+
+func (c *feedConn) Read(p []byte) (int, error) {
+	if len(c.buf) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.buf)
+	c.buf = c.buf[n:]
+	return n, nil
+}
+func (c *feedConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkServerHandle is the shard's cost per closed-loop round —
+// decode, one Lane call, encode, for one ADMIT of 16 and 16 FREEs of
+// one — measured with the wire and the scheduler taken out, which is
+// what lets two commits be compared to a few percent where loopback
+// round trips scatter by a third. The hook variant has a mutation hook
+// installed, as a journaled shard does.
+func BenchmarkServerHandle(b *testing.B) {
+	for _, hooked := range []bool{false, true} {
+		b.Run(map[bool]string{false: "mem", true: "hook"}[hooked], func(b *testing.B) {
+			st := serve.NewStoreShards(1<<14, 8)
+			st.FillBalanced(1 << 14)
+			if hooked {
+				st.SetHook(countHook{})
+			}
+			srv := NewServer(ServerConfig{Store: st, Policy: serve.NewABKUPolicy(2), Scenario: process.ScenarioA, Seed: 1})
+			round := dgram.AppendFrame(nil, dgram.TAdmit, dgram.AppendAdmitReq(nil, dgram.AdmitReq{Count: 16}))
+			for i := 0; i < 16; i++ {
+				round = dgram.AppendFrame(round, dgram.TFree, dgram.AppendFreeReq(nil, dgram.FreeReq{Mode: dgram.FreeScenario, Count: 1}))
+			}
+			c := &feedConn{buf: bytes.Repeat(round, b.N)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			srv.handle(c)
+			if st.Total() != 1<<14 || st.Allocs() != int64(16*b.N) {
+				b.Fatalf("after %d rounds: %+v", b.N, st.Stats())
+			}
+		})
+	}
+}
+
+type countHook struct{}
+
+func (countHook) OnAllocRun([]int) {}
+func (countHook) OnFree(int)       {}
+func (countHook) OnCrash(int, int) {}

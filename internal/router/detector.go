@@ -50,16 +50,12 @@ type Detector struct {
 	checkMu sync.Mutex
 	ses     *Session // owned by checkMu
 
-	mu          sync.Mutex // guards everything below
-	recovered   bool
-	disruptedAt int64
-	disruptedTS time.Time
-	cached      []dgram.Summary // last successful probe per shard
-	haveCached  []bool
-	last        ClusterStatus
-	haveLast    bool
-	lastEpisode serve.Episode
-	episodes    int64
+	mu         sync.Mutex         // guards everything below
+	ep         serve.EpisodeState // the transitions, shared with serve.Detector
+	cached     []dgram.Summary    // last successful probe per shard
+	haveCached []bool
+	last       ClusterStatus
+	haveLast   bool
 }
 
 // NewDetector returns a cluster detector over rt with the given
@@ -67,14 +63,15 @@ type Detector struct {
 // that observes a typical, fully-reachable fleet closes the boot
 // episode.
 func NewDetector(rt *Router, target serve.Target) *Detector {
-	return &Detector{
-		rt:          rt,
-		target:      target,
-		ses:         rt.NewSession(),
-		disruptedTS: time.Now(),
-		cached:      make([]dgram.Summary, rt.NumShards()),
-		haveCached:  make([]bool, rt.NumShards()),
+	d := &Detector{
+		rt:         rt,
+		target:     target,
+		ses:        rt.NewSession(),
+		cached:     make([]dgram.Summary, rt.NumShards()),
+		haveCached: make([]bool, rt.NumShards()),
 	}
+	d.ep.Start(0, time.Now())
+	return d
 }
 
 // Target returns the detector's aggregate recovery target.
@@ -84,7 +81,7 @@ func (d *Detector) Target() serve.Target { return d.target }
 func (d *Detector) Recovered() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.recovered
+	return d.ep.Recovered
 }
 
 // Last returns the most recent observation, if any Check has run.
@@ -99,7 +96,7 @@ func (d *Detector) Last() (ClusterStatus, bool) {
 func (d *Detector) LastEpisode() (serve.Episode, int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.lastEpisode, d.episodes
+	return d.ep.Last, d.ep.Episodes
 }
 
 // MarkDisrupted opens an outage at the current cluster step clock (the
@@ -110,11 +107,7 @@ func (d *Detector) LastEpisode() (serve.Episode, int64) {
 func (d *Detector) MarkDisrupted() {
 	now := time.Now()
 	d.mu.Lock()
-	if d.recovered {
-		d.recovered = false
-		d.disruptedAt = d.stepsLocked()
-		d.disruptedTS = now
-	}
+	d.ep.Disrupt(d.stepsLocked(), now)
 	d.mu.Unlock()
 	metrics.SetGauge("router.cluster.recovered", 0)
 }
@@ -190,18 +183,9 @@ func (d *Detector) Check() ClusterStatus {
 	}
 	s.Recovered = !s.Degraded && live > 0 && s.MaxLoad <= d.target.MaxLoad()
 
-	switch {
-	case !d.recovered && s.Recovered:
-		ep := serve.Episode{Steps: s.Steps - d.disruptedAt, Wall: now.Sub(d.disruptedTS)}
-		d.lastEpisode = ep
-		d.episodes++
-		d.recovered = true
+	if ep, closed, _ := d.ep.Observe(s.Recovered, s.Steps, now); closed {
 		metrics.ObserveHistogram("router.recovery.steps", ep.Steps)
 		metrics.ObserveHistogram("router.recovery.wall_ns", ep.Wall.Nanoseconds())
-	case d.recovered && !s.Recovered:
-		d.recovered = false
-		d.disruptedAt = s.Steps
-		d.disruptedTS = now
 	}
 	d.last = s
 	d.haveLast = true

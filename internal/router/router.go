@@ -11,6 +11,7 @@ import (
 	"dynalloc/internal/dgram"
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/rng"
+	"dynalloc/internal/serve"
 )
 
 // MaxD caps the router's probe fan-out; a d beyond the shard count is
@@ -442,10 +443,11 @@ func (s *Session) Admit(r *rng.RNG) (AdmitResult, error) {
 // d-choice placement inside its shard). Results are appended to dst
 // (one per ball, reusable across calls). On a mid-batch failure the
 // whole batch is retried elsewhere, so balls are admitted at least
-// once — the same contract as Admit.
+// once — the same contract as Admit. A count outside 1..serve.MaxCount
+// is refused here, as every shard would refuse it.
 func (s *Session) AdmitBatch(r *rng.RNG, count int, dst []AdmitResult) ([]AdmitResult, error) {
-	if count < 1 {
-		return dst, fmt.Errorf("router: admit batch of %d", count)
+	if count < 1 || count > serve.MaxCount {
+		return dst, fmt.Errorf("router: admit batch of %d (want 1..%d)", count, serve.MaxCount)
 	}
 	record := metrics.Enabled()
 	var t0 time.Time

@@ -16,6 +16,7 @@ import (
 // a loopback listener.
 type testShard struct {
 	st   *serve.Store
+	svc  *serve.Service // the shard's verb table: the tests flip its gate
 	srv  *Server
 	ln   net.Listener
 	addr string
@@ -34,12 +35,14 @@ func startShardStore(t *testing.T, st *serve.Store, seed uint64, det *serve.Dete
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(ServerConfig{Store: st, Policy: pol, Scenario: process.ScenarioA, Seed: seed, Detector: det})
+	svc := serve.NewService(st, pol, process.ScenarioA, seed)
+	svc.Arm(nil, det)
+	srv := NewServiceServer(svc)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := &testShard{st: st, srv: srv, ln: ln, addr: ln.Addr().String(), done: make(chan struct{})}
+	sh := &testShard{st: st, svc: svc, srv: srv, ln: ln, addr: ln.Addr().String(), done: make(chan struct{})}
 	go func() {
 		defer close(sh.done)
 		srv.Serve(ln)
@@ -103,8 +106,9 @@ func TestAdmitPrefersLeastLoadedShard(t *testing.T) {
 	b := startShard(t, 64, 2, nil)
 	c := startShard(t, 64, 3, nil)
 	// Preload shard a well above the others.
+	var sc serve.AdmitScratch
 	for i := 0; i < 300; i++ {
-		a.st.Alloc(i % 64)
+		a.st.AdmitBatch([]int{i % 64}, nil, &sc)
 	}
 	rt := newTestRouter(t, 3, a, b, c)
 	ses := rt.NewSession()
@@ -271,13 +275,10 @@ func TestSessionStateAndCrash(t *testing.T) {
 		t.Fatalf("free bin: %+v, err %v", res, err)
 	}
 	// Draining shard refuses mutations with CodeDraining.
-	a.srv.SetDraining(true)
-	var e dgram.ErrReply
+	a.svc.SetDraining()
 	if _, err := ses.Admit(rng.NewStream(1, 0)); err == nil {
 		t.Fatal("admit on a draining single-shard cluster must fail")
 	}
-	a.srv.SetDraining(false)
-	_ = e
 }
 
 // TestClusterDetector drives the full episode lifecycle: boot

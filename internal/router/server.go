@@ -28,175 +28,98 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 
 	"dynalloc/internal/dgram"
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/process"
-	"dynalloc/internal/rng"
 	"dynalloc/internal/serve"
 )
-
-// serverStreamOffset keeps the dgram listener's per-connection rng
-// streams disjoint from the drive workers (0..W-1), their pacing
-// streams (1<<32), and the HTTP admission stream (1<<33).
-const serverStreamOffset = 1 << 34
-
-// admitChunk bounds the per-connection batch-lane scratch: an ADMIT
-// request's Count is admitted in chunks of this many balls through
-// Store.AdmitBatch (the choices within a chunk do not see the chunk's
-// own admissions — the pipelining the router client already accepts).
-const admitChunk = 256
 
 // ServerConfig wires a shard's dgram listener to its store.
 type ServerConfig struct {
 	Store    *serve.Store
 	Policy   serve.Policy
 	Scenario process.Scenario
-	// Seed derives per-connection rng streams (serverStreamOffset +
-	// connection ordinal), so admissions through the binary protocol are
-	// deterministic per connection and disjoint from every other stream
-	// of the daemon.
+	// Seed derives the per-connection rng streams (serve.DgramStream +
+	// connection ordinal): deterministic per connection.
 	Seed uint64
 	// Detector, when set, supplies the Recovered bit of PROBE replies
 	// and is notified (MarkDisrupted) on CRASH injections.
 	Detector *serve.Detector
 }
 
-// Server serves the dgram protocol for one shard. One goroutine per
-// connection; each connection gets its own policy clone and rng
-// stream, so connections never contend on admission state — the same
-// isolation the Engine gives its workers.
+// Server is the dgram codec over one shard's serve.Service: it decodes
+// a frame, makes one Lane call (or reads the store, for PROBE and
+// STATE), and encodes the reply; every check, bound and refusal of the
+// mutating verbs is the Service's. One goroutine per connection, each
+// with its own Lane (policy clone + rng stream serve.DgramStream +
+// connection ordinal), so connections never contend on admission
+// state and admissions are deterministic per connection.
 type Server struct {
-	cfg      ServerConfig
-	draining atomic.Bool
-	connSeq  atomic.Uint64
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	svc     *serve.Service
+	connSeq atomic.Uint64
+	acc     dgram.Acceptor
 }
 
-// NewServer returns a Server for cfg. It panics without a store or
-// policy, mirroring serve.NewEngine.
+// NewServer returns a Server over a Service of its own built from cfg.
+// It panics without a store or policy, mirroring serve.NewEngine.
 func NewServer(cfg ServerConfig) *Server {
-	if cfg.Store == nil || cfg.Policy == nil {
-		panic("router: server needs a store and a policy")
-	}
-	return &Server{cfg: cfg, conns: make(map[net.Conn]struct{})}
+	svc := serve.NewService(cfg.Store, cfg.Policy, cfg.Scenario, cfg.Seed)
+	svc.Arm(nil, cfg.Detector)
+	return NewServiceServer(svc)
 }
 
-// SetDraining flips the drain refusal: while true, mutating requests
-// (ADMIT/FREE/CRASH) answer TErr/CodeDraining so a shutdown checkpoint
-// sees a quiesced store; PROBE and STATE stay live for observability.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
+// NewServiceServer returns a Server over svc — the form a daemon uses
+// to put its dgram and HTTP front ends over ONE service, and so one
+// gate: svc.SetDraining refuses mutations on both.
+func NewServiceServer(svc *serve.Service) *Server {
+	return &Server{svc: svc}
+}
 
 // Serve accepts connections on ln until Close (or an unrecoverable
 // accept error) and blocks until every connection handler has exited.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return errors.New("router: server already closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-
-	var err error
-	for {
-		c, aerr := ln.Accept()
-		if aerr != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if !closed {
-				err = aerr
-			}
-			break
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			c.Close()
-			break
-		}
-		s.conns[c] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.handle(c)
-	}
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Serve(ln net.Listener) error { return s.acc.Serve(ln, s.handle) }
 
 // Close stops accepting, closes every live connection, and waits for
 // the handlers to exit.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.acc.Close() }
 
-func (s *Server) dropConn(c net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-	c.Close()
-	s.wg.Done()
+// errCode maps a decode failure or a Service refusal to the protocol's
+// error vocabulary. A standby answers as a draining shard does: the
+// router pushes the traffic elsewhere and keeps probing.
+func errCode(err error) dgram.ErrCode {
+	switch {
+	case errors.Is(err, dgram.ErrShort), errors.Is(err, serve.ErrBadRequest):
+		return dgram.CodeBadRequest
+	case errors.Is(err, serve.ErrEmpty), errors.Is(err, serve.ErrEmptyBin):
+		return dgram.CodeEmpty
+	case errors.Is(err, serve.ErrDraining), errors.Is(err, serve.ErrStandby):
+		return dgram.CodeDraining
+	}
+	return dgram.CodeInternal
 }
 
 // handle is one connection's request loop. All reply encoding goes
 // through per-connection scratch buffers, so a steady request stream
 // does not allocate.
 func (s *Server) handle(c net.Conn) {
-	defer s.dropConn(c)
-	st := s.cfg.Store
-	pol := s.cfg.Policy.Clone()
-	bpol, _ := pol.(serve.BatchPolicy)
-	r := rng.NewStream(s.cfg.Seed, serverStreamOffset+s.connSeq.Add(1))
+	st := s.svc.Store()
+	lane := s.svc.NewLane(serve.DgramStream + s.connSeq.Add(1))
 	fr := dgram.NewReader(c)
 	fw := dgram.NewWriter(c)
 
-	var payload []byte        // reply payload scratch
-	var pairs []dgram.BinLoad // admit/free pair scratch
-	var loads []int32         // STATE loads scratch
+	var payload []byte           // reply payload scratch
+	var placed []serve.Placement // admit/free outcomes
+	var pairs []dgram.BinLoad    // ... in their wire form
+	var loads []int32            // STATE loads scratch
 
-	// ADMIT batch-lane scratch: requests are chunked through
-	// Store.AdmitBatch in admitChunk slices, so a connection's steady
-	// admission stream stays zero-alloc with bounded scratch no matter
-	// how large a Count the peer asks for.
-	var admitBins [admitChunk]int
-	var admitLoads [admitChunk]int32
-	var admitScratch serve.AdmitScratch
-
-	reply := func(t dgram.Type, p []byte) bool {
-		if err := fw.WriteFrame(t, p); err != nil {
-			return false
+	binLoads := func() []byte {
+		pairs = pairs[:0]
+		for _, p := range placed {
+			pairs = append(pairs, dgram.BinLoad{Bin: uint32(p.Bin), Load: p.Load})
 		}
-		return true
-	}
-	replyErr := func(code dgram.ErrCode, msg string) bool {
-		metrics.AddCounter("dgram.server.errors", 1)
-		payload = dgram.AppendErrReply(payload[:0], dgram.ErrReply{Code: code, Msg: msg})
-		return reply(dgram.TErr, payload)
+		return dgram.AppendBinLoads(payload[:0], pairs)
 	}
 
 	for {
@@ -205,6 +128,7 @@ func (s *Server) handle(c net.Conn) {
 			return // connection gone, version skew, or corruption: drop it
 		}
 		metrics.AddCounter("dgram.server.requests", 1)
+		var rt dgram.Type // the reply when err stays nil
 		switch t {
 		case dgram.TProbe:
 			sum := st.LoadSummary()
@@ -216,139 +140,36 @@ func (s *Server) handle(c net.Conn) {
 				Allocs:   sum.Allocs,
 				Frees:    sum.Frees,
 			}
-			if d := s.cfg.Detector; d != nil {
+			if d := s.svc.Detector(); d != nil {
 				w.Recovered = d.Recovered()
 			}
-			payload = dgram.AppendSummary(payload[:0], w)
-			if !reply(dgram.TSummary, payload) {
-				return
-			}
+			rt, payload = dgram.TSummary, dgram.AppendSummary(payload[:0], w)
 
 		case dgram.TAdmit:
-			q, derr := dgram.DecodeAdmitReq(req)
-			if derr != nil {
-				if !replyErr(dgram.CodeBadRequest, derr.Error()) {
-					return
-				}
-				continue
+			var q dgram.AdmitReq
+			if q, err = dgram.DecodeAdmitReq(req); err == nil {
+				placed, _, err = lane.Admit(int(q.Count), placed[:0])
 			}
-			if s.draining.Load() {
-				if !replyErr(dgram.CodeDraining, "shutting down") {
-					return
-				}
-				continue
-			}
-			pairs = pairs[:0]
-			for left := q.Count; left > 0; {
-				n := int(left)
-				if n > admitChunk {
-					n = admitChunk
-				}
-				bins := admitBins[:n]
-				if bpol != nil {
-					bpol.PickBatch(st, r, bins)
-				} else {
-					for i := range bins {
-						bins[i], _ = pol.Pick(st, r)
-					}
-				}
-				st.AdmitBatch(bins, admitLoads[:n], &admitScratch)
-				for i := range bins {
-					pairs = append(pairs, dgram.BinLoad{Bin: uint32(bins[i]), Load: admitLoads[i]})
-				}
-				left -= uint32(n)
-			}
-			payload = dgram.AppendBinLoads(payload[:0], pairs)
-			if !reply(dgram.TAdmitOK, payload) {
-				return
+			if rt = dgram.TAdmitOK; err == nil {
+				payload = binLoads()
 			}
 
 		case dgram.TFree:
-			q, derr := dgram.DecodeFreeReq(req)
-			if derr != nil {
-				if !replyErr(dgram.CodeBadRequest, derr.Error()) {
-					return
-				}
-				continue
+			var q dgram.FreeReq
+			if q, err = dgram.DecodeFreeReq(req); err == nil {
+				placed, err = lane.Free(q.Mode == dgram.FreeBin, int(q.Bin), int(q.Count), placed[:0])
 			}
-			if s.draining.Load() {
-				if !replyErr(dgram.CodeDraining, "shutting down") {
-					return
-				}
-				continue
-			}
-			if q.Mode == dgram.FreeBin && int(q.Bin) >= st.N() {
-				if !replyErr(dgram.CodeBadRequest, fmt.Sprintf("bin %d out of range", q.Bin)) {
-					return
-				}
-				continue
-			}
-			pairs = pairs[:0]
-			var ferr error
-			for i := uint32(0); i < q.Count && ferr == nil; i++ {
-				var bin, load int
-				switch {
-				case q.Mode == dgram.FreeBin:
-					bin = int(q.Bin)
-					load, ferr = st.FreeBin(bin)
-				case s.cfg.Scenario == process.ScenarioB:
-					bin, ferr = st.FreeNonEmpty(r)
-					if ferr == nil {
-						load = st.Load(bin)
-					}
-				default:
-					bin, ferr = st.FreeBall(r)
-					if ferr == nil {
-						load = st.Load(bin)
-					}
-				}
-				if ferr == nil {
-					pairs = append(pairs, dgram.BinLoad{Bin: uint32(bin), Load: int32(load)})
-				}
-			}
-			if ferr != nil && len(pairs) == 0 {
-				code := dgram.CodeInternal
-				if errors.Is(ferr, serve.ErrEmpty) || errors.Is(ferr, serve.ErrEmptyBin) {
-					code = dgram.CodeEmpty
-				}
-				if !replyErr(code, ferr.Error()) {
-					return
-				}
-				continue
-			}
-			payload = dgram.AppendBinLoads(payload[:0], pairs)
-			if !reply(dgram.TFreeOK, payload) {
-				return
+			if rt = dgram.TFreeOK; err == nil {
+				payload = binLoads()
 			}
 
 		case dgram.TCrash:
-			q, derr := dgram.DecodeCrashReq(req)
-			if derr != nil {
-				if !replyErr(dgram.CodeBadRequest, derr.Error()) {
-					return
-				}
-				continue
+			var q dgram.CrashReq
+			var load int
+			if q, err = dgram.DecodeCrashReq(req); err == nil {
+				load, err = lane.Crash(int(q.Bin), int(q.K))
 			}
-			if s.draining.Load() {
-				if !replyErr(dgram.CodeDraining, "shutting down") {
-					return
-				}
-				continue
-			}
-			if int(q.Bin) >= st.N() {
-				if !replyErr(dgram.CodeBadRequest, fmt.Sprintf("bin %d out of range", q.Bin)) {
-					return
-				}
-				continue
-			}
-			load := st.Crash(int(q.Bin), int(q.K))
-			if d := s.cfg.Detector; d != nil {
-				d.MarkDisrupted()
-			}
-			payload = dgram.AppendLoad(payload[:0], int32(load))
-			if !reply(dgram.TCrashOK, payload) {
-				return
-			}
+			rt, payload = dgram.TCrashOK, dgram.AppendLoad(payload[:0], int32(load))
 
 		case dgram.TState:
 			n := st.N()
@@ -360,17 +181,25 @@ func (s *Server) handle(c net.Conn) {
 				loads[b] = int32(st.Load(b))
 			}
 			w := dgram.StateReply{Allocs: st.Allocs(), Frees: st.Frees(), Loads: loads}
-			payload = dgram.AppendStateReply(payload[:0], w)
-			if !reply(dgram.TStateOK, payload) {
-				return
+			rt, payload = dgram.TStateOK, dgram.AppendStateReply(payload[:0], w)
+			if len(payload) > dgram.MaxPayload {
+				// WriteFrame panics past MaxPayload; PROBE still serves a
+				// store this large.
+				err = fmt.Errorf("state of %d bins exceeds one frame", n)
 			}
 
 		default:
 			// A reply type (or anything else) arriving as a request is a
 			// confused peer, not a crash.
-			if !replyErr(dgram.CodeBadRequest, "unexpected frame "+t.String()) {
-				return
-			}
+			err = fmt.Errorf("%w: unexpected frame %v", serve.ErrBadRequest, t)
+		}
+		if err != nil {
+			metrics.AddCounter("dgram.server.errors", 1)
+			rt = dgram.TErr
+			payload = dgram.AppendErrReply(payload[:0], dgram.ErrReply{Code: errCode(err), Msg: err.Error()})
+		}
+		if fw.WriteFrame(rt, payload) != nil {
+			return
 		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // The allocation-budget tier: testing.AllocsPerRun gates on the
-// batched admission pipeline. The engine (non-durable) lane must run
-// at literally zero heap allocations per pass in steady state — the
+// admission lane, at every pass size and through both of its callers
+// (the Engine's Batcher, the Service's Lane). The non-durable lane must
+// run at literally zero heap allocations per pass in steady state — the
 // claim ROADMAP item 1 closes and BENCH_baseline.json pins for the
 // serve/admit-batch workload — and the durable lane gets an explicit
 // ceiling instead of a vibe. These tests run on a dedicated CI leg
@@ -66,6 +67,90 @@ func TestAllocBudgetAdmitBatch(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A pass of one — the paper's phase, and what the engine drives at the
+// default Config.Batch — is held to the same zero as a pass of 64: the
+// lane has no cheaper twin to fall back on.
+func TestAllocBudgetPassOfOne(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are meaningless under -race instrumentation")
+	}
+	for _, sc := range []process.Scenario{process.ScenarioA, process.ScenarioB} {
+		for _, pol := range budgetPolicies() {
+			t.Run(fmt.Sprintf("%v/%s", sc, pol.Name()), func(t *testing.T) {
+				bt, r := warmBatcher(pol, sc, 1)
+				avg := testing.AllocsPerRun(200, func() {
+					if _, err := bt.Pass(r, 1); err != nil {
+						panic(err)
+					}
+				})
+				if avg != 0 {
+					t.Errorf("admit pass of one: %v allocs/pass, want exactly 0", avg)
+				}
+			})
+		}
+	}
+}
+
+// warmLane builds a loaded store behind a Service and a Lane whose
+// scratch and reply buffer have grown to steady state.
+func warmLane(sc process.Scenario) (*Lane, []Placement) {
+	st := NewStoreShards(1<<12, 64)
+	st.FillBalanced(1 << 12)
+	svc := NewService(st, NewABKUPolicy(2), sc, 0xA110C)
+	svc.Arm(nil, NewDetector(st, Target{PredictedMax: 3, Slack: 1}))
+	lane := svc.NewLane(DgramStream + 1)
+	dst, _, err := lane.Admit(2*laneChunk, nil)
+	if err != nil {
+		panic(err)
+	}
+	if dst, err = lane.Free(false, 0, 2*laneChunk, dst[:0]); err != nil {
+		panic(err)
+	}
+	return lane, dst
+}
+
+// The Service's verbs are what every dgram frame and HTTP request runs:
+// gate check, bounds, chunking, picks, admission, and the Placement
+// reply — at 0 allocs per call once dst has grown, memory-only.
+func TestAllocBudgetLane(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are meaningless under -race instrumentation")
+	}
+	for _, sc := range []process.Scenario{process.ScenarioA, process.ScenarioB} {
+		lane, dst := warmLane(sc)
+		for _, count := range []int{1, 16} {
+			t.Run(fmt.Sprintf("%v/Admit(%d)+Free(%d)", sc, count, count), func(t *testing.T) {
+				avg := testing.AllocsPerRun(200, func() {
+					var err error
+					if dst, _, err = lane.Admit(count, dst[:0]); err != nil {
+						panic(err)
+					}
+					if dst, err = lane.Free(false, 0, count, dst[:0]); err != nil {
+						panic(err)
+					}
+				})
+				if avg != 0 {
+					t.Errorf("Lane.Admit(%d) + Lane.Free(%d): %v allocs, want exactly 0", count, count, avg)
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("%v/FreeBin+Admit", sc), func(t *testing.T) {
+			avg := testing.AllocsPerRun(200, func() {
+				var err error
+				if dst, _, err = lane.Admit(1, dst[:0]); err != nil {
+					panic(err)
+				}
+				if dst, err = lane.Free(true, dst[0].Bin, 1, dst[:0]); err != nil {
+					panic(err)
+				}
+			})
+			if avg != 0 {
+				t.Errorf("Lane.Free from a bin: %v allocs, want exactly 0", avg)
+			}
+		})
 	}
 }
 
@@ -128,6 +213,47 @@ func TestAllocBudgetDurableAdmitBatch(t *testing.T) {
 	const ceiling = 8.0
 	if avg > ceiling {
 		t.Errorf("durable batched admit pass: %v allocs/pass, ceiling %v", avg, ceiling)
+	}
+	if err := j.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Lane.Admit(16) through a journal is held to the ceiling the Batcher's
+// durable pass has above, on the same SyncWriter-on-simfs rig: one run
+// is 16 frees + one ADMIT of 16 and a Drain of their 32 records.
+func TestAllocBudgetDurableLaneAdmit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are meaningless under -race instrumentation")
+	}
+	fs := simfs.New()
+	l, err := wal.Open(wal.Options{Dir: "/wal", FS: fs, Fsync: wal.FsyncNever, SegmentBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStoreShards(1<<12, 64)
+	st.FillBalanced(1 << 12)
+	j := NewJournal(st, l, 0, JournalOptions{Buffer: 1024, SyncWriter: true, MaxBatch: 512})
+	defer j.Close()
+	svc := NewService(st, NewABKUPolicy(2), process.ScenarioA, 0xD00D)
+	svc.Arm(j, nil)
+	lane := svc.NewLane(DgramStream + 1)
+	var dst []Placement
+	pass := func() {
+		if dst, err = lane.Free(false, 0, 16, dst[:0]); err != nil {
+			panic(err)
+		}
+		if dst, _, err = lane.Admit(16, dst[:0]); err != nil {
+			panic(err)
+		}
+		j.Drain()
+	}
+	for i := 0; i < 32; i++ {
+		pass()
+	}
+	const ceiling = 8.0
+	if avg := testing.AllocsPerRun(50, pass); avg > ceiling {
+		t.Errorf("durable Lane.Admit(16) pass: %v allocs/pass, ceiling %v", avg, ceiling)
 	}
 	if err := j.Err(); err != nil {
 		t.Fatal(err)

@@ -8,27 +8,27 @@ import (
 	"dynalloc/internal/rng"
 )
 
-// Batcher is one worker's zero-allocation batch lane through the
-// engine: each Pass drives up to `batch` remove-then-insert phases,
+// Batcher is one worker's admission lane through the engine — the only
+// one: each Pass drives up to `batch` remove-then-insert phases,
 // removing k balls through the departure scenario and re-admitting all
-// k with a single Store.AdmitBatch call — one striped-lock acquisition
-// per touched shard per pass instead of one per ball. All pass state
-// (the destination bins, the admit grouping scratch, pre-resolved
-// metric counters) lives in the Batcher, so a steady stream of passes
-// performs zero heap allocations on the non-durable path; the
-// TestAllocBudget tier and the serve/admit-batch bench workload gate
-// exactly that.
+// k with a single Store.AdmitBatch call (one striped-lock acquisition
+// per touched shard per pass). A pass of size 1 is exactly one phase of
+// the paper's closed process: free draw, then pick, then admit, from
+// one stream. All pass state (the destination bins, the admit grouping
+// scratch, pre-resolved metric counters) lives in the Batcher, so a
+// steady stream of passes performs zero heap allocations on the
+// non-durable path; the TestAllocBudget tier and the serve/admit-batch
+// bench workload gate exactly that.
 //
-// Within one pass the policy's probes do not see the pass's own
-// admissions — the same bounded staleness any concurrent d-choice
-// deployment has (and precisely what the cluster router's pipelined
-// dgram AdmitBatch already accepts shard-to-router); the departure
-// draws of the next pass see every prior admission. A Batcher is
-// single-caller state: give each worker its own.
+// Within one pass of size b > 1 the policy's probes do not see the
+// pass's own admissions — the same bounded staleness any concurrent
+// d-choice deployment has (and precisely what the cluster router's
+// pipelined dgram AdmitBatch already accepts shard-to-router); the
+// departure draws of the next pass see every prior admission. A
+// Batcher is single-caller state: give each worker its own.
 type Batcher struct {
 	st      *Store
 	pol     Policy
-	bp      BatchPolicy // non-nil when pol supports the batch pick path
 	sc      process.Scenario
 	bins    []int
 	scratch AdmitScratch
@@ -53,7 +53,7 @@ func NewBatcher(st *Store, pol Policy, sc process.Scenario, batch int) *Batcher 
 		panic(fmt.Sprintf("serve: unknown scenario %v", sc))
 	}
 	reg := metrics.Default()
-	b := &Batcher{
+	return &Batcher{
 		st:     st,
 		pol:    pol.Clone(),
 		sc:     sc,
@@ -61,12 +61,7 @@ func NewBatcher(st *Store, pol Policy, sc process.Scenario, batch int) *Batcher 
 		balls:  reg.Counter("serve.admit.batch.balls"),
 		passes: reg.Counter("serve.admit.batch.passes"),
 	}
-	b.bp, _ = b.pol.(BatchPolicy)
-	return b
 }
-
-// Batch returns the pass capacity.
-func (b *Batcher) Batch() int { return len(b.bins) }
 
 // Pass drives one super-phase of k phases (clamped to the pass
 // capacity): k scenario departures, then k admissions picked through
@@ -94,13 +89,7 @@ func (b *Batcher) Pass(r *rng.RNG, k int) (int, error) {
 		return 0, err
 	}
 	bins := b.bins[:freed]
-	if b.bp != nil {
-		b.bp.PickBatch(b.st, r, bins)
-	} else {
-		for i := range bins {
-			bins[i], _ = b.pol.Pick(b.st, r)
-		}
-	}
+	b.pol.PickBatch(b.st, r, bins)
 	b.st.AdmitBatch(bins, nil, &b.scratch)
 	if metrics.Enabled() {
 		b.balls.Add(int64(freed))

@@ -21,21 +21,17 @@ type recEvent struct {
 	bin int
 }
 
-// recHook records every per-ball hook call, in order.
-type recHook struct{ events []recEvent }
-
-func (h *recHook) OnAlloc(bin int)    { h.events = append(h.events, recEvent{wal.OpAlloc, bin}) }
-func (h *recHook) OnFree(bin int)     { h.events = append(h.events, recEvent{wal.OpFree, bin}) }
-func (h *recHook) OnCrash(bin, k int) { h.events = append(h.events, recEvent{wal.OpCrash, bin}) }
-
-// recBatchHook additionally records OnAllocRun runs (copying the
-// scratch-owned slice, as the BatchStoreHook contract requires).
-type recBatchHook struct {
-	recHook
-	runs [][]int
+// recHook records every hook call as per-ball events, in order, and
+// every OnAllocRun run (copying the scratch-owned slice, as the
+// StoreHook contract requires).
+type recHook struct {
+	events []recEvent
+	runs   [][]int
 }
 
-func (h *recBatchHook) OnAllocRun(bins []int) {
+func (h *recHook) OnFree(bin int)     { h.events = append(h.events, recEvent{wal.OpFree, bin}) }
+func (h *recHook) OnCrash(bin, k int) { h.events = append(h.events, recEvent{wal.OpCrash, bin}) }
+func (h *recHook) OnAllocRun(bins []int) {
 	h.runs = append(h.runs, append([]int(nil), bins...))
 	for _, b := range bins {
 		h.events = append(h.events, recEvent{wal.OpAlloc, b})
@@ -55,9 +51,10 @@ func shippedPolicies() []Policy {
 
 // TestAdmitBatchMatchesSequentialAllocs is the core property test:
 // over randomized load vectors, shard geometries and batch contents
-// (duplicates included), AdmitBatch must be observationally equivalent
-// to len(bins) sequential Alloc calls — same final state and counters,
-// same per-ball load results, same per-bin hook event counts — and
+// (duplicates included), one AdmitBatch of k balls must be
+// observationally equivalent to k AdmitBatch passes of one ball each —
+// same final state and counters, same per-ball load results, same
+// per-bin hook event counts, every pass of one a run of one — and
 // Order() must be a shard-grouped, within-shard-stable permutation of
 // the entries whose load results are consistent with the apply order.
 func TestAdmitBatchMatchesSequentialAllocs(t *testing.T) {
@@ -77,7 +74,7 @@ func TestAdmitBatchMatchesSequentialAllocs(t *testing.T) {
 				seqStore.Crash(b, k)
 			}
 		}
-		bh := &recBatchHook{}
+		bh := &recHook{}
 		sh := &recHook{}
 		batchStore.SetHook(bh)
 		seqStore.SetHook(sh)
@@ -93,7 +90,11 @@ func TestAdmitBatchMatchesSequentialAllocs(t *testing.T) {
 
 		seqLoads := make([]int32, k)
 		for i, b := range bins {
-			seqLoads[i] = int32(seqStore.Alloc(b))
+			seqLoads[i] = int32(admitOne(seqStore, b))
+		}
+
+		if len(sh.runs) != k {
+			t.Fatalf("trial %d: %d passes of one produced %d runs", trial, k, len(sh.runs))
 		}
 
 		// Final state and counters agree exactly.
@@ -179,42 +180,20 @@ func TestAdmitBatchMatchesSequentialAllocs(t *testing.T) {
 	}
 }
 
-// TestAdmitBatchPlainHookFallback: a hook without OnAllocRun receives
-// ordinary per-ball OnAlloc calls from AdmitBatch, in apply order.
-func TestAdmitBatchPlainHookFallback(t *testing.T) {
-	st := NewStoreShards(32, 4)
-	h := &recHook{}
-	st.SetHook(h)
-	bins := []int{0, 31, 8, 0, 16, 9}
-	var sc AdmitScratch
-	st.AdmitBatch(bins, nil, &sc)
-	if len(h.events) != len(bins) {
-		t.Fatalf("plain hook saw %d events, want %d", len(h.events), len(bins))
-	}
-	for pos, e := range sc.Order() {
-		if h.events[pos] != (recEvent{wal.OpAlloc, bins[e]}) {
-			t.Fatalf("event %d = %+v, want alloc of bin %d", pos, h.events[pos], bins[e])
-		}
-	}
-}
-
 // TestPickBatchMatchesSequentialPicks pins the strongest form of the
-// batch pick path's equivalence: same stream, bit-identical choices.
+// pass-size equivalence: from the same stream, one pass of k picks is
+// bit-identical to k passes of one.
 func TestPickBatchMatchesSequentialPicks(t *testing.T) {
 	st := loadStore(statLoads, 4)
 	for _, pol := range shippedPolicies() {
 		t.Run(pol.Name(), func(t *testing.T) {
-			bp, ok := pol.(BatchPolicy)
-			if !ok {
-				t.Fatalf("%s does not implement BatchPolicy", pol.Name())
-			}
 			r1 := rng.New(0x9E1EC7)
 			r2 := rng.New(0x9E1EC7)
 			batched := make([]int, 257)
-			probes := bp.PickBatch(st, r1, batched)
+			probes := pol.PickBatch(st, r1, batched)
 			seqProbes := 0
 			for i := range batched {
-				b, m := pol.Pick(st, r2)
+				b, m := pickOne(pol, st, r2)
 				seqProbes += m
 				if b != batched[i] {
 					t.Fatalf("choice %d: batch=%d sequential=%d", i, batched[i], b)
@@ -249,10 +228,10 @@ func twoSampleChi2(a, b []int) (stat float64, df int) {
 	return stat, df - 1
 }
 
-// TestBatchLaneChoiceDistribution drives the full batched admit path
-// (PickBatch + AdmitBatch, undone after every batch so the load vector
-// stays frozen and the null hypothesis is exact) against the
-// sequential path under an independent stream, and requires the
+// TestBatchLaneChoiceDistribution drives the full admit path at pass
+// size 64 (PickBatch + AdmitBatch, undone after every batch so the load
+// vector stays frozen and the null hypothesis is exact) against the
+// same path at pass size 1 under an independent stream, and requires the
 // destination distributions to agree by chi-square homogeneity for
 // every shipped policy. The bit-equality test above is stronger for
 // the pick path alone; this one exercises the whole lane, including
@@ -262,7 +241,6 @@ func TestBatchLaneChoiceDistribution(t *testing.T) {
 	for _, pol := range shippedPolicies() {
 		t.Run(pol.Name(), func(t *testing.T) {
 			st := loadStore(statLoads, 4)
-			bp := pol.(BatchPolicy)
 			r1 := rng.New(0xC0117)
 			r2 := rng.New(0xD157)
 
@@ -270,7 +248,7 @@ func TestBatchLaneChoiceDistribution(t *testing.T) {
 			bins := make([]int, batch)
 			var sc AdmitScratch
 			for drawn := 0; drawn < statDraws; drawn += batch {
-				bp.PickBatch(st, r1, bins)
+				pol.PickBatch(st, r1, bins)
 				st.AdmitBatch(bins, nil, &sc)
 				for _, b := range bins {
 					batchCounts[b]++
@@ -281,8 +259,8 @@ func TestBatchLaneChoiceDistribution(t *testing.T) {
 			}
 			seqCounts := make([]int, st.N())
 			for d := 0; d < statDraws; d++ {
-				b, _ := pol.Pick(st, r2)
-				st.Alloc(b)
+				b, _ := pickOne(pol, st, r2)
+				admitOne(st, b)
 				seqCounts[b]++
 				if _, err := st.FreeBin(b); err != nil {
 					t.Fatal(err)
@@ -407,7 +385,7 @@ func TestAdmitBatchConcurrentMixedTraffic(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rng.New(uint64(w) + 1)
-			pol := NewABKUPolicy(2).(BatchPolicy)
+			pol := NewABKUPolicy(2)
 			bins := make([]int, batch)
 			loads := make([]int32, batch)
 			var sc AdmitScratch

@@ -68,6 +68,51 @@ type Episode struct {
 	Wall  time.Duration `json:"wall_ns"`
 }
 
+// EpisodeState is the recovered/disrupted state machine of a recovery
+// detector, whatever its load source: serve.Detector feeds it one
+// store's level counts, router.Detector a fleet's probed digests. It
+// begins disrupted (Start stamps the origin); a fault while disrupted
+// merges into the open outage — the origin is kept, so the episode is
+// measured from the first fault — and the first typical observation
+// closes it. Not safe for concurrent use: the detector's lock guards it,
+// with whatever that detector keeps in step with the transitions.
+type EpisodeState struct {
+	Recovered bool    // the last transition left the state typical
+	Last      Episode // most recently completed episode
+	Episodes  int64   // completed episodes
+
+	since   int64     // step clock at the current outage's origin
+	sinceTS time.Time // wall clock at the current outage's origin
+}
+
+// Start stamps the origin of the boot outage.
+func (e *EpisodeState) Start(steps int64, now time.Time) { e.since, e.sinceTS = steps, now }
+
+// Disrupt notes a fault at (steps, now): it opens an outage and returns
+// true if the state was recovered, and merges into the open one if not.
+func (e *EpisodeState) Disrupt(steps int64, now time.Time) bool {
+	if !e.Recovered {
+		return false
+	}
+	e.Recovered = false
+	e.since, e.sinceTS = steps, now
+	return true
+}
+
+// Observe feeds one observation taken at (steps, now). A typical one
+// while disrupted closes the episode (returned, closed = true); an
+// atypical one while recovered — drift, or a fault nobody announced —
+// opens an outage at the observation.
+func (e *EpisodeState) Observe(typical bool, steps int64, now time.Time) (ep Episode, closed, opened bool) {
+	if typical && !e.Recovered {
+		e.Last = Episode{Steps: steps - e.since, Wall: now.Sub(e.sinceTS)}
+		e.Episodes++
+		e.Recovered = true
+		return e.Last, true, false
+	}
+	return Episode{}, false, !typical && e.Disrupt(steps, now)
+}
+
 // Status is one detector observation of the store.
 type Status struct {
 	Steps        int64 `json:"steps"`         // store admission clock at the check
@@ -104,28 +149,20 @@ type Detector struct {
 	checkMu sync.Mutex   // serializes the read+transition critical section
 	sparse  []levelCount // Check's scratch for levels >= denseLevels; guarded by checkMu
 
-	mu          sync.Mutex // guards everything below
-	recovered   bool
-	disruptedAt int64     // store step clock when the current outage began
-	disruptedTS time.Time // wall clock when the current outage began
-	last        Status
-	haveLast    bool
-	lastEpisode Episode
-	episodes    int64
-	checks      int64
-	tracker     *EpisodeTracker // optional; see AttachEpisodes
+	mu       sync.Mutex // guards everything below
+	ep       EpisodeState
+	last     Status
+	haveLast bool
+	tracker  *EpisodeTracker // optional; see AttachEpisodes
 }
 
 // NewDetector returns a detector for st with the given target. The
 // store starts in the "disrupted" state: the first Check that observes
 // a typical state closes the initial episode (recovery from startup).
 func NewDetector(st *Store, target Target) *Detector {
-	return &Detector{
-		store:       st,
-		target:      target,
-		disruptedAt: st.Allocs(),
-		disruptedTS: time.Now(),
-	}
+	d := &Detector{store: st, target: target}
+	d.ep.Start(st.Allocs(), time.Now())
+	return d
 }
 
 // Target returns the detector's recovery target.
@@ -135,7 +172,7 @@ func (d *Detector) Target() Target { return d.target }
 func (d *Detector) Recovered() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.recovered
+	return d.ep.Recovered
 }
 
 // Last returns the most recent observation, if any check has run.
@@ -150,7 +187,7 @@ func (d *Detector) Last() (Status, bool) {
 func (d *Detector) LastEpisode() (Episode, int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.lastEpisode, d.episodes
+	return d.ep.Last, d.ep.Episodes
 }
 
 // AttachEpisodes connects an EpisodeTracker to the detector: every
@@ -164,8 +201,8 @@ func (d *Detector) AttachEpisodes(tr *EpisodeTracker) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.tracker = tr
-	if tr != nil && !d.recovered {
-		tr.noteFault("startup", d.disruptedAt, d.disruptedTS)
+	if tr != nil && !d.ep.Recovered {
+		tr.noteFault("startup", d.ep.since, d.ep.sinceTS)
 	}
 }
 
@@ -194,11 +231,7 @@ func (d *Detector) NoteFault(kind string) {
 	now := time.Now()
 	steps := d.store.Allocs()
 	d.mu.Lock()
-	if d.recovered {
-		d.recovered = false
-		d.disruptedAt = steps
-		d.disruptedTS = now
-	}
+	d.ep.Disrupt(steps, now)
 	if d.tracker != nil {
 		d.tracker.noteFault(kind, steps, now)
 	}
@@ -274,27 +307,16 @@ func (d *Detector) Check() Status {
 
 	now := time.Now()
 	d.mu.Lock()
-	d.checks++
-	switch {
-	case !d.recovered && s.Recovered:
-		ep := Episode{Steps: steps - d.disruptedAt, Wall: now.Sub(d.disruptedTS)}
-		d.lastEpisode = ep
-		d.episodes++
-		d.recovered = true
+	if ep, closed, opened := d.ep.Observe(s.Recovered, steps, now); closed {
 		metrics.ObserveHistogram("serve.recovery.steps", ep.Steps)
 		metrics.ObserveHistogram("serve.recovery.wall_ns", ep.Wall.Nanoseconds())
 		if d.tracker != nil {
 			d.tracker.noteRecovered(steps, now)
 		}
-	case d.recovered && !s.Recovered:
+	} else if opened && d.tracker != nil {
 		// The store drifted (or was crashed) out of the typical band
-		// between checks: open a new outage at this observation.
-		d.recovered = false
-		d.disruptedAt = steps
-		d.disruptedTS = now
-		if d.tracker != nil {
-			d.tracker.noteFault("drift", steps, now)
-		}
+		// between checks: the outage opens at this observation.
+		d.tracker.noteFault("drift", steps, now)
 	}
 	d.last = s
 	d.haveLast = true

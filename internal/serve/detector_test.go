@@ -90,7 +90,7 @@ func TestDetectorEpisodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st.Alloc(5) // advance the step clock
+	admitOne(st, 5) // advance the step clock
 	if _, err := st.FreeBin(5); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,16 +46,18 @@ type Config struct {
 	// observes the typical state.
 	StopOnRecovery bool
 
-	// Batch, when > 1, routes each worker through the batched admission
-	// lane: super-phases of up to Batch phases whose admissions are
-	// applied by one Store.AdmitBatch call (see Batcher), dropping the
-	// steady-state allocation cost of the drive loop to zero and — with
-	// a Journal installed — feeding the group-commit writer whole runs
-	// at a time. 0 or 1 keeps the per-phase path. Detector checks still
-	// fire on the CheckEvery cadence (at the pass that crosses it), and
-	// the final pass is clamped to the steps MaxSteps still allows; as
-	// in the per-phase lane the stop is cooperative, so concurrent
-	// workers can overshoot MaxSteps by at most one pass each.
+	// Batch is the pass size b of every worker's admission lane (see
+	// Batcher): each pass removes up to b balls through the scenario,
+	// picks b destinations against the loads as they stand, and admits
+	// them with one Store.AdmitBatch. 0 or 1 (the default) is a pass of
+	// one — the paper's remove-then-insert phase, bit for bit; b > 1 is
+	// the b-batched variant whose picks do not see the pass's own
+	// admissions, paid back in lock acquisitions and, with a Journal
+	// installed, in whole runs handed to the group-commit writer.
+	// Detector checks fire on the CheckEvery cadence (at the pass that
+	// crosses it), and the final pass is clamped to the steps MaxSteps
+	// still allows; the stop is cooperative, so concurrent workers can
+	// overshoot MaxSteps by at most one pass each.
 	Batch int
 }
 
@@ -88,6 +89,9 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
+	if cfg.Batch < 1 {
+		cfg.Batch = 1
+	}
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = int64(cfg.Store.N())
 		if cfg.CheckEvery < 1024 {
@@ -103,17 +107,14 @@ func (e *Engine) Steps() int64 { return e.steps.Load() }
 // Stop asks all workers to exit after their current phase.
 func (e *Engine) Stop() { e.halt.Store(true) }
 
-// pacingStreamOffset separates the pacing rng streams from the
-// decision streams, so open-loop pacing draws never perturb the
-// allocation decisions of a given (seed, worker).
-const pacingStreamOffset = 1 << 32
-
 // Run drives traffic until ctx is done, MaxSteps phases have executed,
 // Stop is called, or (with StopOnRecovery) the detector observes the
 // typical state. It blocks until every worker has exited and returns
-// the run summary. Per-worker admission latency histograms are merged
-// into the "serve.alloc.latency_ns" metric, and the phase counters are
-// flushed to "serve.engine.phases", when collection is enabled.
+// the run summary. Per-worker phase latency histograms (a pass's wall
+// time — departures, picks and admissions — divided by its phases) are
+// merged into the "serve.alloc.latency_ns" metric, and the phase
+// counters are flushed to "serve.engine.phases", when collection is
+// enabled.
 func (e *Engine) Run(ctx context.Context) Result {
 	cfg := e.cfg
 	start := time.Now()
@@ -144,85 +145,19 @@ func (e *Engine) Run(ctx context.Context) Result {
 	return res
 }
 
-// drive is one worker's loop.
+// drive is one worker's loop: Batcher passes of up to Config.Batch
+// phases under the engine's control surface — halt flag, ctx polls,
+// open-loop pacing, MaxSteps, detector cadence. Pacing draws one
+// exponential wait per pass, scaled by the pass size, so the aggregate
+// phase rate does not depend on the pass size.
 func (e *Engine) drive(ctx context.Context, worker int, lat *metrics.Histogram) {
-	cfg := e.cfg
-	if cfg.Batch > 1 {
-		e.driveBatched(ctx, worker, lat)
-		return
-	}
-	// Each worker gets its own policy copy (the serve-side form of
-	// rules.CloneForWorker), so no mutable rule state is shared.
-	pol := cfg.Policy.Clone()
-	r := rng.NewStream(cfg.Seed, uint64(worker))
-	var pace *rng.RNG
-	var perWorkerRate float64
-	if cfg.Rate > 0 {
-		pace = rng.NewStream(cfg.Seed, uint64(worker)+pacingStreamOffset)
-		perWorkerRate = cfg.Rate / float64(cfg.Workers)
-	}
-	done := ctx.Done()
-	record := metrics.Enabled()
-
-	for i := 0; ; i++ {
-		if e.halt.Load() {
-			return
-		}
-		if i&63 == 0 {
-			select {
-			case <-done:
-				return
-			default:
-			}
-		}
-		if pace != nil {
-			sleep := time.Duration(pace.Exp() / perWorkerRate * float64(time.Second))
-			select {
-			case <-done:
-				return
-			case <-time.After(sleep):
-			}
-		}
-
-		if err := e.phase(pol, r, lat, record); err != nil {
-			// Only ErrEmpty can surface here: the store was drained (all
-			// departures, e.g. an aggressive open-loop free stream).
-			// Closed-loop phases re-insert what they remove, so with
-			// Total >= 1 this is unreachable; stop rather than spin.
-			e.halt.Store(true)
-			return
-		}
-
-		t := e.steps.Add(1)
-		if cfg.MaxSteps > 0 && t >= cfg.MaxSteps {
-			e.halt.Store(true)
-			return
-		}
-		if cfg.Detector != nil && t%cfg.CheckEvery == 0 {
-			s := cfg.Detector.Check()
-			if cfg.StopOnRecovery && s.Recovered {
-				e.halt.Store(true)
-				return
-			}
-		}
-	}
-}
-
-// driveBatched is one worker's loop on the batch lane (Config.Batch
-// > 1): the same control surface as drive — halt flag, ctx polls,
-// open-loop pacing, MaxSteps, detector cadence — but phases execute in
-// Batcher passes. Pacing draws one exponential wait per pass, scaled
-// by the pass size, so the aggregate phase rate matches the per-phase
-// lane; the latency histogram records per-phase cost (pass wall time
-// divided by phases completed).
-func (e *Engine) driveBatched(ctx context.Context, worker int, lat *metrics.Histogram) {
 	cfg := e.cfg
 	bt := NewBatcher(cfg.Store, cfg.Policy, cfg.Scenario, cfg.Batch)
 	r := rng.NewStream(cfg.Seed, uint64(worker))
 	var pace *rng.RNG
 	var perWorkerRate float64
 	if cfg.Rate > 0 {
-		pace = rng.NewStream(cfg.Seed, uint64(worker)+pacingStreamOffset)
+		pace = rng.NewStream(cfg.Seed, uint64(worker)+PacingStream)
 		perWorkerRate = cfg.Rate / float64(cfg.Workers)
 	}
 	done := ctx.Done()
@@ -272,7 +207,9 @@ func (e *Engine) driveBatched(ctx context.Context, worker int, lat *metrics.Hist
 		}
 		if phases == 0 {
 			if err != nil {
-				// Drained store, as in drive: stop rather than spin.
+				// Only ErrEmpty can surface here: something beside the drive
+				// drained the store (closed-loop passes re-insert what they
+				// remove). Stop rather than spin.
 				e.halt.Store(true)
 			}
 			return
@@ -291,31 +228,4 @@ func (e *Engine) driveBatched(ctx context.Context, worker int, lat *metrics.Hist
 			}
 		}
 	}
-}
-
-// phase performs one remove-then-insert phase, the unit transition of
-// the paper's closed processes.
-func (e *Engine) phase(pol Policy, r *rng.RNG, lat *metrics.Histogram, record bool) error {
-	var err error
-	switch e.cfg.Scenario {
-	case process.ScenarioA:
-		_, err = e.cfg.Store.FreeBall(r)
-	case process.ScenarioB:
-		_, err = e.cfg.Store.FreeNonEmpty(r)
-	default:
-		panic(fmt.Sprintf("serve: unknown scenario %v", e.cfg.Scenario))
-	}
-	if err != nil {
-		return err
-	}
-	if record {
-		t0 := time.Now()
-		bin, _ := pol.Pick(e.cfg.Store, r)
-		e.cfg.Store.Alloc(bin)
-		lat.Observe(time.Since(t0).Nanoseconds())
-		return nil
-	}
-	bin, _ := pol.Pick(e.cfg.Store, r)
-	e.cfg.Store.Alloc(bin)
-	return nil
 }

@@ -76,12 +76,10 @@ type EpisodeSummary struct {
 type EpisodeTracker struct {
 	budget float64 // Theorem 1 steps; <= 0 disables normalization
 
-	mu             sync.Mutex
-	open           bool
-	openKind       string
-	openFaults     int
-	openStart      time.Time
-	openStartSteps int64
+	mu         sync.Mutex
+	st         EpisodeState // open episode == !st.Recovered; origin kept across merged faults
+	openKind   string
+	openFaults int
 
 	completed      int64
 	faults         int64
@@ -100,7 +98,7 @@ type EpisodeTracker struct {
 // Theorem 1 budget (pass target.BudgetSteps; <= 0 disables the
 // normalized histogram and ratios).
 func NewEpisodeTracker(budgetSteps float64) *EpisodeTracker {
-	return &EpisodeTracker{budget: budgetSteps, byKind: make(map[string]int64)}
+	return &EpisodeTracker{budget: budgetSteps, byKind: make(map[string]int64), st: EpisodeState{Recovered: true}}
 }
 
 // noteFault records a fault of the given kind at the store clock
@@ -111,16 +109,13 @@ func (t *EpisodeTracker) noteFault(kind string, steps int64, now time.Time) {
 	t.mu.Lock()
 	t.faults++
 	t.byKind[kind]++
-	mergedHere := t.open
-	if t.open {
+	mergedHere := !t.st.Disrupt(steps, now)
+	if mergedHere {
 		t.merged++
 		t.openFaults++
 	} else {
-		t.open = true
 		t.openKind = kind
 		t.openFaults = 1
-		t.openStart = now
-		t.openStartSteps = steps
 	}
 	t.mu.Unlock()
 	metrics.AddCounter("serve.episodes.faults", 1)
@@ -135,15 +130,16 @@ func (t *EpisodeTracker) noteFault(kind string, steps int64, now time.Time) {
 // start recovered, or recover before the tracker was attached).
 func (t *EpisodeTracker) noteRecovered(steps int64, now time.Time) {
 	t.mu.Lock()
-	if !t.open {
+	closed, ok, _ := t.st.Observe(true, steps, now)
+	if !ok {
 		t.mu.Unlock()
 		return
 	}
 	ep := EpisodeReport{
 		Kind:   t.openKind,
 		Faults: t.openFaults,
-		Steps:  steps - t.openStartSteps,
-		Wall:   now.Sub(t.openStart),
+		Steps:  closed.Steps,
+		Wall:   closed.Wall,
 	}
 	if ep.Steps < 0 {
 		ep.Steps = 0
@@ -154,7 +150,6 @@ func (t *EpisodeTracker) noteRecovered(steps int64, now time.Time) {
 	if t.budget > 0 {
 		ep.BudgetRatio = float64(ep.Steps) / t.budget
 	}
-	t.open = false
 	t.openKind = ""
 	t.openFaults = 0
 	t.completed++
@@ -205,7 +200,7 @@ func (t *EpisodeTracker) Summary() EpisodeSummary {
 		Completed:        t.completed,
 		Faults:           t.faults,
 		MergedFaults:     t.merged,
-		Open:             t.open,
+		Open:             !t.st.Recovered,
 		TotalDowntime:    t.totalDowntime,
 		TotalDownSteps:   t.totalDownSteps,
 		MaxWall:          t.maxWall,
@@ -213,10 +208,10 @@ func (t *EpisodeTracker) Summary() EpisodeSummary {
 		WorstBudgetRatio: t.worstRatio,
 		BudgetSteps:      t.budget,
 	}
-	if t.open {
+	if s.Open {
 		s.OpenKind = t.openKind
 		s.OpenFaults = t.openFaults
-		s.OpenWall = now.Sub(t.openStart)
+		s.OpenWall = now.Sub(t.st.sinceTS)
 	}
 	if t.completed > 0 {
 		s.MTTR = time.Duration(int64(t.totalDowntime) / t.completed)

@@ -144,7 +144,6 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				j := NewJournal(st, l, 0, JournalOptions{Buffer: 1024})
 				r := rng.New(uint64(n*131 + shards))
 				pol := NewABKUPolicy(2)
-				bpol := pol.(BatchPolicy)
 
 				checkIndex(t, "empty", st, r)
 				st.FillBalanced(3 * n / 2)
@@ -168,8 +167,8 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				}
 				checkIndex(t, "freed", st, r)
 				for i := 0; i < 300; i++ {
-					b, _ := pol.Pick(st, r)
-					st.Alloc(b)
+					b, _ := pickOne(pol, st, r)
+					admitOne(st, b)
 				}
 				checkIndex(t, "admitted", st, r)
 				if _, _, err := j.Checkpoint(); err != nil {
@@ -178,7 +177,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				var sc AdmitScratch
 				bins := make([]int, 64)
 				for i := 0; i < 4; i++ {
-					bpol.PickBatch(st, r, bins)
+					pol.PickBatch(st, r, bins)
 					st.AdmitBatch(bins, nil, &sc)
 				}
 				checkIndex(t, "batch-admitted", st, r)
@@ -236,7 +235,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				edge := r.Intn(n)
 				over.Crash(edge, max(denseLevels-2-over.Load(edge), 0))
 				for i := 0; i < 4; i++ {
-					over.Alloc(edge)
+					admitOne(over, edge)
 				}
 				for i := 0; i < 3; i++ {
 					if _, err := over.FreeBin(edge); err != nil {
@@ -281,7 +280,7 @@ func TestStoreReadsScaleSublinearly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st.Alloc(b)
+				admitOne(st, b)
 			}
 			best.phase = min(best.phase, time.Since(t0))
 			t0 = time.Now()

@@ -291,8 +291,8 @@ func (j *Journal) push(op wal.Op, bin, k int) {
 	j.enqueue(rec)
 }
 
-// OnAllocRun implements BatchStoreHook: the batched admission lane's
-// push. It reserves one contiguous seq range for the whole run and
+// OnAllocRun implements StoreHook: the admission lane's push. It
+// reserves one contiguous seq range for the whole run and
 // enqueues the records in order — still under the shard lock that
 // applied them (see Store.AdmitBatch), so seq order equals mutation
 // order per bin and a Checkpoint holding every shard lock still
@@ -390,7 +390,9 @@ func (j *Journal) Drain() {
 	j.drainMu.Unlock()
 }
 
-// OnAlloc implements StoreHook.
+// OnAlloc is a run of one pushed as a single record. The store never
+// calls it (admissions arrive through OnAllocRun); the frozen benchmark
+// harness, which forwards it from its BatchStoreHook wrapper, does.
 func (j *Journal) OnAlloc(bin int) { j.push(wal.OpAlloc, bin, 1) }
 
 // OnFree implements StoreHook.

@@ -91,8 +91,8 @@ func TestJournalRoundTripThroughRestore(t *testing.T) {
 	const n = 16
 	st, j, fs, dir := newJournaled(t, n, 4, wal.Options{})
 	st.FillBalanced(10)
-	st.Alloc(3)
-	st.Alloc(3)
+	admitOne(st, 3)
+	admitOne(st, 3)
 	if _, err := st.FreeBin(3); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRealDiskRestore(t *testing.T) {
 	st := NewStoreShards(8, 2)
 	j := NewJournal(st, l, 0, JournalOptions{Buffer: 16})
 	for i := 0; i < 20; i++ {
-		st.Alloc(i % 8)
+		admitOne(st, i%8)
 	}
 	if _, _, err := j.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			}
 		default: // admission
 			b := r.Intn(n)
-			st.Alloc(b)
+			admitOne(st, b)
 			ops = append(ops, refOp{wal.OpAlloc, b, 1})
 		}
 	}
@@ -388,7 +388,7 @@ func TestJournalUnderConcurrentTraffic(t *testing.T) {
 func TestCheckpointTruncatesCoveredSegments(t *testing.T) {
 	st, j, fs, dir := newJournaled(t, 8, 2, wal.Options{SegmentBytes: 16 + 4*wal.RecordSize})
 	for i := 0; i < 40; i++ {
-		st.Alloc(i % 8)
+		admitOne(st, i%8)
 	}
 	// Let the writer drain so sealed segments exist on disk.
 	waitForSeq(t, j, 40)
@@ -498,7 +498,7 @@ func TestDoubleCrashKeepsPostRestartMutations(t *testing.T) {
 			}
 		default:
 			b := r.Intn(n)
-			st.Alloc(b)
+			admitOne(st, b)
 			*ops = append(*ops, refOp{wal.OpAlloc, b, 1})
 		}
 	}
@@ -580,7 +580,7 @@ func TestDoubleCrashKeepsPostRestartMutations(t *testing.T) {
 func TestCheckpointMaintenanceFailureIsNonFatal(t *testing.T) {
 	st, j, fs, dir := newJournaled(t, 8, 2, wal.Options{SegmentBytes: 16 + 4*wal.RecordSize})
 	for i := 0; i < 12; i++ {
-		st.Alloc(i % 8)
+		admitOne(st, i%8)
 	}
 	waitForSeq(t, j, 12)
 	fs.FailOp(simfs.OpRemove, 1, errors.New("injected remove failure"))
@@ -619,7 +619,7 @@ func TestCheckpointMaintenanceFailureIsNonFatal(t *testing.T) {
 func TestCheckpointDeferMaint(t *testing.T) {
 	st, j, fs, dir := newJournaled(t, 8, 2, wal.Options{SegmentBytes: 16 + 4*wal.RecordSize})
 	for i := 0; i < 12; i++ {
-		st.Alloc(i % 8)
+		admitOne(st, i%8)
 	}
 	waitForSeq(t, j, 12)
 	segments := func() int {
@@ -651,7 +651,7 @@ func TestCheckpointDeferMaint(t *testing.T) {
 		t.Fatalf("maintenance: removed %d of %d segments, %d left, MaintErr %v", removed, before, segments(), err)
 	}
 
-	st.Alloc(0)
+	admitOne(st, 0)
 	if _, _, err := j.CheckpointDeferMaint(); err != nil {
 		t.Fatal(err)
 	}
@@ -710,7 +710,7 @@ func TestStallTimeoutKeepsMutationsAvailable(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 4; i++ {
-			st.Alloc(i % 8)
+			admitOne(st, i%8)
 		}
 	}()
 	select {
@@ -742,7 +742,7 @@ func TestJournalGroupCommit(t *testing.T) {
 	st := NewStoreShards(8, 2)
 	j := NewJournal(st, l, 0, JournalOptions{Buffer: 256, MaxBatch: 16, SyncWriter: true})
 	for i := 0; i < 64; i++ {
-		st.Alloc(i % 8)
+		admitOne(st, i%8)
 	}
 	j.Drain()
 	if got := fs.Ops(simfs.OpSync); got != 4 {
@@ -783,7 +783,7 @@ func TestJournalBatchErrorAccounting(t *testing.T) {
 	j := NewJournal(st, l, 0, JournalOptions{Buffer: 64, MaxBatch: 8, SyncWriter: true})
 	fs.FailOp(simfs.OpWrite, 1, boom)
 	for i := 0; i < 8; i++ {
-		st.Alloc(i % 8)
+		admitOne(st, i%8)
 	}
 	j.Drain()
 	if err := j.Err(); err == nil || !errors.Is(err, boom) {
@@ -815,8 +815,8 @@ func TestDrainWaitsWithoutSpinning(t *testing.T) {
 	}
 	st := NewStoreShards(8, 2)
 	j := NewJournal(st, l, 0, JournalOptions{Buffer: 64})
-	st.Alloc(1)
-	st.Alloc(2)
+	admitOne(st, 1)
+	admitOne(st, 2)
 
 	done := make(chan struct{})
 	go func() {
@@ -844,7 +844,7 @@ func TestDrainWaitsWithoutSpinning(t *testing.T) {
 
 func TestJournalCloseIdempotentAndDetaches(t *testing.T) {
 	st, j, _, _ := newJournaled(t, 8, 2, wal.Options{})
-	st.Alloc(1)
+	admitOne(st, 1)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -852,7 +852,7 @@ func TestJournalCloseIdempotentAndDetaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The hook is detached: further mutations don't panic or block.
-	st.Alloc(2)
+	admitOne(st, 2)
 	if st.Total() != 2 {
 		t.Fatalf("store unusable after journal close: %+v", st.Stats())
 	}

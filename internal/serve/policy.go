@@ -27,11 +27,17 @@ type Policy interface {
 	// Name identifies the policy, matching the rules package naming
 	// ("ABKU[2]", "ADAP(1,2,...)", "Mixed(0.50)").
 	Name() string
-	// Pick selects the destination bin for one ball, drawing probe
-	// positions (and, for mixtures, coins) from r and reading live
-	// loads from st. It returns the chosen bin and the number of
-	// probes consumed.
-	Pick(st *Store, r *rng.RNG) (bin, probes int)
+	// PickBatch fills bins with one destination per entry — a pass of
+	// len(bins) balls; a pass of one is the paper's single insertion —
+	// drawing probe positions (and, for mixtures, coins) from r and
+	// reading live loads from st, and returns the total probe count.
+	// Entries are picked in order from the one stream, so a pass of k
+	// consumes exactly the randomness of k passes of one; within a pass,
+	// later entries do not see earlier entries' admissions — the bounded
+	// staleness every concurrent d-choice deployment already has.
+	// Implementations must not allocate: PickBatch sits on the
+	// zero-alloc admission path gated by the TestAllocBudget tier.
+	PickBatch(st *Store, r *rng.RNG, bins []int) (probes int)
 	// Clone returns an independent copy for a new worker.
 	Clone() Policy
 	// FluidModel returns the fluid-limit model of this insertion rule
@@ -40,19 +46,9 @@ type Policy interface {
 	FluidModel(sc process.Scenario, cap int) *fluid.Model
 }
 
-// BatchPolicy is the batch-capable extension of Policy: PickBatch
-// fills bins with one destination per entry, drawing randomness in
-// exactly the order len(bins) sequential Pick calls would — stream for
-// stream, the batch lane is choice-identical to the per-ball lane, not
-// merely distribution-equal — and returns the total probe count.
-// Implementations must not allocate: PickBatch sits on the zero-alloc
-// admission hot path gated by the TestAllocBudget tier. All shipped
-// policies implement BatchPolicy; callers type-assert once and fall
-// back to per-ball Pick calls for policies that do not.
-type BatchPolicy interface {
-	Policy
-	PickBatch(st *Store, r *rng.RNG, bins []int) (probes int)
-}
+// BatchPolicy is Policy. The frozen benchmark harness, which asserts
+// shipped policies to this name, is its only reason.
+type BatchPolicy = Policy
 
 // maxAdmissionProbes caps a single admission's probe loop, mirroring
 // rules.maxAdaptiveProbes: a defense against mis-specified thresholds,
@@ -88,7 +84,8 @@ func NewABKUPolicy(d int) Policy {
 
 func (p *adapPolicy) Name() string { return p.name }
 
-func (p *adapPolicy) Pick(st *Store, r *rng.RNG) (int, int) {
+// pick places one ball.
+func (p *adapPolicy) pick(st *Store, r *rng.RNG) (bin, probes int) {
 	best, bestLoad := -1, 0
 	for m := 1; m <= maxAdmissionProbes; m++ {
 		b := r.Intn(st.n)
@@ -102,15 +99,12 @@ func (p *adapPolicy) Pick(st *Store, r *rng.RNG) (int, int) {
 	panic(fmt.Sprintf("serve: %s did not place a ball within %d probes (thresholds too large?)", p.name, maxAdmissionProbes))
 }
 
-// PickBatch implements BatchPolicy. Each entry runs the same probe
-// loop as Pick against the live loads (direct method call, so no
-// interface dispatch or allocation per ball); within one batch, later
-// entries do not see earlier entries' admissions — the bounded
-// staleness every concurrent d-choice deployment already has.
+// PickBatch implements Policy: one pick per entry, a direct method
+// call, so no interface dispatch or allocation per ball.
 func (p *adapPolicy) PickBatch(st *Store, r *rng.RNG, bins []int) int {
 	probes := 0
 	for i := range bins {
-		b, m := p.Pick(st, r)
+		b, m := p.pick(st, r)
 		bins[i] = b
 		probes += m
 	}
@@ -145,7 +139,8 @@ func NewMixedPolicy(beta float64) Policy {
 
 func (p *mixedPolicy) Name() string { return p.name }
 
-func (p *mixedPolicy) Pick(st *Store, r *rng.RNG) (int, int) {
+// pick places one ball.
+func (p *mixedPolicy) pick(st *Store, r *rng.RNG) (bin, probes int) {
 	two := r.Float64() < p.beta
 	b1 := r.Intn(st.n)
 	if !two {
@@ -158,11 +153,11 @@ func (p *mixedPolicy) Pick(st *Store, r *rng.RNG) (int, int) {
 	return b1, 2
 }
 
-// PickBatch implements BatchPolicy; see adapPolicy.PickBatch.
+// PickBatch implements Policy; see adapPolicy.PickBatch.
 func (p *mixedPolicy) PickBatch(st *Store, r *rng.RNG, bins []int) int {
 	probes := 0
 	for i := range bins {
-		b, m := p.Pick(st, r)
+		b, m := p.pick(st, r)
 		bins[i] = b
 		probes += m
 	}

@@ -34,7 +34,7 @@ func TestABKUPolicyPicksLeastLoadedProbe(t *testing.T) {
 			}
 		}
 		p := NewABKUPolicy(d)
-		bin, used := p.Pick(st, rng.NewStream(seed, 0))
+		bin, used := pickOne(p, st, rng.NewStream(seed, 0))
 		if used != d {
 			t.Fatalf("seed %d: ABKU[%d] used %d probes", seed, d, used)
 		}
@@ -56,7 +56,7 @@ func TestADAPPolicyStopsByThreshold(t *testing.T) {
 	p := NewADAPPolicy(rules.SliceThresholds{1, 2, 3})
 	for seed := uint64(0); seed < 10; seed++ {
 		probes := predictProbes(seed, n, 3)
-		bin, used := p.Pick(st, rng.NewStream(seed, 0))
+		bin, used := pickOne(p, st, rng.NewStream(seed, 0))
 		if used != 3 {
 			t.Fatalf("seed %d: used %d probes, want 3", seed, used)
 		}
@@ -66,7 +66,7 @@ func TestADAPPolicyStopsByThreshold(t *testing.T) {
 	}
 	// A load-0 bin satisfies x_0 = 1 immediately: one probe.
 	st0 := NewStoreShards(n, 4)
-	if _, used := p.Pick(st0, rng.New(3)); used != 1 {
+	if _, used := pickOne(p, st0, rng.New(3)); used != 1 {
 		t.Fatalf("on an empty store ADAP used %d probes, want 1", used)
 	}
 }
@@ -77,10 +77,10 @@ func TestMixedPolicyProbeCounts(t *testing.T) {
 	always := NewMixedPolicy(1.0)
 	never := NewMixedPolicy(0.0)
 	for seed := uint64(0); seed < 10; seed++ {
-		if _, used := always.Pick(st, rng.NewStream(seed, 0)); used != 2 {
+		if _, used := pickOne(always, st, rng.NewStream(seed, 0)); used != 2 {
 			t.Fatalf("beta=1 used %d probes, want 2", used)
 		}
-		if _, used := never.Pick(st, rng.NewStream(seed, 0)); used != 1 {
+		if _, used := pickOne(never, st, rng.NewStream(seed, 0)); used != 1 {
 			t.Fatalf("beta=0 used %d probes, want 1", used)
 		}
 	}
@@ -89,7 +89,7 @@ func TestMixedPolicyProbeCounts(t *testing.T) {
 	r1 := rng.New(9)
 	r1.Float64() // the coin
 	wantBin := r1.Intn(8)
-	bin, _ := never.Pick(st, rng.New(9))
+	bin, _ := pickOne(never, st, rng.New(9))
 	if bin != wantBin {
 		t.Fatalf("coin/probe draw order differs from rules.Mixed: got bin %d, want %d", bin, wantBin)
 	}

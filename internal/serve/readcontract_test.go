@@ -11,13 +11,13 @@ import (
 	"dynalloc/internal/serve"
 )
 
-// stallHook blocks inside OnAlloc — with the stripe lock held, as a
+// stallHook blocks inside OnAllocRun — with the stripe lock held, as a
 // journal push stalled on a hung disk would — until released.
 type stallHook struct {
 	entered, release chan struct{}
 }
 
-func (h *stallHook) OnAlloc(int)      { close(h.entered); <-h.release }
+func (h *stallHook) OnAllocRun([]int) { close(h.entered); <-h.release }
 func (h *stallHook) OnFree(int)       {}
 func (h *stallHook) OnCrash(int, int) {}
 
@@ -54,7 +54,7 @@ func TestReadsAnswerWhileAStripeLockIsHeld(t *testing.T) {
 	st.SetHook(hook)
 	allocDone := make(chan struct{})
 	go func() {
-		st.Alloc(5)
+		st.AdmitBatch([]int{5}, nil, new(serve.AdmitScratch))
 		close(allocDone)
 	}()
 	<-hook.entered // bin 5 is at load 2 and the stripe lock is held

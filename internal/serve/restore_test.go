@@ -59,7 +59,7 @@ func TestParallelRestoreMatchesSequential(t *testing.T) {
 		for i := 0; i < 600; i++ {
 			switch {
 			case r.Float64() < 0.55:
-				st.Alloc(int(r.Uint64n(n)))
+				admitOne(st, int(r.Uint64n(n)))
 			case r.Float64() < 0.5:
 				st.FreeBin(int(r.Uint64n(n))) // may fail on empty: fine
 			default:
@@ -112,7 +112,7 @@ func TestStripedCheckpointCarriesSections(t *testing.T) {
 	const n, shards = 32, 4
 	st, j, fs, dir := newJournaled(t, n, shards, wal.Options{})
 	for i := 0; i < 200; i++ {
-		st.Alloc(i % n)
+		admitOne(st, i%n)
 	}
 	written, path, err := j.Checkpoint()
 	if err != nil {
@@ -223,7 +223,7 @@ func TestStripedCheckpointUnderConcurrentTraffic(t *testing.T) {
 			r := rng.New(uint64(100 + g))
 			for i := 0; i < 4000; i++ {
 				if r.Float64() < 0.6 {
-					st.Alloc(int(r.Uint64n(n)))
+					admitOne(st, int(r.Uint64n(n)))
 				} else {
 					st.FreeBin(int(r.Uint64n(n)))
 				}
@@ -294,7 +294,7 @@ func applyOne(st *Store, rec wal.Record) (skippedFree bool, err error) {
 	}
 	switch rec.Op {
 	case wal.OpAlloc:
-		st.Alloc(bin)
+		admitOne(st, bin)
 	case wal.OpFree:
 		if _, err := st.FreeBin(bin); err != nil {
 			return true, nil

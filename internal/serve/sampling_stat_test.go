@@ -27,7 +27,7 @@ func drawDistribution(t *testing.T, st *Store, r *rng.RNG, draws int, sample fun
 			t.Fatalf("draw %d: %v", d, err)
 		}
 		counts[b]++
-		st.Alloc(b) // undo: keep the load vector frozen
+		admitOne(st, b) // undo: keep the load vector frozen
 	}
 	return counts
 }
@@ -38,7 +38,7 @@ func loadStore(loads []int, shards int) *Store {
 	st := NewStoreShards(len(loads), shards)
 	for b, l := range loads {
 		for i := 0; i < l; i++ {
-			st.Alloc(b)
+			admitOne(st, b)
 		}
 	}
 	return st
@@ -136,6 +136,6 @@ func TestFreeNonEmptySingleSurvivor(t *testing.T) {
 		if b, err := st.FreeNonEmpty(r); err != nil || b != 11 {
 			t.Fatalf("draw %d: got bin %d, %v; want 11", d, b, err)
 		}
-		st.Alloc(11)
+		admitOne(st, 11)
 	}
 }

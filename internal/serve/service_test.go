@@ -1,0 +1,317 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+	"time"
+
+	"dynalloc/internal/process"
+	"dynalloc/internal/rules"
+)
+
+// storeState is everything a refused verb must leave untouched.
+type storeState struct {
+	stats Stats
+	hash  uint64
+}
+
+func loadsHash(st *Store) uint64 {
+	h := fnv.New64a()
+	for _, l := range st.LoadsCopy() {
+		h.Write([]byte{byte(l), byte(l >> 8), byte(l >> 16), byte(l >> 24)})
+	}
+	return h.Sum64()
+}
+
+func stateOf(st *Store) storeState { return storeState{st.Stats(), loadsHash(st)} }
+
+// TestServiceVerbTable is the verb table's own test, with no sockets:
+// verb x {ok, draining, standby, bin out of range, count 0 / over the
+// bound, overflowing k, empty store, empty bin} -> the typed error a
+// codec maps, and no state change on any refusal.
+func TestServiceVerbTable(t *testing.T) {
+	const n = 16
+	type gate int
+	const (
+		serving gate = iota
+		draining
+		standby
+	)
+	admit := func(count int) func(*Lane) error {
+		return func(l *Lane) error { _, _, err := l.Admit(count, nil); return err }
+	}
+	free := func(fromBin bool, bin, count int) func(*Lane) error {
+		return func(l *Lane) error { _, err := l.Free(fromBin, bin, count, nil); return err }
+	}
+	crash := func(bin, k int) func(*Lane) error {
+		return func(l *Lane) error { _, err := l.Crash(bin, k); return err }
+	}
+	cases := []struct {
+		name  string
+		gate  gate
+		empty bool // leave the store empty instead of one ball per bin (bin 3: none)
+		brim  bool // bin 5 holds MaxInt32-1 balls
+		call  func(*Lane) error
+		want  error // nil: the verb must succeed and change the state
+	}{
+		{"admit/ok", serving, false, false, admit(1), nil},
+		{"admit/ok-chunked", serving, false, false, admit(3*laneChunk + 7), nil},
+		{"admit/ok-at-bound", serving, false, false, admit(MaxCount), nil},
+		{"admit/draining", draining, false, false, admit(1), ErrDraining},
+		{"admit/standby", standby, false, false, admit(1), ErrStandby},
+		{"admit/count-0", serving, false, false, admit(0), ErrBadRequest},
+		{"admit/count-negative", serving, false, false, admit(-4), ErrBadRequest},
+		{"admit/count-over-bound", serving, false, false, admit(MaxCount + 1), ErrBadRequest},
+		{"admit/count-3M", serving, false, false, admit(3 << 20), ErrBadRequest},
+
+		{"free/ok-scenario", serving, false, false, free(false, 0, 1), nil},
+		{"free/ok-bin", serving, false, false, free(true, 2, 1), nil},
+		{"free/ok-partial", serving, false, false, free(true, 2, 5), nil}, // one ball there: 1 of 5 is success
+		{"free/draining", draining, false, false, free(false, 0, 1), ErrDraining},
+		{"free/bin-draining", draining, false, false, free(true, 2, 1), ErrDraining},
+		{"free/standby", standby, false, false, free(false, 0, 1), ErrStandby},
+		{"free/count-0", serving, false, false, free(false, 0, 0), ErrBadRequest},
+		{"free/count-over-bound", serving, false, false, free(true, 2, MaxCount+1), ErrBadRequest},
+		{"free/bin-negative", serving, false, false, free(true, -1, 1), ErrBadRequest},
+		{"free/bin-out-of-range", serving, false, false, free(true, n, 1), ErrBadRequest},
+		{"free/empty-store", serving, true, false, free(false, 0, 1), ErrEmpty},
+		{"free/empty-bin", serving, false, false, free(true, 3, 1), ErrEmptyBin},
+
+		{"crash/ok", serving, false, false, crash(4, 100), nil},
+		{"crash/ok-to-the-brim", serving, false, true, crash(5, 1), nil},
+		{"crash/draining", draining, false, false, crash(4, 100), ErrDraining},
+		{"crash/standby", standby, false, false, crash(4, 100), ErrStandby},
+		{"crash/bin-negative", serving, false, false, crash(-1, 1), ErrBadRequest},
+		{"crash/bin-out-of-range", serving, false, false, crash(n, 1), ErrBadRequest},
+		{"crash/k-negative", serving, false, false, crash(4, -1), ErrBadRequest},
+		{"crash/k-overflows-int32", serving, false, false, crash(4, math.MaxInt32), ErrBadRequest},
+		{"crash/k-2^31", serving, false, false, crash(4, 1<<31), ErrBadRequest},
+		{"crash/k-overflows-full-bin", serving, false, true, crash(5, 2), ErrBadRequest},
+	}
+	for _, sc := range []process.Scenario{process.ScenarioA, process.ScenarioB} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%v/%s", sc, tc.name), func(t *testing.T) {
+				st := NewStoreShards(n, 4)
+				if !tc.empty {
+					st.FillBalanced(n)
+					st.FreeBin(3)
+				}
+				if tc.brim {
+					st.Crash(5, math.MaxInt32-2)
+				}
+				svc := NewService(st, NewABKUPolicy(2), sc, 7)
+				det := NewDetector(st, Target{PredictedMax: math.MaxInt32})
+				det.Check() // recovered: only an applied crash may flip it
+				svc.Arm(nil, det)
+				switch tc.gate {
+				case draining:
+					svc.SetDraining()
+				case standby:
+					svc = NewService(st, NewABKUPolicy(2), sc, 7)
+					svc.SetStandby()
+				}
+				before := stateOf(st)
+				err := tc.call(svc.NewLane(HTTPStream))
+				if tc.want == nil {
+					if err != nil {
+						t.Fatalf("refused: %v", err)
+					}
+					if stateOf(st) == before {
+						t.Fatal("verb succeeded without changing the store")
+					}
+					return
+				}
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("error = %v, want %v", err, tc.want)
+				}
+				if got := stateOf(st); got != before {
+					t.Fatalf("refused verb changed the store: %+v -> %+v", before, got)
+				}
+				if !det.Recovered() {
+					t.Fatal("refused verb marked the detector disrupted")
+				}
+			})
+		}
+	}
+}
+
+// TestLaneResults pins what the verbs hand a codec: one Placement per
+// ball in admission order with the loads AdmitBatch reported, FREE's
+// partial-success rule, and the crash marking the detector disrupted.
+func TestLaneResults(t *testing.T) {
+	st := NewStoreShards(64, 8)
+	svc := NewService(st, NewABKUPolicy(2), process.ScenarioA, 11)
+	det := NewDetector(st, Target{PredictedMax: 1 << 30})
+	det.Check()
+	svc.Arm(nil, det)
+	lane := svc.NewLane(DgramStream + 1)
+
+	placed, probes, err := lane.Admit(2*laneChunk+3, nil)
+	if err != nil || len(placed) != 2*laneChunk+3 || probes != 2*len(placed) {
+		t.Fatalf("admit: %d placements, %d probes, %v", len(placed), probes, err)
+	}
+	seen := map[int]int32{}
+	for i, p := range placed {
+		if p.Load != seen[p.Bin]+1 {
+			t.Fatalf("placement %d: bin %d load %d after %d", i, p.Bin, p.Load, seen[p.Bin])
+		}
+		seen[p.Bin] = p.Load
+	}
+	if st.Total() != int64(len(placed)) || st.Allocs() != int64(len(placed)) {
+		t.Fatalf("store after admit: %+v", st.Stats())
+	}
+
+	bin := placed[0].Bin
+	have := st.Load(bin)
+	freed, err := lane.Free(true, bin, have+5, placed[:0])
+	if err != nil || len(freed) != have {
+		t.Fatalf("free of %d from a bin of %d: %d placements, %v", have+5, have, len(freed), err)
+	}
+	if last := freed[len(freed)-1]; last.Bin != bin || last.Load != 0 {
+		t.Fatalf("last departure %+v, want bin %d at load 0", last, bin)
+	}
+	if _, err := lane.Free(true, bin, 1, nil); !errors.Is(err, ErrEmptyBin) {
+		t.Fatalf("free of the drained bin: %v, want ErrEmptyBin", err)
+	}
+	left := int(st.Total())
+	freed, err = lane.Free(false, 0, left+1, nil)
+	if err != nil || len(freed) != left || st.Total() != 0 {
+		t.Fatalf("scenario free of %d from a store of %d: %d placements, %v", left+1, left, len(freed), err)
+	}
+	if _, err := lane.Free(false, 0, 1, nil); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("free of the empty store: %v, want ErrEmpty", err)
+	}
+
+	if load, err := lane.Crash(9, 40); err != nil || load != 40 {
+		t.Fatalf("crash: load %d, %v", load, err)
+	}
+	if det.Recovered() {
+		t.Fatal("crash did not mark the detector disrupted")
+	}
+}
+
+// TestServiceGate: draining is final (it outlives a promotion), standby
+// ends at Arm, and Arm is what installs journal and detector.
+func TestServiceGate(t *testing.T) {
+	st := NewStoreShards(8, 2)
+	svc := NewService(st, NewABKUPolicy(2), process.ScenarioA, 1)
+	lane := svc.NewLane(HTTPStream)
+	svc.SetStandby()
+	if _, _, err := lane.Admit(1, nil); !errors.Is(err, ErrStandby) {
+		t.Fatalf("standby admit: %v", err)
+	}
+	det := NewDetector(st, Target{PredictedMax: 4})
+	svc.Arm(nil, det)
+	if svc.Detector() != det || svc.Journal() != nil {
+		t.Fatal("Arm did not install what it was given")
+	}
+	if _, _, err := lane.Admit(1, nil); err != nil {
+		t.Fatalf("armed admit: %v", err)
+	}
+	svc.SetDraining()
+	svc.SetStandby()
+	svc.Arm(nil, det)
+	if _, _, err := lane.Admit(1, nil); !errors.Is(err, ErrDraining) || !svc.Draining() {
+		t.Fatalf("admit after SetDraining + Arm: %v", err)
+	}
+}
+
+// TestStoreCrashOverflow: a crash past MaxInt32 is an error found under
+// the stripe lock, with nothing applied and the lock released.
+func TestStoreCrashOverflow(t *testing.T) {
+	st := NewStoreShards(8, 1)
+	st.Crash(2, 7)
+	before := stateOf(st)
+	for _, k := range []int{math.MaxInt32 - 6, math.MaxInt32, 1 << 31, 1 << 40, math.MaxInt64} {
+		load, err := st.Crash(2, k)
+		if !errors.Is(err, ErrOverflow) || load != 7 {
+			t.Fatalf("Crash(2, %d) = %d, %v; want 7, ErrOverflow", k, load, err)
+		}
+	}
+	if stateOf(st) != before {
+		t.Fatal("refused crash changed the store")
+	}
+	if load, err := st.Crash(2, math.MaxInt32-7); err != nil || load != math.MaxInt32 {
+		t.Fatalf("crash to the brim: %d, %v", load, err)
+	}
+	admitOne(st, 3) // the stripe lock was released on every path
+}
+
+// TestEngineRetracesPerPhaseGoldens: the one lane at pass size 0 and 1
+// must retrace, bit for bit, the trajectory of the per-phase lane this
+// tree used to carry beside it. The goldens (FNV-64a of the final
+// int32 loads, Allocs, Frees) were recorded from that lane — Engine
+// with Batch <= 1 at commit 91c2694 — at n=257, 8 stripes, 400 balls
+// seeded balanced plus a crash of 100 into bin 3, seed 1998, one
+// worker, 20000 phases.
+func TestEngineRetracesPerPhaseGoldens(t *testing.T) {
+	goldens := []struct {
+		pol    Policy
+		sc     process.Scenario
+		hash   uint64
+		allocs int64
+		frees  int64
+	}{
+		{NewABKUPolicy(2), process.ScenarioA, 0x59f6ae97578051a7, 20000, 20000},
+		{NewABKUPolicy(2), process.ScenarioB, 0x76a330f4bd0533eb, 20000, 20000},
+		{NewADAPPolicy(rules.SliceThresholds{1, 2, 2, 3}), process.ScenarioA, 0x22db9fe59cba7321, 20000, 20000},
+		{NewADAPPolicy(rules.SliceThresholds{1, 2, 2, 3}), process.ScenarioB, 0x43b1e2d2f7aaee7f, 20000, 20000},
+		{NewMixedPolicy(0.5), process.ScenarioA, 0x008678c1a5ec0ac7, 20000, 20000},
+		{NewMixedPolicy(0.5), process.ScenarioB, 0x119d007a9cd9aec1, 20000, 20000},
+	}
+	for _, g := range goldens {
+		for _, batch := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%s/%v/batch=%d", g.pol.Name(), g.sc, batch), func(t *testing.T) {
+				st := NewStoreShards(257, 8)
+				st.FillBalanced(400)
+				st.Crash(3, 100)
+				eng := NewEngine(Config{Store: st, Policy: g.pol, Scenario: g.sc, Workers: 1, Seed: 1998, MaxSteps: 20000, Batch: batch})
+				eng.Run(context.Background())
+				if h := loadsHash(st); h != g.hash || st.Allocs() != g.allocs || st.Frees() != g.frees {
+					t.Fatalf("final loads hash %#016x allocs %d frees %d, want %#016x %d %d",
+						h, st.Allocs(), st.Frees(), g.hash, g.allocs, g.frees)
+				}
+			})
+		}
+	}
+}
+
+// TestEpisodeState walks the shared state machine through its
+// transitions: boot episode, announced fault, merged fault keeping the
+// origin, drift-opened outage.
+func TestEpisodeState(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	at := func(s int) time.Time { return t0.Add(time.Duration(s) * time.Second) }
+	var e EpisodeState
+	e.Start(10, at(0))
+	if _, closed, opened := e.Observe(false, 15, at(1)); closed || opened || e.Recovered {
+		t.Fatal("atypical observation while disrupted must change nothing")
+	}
+	if e.Disrupt(16, at(2)) {
+		t.Fatal("a fault while disrupted merges; it must not open an outage")
+	}
+	ep, closed, _ := e.Observe(true, 40, at(5))
+	if !closed || ep != (Episode{Steps: 30, Wall: 5 * time.Second}) || !e.Recovered || e.Episodes != 1 || e.Last != ep {
+		t.Fatalf("boot episode: %+v closed=%v state=%+v", ep, closed, e)
+	}
+	if _, closed, opened := e.Observe(true, 50, at(6)); closed || opened {
+		t.Fatal("typical observation while recovered must change nothing")
+	}
+	if !e.Disrupt(60, at(7)) || e.Recovered {
+		t.Fatal("a fault while recovered opens an outage")
+	}
+	e.Disrupt(70, at(8)) // merged: the origin stays at 60
+	if ep, closed, _ := e.Observe(true, 100, at(10)); !closed || ep.Steps != 40 || ep.Wall != 3*time.Second {
+		t.Fatalf("merged-fault episode measured %+v, want 40 steps / 3s from the first fault", ep)
+	}
+	if _, closed, opened := e.Observe(false, 120, at(11)); closed || !opened || e.Recovered {
+		t.Fatal("atypical observation while recovered opens a drift outage")
+	}
+	if ep, _, _ := e.Observe(true, 125, at(12)); ep.Steps != 5 || e.Episodes != 3 {
+		t.Fatalf("drift episode %+v, episodes %d", ep, e.Episodes)
+	}
+}

@@ -28,6 +28,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -44,6 +45,10 @@ var ErrEmpty = errors.New("serve: store is empty")
 // ErrEmptyBin is returned by FreeBin when the requested bin holds no
 // ball (a process never removes from an empty bin).
 var ErrEmptyBin = errors.New("serve: bin is empty")
+
+// ErrOverflow is returned by Crash when the injection would take the
+// bin's load past math.MaxInt32, the largest load a bin can hold.
+var ErrOverflow = errors.New("serve: crash overflows the bin's int32 load")
 
 // shard is one lock stripe of the store. The mutex guards all mutations
 // of the bins in [lo, hi); total mirrors the ball count of those bins
@@ -77,27 +82,27 @@ type shard struct {
 // mutation is applied and before the lock is released — so per-bin
 // hook order exactly matches per-bin mutation order. Implementations
 // must therefore be fast and must never call back into the store; the
-// durability Journal, for example, only assigns a sequence number and
-// enqueues a WAL record.
+// durability Journal, for example, only assigns sequence numbers and
+// enqueues WAL records.
+//
+// Admissions are reported one run at a time: AdmitBatch hands each
+// shard's group of a pass to OnAllocRun in one call, right after the
+// whole group is applied (a pass of one ball is a run of one), so
+// per-push overhead — close guards, pending accounting, seq
+// reservation in the Journal — is paid once per group. bins is scratch
+// owned by the caller and must not be retained past the call.
 type StoreHook interface {
-	OnAlloc(bin int)
+	OnAllocRun(bins []int)
 	OnFree(bin int)
 	OnCrash(bin, k int)
 }
 
-// BatchStoreHook is an optional StoreHook extension for the batched
-// admission lane: AdmitBatch hands each shard's group of admissions to
-// OnAllocRun in one call — with that shard's lock held, immediately
-// after the whole group is applied — instead of one OnAlloc per ball,
-// so per-push overhead (close guards, pending accounting, seq
-// reservation in the Journal) is paid once per group. The StoreHook
-// constraints apply unchanged, plus: bins is scratch owned by the
-// caller and must not be retained past the call. A hook that does not
-// implement this interface receives per-ball OnAlloc calls from
-// AdmitBatch, so batching never changes what a plain hook observes.
+// BatchStoreHook is StoreHook plus a per-ball OnAlloc the store never
+// calls. The frozen benchmark harness is its only reason: it wraps the
+// *Journal in a hook of this type and forwards all four methods.
 type BatchStoreHook interface {
 	StoreHook
-	OnAllocRun(bins []int)
+	OnAlloc(bin int)
 }
 
 // Store is a concurrent bin store holding the live load vector of an
@@ -114,7 +119,7 @@ type Store struct {
 
 	total    atomic.Int64 // balls currently stored
 	nonEmpty atomic.Int64 // bins with load > 0
-	allocs   atomic.Int64 // completed Alloc calls (the service's step clock)
+	allocs   atomic.Int64 // completed admissions (the service's step clock)
 	frees    atomic.Int64 // completed Free* calls
 }
 
@@ -214,10 +219,9 @@ func (st *Store) shardOf(b int) *shard { return &st.shards[b/st.shardSize] }
 // intended call sites.
 func (st *Store) SetHook(h StoreHook) { st.hook = h }
 
-// allocBareLocked adds one ball to bin b without notifying the hook.
-// Caller holds the shard lock and is responsible for the hook call
-// (per ball, or per run via BatchStoreHook) before releasing it.
-func (st *Store) allocBareLocked(sh *shard, b int) int32 {
+// admitLocked adds one ball to bin b. Caller holds the shard lock and
+// reports the run to the hook (OnAllocRun) before releasing it.
+func (st *Store) admitLocked(sh *shard, b int) int32 {
 	l := st.loads[b].Add(1)
 	sh.reindex(b, l-1, l)
 	if l == 1 {
@@ -227,15 +231,6 @@ func (st *Store) allocBareLocked(sh *shard, b int) int32 {
 	sh.allocs.Add(1)
 	st.total.Add(1)
 	st.allocs.Add(1)
-	return l
-}
-
-// allocLocked adds one ball to bin b. Caller holds the shard lock.
-func (st *Store) allocLocked(sh *shard, b int) int32 {
-	l := st.allocBareLocked(sh, b)
-	if st.hook != nil {
-		st.hook.OnAlloc(b)
-	}
 	return l
 }
 
@@ -257,19 +252,6 @@ func (st *Store) freeLocked(sh *shard, b int) int32 {
 	return l
 }
 
-// Alloc places one ball into bin b and returns the bin's new load. It
-// panics if b is out of range.
-func (st *Store) Alloc(b int) int {
-	if b < 0 || b >= st.n {
-		panic(fmt.Sprintf("serve: Alloc bin %d out of range [0,%d)", b, st.n))
-	}
-	sh := st.shardOf(b)
-	sh.mu.Lock()
-	l := st.allocLocked(sh, b)
-	sh.mu.Unlock()
-	return int(l)
-}
-
 // ShardOf returns the index of the lock stripe bin b belongs to.
 func (st *Store) ShardOf(b int) int { return b / st.shardSize }
 
@@ -286,7 +268,7 @@ type AdmitScratch struct {
 	next    []int32 // per entry: 1-based index of the next entry in its shard
 	touched []int32 // shard indices hit by the batch, in first-touch order
 	order   []int32 // entry indices in the order their admissions were applied
-	run     []int   // current shard's bins, handed to BatchStoreHook.OnAllocRun
+	run     []int   // current shard's bins, handed to StoreHook.OnAllocRun
 }
 
 // Order returns the entry indices of the most recent AdmitBatch in the
@@ -298,22 +280,19 @@ type AdmitScratch struct {
 // is valid until the next AdmitBatch call with this scratch.
 func (sc *AdmitScratch) Order() []int32 { return sc.order }
 
-// AdmitBatch admits one ball into bins[i] for every i. It is
-// observationally equivalent to len(bins) sequential Alloc calls —
-// same final loads, counters, per-ball load results, and per-bin hook
-// order — but takes one striped-lock acquisition per *touched shard*
-// per batch instead of one per ball. Entries are grouped by shard and
-// applied shard by shard in first-touch order, stable within a shard;
-// entries of different shards may commit out of entry order, which is
-// invisible to any observer because single-ball admissions to distinct
-// bins commute (every interleaving reaches the same state, and
-// concurrent readers could see any of them already). Use
-// sc.Order() when the true apply order matters.
+// AdmitBatch admits one ball into bins[i] for every i — the store's
+// only admission path; a single admission is a batch of one. It takes
+// one striped-lock acquisition per *touched shard* per batch: entries
+// are grouped by shard and applied shard by shard in first-touch order,
+// stable within a shard. Entries of different shards may commit out of
+// entry order, which is invisible to any observer because single-ball
+// admissions to distinct bins commute (every interleaving reaches the
+// same state, and concurrent readers could see any of them already).
+// Use sc.Order() when the true apply order matters.
 //
 // If loads is non-nil it must hold at least len(bins) entries;
 // loads[i] receives bin bins[i]'s load immediately after its
-// admission, exactly what the corresponding Alloc call would have
-// returned. AdmitBatch panics — before mutating anything — if any bin
+// admission. AdmitBatch panics — before mutating anything — if any bin
 // is out of range.
 func (st *Store) AdmitBatch(bins []int, loads []int32, sc *AdmitScratch) {
 	n := len(bins)
@@ -324,16 +303,6 @@ func (st *Store) AdmitBatch(bins []int, loads []int32, sc *AdmitScratch) {
 		if b < 0 || b >= st.n {
 			panic(fmt.Sprintf("serve: AdmitBatch bin %d out of range [0,%d)", b, st.n))
 		}
-	}
-	if n == 1 {
-		// No grouping to do; keep the single-ball fast path allocation-free
-		// without touching the scratch chains.
-		l := int32(st.Alloc(bins[0]))
-		if loads != nil {
-			loads[0] = l
-		}
-		sc.order = append(sc.order[:0], 0)
-		return
 	}
 	if len(sc.head) < len(st.shards) {
 		sc.head = make([]int32, len(st.shards))
@@ -359,41 +328,24 @@ func (st *Store) AdmitBatch(bins []int, loads []int32, sc *AdmitScratch) {
 		sc.tail[si] = int32(i + 1)
 	}
 
-	bh, _ := st.hook.(BatchStoreHook)
+	hook := st.hook
 	for _, si := range sc.touched {
 		sh := &st.shards[si]
 		sh.mu.Lock()
-		if bh != nil {
-			sc.run = sc.run[:0]
-			for e := sc.head[si]; e != 0; e = sc.next[e-1] {
-				i := int(e - 1)
-				l := st.allocBareLocked(sh, bins[i])
-				if loads != nil {
-					loads[i] = l
-				}
-				sc.order = append(sc.order, int32(i))
+		sc.run = sc.run[:0]
+		for e := sc.head[si]; e != 0; e = sc.next[e-1] {
+			i := int(e - 1)
+			l := st.admitLocked(sh, bins[i])
+			if loads != nil {
+				loads[i] = l
+			}
+			sc.order = append(sc.order, int32(i))
+			if hook != nil {
 				sc.run = append(sc.run, bins[i])
 			}
-			bh.OnAllocRun(sc.run)
-		} else if st.hook != nil {
-			for e := sc.head[si]; e != 0; e = sc.next[e-1] {
-				i := int(e - 1)
-				l := st.allocBareLocked(sh, bins[i])
-				if loads != nil {
-					loads[i] = l
-				}
-				sc.order = append(sc.order, int32(i))
-				st.hook.OnAlloc(bins[i])
-			}
-		} else {
-			for e := sc.head[si]; e != 0; e = sc.next[e-1] {
-				i := int(e - 1)
-				l := st.allocBareLocked(sh, bins[i])
-				if loads != nil {
-					loads[i] = l
-				}
-				sc.order = append(sc.order, int32(i))
-			}
+		}
+		if hook != nil {
+			hook.OnAllocRun(sc.run)
 		}
 		sh.mu.Unlock()
 		sc.head[si], sc.tail[si] = 0, 0
@@ -518,10 +470,12 @@ func (st *Store) FreeNonEmpty(r *rng.RNG) (int, error) {
 
 // Crash dumps k extra balls into bin b at once — the fault injector
 // that manufactures the adversarial "all the mass in one place" states
-// of the paper's introduction. It returns the bin's new load. Crash
+// of the paper's introduction. It returns the bin's new load, or the
+// unchanged load and ErrOverflow when the bin cannot hold k more (the
+// check runs under the stripe lock, so nothing is half-applied). Crash
 // counts neither as admissions nor as departures, so the step clock
 // (Allocs) measures recovery work only.
-func (st *Store) Crash(b, k int) int {
+func (st *Store) Crash(b, k int) (int, error) {
 	if b < 0 || b >= st.n {
 		panic(fmt.Sprintf("serve: Crash bin %d out of range [0,%d)", b, st.n))
 	}
@@ -529,13 +483,18 @@ func (st *Store) Crash(b, k int) int {
 		panic("serve: Crash needs k >= 0")
 	}
 	if k == 0 {
-		return st.Load(b)
+		return st.Load(b), nil
 	}
 	sh := st.shardOf(b)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	old := st.loads[b].Load()
+	if int64(k) > math.MaxInt32-int64(old) {
+		return int(old), ErrOverflow
+	}
 	l := st.loads[b].Add(int32(k))
-	sh.reindex(b, l-int32(k), l)
-	if l == int32(k) {
+	sh.reindex(b, old, l)
+	if old == 0 {
 		st.nonEmpty.Add(1)
 	}
 	sh.total.Add(int64(k))
@@ -543,8 +502,7 @@ func (st *Store) Crash(b, k int) int {
 	if st.hook != nil {
 		st.hook.OnCrash(b, k)
 	}
-	sh.mu.Unlock()
-	return int(l)
+	return int(l), nil
 }
 
 // FillBalanced seeds the store with the most balanced state of Omega_m:
@@ -597,13 +555,7 @@ func (st *Store) FillBalanced(m int) {
 // through exactly, off by the handful of operations in flight. For the
 // recovery detector this is harmless — the distance metrics move by
 // O(1) per operation.
-func (st *Store) Snapshot() loadvec.Vector {
-	out := make([]int, st.n)
-	for b := range out {
-		out[b] = int(st.loads[b].Load())
-	}
-	return loadvec.FromLoads(out)
-}
+func (st *Store) Snapshot() loadvec.Vector { return loadvec.FromLoads(st.LoadsCopy()) }
 
 // LoadsCopy returns the raw (bin-indexed, unsorted) loads, read
 // lock-free like Snapshot. Useful for tests and for callers that need

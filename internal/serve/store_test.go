@@ -62,11 +62,11 @@ func TestNewStoreShardsPanics(t *testing.T) {
 
 func TestAllocFreeInvariants(t *testing.T) {
 	st := NewStoreShards(8, 4)
-	if l := st.Alloc(3); l != 1 {
+	if l := admitOne(st, 3); l != 1 {
 		t.Fatalf("first Alloc load = %d, want 1", l)
 	}
-	st.Alloc(3)
-	st.Alloc(5)
+	admitOne(st, 3)
+	admitOne(st, 5)
 	if st.Total() != 3 || st.NonEmpty() != 2 || st.Allocs() != 3 {
 		t.Fatalf("after 3 allocs: %+v", st.Stats())
 	}
@@ -104,13 +104,13 @@ func TestFillBalancedSnapshot(t *testing.T) {
 func TestCrash(t *testing.T) {
 	st := NewStoreShards(16, 4)
 	st.FillBalanced(16)
-	if l := st.Crash(7, 100); l != 101 {
-		t.Fatalf("Crash load = %d, want 101", l)
+	if l, err := st.Crash(7, 100); l != 101 || err != nil {
+		t.Fatalf("Crash load = %d, %v, want 101", l, err)
 	}
 	if st.Total() != 116 || st.NonEmpty() != 16 {
 		t.Fatalf("after crash: %+v", st.Stats())
 	}
-	if st.Crash(7, 0) != 101 {
+	if l, err := st.Crash(7, 0); l != 101 || err != nil {
 		t.Fatal("Crash with k=0 must be a no-op")
 	}
 	if got := st.Snapshot().MaxLoad(); got != 101 {
@@ -196,7 +196,7 @@ func TestStoreDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			st.Alloc(r.Intn(64))
+			admitOne(st, r.Intn(64))
 		}
 		return st.LoadsCopy()
 	}
@@ -228,7 +228,7 @@ func TestStoreConcurrent(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				switch r.Intn(4) {
 				case 0:
-					st.Alloc(r.Intn(n))
+					admitOne(st, r.Intn(n))
 				case 1:
 					st.FreeBall(r)
 				case 2:
@@ -287,7 +287,7 @@ func TestFreeBinEmptyEdgeCases(t *testing.T) {
 	}
 	// Fill then drain, then free once more: the second free must fail
 	// without disturbing any counter.
-	st.Alloc(3)
+	admitOne(st, 3)
 	if _, err := st.FreeBin(3); err != nil {
 		t.Fatal(err)
 	}
@@ -303,15 +303,15 @@ func TestCrashEmptyBinEdgeCases(t *testing.T) {
 	st := NewStoreShards(8, 2)
 	// Crash k=0 of an empty bin: a no-op that must not create a
 	// phantom nonempty bin.
-	if got := st.Crash(5, 0); got != 0 {
-		t.Fatalf("Crash(5, 0) = %d", got)
+	if got, err := st.Crash(5, 0); got != 0 || err != nil {
+		t.Fatalf("Crash(5, 0) = %d, %v", got, err)
 	}
 	if st.NonEmpty() != 0 || st.Total() != 0 {
 		t.Fatalf("zero crash disturbed counters: %+v", st.Stats())
 	}
 	// Crash k>0 of an empty bin transitions it to nonempty exactly once.
-	if got := st.Crash(5, 4); got != 4 {
-		t.Fatalf("Crash(5, 4) = %d", got)
+	if got, err := st.Crash(5, 4); got != 4 || err != nil {
+		t.Fatalf("Crash(5, 4) = %d, %v", got, err)
 	}
 	if st.NonEmpty() != 1 || st.Total() != 4 {
 		t.Fatalf("crash of empty bin: %+v", st.Stats())
@@ -340,7 +340,7 @@ func TestAllocFreeInterleavingAtEmpty(t *testing.T) {
 			t.Fatalf("FreeNonEmpty on empty store: %v", err)
 		}
 		b := i % 4
-		st.Alloc(b)
+		admitOne(st, b)
 		if _, err := st.FreeBin(b); err != nil {
 			t.Fatalf("drain after alloc: %v", err)
 		}
@@ -435,7 +435,7 @@ func TestLoadSummaryMatchesSnapshot(t *testing.T) {
 		check()
 		for i := 0; i < tc.churn; i++ {
 			if r.Bool() {
-				st.Alloc(r.Intn(tc.n))
+				admitOne(st, r.Intn(tc.n))
 			} else if _, err := st.FreeBall(r); err != nil && err != ErrEmpty {
 				t.Fatal(err)
 			}
@@ -463,7 +463,7 @@ func TestLoadSummaryConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				st.Alloc(r.Intn(512))
+				admitOne(st, r.Intn(512))
 				if _, err := st.FreeBall(r); err != nil {
 					t.Error(err)
 					return

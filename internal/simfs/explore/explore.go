@@ -108,7 +108,7 @@ type Config struct {
 	MaxBatch int
 
 	// AdmitBatch, when > 1, drives admission traffic in groups of up to
-	// that many balls through Store.AdmitBatch instead of one Alloc per
+	// that many balls per Store.AdmitBatch instead of a group of one per
 	// mutation, with the journal in deterministic SyncWriter mode (as
 	// in burst mode): the group's records reach the WAL through the
 	// batch hook's single seq-range reservation, so the armed power cut
@@ -458,13 +458,8 @@ func runSchedule(cfg Config, schedule int) (*Violation, Stats) {
 	if burst < 1 {
 		burst = 1
 	}
-	var (
-		admitBins []int
-		admitSc   serve.AdmitScratch
-	)
-	if cfg.AdmitBatch > 1 {
-		admitBins = make([]int, cfg.AdmitBatch)
-	}
+	admitBins := make([]int, max(cfg.AdmitBatch, 1))
+	var admitSc serve.AdmitScratch
 
 	for round := 0; round < cfg.Rounds; round++ {
 		// Arm the crash at a pseudo-random upcoming FS operation. A
@@ -587,18 +582,18 @@ func runSchedule(cfg Config, schedule int) (*Violation, Stats) {
 // records it in ref iff acknowledged (produced WAL records), returning
 // the number of mutations driven. The mix mirrors the serving
 // workload: mostly admissions, a steady departure stream through both
-// scenario samplers, occasional crash dumps. With admitBatch <= 1
-// every group has size 1 and the rng draws are identical to the
-// historical per-ball driver; with admitBatch > 1 the admission branch
-// drives a group of 1+Intn(admitBatch) balls (clamped to rem, the
-// mutations left in the round) through Store.AdmitBatch, and appends
-// the group's refOps in sc.Order() order — the order the batch hook
-// assigned their WAL seqs.
+// scenario samplers, occasional crash dumps. Admissions go through
+// Store.AdmitBatch in groups: of exactly one ball when admitBatch <= 1
+// (no size draw, so the rng draws are identical to the historical
+// per-ball driver), of 1+Intn(admitBatch) balls otherwise (clamped to
+// rem, the mutations left in the round). The group's refOps are
+// appended in sc.Order() order — the order the journal assigned their
+// WAL seqs.
 func driveSome(r *rng.RNG, st *serve.Store, ref *[]refOp, bins []int, sc *serve.AdmitScratch, admitBatch, rem int, stats *Stats) int {
 	switch p := r.Intn(10); {
 	case p == 0: // fault injection: dump k balls into one bin
 		bin, k := r.Intn(st.N()), 1+r.Intn(4)
-		st.Crash(bin, k)
+		st.Crash(bin, k) // loads stay tiny: ErrOverflow cannot occur
 		*ref = append(*ref, refOp{wal.OpCrash, bin, k})
 	case p <= 3: // departure via either scenario's sampler
 		var bin int
@@ -612,15 +607,12 @@ func driveSome(r *rng.RNG, st *serve.Store, ref *[]refOp, bins []int, sc *serve.
 			*ref = append(*ref, refOp{wal.OpFree, bin, 1})
 		}
 	default: // admission
-		if admitBatch <= 1 {
-			bin := r.Intn(st.N())
-			st.Alloc(bin)
-			*ref = append(*ref, refOp{wal.OpAlloc, bin, 1})
-			break
-		}
-		g := 1 + r.Intn(admitBatch)
-		if g > rem {
-			g = rem
+		g := 1
+		if admitBatch > 1 {
+			g = 1 + r.Intn(admitBatch)
+			if g > rem {
+				g = rem
+			}
 		}
 		for i := 0; i < g; i++ {
 			bins[i] = r.Intn(st.N())
