@@ -25,7 +25,8 @@ race-all:
 # Allocation budgets: AllocsPerRun gates pinning the admission lane at
 # 0 allocs/pass — Batcher passes of 64 and of one, Lane.Admit(1),
 # Lane.Admit(16) and Lane.Free — and its durable form (Batcher pass and
-# Lane.Admit(16) through a journal) at a fixed ceiling, and byte gates
+# Lane.Admit(16) through a journal) at a fixed ceiling under SyncWriter
+# and at 0 with the writer goroutine running, and byte gates
 # holding WAL replay to the segments it has in flight. No -race: the
 # budgets skip themselves under race instrumentation, which allocates.
 # Same leg as the alloc-budget CI job.
@@ -51,7 +52,7 @@ bench-json: build
 bench-check: build
 	$(GO) run ./cmd/bench -quick -out BENCH_head.json
 	$(GO) run ./cmd/bench -compare BENCH_baseline.json BENCH_head.json -threshold 25
-	$(GO) test ./internal/serve -run TestStoreReadsScaleSublinearly -count=1 -v
+	$(GO) test ./internal/serve -run 'TestStoreReadsScaleSublinearly|TestJournaledDriveWithinFactorOfBare' -count=1 -v
 
 # CPU/heap profiles plus a metrics snapshot of a representative
 # experiment pass. Override EXP to profile a different experiment.

@@ -183,81 +183,85 @@ func TestAllocBudgetAdmitBatchMetricsOn(t *testing.T) {
 // buffer growth inside simfs, amortized), so the ceiling of 8 is
 // generous headroom for GC timing — while still two orders of
 // magnitude below a per-record allocation (128/run).
-func TestAllocBudgetDurableAdmitBatch(t *testing.T) {
+//
+// The second rig has the writer goroutine running and the Drain
+// waiting on its watermark, and holds the hooks' own side of a pass —
+// every OnFree a run of one, every OnAllocRun group, copied into the
+// slab — to exactly 0: what simfs allocates on the writer's side is
+// amortized growth, well under one allocation a run, and AllocsPerRun
+// reports whole allocations.
+var durableRigs = []struct {
+	name    string
+	opts    JournalOptions
+	ceiling float64
+}{
+	{"sync-writer", JournalOptions{Buffer: 1024, SyncWriter: true, MaxBatch: 512}, 8},
+	{"writer-running", JournalOptions{Buffer: 1024}, 0},
+}
+
+// durableBudget runs pass — built by lane over a journaled store, and
+// expected to end in a Drain — through each rig and holds it to the
+// rig's ceiling.
+func durableBudget(t *testing.T, warm int, lane func(*Store, *Journal) (pass func())) {
 	if raceEnabled {
 		t.Skip("allocation budgets are meaningless under -race instrumentation")
 	}
-	fs := simfs.New()
-	l, err := wal.Open(wal.Options{Dir: "/wal", FS: fs, Fsync: wal.FsyncNever, SegmentBytes: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewStoreShards(1<<12, 64)
-	st.FillBalanced(1 << 12)
-	j := NewJournal(st, l, 0, JournalOptions{Buffer: 1024, SyncWriter: true, MaxBatch: 512})
-	defer j.Close()
-	bt := NewBatcher(st, NewABKUPolicy(2), process.ScenarioA, 64)
-	r := rng.New(0xD00D)
-	for i := 0; i < 8; i++ {
-		if _, err := bt.Pass(r, 64); err != nil {
-			t.Fatal(err)
-		}
-		j.Drain()
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if _, err := bt.Pass(r, 64); err != nil {
-			panic(err)
-		}
-		j.Drain()
-	})
-	const ceiling = 8.0
-	if avg > ceiling {
-		t.Errorf("durable batched admit pass: %v allocs/pass, ceiling %v", avg, ceiling)
-	}
-	if err := j.Err(); err != nil {
-		t.Fatal(err)
+	for _, rig := range durableRigs {
+		t.Run(rig.name, func(t *testing.T) {
+			l, err := wal.Open(wal.Options{Dir: "/wal", FS: simfs.New(), Fsync: wal.FsyncNever, SegmentBytes: 64 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := NewStoreShards(1<<12, 64)
+			st.FillBalanced(1 << 12)
+			j := NewJournal(st, l, 0, rig.opts)
+			pass := lane(st, j)
+			for i := 0; i < warm; i++ {
+				pass()
+			}
+			if avg := testing.AllocsPerRun(50, pass); avg > rig.ceiling {
+				t.Errorf("%v allocs/pass, ceiling %v", avg, rig.ceiling)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
-// Lane.Admit(16) through a journal is held to the ceiling the Batcher's
-// durable pass has above, on the same SyncWriter-on-simfs rig: one run
-// is 16 frees + one ADMIT of 16 and a Drain of their 32 records.
+func TestAllocBudgetDurableAdmitBatch(t *testing.T) {
+	durableBudget(t, 8, func(st *Store, j *Journal) func() {
+		bt := NewBatcher(st, NewABKUPolicy(2), process.ScenarioA, 64)
+		r := rng.New(0xD00D)
+		return func() {
+			if _, err := bt.Pass(r, 64); err != nil {
+				panic(err)
+			}
+			j.Drain()
+		}
+	})
+}
+
+// Lane.Admit(16) through a journal is held to the ceilings the
+// Batcher's durable pass has above, on the same rigs: one run is 16
+// frees + one ADMIT of 16 and a Drain of their 32 records.
 func TestAllocBudgetDurableLaneAdmit(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets are meaningless under -race instrumentation")
-	}
-	fs := simfs.New()
-	l, err := wal.Open(wal.Options{Dir: "/wal", FS: fs, Fsync: wal.FsyncNever, SegmentBytes: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewStoreShards(1<<12, 64)
-	st.FillBalanced(1 << 12)
-	j := NewJournal(st, l, 0, JournalOptions{Buffer: 1024, SyncWriter: true, MaxBatch: 512})
-	defer j.Close()
-	svc := NewService(st, NewABKUPolicy(2), process.ScenarioA, 0xD00D)
-	svc.Arm(j, nil)
-	lane := svc.NewLane(DgramStream + 1)
-	var dst []Placement
-	pass := func() {
-		if dst, err = lane.Free(false, 0, 16, dst[:0]); err != nil {
-			panic(err)
+	durableBudget(t, 32, func(st *Store, j *Journal) func() {
+		svc := NewService(st, NewABKUPolicy(2), process.ScenarioA, 0xD00D)
+		svc.Arm(j, nil)
+		lane := svc.NewLane(DgramStream + 1)
+		var dst []Placement
+		return func() {
+			var err error
+			if dst, err = lane.Free(false, 0, 16, dst[:0]); err != nil {
+				panic(err)
+			}
+			if dst, _, err = lane.Admit(16, dst[:0]); err != nil {
+				panic(err)
+			}
+			j.Drain()
 		}
-		if dst, _, err = lane.Admit(16, dst[:0]); err != nil {
-			panic(err)
-		}
-		j.Drain()
-	}
-	for i := 0; i < 32; i++ {
-		pass()
-	}
-	const ceiling = 8.0
-	if avg := testing.AllocsPerRun(50, pass); avg > ceiling {
-		t.Errorf("durable Lane.Admit(16) pass: %v allocs/pass, ceiling %v", avg, ceiling)
-	}
-	if err := j.Err(); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // The reads the index serves sit on the PROBE path (LoadSummary, once

@@ -13,25 +13,29 @@ import (
 
 // JournalOptions tunes the durability bridge.
 type JournalOptions struct {
-	// Buffer is the bounded record queue between the store's mutation
-	// hooks and the WAL writer goroutine (default 4096). When the queue
-	// is full, mutations block until the writer drains — bounded memory
-	// with backpressure, never silent loss. Note the stall mode this
-	// implies: the queue only stays full while the writer is stuck
-	// inside a WAL write/fsync that neither returns nor errors (a hung
-	// disk, not a failing one), and a blocked push holds its shard's
-	// lock — so a wedged disk stalls every mutation on that shard and
-	// any Checkpoint waiting to lock all shards. The "WAL errors
-	// degrade durability, never availability" guarantee covers errors;
-	// for stalls, set StallTimeout.
+	// Buffer bounds the records that have drawn a seq but have not been
+	// handed to the WAL yet (default 4096): seq − appended ≤ Buffer at
+	// all times, so it is also the most a kill -9 can cost. They sit in
+	// two slabs of this capacity, the one the store's mutation hooks
+	// fill and the one the writer is appending. With no room left,
+	// mutations block until the writer's appended watermark moves —
+	// bounded memory with backpressure, never silent loss. Note the
+	// stall mode this implies: there is only no room for long while the
+	// writer is stuck inside a WAL write/fsync that neither returns nor
+	// errors (a hung disk, not a failing one), and a blocked push holds
+	// its shard's lock — so a wedged disk stalls every mutation on that
+	// shard and any Checkpoint waiting to lock all shards. The "WAL
+	// errors degrade durability, never availability" guarantee covers
+	// errors; for stalls, set StallTimeout.
 	Buffer int
 
-	// StallTimeout, when positive, bounds how long a mutation waits on
-	// a full queue: a push that cannot enqueue within it drops the
-	// record, notes the error (Err) and counts it in
-	// serve.journal.stalled — durability degrades to keep the service
-	// available through a hung disk. 0 (the default) keeps the pure
-	// backpressure behavior described under Buffer.
+	// StallTimeout, when positive, bounds how long a mutation waits for
+	// room: a push that finds none within it drops its whole run of
+	// records before any of them draws a seq, notes the error (Err) and
+	// counts the records in serve.journal.stalled — durability degrades
+	// to keep the service available through a hung disk. 0 (the
+	// default) keeps the pure backpressure behavior described under
+	// Buffer.
 	StallTimeout time.Duration
 
 	// KeepCheckpoints is how many checkpoint files Checkpoint retains
@@ -45,22 +49,22 @@ type JournalOptions struct {
 	// bounds its loss window (the log itself only syncs on appends).
 	SyncEvery time.Duration
 
-	// MaxBatch caps how many queued records the writer hands to one
-	// wal.Log.AppendBatch call (default 512). The writer drains the
-	// queue greedily: it blocks for the first record, then takes
-	// whatever else is already queued up to this cap — group commit, so
-	// under wal.FsyncAlways a burst of mutations shares one fsync
-	// instead of paying one each. 1 restores per-record appends.
+	// MaxBatch caps how many records the writer hands to one
+	// wal.Log.AppendBatch call (default 512). The writer takes the whole
+	// filled slab at once and appends it in chunks of this size — group
+	// commit, so under wal.FsyncAlways a burst of mutations shares one
+	// fsync instead of paying one each. 1 restores per-record appends.
 	MaxBatch int
 
 	// SyncWriter disables the background writer goroutine: records
-	// queue up until Drain (or Close), which appends them in the
-	// calling goroutine in MaxBatch chunks. This makes batch boundaries
-	// a deterministic function of the push/Drain sequence — what the
-	// crash-schedule explorer (internal/simfs/explore) needs to replay
-	// batched schedules bit-identically from a seed. Single-threaded
-	// drivers only, and Buffer must cover every push between two
-	// Drains (a full queue would block with nobody draining).
+	// stay in the slab until Drain (or Close), which appends them in
+	// the calling goroutine in MaxBatch chunks. This makes batch
+	// boundaries a deterministic function of the push/Drain sequence —
+	// what the crash-schedule explorer (internal/simfs/explore) needs
+	// to replay batched schedules bit-identically from a seed.
+	// Single-threaded drivers only, and Buffer must cover every push
+	// between two Drains (a push without room would block with nobody
+	// draining).
 	SyncWriter bool
 }
 
@@ -77,14 +81,18 @@ func (o *JournalOptions) fill() {
 }
 
 // Journal makes a Store durable: it installs itself as the store's
-// mutation hook, assigns every mutation a WAL sequence number under
-// the shard lock (so checkpoint cuts are exact), and hands the record
-// to a single writer goroutine through a bounded channel — the append
-// happens off the allocation hot path. The writer group-commits: it
-// drains the channel greedily into batches of up to MaxBatch records
-// and appends each batch with one wal.Log.AppendBatch call, so a
-// burst of mutations shares one mutex acquisition, one buffered
-// write, and (under wal.FsyncAlways) one fsync.
+// mutation hook and, under the shard lock that applied a mutation,
+// copies its records — one run per hook call — into a slab, drawing
+// their WAL sequence numbers under the slab's mutex. Seq order is
+// therefore slab order and log order (a segment never opens past a seq
+// still on its way), and checkpoint cuts are exact. A single writer
+// goroutine swaps the filled slab for an empty one and appends what it
+// took with one wal.Log.AppendBatch call per MaxBatch records — the
+// append happens off the allocation hot path, and a burst of mutations
+// shares one log mutex acquisition, one buffered write, and (under
+// wal.FsyncAlways) one fsync. After each call the writer publishes the
+// appended watermark, which is what room for new records (see
+// JournalOptions.Buffer) and Drain are defined by.
 //
 // Checkpoint walks the lock stripes one at a time — no stop-the-world
 // cut — capturing each stripe's loads, counters, and a per-stripe seq
@@ -94,30 +102,32 @@ func (o *JournalOptions) fill() {
 // checkpoint are deleted afterwards.
 //
 // A WAL append error does not stop the service: the first error is
-// retained (Err), subsequent records are still drained (and counted
-// dropped once the log is closed), and the wal.append.errors counter
-// tracks the loss — durability degrades, availability does not.
+// retained (Err), subsequent records are still handed to the log, and
+// the wal.append.errors counter tracks the loss — durability degrades,
+// availability does not.
 type Journal struct {
 	st   *Store
 	log  *wal.Log
 	opts JournalOptions
 
-	seq     atomic.Uint64
-	pending atomic.Int64 // records enqueued but not yet handed to the WAL
+	// seq is the last seq drawn. It moves only under mu, as the records
+	// that drew it enter q; it is an atomic so that Checkpoint can read
+	// it under a stripe lock alone.
+	seq atomic.Uint64
 
-	// drainMu/drainCond let Drain sleep until pending reaches zero
-	// instead of burning a core — the writer can sit inside a slow
-	// fsync for milliseconds.
-	drainMu   sync.Mutex
-	drainCond *sync.Cond
+	// The hand-off. q is the slab the hooks fill and spare the one the
+	// writer last emptied; every seq at or below appended has been
+	// handed to the WAL (or its failure noted in Err), so seq − appended
+	// records are queued, in q or with the writer.
+	mu       sync.Mutex
+	q, spare []wal.Record
+	appended uint64
+	closed   bool
+	filled   sync.Cond // q went from empty to not, or closed: the writer parks here
+	moved    sync.Cond // appended moved, or closed: pushes short of room and Drain wait here
 
-	batchPool sync.Pool // *[]wal.Record, cap MaxBatch, recycled per batch
-
-	closeMu sync.RWMutex // held (read) across every push; (write) by Close
-	closed  bool
-	ch      chan wal.Record
-	wg      sync.WaitGroup
-	stop    chan struct{} // stops the SyncEvery ticker
+	wg   sync.WaitGroup
+	stop chan struct{} // stops the SyncEvery ticker
 
 	errMu    sync.Mutex
 	firstErr error
@@ -134,18 +144,16 @@ type Journal struct {
 func NewJournal(st *Store, log *wal.Log, lastSeq uint64, opts JournalOptions) *Journal {
 	opts.fill()
 	j := &Journal{
-		st:   st,
-		log:  log,
-		opts: opts,
-		ch:   make(chan wal.Record, opts.Buffer),
-		stop: make(chan struct{}),
+		st:       st,
+		log:      log,
+		opts:     opts,
+		q:        make([]wal.Record, 0, opts.Buffer),
+		spare:    make([]wal.Record, 0, opts.Buffer),
+		appended: lastSeq,
+		stop:     make(chan struct{}),
 	}
 	j.seq.Store(lastSeq)
-	j.drainCond = sync.NewCond(&j.drainMu)
-	j.batchPool.New = func() any {
-		b := make([]wal.Record, 0, j.opts.MaxBatch)
-		return &b
-	}
+	j.filled.L, j.moved.L = &j.mu, &j.mu
 	if !opts.SyncWriter {
 		j.wg.Add(1)
 		go j.writer()
@@ -158,84 +166,46 @@ func NewJournal(st *Store, log *wal.Log, lastSeq uint64, opts JournalOptions) *J
 	return j
 }
 
-// writer drains the record queue into the WAL in batches: block for
-// one record, then greedily take whatever else is already queued (up
-// to MaxBatch) and hand the whole slice to AppendBatch — so one fsync
-// covers the burst (group commit) and the mutex/flush overhead is paid
-// once per batch instead of once per record.
+// writer parks until the hooks have put something in the slab, appends
+// it, and exits once the journal is closed and the slab empty.
 func (j *Journal) writer() {
 	defer j.wg.Done()
-	for rec := range j.ch {
-		bp := j.batchPool.Get().(*[]wal.Record)
-		batch := j.fill(append((*bp)[:0], rec))
-		j.appendBatch(batch)
-		*bp = batch[:0]
-		j.batchPool.Put(bp)
-	}
-}
-
-// fill takes queued records without blocking until batch reaches
-// MaxBatch or the queue is momentarily empty (or closed).
-func (j *Journal) fill(batch []wal.Record) []wal.Record {
-	for len(batch) < j.opts.MaxBatch {
-		select {
-		case rec, ok := <-j.ch:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, rec)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// appendBatch hands one batch to the WAL and settles its accounting.
-// An error fails the whole batch: the first one is retained for Err
-// and every record of the batch is counted in wal.append.errors —
-// none of them may be considered durable (a torn prefix can still be
-// on disk; replay recovers it like any torn tail). pending is
-// decremented by the batch size afterwards, so Drain's contract — every
-// record enqueued before the call has been handed to the WAL — is
-// unchanged by batching.
-func (j *Journal) appendBatch(batch []wal.Record) {
-	if err := j.log.AppendBatch(batch); err != nil {
-		j.noteErr(err)
-		metrics.AddCounter("wal.append.errors", int64(len(batch)))
-	}
-	j.decPending(int64(len(batch)))
-}
-
-// decPending subtracts settled records from pending and wakes Drain
-// waiters when the queue fully settles.
-func (j *Journal) decPending(n int64) {
-	if j.pending.Add(-n) == 0 {
-		j.drainMu.Lock()
-		j.drainCond.Broadcast()
-		j.drainMu.Unlock()
-	}
-}
-
-// flushQueued appends everything currently queued, in MaxBatch chunks,
-// in the calling goroutine — the SyncWriter drain path (also used by
-// Close to settle the tail once the channel is closed).
-func (j *Journal) flushQueued() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	for {
-		select {
-		case rec, ok := <-j.ch:
-			if !ok {
-				return
-			}
-			bp := j.batchPool.Get().(*[]wal.Record)
-			batch := j.fill(append((*bp)[:0], rec))
-			j.appendBatch(batch)
-			*bp = batch[:0]
-			j.batchPool.Put(bp)
-		default:
+		for len(j.q) == 0 && !j.closed {
+			j.filled.Wait()
+		}
+		if len(j.q) == 0 {
 			return
 		}
+		j.flush()
 	}
+}
+
+// flush, entered and left with mu held, takes the slab the hooks have
+// filled, leaves them the empty one, and appends what it took in
+// MaxBatch chunks with mu released. An error fails the whole chunk:
+// the first one is retained for Err and every record of the chunk is
+// counted in wal.append.errors — none of them may be considered durable
+// (a torn prefix can still be on disk; replay recovers it like any torn
+// tail). Either way the chunk is settled, and appended moves past it.
+func (j *Journal) flush() {
+	slab := j.q
+	j.q, j.spare = j.spare, nil
+	for rest := slab; len(rest) > 0; {
+		batch := rest[:min(len(rest), j.opts.MaxBatch)]
+		rest = rest[len(batch):]
+		j.mu.Unlock()
+		if err := j.log.AppendBatch(batch); err != nil {
+			j.noteErr(err)
+			metrics.AddCounter("wal.append.errors", int64(len(batch)))
+		}
+		j.mu.Lock()
+		j.appended = batch[len(batch)-1].Seq
+		j.moved.Broadcast()
+	}
+	j.spare = slab[:0]
 }
 
 // syncLoop bounds the fsync-interval loss window while idle.
@@ -273,133 +243,106 @@ func (j *Journal) Err() error {
 // LastSeq returns the seq of the most recently enqueued record.
 func (j *Journal) LastSeq() uint64 { return j.seq.Load() }
 
-// push assigns the next seq and enqueues one record. It runs under the
-// mutating shard's lock (see StoreHook), so seq order equals mutation
-// order per bin, and a Checkpoint holding every shard lock observes a
-// stable seq. With no StallTimeout a full queue blocks here —
-// holding that shard lock — until the writer drains (see
-// JournalOptions.Buffer for what that stall mode means).
-func (j *Journal) push(op wal.Op, bin, k int) {
-	j.closeMu.RLock()
-	defer j.closeMu.RUnlock()
-	if j.closed {
-		metrics.AddCounter("serve.journal.dropped", 1)
-		return
-	}
-	rec := wal.Record{Op: op, Bin: uint32(bin), K: int32(k), Seq: j.seq.Add(1)}
-	j.pending.Add(1)
-	j.enqueue(rec)
-}
-
-// OnAllocRun implements StoreHook: the admission lane's push. It
-// reserves one contiguous seq range for the whole run and
-// enqueues the records in order — still under the shard lock that
-// applied them (see Store.AdmitBatch), so seq order equals mutation
-// order per bin and a Checkpoint holding every shard lock still
-// observes a stable seq. The per-push close guard and pending
-// accounting are paid once per run instead of once per ball, and the
-// writer's greedy group commit typically lands a whole run in one
-// wal.AppendBatch call.
-func (j *Journal) OnAllocRun(bins []int) {
-	n := len(bins)
-	if n == 0 {
-		return
-	}
-	j.closeMu.RLock()
-	defer j.closeMu.RUnlock()
-	if j.closed {
-		metrics.AddCounter("serve.journal.dropped", int64(n))
-		return
-	}
-	base := j.seq.Add(uint64(n)) - uint64(n)
-	j.pending.Add(int64(n))
-	for i, bin := range bins {
-		j.enqueue(wal.Record{Op: wal.OpAlloc, Bin: uint32(bin), K: 1, Seq: base + uint64(i) + 1})
+// push journals one run — the records (op, bins[i], k), in order —
+// taking mu once: wait for room, draw the run's seq range, copy it
+// into the slab, and wake the writer if the slab was empty. It runs
+// under the mutating shard's lock (see StoreHook; AdmitBatch calls it
+// once per shard group), so seq order equals mutation order per bin,
+// and a Checkpoint holding a shard's lock observes a seq that covers
+// exactly the shard's applied records. With no StallTimeout a push
+// without room blocks here — holding that shard lock — until the
+// writer's watermark moves (see JournalOptions.Buffer for what that
+// stall mode means). A run longer than Buffer goes in Buffer-sized
+// pieces.
+func (j *Journal) push(op wal.Op, bins []int, k int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for len(bins) > 0 {
+		n := min(len(bins), j.opts.Buffer)
+		if !j.closed && !j.hasRoom(n) {
+			j.waitRoom(n)
+		}
+		switch {
+		case j.closed:
+			metrics.AddCounter("serve.journal.dropped", int64(len(bins)))
+			return
+		case !j.hasRoom(n):
+			j.noteErr(fmt.Errorf("serve: journal stalled for %v; %d records after seq %d dropped", j.opts.StallTimeout, len(bins), j.seq.Load()))
+			metrics.AddCounter("serve.journal.stalled", int64(len(bins)))
+			return
+		}
+		if len(j.q) == 0 {
+			j.filled.Signal()
+		}
+		seq := j.seq.Load()
+		for _, bin := range bins[:n] {
+			seq++
+			j.q = append(j.q, wal.Record{Op: op, Bin: uint32(bin), K: int32(k), Seq: seq})
+		}
+		j.seq.Store(seq)
+		bins = bins[n:]
 	}
 }
 
-// enqueue hands one record — already counted in pending, seq already
-// assigned — to the writer queue, honoring StallTimeout. The caller
-// holds closeMu.RLock, so the channel cannot be closed under us.
-func (j *Journal) enqueue(rec wal.Record) {
-	if j.opts.StallTimeout <= 0 {
-		j.ch <- rec
-		return
-	}
-	select {
-	case j.ch <- rec:
-		return
-	default:
-	}
-	t := getStallTimer(j.opts.StallTimeout)
-	select {
-	case j.ch <- rec:
-	case <-t.C:
-		j.decPending(1)
-		j.noteErr(fmt.Errorf("serve: journal stalled for %v; record seq %d dropped", j.opts.StallTimeout, rec.Seq))
-		metrics.AddCounter("serve.journal.stalled", 1)
-	}
-	putStallTimer(t)
+// hasRoom reports, with mu held, whether n more records fit the bound.
+func (j *Journal) hasRoom(n int) bool {
+	return j.seq.Load()-j.appended+uint64(n) <= uint64(j.opts.Buffer)
 }
 
-// stallTimers pools the StallTimeout timers: a wedged disk stalls
-// every mutation on a shard, and allocating a fresh runtime timer per
-// stalled push just adds churn to an already-bad moment.
-var stallTimers sync.Pool
-
-func getStallTimer(d time.Duration) *time.Timer {
-	if v := stallTimers.Get(); v != nil {
-		t := v.(*time.Timer)
-		t.Reset(d)
-		return t
+// waitRoom sleeps, with mu held, until n more records fit, the journal
+// closes, or StallTimeout (when set) runs out; the caller checks which.
+func (j *Journal) waitRoom(n int) {
+	var deadline time.Time
+	if d := j.opts.StallTimeout; d > 0 {
+		deadline = time.Now().Add(d)
+		defer time.AfterFunc(d, func() {
+			j.mu.Lock()
+			j.moved.Broadcast()
+			j.mu.Unlock()
+		}).Stop()
 	}
-	return time.NewTimer(d)
-}
-
-// putStallTimer stops t and clears any tick left in its channel (the
-// pooled timer must come back quiescent whether it fired or not).
-func putStallTimer(t *time.Timer) {
-	t.Stop()
-	select {
-	case <-t.C:
-	default:
+	for !j.closed && !j.hasRoom(n) && (deadline.IsZero() || time.Now().Before(deadline)) {
+		j.moved.Wait()
 	}
-	stallTimers.Put(t)
 }
 
 // Drain blocks until every record enqueued before the call has been
-// handed to the WAL (appended, or its failure recorded in Err). With
-// traffic quiesced this makes the writer goroutine's work observable:
-// after Drain, LastSeq's record has reached the log — which is what
-// the deterministic crash-schedule simulations need between steps, and
-// what a graceful flush wants before a checkpoint. Waiters sleep on a
-// condition variable signalled by the writer; they don't spin while
-// the writer sits inside a slow fsync.
+// handed to the WAL (appended, or its failure recorded in Err): until
+// the appended watermark reaches the seq drawn last. With traffic
+// quiesced this makes the writer goroutine's work observable: after
+// Drain, LastSeq's record has reached the log — which is what the
+// deterministic crash-schedule simulations need between steps, and what
+// a graceful flush wants before a checkpoint. Waiters sleep on the
+// condition variable the writer signals; they don't spin while the
+// writer sits inside a slow fsync.
 //
 // Under SyncWriter there is no writer goroutine: Drain itself appends
 // everything queued, in MaxBatch chunks, in the calling goroutine.
 func (j *Journal) Drain() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.opts.SyncWriter {
-		j.flushQueued()
-		return
+		j.flush()
 	}
-	j.drainMu.Lock()
-	for j.pending.Load() != 0 {
-		j.drainCond.Wait()
+	for target := j.seq.Load(); j.appended < target; {
+		j.moved.Wait()
 	}
-	j.drainMu.Unlock()
 }
 
-// OnAlloc is a run of one pushed as a single record. The store never
-// calls it (admissions arrive through OnAllocRun); the frozen benchmark
-// harness, which forwards it from its BatchStoreHook wrapper, does.
-func (j *Journal) OnAlloc(bin int) { j.push(wal.OpAlloc, bin, 1) }
+// OnAllocRun implements StoreHook: one shard group of an admission
+// pass, pushed as one run.
+func (j *Journal) OnAllocRun(bins []int) { j.push(wal.OpAlloc, bins, 1) }
+
+// OnAlloc is a run of one. The store never calls it (admissions arrive
+// through OnAllocRun); the frozen benchmark harness, which forwards it
+// from its BatchStoreHook wrapper, does.
+func (j *Journal) OnAlloc(bin int) { j.push(wal.OpAlloc, []int{bin}, 1) }
 
 // OnFree implements StoreHook.
-func (j *Journal) OnFree(bin int) { j.push(wal.OpFree, bin, 1) }
+func (j *Journal) OnFree(bin int) { j.push(wal.OpFree, []int{bin}, 1) }
 
 // OnCrash implements StoreHook.
-func (j *Journal) OnCrash(bin, k int) { j.push(wal.OpCrash, bin, k) }
+func (j *Journal) OnCrash(bin, k int) { j.push(wal.OpCrash, []int{bin}, k) }
 
 // Checkpoint captures a striped snapshot — no stop-the-world cut —
 // persists it, prunes old checkpoints and truncates WAL segments the
@@ -503,9 +446,9 @@ func (j *Journal) checkpoint(maintain bool) (checkpoint.Snapshot, string, error)
 func (j *Journal) Maintain() int {
 	j.ckptMu.Lock()
 	defer j.ckptMu.Unlock()
-	j.closeMu.RLock()
+	j.mu.Lock()
 	closed := j.closed
-	j.closeMu.RUnlock()
+	j.mu.Unlock()
 	if closed {
 		return 0
 	}
@@ -549,26 +492,28 @@ func (j *Journal) MaintErr() error {
 
 // Close detaches the journal from the store, flushes the queue, and
 // closes the WAL (fsyncing the tail unless the policy is never).
-// Callers quiesce traffic first; mutations racing Close are counted
-// in serve.journal.dropped rather than lost silently. A checkpoint or
-// maintenance pass in flight finishes first.
+// Callers quiesce traffic first; mutations racing Close — one blocked
+// for want of room included, which wakes here — are counted in
+// serve.journal.dropped rather than lost silently, and none reaches
+// the slab once closed is set, so nothing is appended to a closed log.
+// A checkpoint or maintenance pass in flight finishes first.
 func (j *Journal) Close() error {
 	j.ckptMu.Lock()
 	defer j.ckptMu.Unlock()
-	j.closeMu.Lock()
+	j.mu.Lock()
 	if j.closed {
-		j.closeMu.Unlock()
+		j.mu.Unlock()
 		return nil
 	}
 	j.closed = true
-	close(j.ch)
-	j.closeMu.Unlock()
+	if j.opts.SyncWriter {
+		j.flush() // no writer goroutine: settle the queued tail here
+	}
+	j.filled.Signal()
+	j.moved.Broadcast()
+	j.mu.Unlock()
 	close(j.stop)
 	j.wg.Wait()
-	if j.opts.SyncWriter {
-		// No writer goroutine: settle the queued tail here.
-		j.flushQueued()
-	}
 	j.st.SetHook(nil)
 	if err := j.log.Close(); err != nil {
 		return err

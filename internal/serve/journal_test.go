@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -855,5 +858,190 @@ func TestJournalCloseIdempotentAndDetaches(t *testing.T) {
 	admitOne(st, 2)
 	if st.Total() != 2 {
 		t.Fatalf("store unusable after journal close: %+v", st.Stats())
+	}
+}
+
+// TestJournalLogIsInSeqOrderAcrossRotations: the log is in seq order
+// whatever the stripes' pushers do. Eight goroutines, each on a stripe
+// of its own, mix OnAllocRun, OnFree and OnCrash through segments of
+// about 4 KiB. A record that drew its seq before a rotation and
+// reached the log after it would open the next segment past
+// covered + 1, and replay would refuse acknowledged records from
+// there on; seqs are drawn under the mutex that orders the slab, so
+// every segment reads strictly upward from where the one before
+// stopped, replay takes them all, and a restore is the live store.
+func TestJournalLogIsInSeqOrderAcrossRotations(t *testing.T) {
+	const stripes, perStripe, ops = 8, 8, 1500
+	st, j, fs, dir := newJournaled(t, stripes*perStripe, stripes, wal.Options{SegmentBytes: 4 << 10})
+	var wg sync.WaitGroup
+	for g := 0; g < stripes; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rng.NewStream(24, uint64(g))
+			var sc AdmitScratch
+			run := make([]int, 5)
+			for i := 0; i < ops; i++ {
+				bin := g*perStripe + r.Intn(perStripe)
+				switch r.Intn(8) {
+				case 0:
+					st.Crash(bin, 1+r.Intn(3))
+				case 1, 2, 3:
+					st.FreeBin(bin) // an empty bin journals nothing
+				default:
+					run = run[:1+r.Intn(5)]
+					for k := range run {
+						run[k] = g*perStripe + r.Intn(perStripe)
+					}
+					st.AdmitBatch(run, nil, &sc)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	want, wantAllocs, wantFrees := st.LoadsCopy(), st.Allocs(), st.Frees()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	segs, err := fs.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) < 50 {
+		t.Fatalf("%d segments (%v), want at least 50 rotations", len(segs), err)
+	}
+	var last uint64
+	for _, p := range segs {
+		data, err := fs.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 16; off < len(data); off += wal.RecordSize {
+			rec, ok := wal.DecodeRecord(data[off : off+wal.RecordSize])
+			if !ok || rec.Seq != last+1 {
+				t.Fatalf("%s byte %d: seq %d (ok=%v) after seq %d", p, off, rec.Seq, ok, last)
+			}
+			last = rec.Seq
+		}
+	}
+	if last != j.LastSeq() {
+		t.Fatalf("the segments end at seq %d, the journal drew %d", last, j.LastSeq())
+	}
+	stats, err := wal.ReplayPipelineFS(fs, dir, 0, wal.PipelineOptions{ApplyBatch: func(int, []wal.Record) error { return nil }})
+	if err != nil || stats.Torn || stats.Segments != len(segs) || stats.Applied != int64(last) {
+		t.Fatalf("replay refused part of the log: %+v, %v (%d segments, %d records on disk)", stats, err, len(segs), last)
+	}
+	fresh := NewStoreShards(stripes*perStripe, stripes)
+	res, err := RestoreFSOpts(fresh, fs, dir, RestoreOptions{})
+	if err != nil || res.Torn || res.SkippedFrees != 0 || res.LastSeq != last {
+		t.Fatalf("restore: %+v, %v", res, err)
+	}
+	if got := fresh.LoadsCopy(); !slices.Equal(got, want) || fresh.Allocs() != wantAllocs || fresh.Frees() != wantFrees {
+		t.Fatalf("restore is not the live store: clocks %d/%d want %d/%d", fresh.Allocs(), fresh.Frees(), wantAllocs, wantFrees)
+	}
+}
+
+// TestCloseWakesPushBlockedOnFullSlab: queued-but-unappended records
+// never exceed Buffer, a push short of room when Close runs wakes,
+// sees the journal closed and is counted in serve.journal.dropped by
+// records — it neither hangs nor reaches a log that is closing.
+func TestCloseWakesPushBlockedOnFullSlab(t *testing.T) {
+	metrics.Reset()
+	metrics.Enable()
+	defer func() {
+		metrics.Disable()
+		metrics.Reset()
+	}()
+	fs := simfs.New()
+	gate := make(chan struct{})
+	l, err := wal.Open(wal.Options{Dir: "/wal", Fsync: wal.FsyncAlways, FS: gateFS{FS: fs, gate: gate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStoreShards(8, 1) // one stripe: an AdmitBatch is one run
+	j := NewJournal(st, l, 0, JournalOptions{Buffer: 8})
+	var sc AdmitScratch
+	st.AdmitBatch([]int{0, 1, 2}, nil, &sc)
+	st.AdmitBatch([]int{3, 4, 5}, nil, &sc) // 6 queued behind the wedged write
+
+	pushed := make(chan struct{})
+	go func() {
+		defer close(pushed)
+		var sc AdmitScratch
+		st.AdmitBatch([]int{6, 7, 0}, nil, &sc) // 6 + 3 > 8: waits whole
+	}()
+	for st.Total() != 9 { // applied; its hook call is next
+		runtime.Gosched()
+	}
+	select {
+	case <-pushed:
+		t.Fatal("a run of 3 got past the bound with 6 of 8 queued")
+	case <-time.After(50 * time.Millisecond):
+	}
+	j.mu.Lock()
+	queued := j.seq.Load() - j.appended
+	j.mu.Unlock()
+	if queued != 6 {
+		t.Fatalf("%d records queued and unappended, want the 6 that fit Buffer 8", queued)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- j.Close() }()
+	select {
+	case <-pushed: // woken by Close, the disk still wedged
+	case <-time.After(10 * time.Second):
+		t.Fatal("the blocked push did not wake when the journal closed")
+	}
+	close(gate)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if got := metrics.Default().Snapshot().Counters["serve.journal.dropped"]; got != 3 {
+		t.Fatalf("serve.journal.dropped = %d, want the run's 3 records", got)
+	}
+	fresh := NewStoreShards(8, 1)
+	res, err := RestoreFSOpts(fresh, fs, "/wal", RestoreOptions{})
+	if err != nil || res.LastSeq != 6 || j.LastSeq() != 6 || fresh.Total() != 6 {
+		t.Fatalf("restore: %+v, %v; journal at seq %d, %d balls restored", res, err, j.LastSeq(), fresh.Total())
+	}
+}
+
+// TestJournaledDriveWithinFactorOfBare holds the gap between the bare
+// admission lane and the journaled one as a gate, not a reading: the
+// same 2-worker drive (n = 2^15, passes of 64) through a journal on a
+// real directory, fsync never, must keep at least 0.55 of the bare
+// drive's phases/s. A ratio of timings taken back to back on one
+// machine does not depend on the runner's speed; best of 3 interleaved
+// rounds, so one preemption does not trip it.
+func TestJournaledDriveWithinFactorOfBare(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing test: skipped under -short and -race")
+	}
+	const n, steps = 1 << 15, 1 << 20
+	drive := func(st *Store) float64 {
+		res := NewEngine(Config{
+			Store: st, Policy: NewABKUPolicy(2), Scenario: process.ScenarioA,
+			Workers: 2, Seed: 1998, MaxSteps: steps, Batch: 64,
+		}).Run(context.Background())
+		return float64(res.Steps) / res.Wall.Seconds()
+	}
+	var bare, journaled float64
+	for round := 0; round < 3; round++ {
+		st := NewStore(n)
+		st.FillBalanced(n)
+		bare = max(bare, drive(st))
+
+		l, err := wal.Open(wal.Options{Dir: t.TempDir(), Fsync: wal.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := NewJournal(st, l, 0, JournalOptions{})
+		journaled = max(journaled, drive(st))
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ratio := journaled / bare
+	t.Logf("bare %.2fM phases/s, journaled %.2fM phases/s, ratio %.2f", bare/1e6, journaled/1e6, ratio)
+	if ratio < 0.55 {
+		t.Errorf("the journaled drive runs at %.2f of the bare one; want >= 0.55", ratio)
 	}
 }

@@ -88,8 +88,8 @@ type shard struct {
 // Admissions are reported one run at a time: AdmitBatch hands each
 // shard's group of a pass to OnAllocRun in one call, right after the
 // whole group is applied (a pass of one ball is a run of one), so
-// per-push overhead — close guards, pending accounting, seq
-// reservation in the Journal — is paid once per group. bins is scratch
+// per-push overhead — in the Journal, one acquisition of its slab
+// mutex and one seq range — is paid once per group. bins is scratch
 // owned by the caller and must not be retained past the call.
 type StoreHook interface {
 	OnAllocRun(bins []int)

@@ -151,6 +151,12 @@ type Log struct {
 	closed   bool
 	one      [1]Record // Append's one-element batch, reused under mu
 	batchBuf []byte    // grow-only encode buffer, reused under mu
+
+	// Resolved once in Open: a by-name lookup takes the registry's read
+	// lock and hashes the name, three times per batch on the CPU of
+	// whoever appends (the journal's writer).
+	appendRecords, appendBytes *metrics.Counter
+	batchRecords               *metrics.Histogram
 }
 
 // Open prepares a log in opts.Dir. No segment file is created until
@@ -165,7 +171,13 @@ func Open(opts Options) (*Log, error) {
 	if err := opts.FS.MkdirAll(opts.Dir); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	return &Log{opts: opts, lastSync: time.Now()}, nil
+	reg := metrics.Default()
+	return &Log{
+		opts: opts, lastSync: time.Now(),
+		appendRecords: reg.Counter("wal.append.records"),
+		appendBytes:   reg.Counter("wal.append.bytes"),
+		batchRecords:  reg.Histogram("wal.batch.records"),
+	}, nil
 }
 
 // Dir returns the log's directory.
@@ -236,9 +248,11 @@ func (l *Log) appendBatchLocked(recs []Record) error {
 		}
 	}
 	l.curSize += int64(need)
-	metrics.AddCounter("wal.append.records", int64(len(recs)))
-	metrics.AddCounter("wal.append.bytes", int64(need))
-	metrics.ObserveHistogram("wal.batch.records", int64(len(recs)))
+	if metrics.Enabled() {
+		l.appendRecords.Add(int64(len(recs)))
+		l.appendBytes.Add(int64(need))
+		l.batchRecords.Observe(int64(len(recs)))
+	}
 
 	switch l.opts.Fsync {
 	case FsyncAlways:
@@ -312,7 +326,9 @@ func (l *Log) openSegmentLocked(firstSeq uint64) error {
 	l.f, l.bw, l.curPath = f, bw, path
 	l.curSize = segHeaderSize
 	l.curMax = 0
-	metrics.AddCounter("wal.append.bytes", segHeaderSize)
+	if metrics.Enabled() {
+		l.appendBytes.Add(segHeaderSize)
+	}
 	return nil
 }
 
