@@ -77,8 +77,8 @@ recovery-drill: build
 failover-drill: build
 	./scripts/failover_drill.sh
 
-# Multi-node drill: 3 durable shards behind dynrouter — crash through
-# the router, kill -9 a shard mid-traffic (zero client errors, d-1
+# Multi-node drill: 3 durable shards behind dynrouter — crash a shard
+# over dgram (scripts/dgramc), kill -9 a shard mid-traffic (zero client errors, d-1
 # probing), restart with WAL restore, cluster detector re-fires
 # (docs/CLUSTER.md). Same flow as the cluster-drill CI job.
 cluster-drill: build

@@ -6,21 +6,20 @@
 //
 // Usage:
 //
-//	dynallocd -n 4096                          # serve HTTP on :8080
+//	dynallocd -n 4096 -dgram-addr :9000        # admin HTTP on :8080, data plane on :9000
 //	dynallocd -drive -n 65536 -d 2 -crash 4096 # crash/recover drill, report recovery
 //	dynallocd -drive -crash 4096 -stay         # drill, then keep serving (CI smoke)
 //	dynallocd -rule adap:1,2,2 -scenario B     # ADAP(x) admissions, Scenario B frees
 //
-// Endpoints (see docs/SERVING.md; its "Verbs, refusals and errors"
-// table is the one statement of what the mutating three accept and
-// refuse — this file only decodes and encodes them):
+// The data plane is the dgram listener (-dgram-addr): ADMIT, FREE and
+// CRASH frames, each a codec over serve.Service, whose refusals are the
+// "Verbs, refusals and errors" table in docs/SERVING.md. scripts/dgramc
+// is the command-line client. HTTP is the admin plane only:
 //
-//	POST /alloc[?count=N]  admit one ball (or N), returns {bin, load, probes}
-//	POST /free?bin=B   free from bin B (no bin: scenario departure)
-//	POST /crash?bin=B&k=K  fault injector: add K balls to bin B
-//	POST /checkpoint   force a durability checkpoint (409 if -wal-dir unset)
 //	GET  /state        store + detector + target state (?summary=1: small form)
 //	GET  /healthz      liveness + {"recovered": true|false}
+//	POST /checkpoint   force a durability checkpoint (409 if -wal-dir unset)
+//	POST /promote      promote a hot standby (see Replication below)
 //
 // Chaos mode (-chaos, see docs/CHAOS.md): a Poisson catastrophe
 // process fires mass-relocating bin overloads — plus WAL sync stalls
@@ -35,7 +34,7 @@
 // daemon also serves its WAL directory as a replication stream that a
 // hot standby — a second dynallocd started with -replicate-from ADDR —
 // subscribes to, persists, and continuously replays into a warm store.
-// A standby serves read-only endpoints plus POST /promote (409 while
+// A standby serves the read-only endpoints plus POST /promote (409 while
 // the primary still heartbeats, unless force=1 fences it through the
 // stream); promotion re-arms a journal and detector on the standby's
 // own directory and, when -dgram-addr is set, binds the shard listener
@@ -46,8 +45,8 @@
 // -checkpoint-every ticks, on POST /checkpoint, and at shutdown; a
 // restart restores the latest checkpoint plus the WAL suffix, so the
 // load vector — and therefore the recovery drill — survives kill -9.
-// During shutdown the mutation endpoints return 503 so the final
-// checkpoint is exact.
+// During shutdown every mutating frame is refused with ERR draining so
+// the final checkpoint is exact.
 //
 // Observability: the standard -metrics/-pprof/-cpuprofile/-memprofile
 // flags (docs/OBSERVABILITY.md); the detector publishes the
@@ -66,7 +65,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -89,10 +87,8 @@ func main() {
 	flag.StringVar(&opt.dgramPortFile, "dgram-port-file", "", "write the resolved dgram listen address to this file once listening")
 	flag.IntVar(&opt.n, "n", 1<<16, "number of bins")
 	flag.IntVar(&opt.m, "m", 0, "initial balls, seeded balanced (0: same as -n)")
-	flag.StringVar(&opt.ruleSpec, "rule", "", "admission rule spec: abku:D | adap:x1,x2,... | mixed:BETA | uniform")
+	flag.StringVar(&opt.ruleSpec, "rule", "", "admission rule spec: abku:D | adap:x1,x2,... | mixed:BETA | uniform (empty: abku:<-d>)")
 	flag.IntVar(&opt.d, "d", 2, "shorthand for -rule abku:D")
-	flag.StringVar(&opt.x, "x", "", "shorthand for -rule adap:x1,x2,...")
-	flag.Float64Var(&opt.beta, "beta", -1, "shorthand for -rule mixed:BETA")
 	flag.StringVar(&opt.scenario, "scenario", "A", "departure scenario: A (uniform ball) or B (uniform nonempty bin)")
 	flag.Uint64Var(&opt.seed, "seed", 1998, "rng seed (workers use derived streams)")
 	flag.IntVar(&opt.workers, "workers", runtime.GOMAXPROCS(0), "drive worker goroutines (1 = deterministic)")
@@ -152,8 +148,6 @@ type options struct {
 	n, m          int
 	ruleSpec      string
 	d             int
-	x             string
-	beta          float64
 	scenario      string
 	seed          uint64
 	workers       int
@@ -211,11 +205,7 @@ func run(opt options) int {
 	if err != nil {
 		return fail(err)
 	}
-	spec, err := resolveRuleSpec(opt.ruleSpec, opt.d, opt.x, opt.beta)
-	if err != nil {
-		return fail(err)
-	}
-	pol, err := serve.ParsePolicy(spec)
+	pol, err := serve.ParsePolicy(resolveRuleSpec(opt.ruleSpec, opt.d))
 	if err != nil {
 		return fail(err)
 	}
@@ -242,7 +232,8 @@ func run(opt options) int {
 	} else {
 		st = serve.NewStore(opt.n)
 	}
-	// The one Service both front ends (HTTP, dgram) are codecs over.
+	// The one Service the dgram listener is a codec over and the admin
+	// plane reads.
 	svc := serve.NewService(st, pol, sc, opt.seed)
 
 	// A hot standby is a different daemon shape: no seeding, no driver —
@@ -302,8 +293,8 @@ func run(opt options) int {
 	srv := newServer(svc)
 	var httpDone chan error
 	if opt.addr != "" {
-		// On shutdown: refuse new mutations before draining in-flight
-		// requests, so the final checkpoint sees the state clients saw.
+		// On shutdown: close the gate before draining in-flight admin
+		// requests, so no promotion or mutation starts behind it.
 		httpDone, err = daemon.ServeHTTP(ctx, "dynallocd", opt.addr, opt.portFile, srv.routes(), svc.SetDraining)
 		if err != nil {
 			return bail(err)
@@ -390,8 +381,8 @@ func run(opt options) int {
 			failed(&code, "http", err)
 		}
 	} else if p.dgram != nil {
-		// dgram is the only surface (a shard daemon): keep the detector
-		// ticking until interrupted, same as the HTTP path.
+		// No admin plane (a shard daemon): keep the detector ticking
+		// until interrupted, same as with one.
 		srv.watch(ctx, opt.checkInterval)
 	}
 
@@ -518,10 +509,10 @@ func (p *primary) arm(walFS vfs.FS, lastSeq uint64, m int, fault string) (serve.
 }
 
 // shutdown quiesces an armed primary and persists it: refuse mutations
-// (the Service's one gate covers HTTP and dgram), stop the dgram
-// listener — Close waits for in-flight handlers, so the checkpoint sees
-// a quiesced store — take the final checkpoint, and close the WAL so a
-// clean shutdown restarts from the checkpoint alone. It returns code,
+// (the Service's one gate), stop the dgram listener — Close waits for
+// in-flight handlers, so the checkpoint sees a quiesced store — take
+// the final checkpoint, and close the WAL so a clean shutdown restarts
+// from the checkpoint alone. It returns code,
 // or 1 when code was 0 and a step failed.
 func (p *primary) shutdown(code int) int {
 	p.svc.SetDraining()
@@ -739,30 +730,22 @@ func reportChaos(det *serve.Detector, target serve.Target, opt options, res serv
 	return code
 }
 
-// server is the HTTP codec over the daemon's serve.Service: the
-// mutating handlers decode, make one Lane call and encode; the rest
-// read the store, the detector and the journal the Service holds. In
-// replica mode (fol != nil) those two start nil and promotion installs
-// them.
+// server is the admin plane over the daemon's serve.Service: it reads
+// the store, the detector and the journal the Service holds, forces a
+// checkpoint and promotes a standby. It carries no verb; those are
+// dgram's. In replica mode (fol != nil) detector and journal start nil
+// and promotion installs them.
 type server struct {
 	svc *serve.Service
 
 	fol     *replica.Follower // non-nil in replica mode
 	promote func(force bool) (replica.PromoteResult, error)
-
-	mu   sync.Mutex // guards lane: one rng stream serves every HTTP request
-	lane *serve.Lane
 }
 
-func newServer(svc *serve.Service) *server {
-	return &server{svc: svc, lane: svc.NewLane(serve.HTTPStream)}
-}
+func newServer(svc *serve.Service) *server { return &server{svc: svc} }
 
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/alloc", s.handleAlloc)
-	mux.HandleFunc("/free", s.handleFree)
-	mux.HandleFunc("/crash", s.handleCrash)
 	mux.HandleFunc("/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("/promote", s.handlePromote)
 	mux.HandleFunc("/state", s.handleState)
@@ -782,110 +765,17 @@ func (s *server) watch(ctx context.Context, every time.Duration) {
 	})
 }
 
-// writeVerbErr answers a Lane refusal in HTTP's vocabulary (the table
-// in docs/SERVING.md): 503 while draining, 400 for a refused argument,
-// 409 for a standby and for a departure that found nothing to free.
+// writeVerbErr answers a refusal of the Service's gate in HTTP's
+// vocabulary: 503 while draining, 409 for an un-promoted standby.
 func writeVerbErr(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, serve.ErrDraining):
 		code = http.StatusServiceUnavailable
-	case errors.Is(err, serve.ErrBadRequest):
-		code = http.StatusBadRequest
-	case errors.Is(err, serve.ErrStandby), errors.Is(err, serve.ErrEmpty), errors.Is(err, serve.ErrEmptyBin):
+	case errors.Is(err, serve.ErrStandby):
 		code = http.StatusConflict
 	}
 	daemon.WriteErr(w, code, err)
-}
-
-// intParam parses the query parameter name; a value that is not an
-// integer is the codec's own 400.
-func intParam(r *http.Request, name string) (int, error) {
-	q := r.URL.Query().Get(name)
-	v, err := strconv.Atoi(q)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad %s %q", serve.ErrBadRequest, name, q)
-	}
-	return v, nil
-}
-
-// verb runs one mutating request: call decodes the query, makes its one
-// Lane call (under mu: the lane is shared by every HTTP request) and
-// returns the JSON reply.
-func (s *server) verb(w http.ResponseWriter, r *http.Request, call func() (any, error)) {
-	if !daemon.PostOnly(w, r) {
-		return
-	}
-	s.mu.Lock()
-	out, err := call()
-	s.mu.Unlock()
-	if err != nil {
-		writeVerbErr(w, err)
-		return
-	}
-	daemon.WriteJSON(w, http.StatusOK, out)
-}
-
-func (s *server) handleAlloc(w http.ResponseWriter, r *http.Request) {
-	s.verb(w, r, func() (any, error) {
-		count := 1
-		if r.URL.Query().Get("count") != "" {
-			var err error
-			if count, err = intParam(r, "count"); err != nil {
-				return nil, err
-			}
-		}
-		placed, probes, err := s.lane.Admit(count, nil)
-		if err != nil {
-			return nil, err
-		}
-		if count == 1 {
-			return map[string]int{"bin": placed[0].Bin, "load": int(placed[0].Load), "probes": probes}, nil
-		}
-		bins, loads := make([]int, count), make([]int32, count)
-		for i, p := range placed {
-			bins[i], loads[i] = p.Bin, p.Load
-		}
-		return struct {
-			Count  int     `json:"count"`
-			Probes int     `json:"probes"`
-			Bins   []int   `json:"bins"`
-			Loads  []int32 `json:"loads"`
-		}{count, probes, bins, loads}, nil
-	})
-}
-
-func (s *server) handleFree(w http.ResponseWriter, r *http.Request) {
-	s.verb(w, r, func() (any, error) {
-		// No bin: a departure drawn per the configured scenario.
-		fromBin, bin := r.URL.Query().Get("bin") != "", 0
-		if fromBin {
-			var err error
-			if bin, err = intParam(r, "bin"); err != nil {
-				return nil, err
-			}
-		}
-		placed, err := s.lane.Free(fromBin, bin, 1, nil)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]int{"bin": placed[0].Bin, "load": int(placed[0].Load)}, nil
-	})
-}
-
-func (s *server) handleCrash(w http.ResponseWriter, r *http.Request) {
-	s.verb(w, r, func() (any, error) {
-		bin, err := intParam(r, "bin")
-		if err != nil {
-			return nil, err
-		}
-		k, err := intParam(r, "k")
-		if err != nil {
-			return nil, err
-		}
-		load, err := s.lane.Crash(bin, k)
-		return map[string]int{"bin": bin, "load": load, "added": k}, err
-	})
 }
 
 // handleCheckpoint forces a durability checkpoint. 409 when the daemon
@@ -894,7 +784,7 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if !daemon.PostOnly(w, r) {
 		return
 	}
-	if s.fol != nil && s.svc.Detector() == nil {
+	if s.svc.Detector() == nil {
 		writeVerbErr(w, serve.ErrStandby) // an un-promoted replica: the follower owns the log
 		return
 	}
@@ -1037,23 +927,11 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// resolveRuleSpec folds the -d/-x/-beta shorthands into one ParsePolicy
-// spec. An explicit -rule wins; the shorthands are mutually exclusive.
-func resolveRuleSpec(rule string, d int, x string, beta float64) (string, error) {
+// resolveRuleSpec is the ParsePolicy spec: -rule if set, else the -d
+// shorthand.
+func resolveRuleSpec(rule string, d int) string {
 	if rule != "" {
-		if x != "" || beta >= 0 {
-			return "", fmt.Errorf("-rule conflicts with -x/-beta")
-		}
-		return rule, nil
+		return rule
 	}
-	if x != "" && beta >= 0 {
-		return "", fmt.Errorf("-x conflicts with -beta")
-	}
-	if x != "" {
-		return "adap:" + x, nil
-	}
-	if beta >= 0 {
-		return fmt.Sprintf("mixed:%g", beta), nil
-	}
-	return fmt.Sprintf("abku:%d", d), nil
+	return fmt.Sprintf("abku:%d", d)
 }

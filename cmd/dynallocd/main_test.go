@@ -46,58 +46,9 @@ func do(t *testing.T, h http.Handler, method, url string) (int, map[string]any) 
 	return rec.Code, body
 }
 
-func TestHandleAllocFree(t *testing.T) {
-	s, st := newTestServer(t)
-	h := s.routes()
-
-	code, body := do(t, h, http.MethodPost, "/alloc")
-	if code != http.StatusOK {
-		t.Fatalf("POST /alloc = %d, body %v", code, body)
-	}
-	bin := int(body["bin"].(float64))
-	if bin < 0 || bin >= 64 || body["probes"].(float64) != 2 {
-		t.Fatalf("alloc response %v", body)
-	}
-	if st.Total() != 65 || st.Allocs() != 1 {
-		t.Fatalf("store after alloc: %+v", st.Stats())
-	}
-
-	// Free from the exact bin the alloc landed in.
-	code, body = do(t, h, http.MethodPost, "/free?bin="+itoa(bin))
-	if code != http.StatusOK || int(body["bin"].(float64)) != bin {
-		t.Fatalf("POST /free?bin= = %d, body %v", code, body)
-	}
-	// Scenario departure (no bin parameter).
-	code, body = do(t, h, http.MethodPost, "/free")
-	if code != http.StatusOK {
-		t.Fatalf("POST /free = %d, body %v", code, body)
-	}
-	if st.Total() != 63 || st.Frees() != 2 {
-		t.Fatalf("store after frees: %+v", st.Stats())
-	}
-
-	for _, url := range []string{"/free?bin=-1", "/free?bin=64", "/free?bin=zz"} {
-		if code, _ := do(t, h, http.MethodPost, url); code != http.StatusBadRequest {
-			t.Fatalf("POST %s = %d, want 400", url, code)
-		}
-	}
-	if code, _ := do(t, h, http.MethodGet, "/alloc"); code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /alloc = %d, want 405", code)
-	}
-}
-
-func TestHandleFreeEmptyBinConflicts(t *testing.T) {
-	s, st := newTestServer(t)
-	h := s.routes()
-	if _, err := st.FreeBin(3); err != nil {
-		t.Fatal(err)
-	}
-	if code, _ := do(t, h, http.MethodPost, "/free?bin=3"); code != http.StatusConflict {
-		t.Fatalf("free of empty bin: want 409")
-	}
-}
-
-func TestHandleCrashAndHealthz(t *testing.T) {
+// TestHealthzAfterCrash: a crash through the Service's verb table (the
+// one a dgram CRASH frame makes) flips /healthz to not recovered.
+func TestHealthzAfterCrash(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.routes()
 
@@ -106,19 +57,42 @@ func TestHandleCrashAndHealthz(t *testing.T) {
 	if code != http.StatusOK || body["recovered"] != true {
 		t.Fatalf("GET /healthz = %d, body %v", code, body)
 	}
-
-	code, body = do(t, h, http.MethodPost, "/crash?bin=9&k=50")
-	if code != http.StatusOK || body["load"].(float64) != 51 {
-		t.Fatalf("POST /crash = %d, body %v", code, body)
+	if load, err := s.svc.NewLane(serve.DgramStream).Crash(9, 50); err != nil || load != 51 {
+		t.Fatalf("crash: load %d, %v", load, err)
 	}
 	_, body = do(t, h, http.MethodGet, "/healthz")
 	if body["recovered"] != false {
 		t.Fatalf("healthz after crash: %v", body)
 	}
+}
 
-	for _, url := range []string{"/crash?bin=9", "/crash?bin=9&k=-1", "/crash?bin=64&k=1", "/crash"} {
-		if code, _ := do(t, h, http.MethodPost, url); code != http.StatusBadRequest {
-			t.Fatalf("POST %s = %d, want 400", url, code)
+// TestAdminPlaneOnly pins HTTP as the admin plane: the data verbs are
+// dgram's, so /alloc, /free and /crash are not routes, while /state,
+// /healthz, /checkpoint and /promote answer.
+func TestAdminPlaneOnly(t *testing.T) {
+	s, st := newTestServer(t)
+	h := s.routes()
+	for _, url := range []string{"/alloc", "/alloc?count=3", "/free", "/free?bin=1", "/crash?bin=1&k=1"} {
+		for _, method := range []string{http.MethodPost, http.MethodGet} {
+			if code, _ := do(t, h, method, url); code != http.StatusNotFound {
+				t.Fatalf("%s %s = %d, want 404", method, url, code)
+			}
+		}
+	}
+	if st.Allocs() != 0 || st.Frees() != 0 || st.Total() != 64 {
+		t.Fatalf("a non-route mutated the store: %+v", st.Stats())
+	}
+	for _, tc := range []struct {
+		method, url string
+		want        int
+	}{
+		{http.MethodGet, "/state", http.StatusOK},
+		{http.MethodGet, "/healthz", http.StatusOK},
+		{http.MethodPost, "/checkpoint", http.StatusConflict}, // no -wal-dir
+		{http.MethodPost, "/promote", http.StatusConflict},    // not a replica
+	} {
+		if code, _ := do(t, h, tc.method, tc.url); code != tc.want {
+			t.Fatalf("%s %s = %d, want %d", tc.method, tc.url, code, tc.want)
 		}
 	}
 }
@@ -161,27 +135,19 @@ func TestParseScenario(t *testing.T) {
 }
 
 func TestResolveRuleSpec(t *testing.T) {
-	cases := []struct {
+	for _, tc := range []struct {
 		rule string
 		d    int
-		x    string
-		beta float64
 		want string
-		ok   bool
 	}{
-		{"", 2, "", -1, "abku:2", true},
-		{"", 3, "", -1, "abku:3", true},
-		{"", 2, "1,2,2", -1, "adap:1,2,2", true},
-		{"", 2, "", 0.5, "mixed:0.5", true},
-		{"", 2, "", 0, "mixed:0", true},
-		{"uniform", 2, "", -1, "uniform", true},
-		{"abku:4", 2, "1,2", -1, "", false}, // -rule vs -x
-		{"", 2, "1,2", 0.5, "", false},      // -x vs -beta
-	}
-	for _, tc := range cases {
-		got, err := resolveRuleSpec(tc.rule, tc.d, tc.x, tc.beta)
-		if tc.ok != (err == nil) || got != tc.want {
-			t.Fatalf("resolveRuleSpec(%q,%d,%q,%g) = %q, %v", tc.rule, tc.d, tc.x, tc.beta, got, err)
+		{"", 2, "abku:2"},
+		{"", 3, "abku:3"},
+		{"adap:1,2,2", 2, "adap:1,2,2"},
+		{"mixed:0.5", 3, "mixed:0.5"}, // -rule wins over -d
+		{"uniform", 2, "uniform"},
+	} {
+		if got := resolveRuleSpec(tc.rule, tc.d); got != tc.want {
+			t.Fatalf("resolveRuleSpec(%q, %d) = %q, want %q", tc.rule, tc.d, got, tc.want)
 		}
 	}
 }
@@ -192,7 +158,7 @@ func TestResolveRuleSpec(t *testing.T) {
 func TestRunDriveRecovers(t *testing.T) {
 	code := run(options{
 		addr: "", n: 256, m: 256,
-		d: 2, beta: -1, scenario: "A",
+		d: 2, scenario: "A",
 		seed: 2024, workers: 1, shards: 8, slack: 1,
 		drive: true, crashK: 128, crashBin: 0,
 	})
@@ -201,24 +167,16 @@ func TestRunDriveRecovers(t *testing.T) {
 	}
 }
 
-func itoa(v int) string {
-	b, _ := json.Marshal(v)
-	return string(b)
-}
-
 // TestDrainRefusesMutations is the graceful-drain regression: once
-// shutdown starts, /alloc, /free and /crash answer 503 while reads
-// keep working, so the final checkpoint sees a quiesced store.
+// shutdown starts, POST /promote answers 503 while reads keep working.
+// The verbs' draining refusal is TestServiceVerbTable's.
 func TestDrainRefusesMutations(t *testing.T) {
 	s, st := newTestServer(t)
 	h := s.routes()
 	s.svc.SetDraining()
 
-	for _, url := range []string{"/alloc", "/free", "/free?bin=1", "/crash?bin=1&k=1"} {
-		code, body := do(t, h, http.MethodPost, url)
-		if code != http.StatusServiceUnavailable {
-			t.Fatalf("POST %s while draining = %d, body %v; want 503", url, code, body)
-		}
+	if code, body := do(t, h, http.MethodPost, "/promote"); code != http.StatusServiceUnavailable {
+		t.Fatalf("POST /promote while draining = %d, body %v; want 503", code, body)
 	}
 	if st.Allocs() != 0 || st.Frees() != 0 || st.Total() != 64 {
 		t.Fatalf("draining mutated the store: %+v", st.Stats())
@@ -284,7 +242,7 @@ func TestRunDurableBootRestoreDrill(t *testing.T) {
 	dir := t.TempDir()
 	base := options{
 		addr: "", n: 128, m: 128,
-		d: 2, beta: -1, scenario: "A",
+		d: 2, scenario: "A",
 		seed: 11, workers: 1, shards: 4, slack: 1,
 		walDir: dir, fsync: "never",
 	}
@@ -317,7 +275,7 @@ func TestRunDurableBootRestoreDrill(t *testing.T) {
 
 func TestRunRejectsBadFsyncPolicy(t *testing.T) {
 	code := run(options{
-		addr: "", n: 8, m: 8, d: 2, beta: -1, scenario: "A",
+		addr: "", n: 8, m: 8, d: 2, scenario: "A",
 		seed: 1, workers: 1, slack: 1,
 		walDir: t.TempDir(), fsync: "sometimes",
 	})
@@ -326,19 +284,17 @@ func TestRunRejectsBadFsyncPolicy(t *testing.T) {
 	}
 }
 
-// TestVerbErrStatusTable pins the HTTP codec's mapping of every Service
-// refusal (docs/SERVING.md, "Verbs, refusals and errors").
+// TestVerbErrStatusTable pins the admin plane's mapping of the two gate
+// refusals it can still meet (docs/SERVING.md, "Verbs, refusals and
+// errors").
 func TestVerbErrStatusTable(t *testing.T) {
 	for _, tc := range []struct {
 		err  error
 		want int
 	}{
 		{serve.ErrDraining, http.StatusServiceUnavailable},
+		{fmt.Errorf("promote: %w", serve.ErrDraining), http.StatusServiceUnavailable},
 		{serve.ErrStandby, http.StatusConflict},
-		{serve.ErrEmpty, http.StatusConflict},
-		{serve.ErrEmptyBin, http.StatusConflict},
-		{fmt.Errorf("%w: count 0", serve.ErrBadRequest), http.StatusBadRequest},
-		{fmt.Errorf("%w: %v", serve.ErrBadRequest, serve.ErrOverflow), http.StatusBadRequest},
 		{errors.New("anything else"), http.StatusInternalServerError},
 	} {
 		rec := httptest.NewRecorder()
@@ -349,72 +305,23 @@ func TestVerbErrStatusTable(t *testing.T) {
 	}
 }
 
-// TestHandleAllocCount covers /alloc?count=N: the batch reply shape,
-// count=1 keeping the single-ball shape, and the bound — the Service's,
-// so HTTP and dgram refuse the same counts.
-func TestHandleAllocCount(t *testing.T) {
-	s, st := newTestServer(t)
-	h := s.routes()
-	code, body := do(t, h, http.MethodPost, "/alloc?count=300")
-	if code != http.StatusOK || body["count"].(float64) != 300 || body["probes"].(float64) != 600 {
-		t.Fatalf("POST /alloc?count=300 = %d, body %v", code, body)
-	}
-	if bins, loads := body["bins"].([]any), body["loads"].([]any); len(bins) != 300 || len(loads) != 300 {
-		t.Fatalf("batch reply carries %d bins, %d loads", len(bins), len(loads))
-	}
-	if code, body = do(t, h, http.MethodPost, "/alloc?count=1"); code != http.StatusOK || body["bin"] == nil || body["bins"] != nil {
-		t.Fatalf("POST /alloc?count=1 = %d, body %v", code, body)
-	}
-	before := st.Stats()
-	for _, url := range []string{"/alloc?count=0", "/alloc?count=-3", "/alloc?count=1048577", "/alloc?count=3145728", "/alloc?count=many"} {
-		if code, _ := do(t, h, http.MethodPost, url); code != http.StatusBadRequest {
-			t.Fatalf("POST %s = %d, want 400", url, code)
-		}
-	}
-	if st.Stats() != before {
-		t.Fatalf("refused counts changed the store: %+v -> %+v", before, st.Stats())
-	}
-}
-
-// TestHandleCrashOverflow is the HTTP face of the crash-overflow
-// regression: a k the bin's int32 load cannot hold is a 400, not a
-// panic with the stripe lock held.
-func TestHandleCrashOverflow(t *testing.T) {
-	s, st := newTestServer(t)
-	h := s.routes()
-	before := st.Stats()
-	for _, url := range []string{"/crash?bin=0&k=2147483648", "/crash?bin=0&k=2147483647", "/crash?bin=0&k=9223372036854775807"} {
-		if code, body := do(t, h, http.MethodPost, url); code != http.StatusBadRequest {
-			t.Fatalf("POST %s = %d, body %v; want 400", url, code, body)
-		}
-	}
-	if st.Stats() != before {
-		t.Fatalf("refused crashes changed the store: %+v -> %+v", before, st.Stats())
-	}
-	if code, body := do(t, h, http.MethodPost, "/crash?bin=0&k=2147483646"); code != http.StatusOK || body["load"].(float64) != 2147483647 {
-		t.Fatalf("crash to the brim = %d, body %v", code, body)
-	}
-}
-
-// TestStandbyRefusesMutations: an un-promoted replica's Service answers
-// the mutating endpoints 409, and Arm — what promotion ends with —
-// lifts the refusal on the same server.
+// TestStandbyRefusesMutations: an un-promoted replica refuses POST
+// /checkpoint with 409 (the follower owns the log), and Arm — what
+// promotion ends with — lifts the refusal. The verbs' standby refusal
+// is TestServiceVerbTable's.
 func TestStandbyRefusesMutations(t *testing.T) {
 	st := serve.NewStoreShards(64, 8)
 	st.FillBalanced(64)
 	svc := serve.NewService(st, serve.NewABKUPolicy(2), process.ScenarioA, 7)
 	svc.SetStandby()
 	h := newServer(svc).routes()
-	for _, url := range []string{"/alloc", "/alloc?count=9", "/free", "/free?bin=1", "/crash?bin=1&k=1"} {
-		if code, body := do(t, h, http.MethodPost, url); code != http.StatusConflict {
-			t.Fatalf("POST %s on a standby = %d, body %v; want 409", url, code, body)
-		}
-	}
-	if st.Allocs() != 0 || st.Frees() != 0 || st.Total() != 64 {
-		t.Fatalf("standby mutated the store: %+v", st.Stats())
+	code, body := do(t, h, http.MethodPost, "/checkpoint")
+	if msg, _ := body["error"].(string); code != http.StatusConflict || !strings.Contains(msg, "not promoted") {
+		t.Fatalf("POST /checkpoint on a standby = %d, body %v; want 409 not promoted", code, body)
 	}
 	svc.Arm(nil, serve.NewDetector(st, serve.Target{PredictedMax: 4}))
-	if code, _ := do(t, h, http.MethodPost, "/alloc"); code != http.StatusOK {
-		t.Fatalf("POST /alloc after Arm = %d", code)
+	code, body = do(t, h, http.MethodPost, "/checkpoint")
+	if msg, _ := body["error"].(string); code != http.StatusConflict || !strings.Contains(msg, "durability disabled") {
+		t.Fatalf("POST /checkpoint after Arm = %d, body %v; want the armed 409", code, body)
 	}
 }

@@ -9,16 +9,14 @@
 //
 // Usage:
 //
-//	dynrouter -shards host1:9000,host2:9000,host3:9000          # serve HTTP on :8090
+//	dynrouter -shards host1:9000,host2:9000,host3:9000          # admin HTTP on :8090
 //	dynrouter -shards ... -traffic 8                            # plus continuous traffic workers
 //	dynrouter -shards ... -drive -crash 4096                    # cluster recovery drill, report vs budget
+//	dynrouter -shards host:9000 -addr "" -drive -crash 0        # drive one shard until it recovers
 //
-// Endpoints (the dynallocd surface, routed; what the shard behind each
-// call accepts and refuses is the verb table in docs/SERVING.md):
+// Clients admit and free through a router.Session in their own process
+// (scripts/dgramc is the command-line one). HTTP is the admin plane:
 //
-//	POST /alloc                    admit one ball, returns {shard, bin, load, probes}
-//	POST /free[?shard=S&bin=B]     cluster departure (or targeted free)
-//	POST /crash?shard=S&bin=B&k=K  fault injector on shard S
 //	GET  /state                    cluster detector + per-shard state (?summary=1: small form)
 //	GET  /healthz                  liveness + {"recovered", "degraded"}
 //
@@ -32,15 +30,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,7 +43,6 @@ import (
 	"time"
 
 	"dynalloc/internal/daemon"
-	"dynalloc/internal/dgram"
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/rng"
 	"dynalloc/internal/router"
@@ -189,7 +183,7 @@ func run(opt options) int {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	srv := newServer(rt, det, opt.seed)
+	srv := newServer(rt, det)
 	var httpDone chan error
 	if opt.addr != "" {
 		httpDone, err = daemon.ServeHTTP(ctx, "dynrouter", opt.addr, opt.portFile, srv.routes(), nil)
@@ -345,135 +339,25 @@ func runDrive(ctx context.Context, rt *router.Router, det *router.Detector, opt 
 	return 0
 }
 
-// server is the HTTP face of the cluster: the dynallocd surface,
-// routed through the fleet.
+// server is the admin plane of the cluster: the detector's view of the
+// fleet and the traffic workers' counters.
 type server struct {
 	rt  *router.Router
 	det *router.Detector
 
 	trafficOps  atomic.Int64
 	trafficErrs atomic.Int64
-
-	mu  sync.Mutex // guards ses and r (the HTTP request stream)
-	ses *router.Session
-	r   *rng.RNG
 }
 
-func newServer(rt *router.Router, det *router.Detector, seed uint64) *server {
-	return &server{
-		rt: rt, det: det,
-		ses: rt.NewSession(),
-		r:   rng.NewStream(seed, serve.HTTPStream),
-	}
+func newServer(rt *router.Router, det *router.Detector) *server {
+	return &server{rt: rt, det: det}
 }
 
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/alloc", s.handleAlloc)
-	mux.HandleFunc("/free", s.handleFree)
-	mux.HandleFunc("/crash", s.handleCrash)
 	mux.HandleFunc("/state", s.handleState)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	return mux
-}
-
-func (s *server) handleAlloc(w http.ResponseWriter, r *http.Request) {
-	if !daemon.PostOnly(w, r) {
-		return
-	}
-	s.mu.Lock()
-	res, err := s.ses.Admit(s.r)
-	s.mu.Unlock()
-	if err != nil {
-		daemon.WriteErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	daemon.WriteJSON(w, http.StatusOK, map[string]int{
-		"shard": res.Shard, "bin": int(res.Bin), "load": int(res.Load), "probes": res.Probes,
-	})
-}
-
-// uintParam parses the query parameter name as the uint32 the wire
-// carries it in, answering 400 (and returning false) when it is missing,
-// negative, not a number or past max — never truncating it.
-func uintParam(w http.ResponseWriter, r *http.Request, name string, max uint32) (uint32, bool) {
-	q := r.URL.Query().Get(name)
-	v, err := strconv.ParseUint(q, 10, 32)
-	if err != nil || v > uint64(max) {
-		daemon.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad %s %q", name, q))
-		return 0, false
-	}
-	return uint32(v), true
-}
-
-func (s *server) handleFree(w http.ResponseWriter, r *http.Request) {
-	if !daemon.PostOnly(w, r) {
-		return
-	}
-	q := r.URL.Query()
-	var res router.FreeResult
-	var err error
-	if q.Get("shard") != "" || q.Get("bin") != "" {
-		// Targeted free: shard + bin addressed explicitly.
-		shard, ok := uintParam(w, r, "shard", uint32(s.rt.NumShards()-1))
-		if !ok {
-			return
-		}
-		bin, ok := uintParam(w, r, "bin", math.MaxUint32)
-		if !ok {
-			return
-		}
-		s.mu.Lock()
-		res, err = s.ses.FreeAt(int(shard), dgram.FreeReq{Mode: dgram.FreeBin, Bin: bin, Count: 1})
-		s.mu.Unlock()
-	} else {
-		s.mu.Lock()
-		res, err = s.ses.Free(s.r)
-		s.mu.Unlock()
-	}
-	if err != nil {
-		daemon.WriteErr(w, http.StatusConflict, err)
-		return
-	}
-	daemon.WriteJSON(w, http.StatusOK, map[string]int{
-		"shard": res.Shard, "bin": int(res.Bin), "load": int(res.Load),
-	})
-}
-
-func (s *server) handleCrash(w http.ResponseWriter, r *http.Request) {
-	if !daemon.PostOnly(w, r) {
-		return
-	}
-	shard, ok := uintParam(w, r, "shard", uint32(s.rt.NumShards()-1))
-	if !ok {
-		return
-	}
-	bin, ok := uintParam(w, r, "bin", math.MaxUint32)
-	if !ok {
-		return
-	}
-	k, ok := uintParam(w, r, "k", math.MaxUint32)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	load, err := s.ses.Crash(int(shard), bin, k)
-	s.mu.Unlock()
-	if err != nil {
-		// The shard's own refusal of the arguments is the client's error;
-		// anything else is the fleet's.
-		code := http.StatusBadGateway
-		var e dgram.ErrReply
-		if errors.As(err, &e) && e.Code == dgram.CodeBadRequest {
-			code = http.StatusBadRequest
-		}
-		daemon.WriteErr(w, code, err)
-		return
-	}
-	s.det.MarkDisrupted()
-	daemon.WriteJSON(w, http.StatusOK, map[string]int64{
-		"shard": int64(shard), "bin": int64(bin), "load": int64(load), "added": int64(k),
-	})
 }
 
 func (s *server) handleState(w http.ResponseWriter, r *http.Request) {

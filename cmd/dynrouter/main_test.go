@@ -10,14 +10,15 @@ import (
 	"time"
 
 	"dynalloc/internal/process"
+	"dynalloc/internal/rng"
 	"dynalloc/internal/router"
 	"dynalloc/internal/serve"
 )
 
 // newTestFleet starts two in-process shards (16 bins each, 16 balls)
 // behind dgram listeners and returns dynrouter's HTTP handler over
-// them, plus the shards' stores.
-func newTestFleet(t *testing.T) (http.Handler, []*serve.Store) {
+// them, plus the router and the shards' stores.
+func newTestFleet(t *testing.T) (http.Handler, *router.Router, []*serve.Store) {
 	t.Helper()
 	pol := serve.NewABKUPolicy(2)
 	var addrs []string
@@ -49,7 +50,7 @@ func newTestFleet(t *testing.T) (http.Handler, []*serve.Store) {
 	}
 	det := router.NewDetector(rt, target)
 	t.Cleanup(det.Close)
-	return newServer(rt, det, 7).routes(), stores
+	return newServer(rt, det).routes(), rt, stores
 }
 
 func do(t *testing.T, h http.Handler, method, url string) (int, map[string]any) {
@@ -72,82 +73,56 @@ func totals(stores []*serve.Store) (sum int64) {
 	return sum
 }
 
+// TestRoutedVerbs: the verbs are routed by a client's own Session over
+// dgram, and the admin plane sees what they did to the fleet.
 func TestRoutedVerbs(t *testing.T) {
-	h, stores := newTestFleet(t)
+	h, rt, stores := newTestFleet(t)
+	ses := rt.NewSession()
+	defer ses.Close()
+	r := rng.NewStream(7, 0)
 
-	code, body := do(t, h, http.MethodPost, "/alloc")
-	if code != http.StatusOK || body["probes"].(float64) != 2 {
-		t.Fatalf("POST /alloc = %d, body %v", code, body)
+	res, err := ses.Admit(r)
+	if err != nil || res.Probes != 2 || totals(stores) != 33 || stores[res.Shard].Load(int(res.Bin)) != int(res.Load) {
+		t.Fatalf("admit %+v, %v does not match the fleet (total %d)", res, err, totals(stores))
 	}
-	shard, bin := int(body["shard"].(float64)), int(body["bin"].(float64))
-	if totals(stores) != 33 || stores[shard].Load(bin) != int(body["load"].(float64)) {
-		t.Fatalf("alloc reply %v does not match the fleet (total %d)", body, totals(stores))
+	if _, err := ses.Free(r); err != nil || totals(stores) != 32 {
+		t.Fatalf("free: %v, fleet total %d", err, totals(stores))
 	}
-	if code, body = do(t, h, http.MethodPost, "/free"); code != http.StatusOK {
-		t.Fatalf("POST /free = %d, body %v", code, body)
+	if load, err := ses.Crash(0, 5, 40); err != nil || stores[0].Load(5) != int(load) {
+		t.Fatalf("crash: load %d, %v (bin at %d)", load, err, stores[0].Load(5))
 	}
-	if code, body = do(t, h, http.MethodPost, "/free?shard=1&bin=3"); code != http.StatusOK || body["shard"].(float64) != 1 || body["bin"].(float64) != 3 {
-		t.Fatalf("targeted free = %d, body %v", code, body)
-	}
-	if totals(stores) != 31 {
-		t.Fatalf("fleet holds %d balls after 1 alloc and 2 frees, want 31", totals(stores))
-	}
-	if code, body = do(t, h, http.MethodPost, "/crash?shard=0&bin=5&k=40"); code != http.StatusOK || body["added"].(float64) != 40 || stores[0].Load(5) != int(body["load"].(float64)) {
-		t.Fatalf("POST /crash = %d, body %v (bin at %d)", code, body, stores[0].Load(5))
-	}
-	if code, body = do(t, h, http.MethodGet, "/healthz"); code != http.StatusOK || body["recovered"] != false || body["live_shards"].(float64) != 2 {
+	if code, body := do(t, h, http.MethodGet, "/healthz"); code != http.StatusOK || body["recovered"] != false || body["live_shards"].(float64) != 2 {
 		t.Fatalf("GET /healthz after the crash = %d, body %v", code, body)
 	}
 }
 
-func TestMethodsAndBadParams(t *testing.T) {
-	h, stores := newTestFleet(t)
-	for _, url := range []string{"/alloc", "/free", "/crash?shard=0&bin=0&k=1"} {
-		if code, _ := do(t, h, http.MethodGet, url); code != http.StatusMethodNotAllowed {
-			t.Errorf("GET %s = %d, want 405", url, code)
+// TestAdminPlaneOnly pins HTTP as the admin plane: /alloc, /free and
+// /crash are not routes, /state and /healthz answer, and /state is
+// GET only.
+func TestAdminPlaneOnly(t *testing.T) {
+	h, _, stores := newTestFleet(t)
+	for _, url := range []string{"/alloc", "/free", "/free?shard=1&bin=3", "/crash?shard=0&bin=0&k=1"} {
+		for _, method := range []string{http.MethodPost, http.MethodGet} {
+			if code, _ := do(t, h, method, url); code != http.StatusNotFound {
+				t.Errorf("%s %s = %d, want 404", method, url, code)
+			}
+		}
+	}
+	if got := totals(stores); got != 32 {
+		t.Fatalf("a non-route changed the fleet: %d balls", got)
+	}
+	for _, url := range []string{"/state", "/state?summary=1", "/healthz"} {
+		if code, _ := do(t, h, http.MethodGet, url); code != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", url, code)
 		}
 	}
 	if code, _ := do(t, h, http.MethodPost, "/state"); code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /state = %d, want 405", code)
 	}
-	before := totals(stores)
-	for _, url := range []string{
-		"/crash", "/crash?bin=0&k=1", "/crash?shard=0&k=1", "/crash?shard=0&bin=0", // missing
-		"/crash?shard=2&bin=0&k=1", "/crash?shard=-1&bin=0&k=1", "/crash?shard=x&bin=0&k=1", // bad shard
-		"/crash?shard=0&bin=-1&k=1", "/crash?shard=0&bin=zz&k=1", "/crash?shard=0&bin=16&k=1", // bad bin (16: the shard's own refusal)
-		"/crash?shard=0&bin=0&k=-1", "/crash?shard=0&bin=0&k=1.5", // bad k
-		"/crash?shard=0&bin=0&k=2147483648", // fits the wire, overflows the bin: the shard's refusal
-		"/free?shard=0", "/free?bin=1", "/free?shard=2&bin=1", "/free?shard=0&bin=-1", "/free?shard=0&bin=4294967296",
-	} {
-		if code, body := do(t, h, http.MethodPost, url); code != http.StatusBadRequest {
-			t.Errorf("POST %s = %d, body %v; want 400", url, code, body)
-		}
-	}
-	if got := totals(stores); got != before {
-		t.Fatalf("refused requests changed the fleet: %d -> %d balls", before, got)
-	}
-}
-
-// TestCrashParamsAreNeverTruncated: k=4294967297 used to be sent as K=1
-// and reported as added: 4294967297; bin=4294967296 as bin 0.
-func TestCrashParamsAreNeverTruncated(t *testing.T) {
-	h, stores := newTestFleet(t)
-	for _, url := range []string{
-		"/crash?shard=0&bin=0&k=4294967297",
-		"/crash?shard=0&bin=4294967296&k=1",
-		"/crash?shard=4294967296&bin=0&k=1",
-	} {
-		if code, body := do(t, h, http.MethodPost, url); code != http.StatusBadRequest {
-			t.Errorf("POST %s = %d, body %v; want 400", url, code, body)
-		}
-	}
-	if totals(stores) != 32 || stores[0].Load(0) != 1 {
-		t.Fatalf("a truncated crash landed: total %d, shard 0 bin 0 at %d", totals(stores), stores[0].Load(0))
-	}
 }
 
 func TestStateSummary(t *testing.T) {
-	h, _ := newTestFleet(t)
+	h, _, _ := newTestFleet(t)
 	code, body := do(t, h, http.MethodGet, "/state?summary=1")
 	if code != http.StatusOK {
 		t.Fatalf("GET /state?summary=1 = %d", code)

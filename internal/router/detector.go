@@ -54,8 +54,7 @@ type Detector struct {
 	ep         serve.EpisodeState // the transitions, shared with serve.Detector
 	cached     []dgram.Summary    // last successful probe per shard
 	haveCached []bool
-	last       ClusterStatus
-	haveLast   bool
+	last       ClusterStatus // what a coalesced Check returns
 }
 
 // NewDetector returns a cluster detector over rt with the given
@@ -82,13 +81,6 @@ func (d *Detector) Recovered() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.ep.Recovered
-}
-
-// Last returns the most recent observation, if any Check has run.
-func (d *Detector) Last() (ClusterStatus, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.last, d.haveLast
 }
 
 // LastEpisode returns the most recently completed cluster recovery and
@@ -188,7 +180,6 @@ func (d *Detector) Check() ClusterStatus {
 		metrics.ObserveHistogram("router.recovery.wall_ns", ep.Wall.Nanoseconds())
 	}
 	d.last = s
-	d.haveLast = true
 	d.mu.Unlock()
 
 	metrics.AddCounter("router.detector.checks", 1)

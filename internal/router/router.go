@@ -621,7 +621,7 @@ func (s *Session) Free(r *rng.RNG) (FreeResult, error) {
 			time.Sleep(s.rt.opts.RetryBackoff)
 			continue
 		}
-		res, err := s.FreeAt(i, dgram.FreeReq{Mode: dgram.FreeScenario, Count: 1})
+		res, err := s.freeAt(i)
 		if err == nil {
 			metrics.AddCounter("router.frees", 1)
 			return res, nil
@@ -697,9 +697,9 @@ func (s *Session) pickWeighted(r *rng.RNG) int {
 	return -1
 }
 
-// FreeAt sends one FREE request to shard i.
-func (s *Session) FreeAt(i int, q dgram.FreeReq) (FreeResult, error) {
-	s.req = dgram.AppendFreeReq(s.req[:0], q)
+// freeAt asks shard i for one departure drawn by its own scenario.
+func (s *Session) freeAt(i int) (FreeResult, error) {
+	s.req = dgram.AppendFreeReq(s.req[:0], dgram.FreeReq{Mode: dgram.FreeScenario, Count: 1})
 	t, p, err := s.call(i, dgram.TFree, s.req)
 	if err != nil {
 		return FreeResult{}, err

@@ -269,10 +269,10 @@ func TestSessionStateAndCrash(t *testing.T) {
 	if len(sr.Loads) != 16 || sr.Loads[3] != 7 {
 		t.Fatalf("state: %d bins, bin3=%d", len(sr.Loads), sr.Loads[3])
 	}
-	// Targeted free drains the crashed bin.
-	res, err := ses.FreeAt(0, dgram.FreeReq{Mode: dgram.FreeBin, Bin: 3, Count: 1})
-	if err != nil || res.Load != 6 {
-		t.Fatalf("free bin: %+v, err %v", res, err)
+	// A targeted FREE frame drains the crashed bin.
+	typ, rp := dialRaw(t, a).call(dgram.TFree, dgram.AppendFreeReq(nil, dgram.FreeReq{Mode: dgram.FreeBin, Bin: 3, Count: 1}))
+	if pairs, err := dgram.DecodeBinLoads(rp, nil); typ != dgram.TFreeOK || err != nil || len(pairs) != 1 || pairs[0].Load != 6 {
+		t.Fatalf("free bin: %v %+v, err %v", typ, pairs, err)
 	}
 	// Draining shard refuses mutations with CodeDraining.
 	a.svc.SetDraining()
@@ -354,9 +354,11 @@ func TestClusterDetector(t *testing.T) {
 
 	// Drain the crashed bin; interleave admissions so the step clock
 	// advances, then the detector must re-fire with a sane episode.
+	raw := dialRaw(t, a)
+	freeBin0 := dgram.AppendFreeReq(nil, dgram.FreeReq{Mode: dgram.FreeBin, Bin: 0, Count: 1})
 	for i := 0; i < int(spike); i++ {
-		if _, err := ses.FreeAt(0, dgram.FreeReq{Mode: dgram.FreeBin, Bin: 0, Count: 1}); err != nil {
-			t.Fatal(err)
+		if typ, _ := raw.call(dgram.TFree, freeBin0); typ != dgram.TFreeOK {
+			t.Fatalf("FREE bin 0 answered %v", typ)
 		}
 		if _, err := ses.Admit(r); err != nil {
 			t.Fatal(err)

@@ -70,9 +70,9 @@ func NewServer(cfg ServerConfig) *Server {
 	return NewServiceServer(svc)
 }
 
-// NewServiceServer returns a Server over svc — the form a daemon uses
-// to put its dgram and HTTP front ends over ONE service, and so one
-// gate: svc.SetDraining refuses mutations on both.
+// NewServiceServer returns a Server over svc — the form a daemon uses,
+// so its admin plane and its dgram listener share ONE service, and so
+// one gate: svc.SetDraining refuses every mutation.
 func NewServiceServer(svc *serve.Service) *Server {
 	return &Server{svc: svc}
 }

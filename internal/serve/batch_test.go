@@ -144,9 +144,9 @@ func TestAdmitBatchMatchesSequentialAllocs(t *testing.T) {
 		// each run stays within a single shard.
 		var runCat []int
 		for _, run := range bh.runs {
-			s0 := batchStore.ShardOf(run[0])
+			s0 := run[0] / batchStore.shardSize
 			for _, b := range run {
-				if batchStore.ShardOf(b) != s0 {
+				if b/batchStore.shardSize != s0 {
 					t.Fatalf("trial %d: run %v crosses shards", trial, run)
 				}
 			}
@@ -171,7 +171,7 @@ func TestAdmitBatchMatchesSequentialAllocs(t *testing.T) {
 		// Order() in entry order.
 		lastPerShard := map[int]int32{}
 		for _, e := range order {
-			si := batchStore.ShardOf(bins[e])
+			si := bins[e] / batchStore.shardSize
 			if prev, ok := lastPerShard[si]; ok && e < prev {
 				t.Fatalf("trial %d: shard %d applied entry %d after %d (not FIFO)", trial, si, e, prev)
 			}
@@ -482,7 +482,7 @@ func TestAdmitBatchConcurrentMixedTraffic(t *testing.T) {
 		tot := st.shards[i].total.Load()
 		var shardSum int64
 		for b := 0; b < n; b++ {
-			if st.ShardOf(b) == i {
+			if b/st.shardSize == i {
 				shardSum += int64(loads[b])
 			}
 		}

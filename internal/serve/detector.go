@@ -149,11 +149,10 @@ type Detector struct {
 	checkMu sync.Mutex   // serializes the read+transition critical section
 	sparse  []levelCount // Check's scratch for levels >= denseLevels; guarded by checkMu
 
-	mu       sync.Mutex // guards everything below
-	ep       EpisodeState
-	last     Status
-	haveLast bool
-	tracker  *EpisodeTracker // optional; see AttachEpisodes
+	mu      sync.Mutex // guards everything below
+	ep      EpisodeState
+	last    Status          // what a coalesced Check returns
+	tracker *EpisodeTracker // optional; see AttachEpisodes
 }
 
 // NewDetector returns a detector for st with the given target. The
@@ -173,13 +172,6 @@ func (d *Detector) Recovered() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.ep.Recovered
-}
-
-// Last returns the most recent observation, if any check has run.
-func (d *Detector) Last() (Status, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.last, d.haveLast
 }
 
 // LastEpisode returns the most recently completed recovery episode and
@@ -319,7 +311,6 @@ func (d *Detector) Check() Status {
 		d.tracker.noteFault("drift", steps, now)
 	}
 	d.last = s
-	d.haveLast = true
 	d.mu.Unlock()
 
 	metrics.AddCounter("serve.detector.checks", 1)

@@ -101,20 +101,14 @@ func NewEngine(cfg Config) *Engine {
 	return &Engine{cfg: cfg}
 }
 
-// Steps returns the number of phases executed so far.
-func (e *Engine) Steps() int64 { return e.steps.Load() }
-
-// Stop asks all workers to exit after their current phase.
-func (e *Engine) Stop() { e.halt.Store(true) }
-
 // Run drives traffic until ctx is done, MaxSteps phases have executed,
-// Stop is called, or (with StopOnRecovery) the detector observes the
-// typical state. It blocks until every worker has exited and returns
-// the run summary. Per-worker phase latency histograms (a pass's wall
-// time — departures, picks and admissions — divided by its phases) are
-// merged into the "serve.alloc.latency_ns" metric, and the phase
-// counters are flushed to "serve.engine.phases", when collection is
-// enabled.
+// the store runs out of balls to depart, or (with StopOnRecovery) the
+// detector observes the typical state. It blocks until every worker has
+// exited and returns the run summary. Per-worker phase latency
+// histograms (a pass's wall time — departures, picks and admissions —
+// divided by its phases) are merged into the "serve.alloc.latency_ns"
+// metric, and the phase counters are flushed to "serve.engine.phases",
+// when collection is enabled.
 func (e *Engine) Run(ctx context.Context) Result {
 	cfg := e.cfg
 	start := time.Now()

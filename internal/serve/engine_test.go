@@ -155,7 +155,7 @@ func TestEngineCrashRecovery(t *testing.T) {
 	})
 	res := eng.Run(context.Background())
 	if !res.Recovered {
-		t.Fatalf("no recovery within %d phases (budget 40·m·ln(4m)); last: %+v", budget, mustLast(det))
+		t.Fatalf("no recovery within %d phases (budget 40·m·ln(4m)); last: %+v", budget, det.Check())
 	}
 	if res.Episode.Steps <= 0 || res.Episode.Steps > budget {
 		t.Fatalf("episode steps %d outside (0, %d]", res.Episode.Steps, budget)
@@ -163,9 +163,4 @@ func TestEngineCrashRecovery(t *testing.T) {
 	if st.Total() != int64(m) {
 		t.Fatalf("ball count drifted to %d, want %d", st.Total(), m)
 	}
-}
-
-func mustLast(d *Detector) Status {
-	s, _ := d.Last()
-	return s
 }

@@ -42,11 +42,12 @@ const (
 // Service states the mutating verbs — admit, free, crash — once: which
 // arguments they accept, when they refuse, how a large request is
 // chunked, which scenario a departure draws from, and that a crash
-// marks the detector disrupted. The front ends (cmd/dynallocd's HTTP
-// handlers, router.Server's dgram loop) are codecs over it: decode, one
-// Lane call, encode. Journal and detector are swappable because a hot
-// standby gains both at promotion; the gate is the one place shutdown,
-// a promotion fence and the standby role refuse mutations.
+// marks the detector disrupted. Its one front end, router.Server's
+// dgram loop, is a codec over it: decode, one Lane call, encode (HTTP
+// is the daemons' admin plane and carries no verb). Journal and
+// detector are swappable because a hot standby gains both at promotion;
+// the gate is the one place shutdown, a promotion fence and the standby
+// role refuse mutations.
 type Service struct {
 	st   *Store
 	pol  Policy
@@ -133,13 +134,12 @@ type Lane struct {
 }
 
 // The rng stream layout under one seed: the Engine's workers decide on
-// streams 0..W-1 and pace on PacingStream + worker, the HTTP front end's
-// Lane draws from HTTPStream, and the dgram listener's connections from
-// DgramStream + ordinal — disjoint, so no surface (and no open-loop
-// pacing draw) perturbs another's allocation decisions.
+// streams 0..W-1 and pace on PacingStream + worker, and the dgram
+// listener's connections draw from DgramStream + ordinal — disjoint, so
+// neither surface (nor an open-loop pacing draw) perturbs the other's
+// allocation decisions.
 const (
 	PacingStream = 1 << 32
-	HTTPStream   = 1 << 33
 	DgramStream  = 1 << 34
 )
 

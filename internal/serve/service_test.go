@@ -90,6 +90,7 @@ func TestServiceVerbTable(t *testing.T) {
 		{"crash/k-negative", serving, false, false, crash(4, -1), ErrBadRequest},
 		{"crash/k-overflows-int32", serving, false, false, crash(4, math.MaxInt32), ErrBadRequest},
 		{"crash/k-2^31", serving, false, false, crash(4, 1<<31), ErrBadRequest},
+		{"crash/k-maxint64", serving, false, false, crash(4, math.MaxInt64), ErrBadRequest},
 		{"crash/k-overflows-full-bin", serving, false, true, crash(5, 2), ErrBadRequest},
 	}
 	for _, sc := range []process.Scenario{process.ScenarioA, process.ScenarioB} {
@@ -115,7 +116,7 @@ func TestServiceVerbTable(t *testing.T) {
 					svc.SetStandby()
 				}
 				before := stateOf(st)
-				err := tc.call(svc.NewLane(HTTPStream))
+				err := tc.call(svc.NewLane(DgramStream))
 				if tc.want == nil {
 					if err != nil {
 						t.Fatalf("refused: %v", err)
@@ -199,7 +200,7 @@ func TestLaneResults(t *testing.T) {
 func TestServiceGate(t *testing.T) {
 	st := NewStoreShards(8, 2)
 	svc := NewService(st, NewABKUPolicy(2), process.ScenarioA, 1)
-	lane := svc.NewLane(HTTPStream)
+	lane := svc.NewLane(DgramStream)
 	svc.SetStandby()
 	if _, _, err := lane.Admit(1, nil); !errors.Is(err, ErrStandby) {
 		t.Fatalf("standby admit: %v", err)

@@ -252,9 +252,6 @@ func (st *Store) freeLocked(sh *shard, b int) int32 {
 	return l
 }
 
-// ShardOf returns the index of the lock stripe bin b belongs to.
-func (st *Store) ShardOf(b int) int { return b / st.shardSize }
-
 // AdmitScratch is the reusable per-caller state of Store.AdmitBatch:
 // the per-shard chain heads/tails, the entry links, the list of
 // touched shards, and the shard-grouped apply order of the last batch.

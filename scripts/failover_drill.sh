@@ -3,20 +3,22 @@
 #
 #   1. boot a durable primary serving its WAL as a replication stream,
 #      and a hot standby subscribed to it (-replicate-from),
-#   2. inject a crash plus live traffic, wait for the standby to catch
-#      up (replica lag 0 at the primary's durable seq),
+#   2. inject a crash plus live traffic over the primary's dgram data
+#      plane (scripts/dgramc), wait for the standby to catch up (replica
+#      lag 0 at the primary's durable seq),
 #   3. kill -9 the primary and promote the standby via POST /promote
 #      (unforced: the split-brain guard must first see the heartbeat
 #      window lapse),
 #   4. assert the promoted state matches the dead primary bit for bit
-#      (loads + counters),
-#   5. drive traffic at the promoted standby until its detector
-#      re-fires, and gate the fail-over recovery episode at 8x the
-#      Theorem 1 budget.
+#      (loads + counters), and that the standby's dgram listener, absent
+#      until promotion, now admits,
+#   5. drive traffic at the promoted standby (dynrouter -drive over its
+#      dgram address) until its detector re-fires, and gate the
+#      fail-over recovery episode at 8x the Theorem 1 budget.
 #
 # Usage: scripts/failover_drill.sh
 #
-# Both daemons bind ephemeral ports and publish them through port
+# Every daemon binds ephemeral ports and publishes them through port
 # files, so concurrent CI jobs can never collide.
 set -euo pipefail
 
@@ -32,7 +34,7 @@ cleanup() {
   [ -n "$PRIM_PID" ] && kill -9 "$PRIM_PID" 2>/dev/null || true
   [ -n "$STBY_PID" ] && kill -9 "$STBY_PID" 2>/dev/null || true
   if [ "$rc" -ne 0 ]; then
-    for log in primary.log standby.log; do
+    for log in primary.log standby.log router.log revived.log; do
       if [ -s "$WORK/$log" ]; then
         echo "failover-drill: $log (exit $rc):" >&2
         cat "$WORK/$log" >&2
@@ -49,6 +51,8 @@ trap 'exit 143' TERM
 say() { echo "failover-drill: $*"; }
 
 go build -o "$WORK/dynallocd" ./cmd/dynallocd
+go build -o "$WORK/dynrouter" ./cmd/dynrouter
+go build -o "$WORK/dgramc" ./scripts/dgramc
 
 wait_file() { # path
   for _ in $(seq 1 50); do
@@ -62,14 +66,18 @@ say "phase 1: boot primary (streaming) + hot standby"
 "$WORK/dynallocd" -n "$N" -addr 127.0.0.1:0 -port-file "$WORK/primary.port" \
   -wal-dir "$WORK/primary-wal" -fsync always \
   -replica-listen 127.0.0.1:0 -replica-port-file "$WORK/stream.port" \
+  -dgram-addr 127.0.0.1:0 -dgram-port-file "$WORK/primary.dgram" \
   >"$WORK/primary.log" 2>&1 &
 PRIM_PID=$!
 wait_file "$WORK/primary.port"
 wait_file "$WORK/stream.port"
+wait_file "$WORK/primary.dgram"
 PADDR="$(cat "$WORK/primary.port")"
+PDGRAM="$(cat "$WORK/primary.dgram")"
 
 "$WORK/dynallocd" -n "$N" -addr 127.0.0.1:0 -port-file "$WORK/standby.port" \
   -wal-dir "$WORK/standby-wal" -fsync always -check-interval 250ms \
+  -dgram-addr 127.0.0.1:0 -dgram-port-file "$WORK/standby.dgram" \
   -replicate-from "$(cat "$WORK/stream.port")" \
   >"$WORK/standby.log" 2>&1 &
 STBY_PID=$!
@@ -77,13 +85,14 @@ wait_file "$WORK/standby.port"
 SADDR="$(cat "$WORK/standby.port")"
 
 say "phase 2: crash + traffic on the primary, wait for replica catch-up"
-curl -sf -X POST "http://$PADDR/crash?bin=3&k=$CRASH_K" >/dev/null
-for _ in $(seq 1 40); do curl -sf -X POST "http://$PADDR/alloc" >/dev/null; done
-for _ in $(seq 1 10); do curl -sf -X POST "http://$PADDR/free" >/dev/null; done
+"$WORK/dgramc" -addr "$PDGRAM" crash 3 "$CRASH_K"
+"$WORK/dgramc" -addr "$PDGRAM" admit 40
+"$WORK/dgramc" -addr "$PDGRAM" free 10
 
-# An un-promoted standby must refuse mutations.
-if curl -sf -X POST "http://$SADDR/alloc" >/dev/null 2>&1; then
-  say "standby accepted a mutation before promotion"; exit 1
+# An un-promoted standby must refuse mutations: it has no data plane
+# until promotion binds one.
+if [ -e "$WORK/standby.dgram" ]; then
+  say "standby bound its dgram listener before promotion"; exit 1
 fi
 
 PRIM_SEQ="$(curl -sf "http://$PADDR/state" | jq .wal_last_seq)"
@@ -134,6 +143,15 @@ for field in .loads .n '.stats.total' '.stats.allocs' '.stats.frees'; do
 done
 say "state survived fail-over exactly (loads + counters)"
 
+# Promotion bound the data plane, and it admits. The free keeps the
+# ball count, so the recovery target phase 5 drives toward is the one
+# the promoted detector was armed with.
+wait_file "$WORK/standby.dgram"
+SDGRAM="$(cat "$WORK/standby.dgram")"
+"$WORK/dgramc" -addr "$SDGRAM" admit 1
+"$WORK/dgramc" -addr "$SDGRAM" free 1
+say "promoted standby admits over dgram at $SDGRAM"
+
 # The inherited crash keeps the promoted store disrupted: that is the
 # episode phase 5 recovers from.
 if [ "$(curl -sf "http://$SADDR/state?summary=1" | jq .recovered)" != "false" ]; then
@@ -141,17 +159,21 @@ if [ "$(curl -sf "http://$SADDR/state?summary=1" | jq .recovered)" != "false" ];
 fi
 
 say "phase 5: drive the promoted standby until the detector re-fires"
+# dynrouter over the one shard drives closed-loop admit/free pairs until
+# its own detector sees the typical state. At -slack 1 its target is the
+# standby's, so the traffic stops once the standby is recovered too and
+# the standby's next check closes the episode at the same step count.
+"$WORK/dynrouter" -shards "$SDGRAM" -addr "" -drive -crash 0 -slack 1 \
+  >"$WORK/router.log" 2>&1 || { say "drive failed"; exit 1; }
+grep 'recovered in' "$WORK/router.log"
 recovered=""
-for i in $(seq 1 3000); do
-  curl -sf -X POST "http://$SADDR/alloc" >/dev/null
-  curl -sf -X POST "http://$SADDR/free" >/dev/null
-  if [ $((i % 25)) -eq 0 ]; then
-    if curl -sf "http://$SADDR/state?summary=1" | jq -e '.recovered == true' >/dev/null; then
-      say "recovered after $i alloc/free pairs"
-      recovered=1
-      break
-    fi
+for i in $(seq 1 40); do
+  if curl -sf "http://$SADDR/state?summary=1" | jq -e '.recovered == true' >/dev/null; then
+    say "standby detector re-fired (poll $i)"
+    recovered=1
+    break
   fi
+  sleep 0.25
 done
 [ -n "$recovered" ] || { say "promoted standby never recovered"; exit 1; }
 
@@ -170,6 +192,7 @@ curl -sf "http://$SADDR/state" >"$WORK/state_promoted.json"
 kill -9 "$STBY_PID"; wait "$STBY_PID" 2>/dev/null || true; STBY_PID=""
 "$WORK/dynallocd" -n "$N" -addr 127.0.0.1:0 -port-file "$WORK/revived.port" \
   -wal-dir "$WORK/standby-wal" -fsync always \
+  -dgram-addr 127.0.0.1:0 -dgram-port-file "$WORK/revived.dgram" \
   >"$WORK/revived.log" 2>&1 &
 STBY_PID=$!
 wait_file "$WORK/revived.port"

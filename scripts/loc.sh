@@ -10,7 +10,8 @@ cd "$(dirname "$0")/.."
 
 pkgs=(internal/serve internal/wal internal/checkpoint internal/replica
 	internal/dgram internal/router internal/vfs internal/simfs
-	internal/simfs/explore internal/daemon cmd/dynallocd cmd/dynrouter)
+	internal/simfs/explore internal/daemon cmd/dynallocd cmd/dynrouter
+	scripts/dgramc)
 
 total=0
 for p in "${pkgs[@]}"; do

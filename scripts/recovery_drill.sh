@@ -2,7 +2,7 @@
 # Restart-recovery drill for dynallocd (docs/SERVING.md):
 #
 #   1. boot a durable daemon (-wal-dir, -fsync always), inject a crash
-#      plus some live traffic,
+#      plus some live traffic over its dgram data plane (scripts/dgramc),
 #   2. kill -9 it mid-flight,
 #   3. restart and assert the full /state load vector matches exactly,
 #   4. kill -9 again, restart with the traffic driver, and assert the
@@ -12,11 +12,13 @@
 #
 # With no argument the daemon binds an ephemeral port (-addr :0) and
 # publishes the resolved address through -port-file, so concurrent CI
-# jobs can never collide; pass a port to pin it.
+# jobs can never collide; pass a port to pin it. The dgram listener is
+# always ephemeral (-dgram-port-file).
 set -euo pipefail
 
 PORT="${1:-0}"
-ADDR="" # resolved from the port file after each start
+ADDR=""  # resolved from the port file after each start
+DADDR="" # the dgram data plane, likewise
 N=4096
 CRASH_K=1024
 
@@ -43,6 +45,7 @@ trap 'exit 143' TERM
 say() { echo "recovery-drill: $*"; }
 
 go build -o "$WORK/dynallocd" ./cmd/dynallocd
+go build -o "$WORK/dgramc" ./scripts/dgramc
 
 wait_healthy() {
   for _ in $(seq 1 50); do
@@ -53,27 +56,29 @@ wait_healthy() {
 }
 
 start_daemon() { # args: extra flags...
-  rm -f "$WORK/http.port"
+  rm -f "$WORK/http.port" "$WORK/dgram.port"
   "$WORK/dynallocd" -n "$N" -addr "127.0.0.1:${PORT}" \
     -port-file "$WORK/http.port" -wal-dir "$WALDIR" -fsync always \
+    -dgram-addr 127.0.0.1:0 -dgram-port-file "$WORK/dgram.port" \
     -check-interval 250ms "$@" >"$WORK/log" 2>&1 &
   PID=$!
   for _ in $(seq 1 50); do
-    [ -s "$WORK/http.port" ] && break
+    [ -s "$WORK/http.port" ] && [ -s "$WORK/dgram.port" ] && break
     sleep 0.2
   done
-  if [ ! -s "$WORK/http.port" ]; then
-    say "daemon never published its port"; return 1
+  if [ ! -s "$WORK/http.port" ] || [ ! -s "$WORK/dgram.port" ]; then
+    say "daemon never published its ports"; return 1
   fi
   ADDR="$(cat "$WORK/http.port")"
+  DADDR="$(cat "$WORK/dgram.port")"
   wait_healthy
 }
 
 say "phase 1: boot durable daemon, inject crash + traffic"
 start_daemon
-curl -sf -X POST "http://$ADDR/crash?bin=3&k=$CRASH_K" >/dev/null
-for _ in $(seq 1 20); do curl -sf -X POST "http://$ADDR/alloc" >/dev/null; done
-for _ in $(seq 1 5); do curl -sf -X POST "http://$ADDR/free" >/dev/null; done
+"$WORK/dgramc" -addr "$DADDR" crash 3 "$CRASH_K"
+"$WORK/dgramc" -addr "$DADDR" admit 20
+"$WORK/dgramc" -addr "$DADDR" free 5
 curl -sf "http://$ADDR/state" >"$WORK/state_before.json"
 
 say "phase 2: kill -9 and restart"

@@ -53,7 +53,7 @@ func TestServeCrashRecoveryWithinTheorem1Scale(t *testing.T) {
 	})
 	res := eng.Run(context.Background())
 	if !res.Recovered {
-		s, _ := det.Last()
+		s := det.Check()
 		t.Fatalf("detector did not fire within %d phases (8x Theorem 1 bound %.0f); last: %+v",
 			budget, target.BudgetSteps, s)
 	}
