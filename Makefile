@@ -52,7 +52,7 @@ bench-json: build
 bench-check: build
 	$(GO) run ./cmd/bench -quick -out BENCH_head.json
 	$(GO) run ./cmd/bench -compare BENCH_baseline.json BENCH_head.json -threshold 25
-	$(GO) test ./internal/serve -run 'TestStoreReadsScaleSublinearly|TestJournaledDriveWithinFactorOfBare' -count=1 -v
+	$(GO) test ./internal/serve -run 'TestStoreReadsScaleSublinearly|TestJournaledDriveWithinFactorOfBare|TestEngineWorkersDoNotSlowTheDrive' -count=1 -v
 
 # CPU/heap profiles plus a metrics snapshot of a representative
 # experiment pass. Override EXP to profile a different experiment.

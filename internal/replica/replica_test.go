@@ -61,7 +61,7 @@ func newPrimary(t *testing.T, fill int, fsync wal.FsyncPolicy) *primary {
 // admitOne admits one ball into bin b: a pass of one through the
 // store's only admission path.
 func admitOne(st *serve.Store, b int) {
-	st.AdmitBatch([]int{b}, nil, new(serve.AdmitScratch))
+	st.AdmitBatch([]int{b}, nil)
 }
 
 // mutate applies ops random mutations and drains them to the log.

@@ -444,7 +444,8 @@ func (s *Session) Admit(r *rng.RNG) (AdmitResult, error) {
 // (one per ball, reusable across calls). On a mid-batch failure the
 // whole batch is retried elsewhere, so balls are admitted at least
 // once — the same contract as Admit. A count outside 1..serve.MaxCount
-// is refused here, as every shard would refuse it.
+// is refused here, as every shard would refuse it. A shard whose store
+// fills up (2^31−1 balls) part way returns fewer than count.
 func (s *Session) AdmitBatch(r *rng.RNG, count int, dst []AdmitResult) ([]AdmitResult, error) {
 	if count < 1 || count > serve.MaxCount {
 		return dst, fmt.Errorf("router: admit batch of %d (want 1..%d)", count, serve.MaxCount)
@@ -551,8 +552,8 @@ func (s *Session) AdmitBatch(r *rng.RNG, count int, dst []AdmitResult) ([]AdmitR
 				out[j].Probes = got
 			}
 			if record {
-				metrics.AddCounter("router.admits", int64(count))
-				metrics.AddCounter(s.rt.admitShardCounter(i), int64(count))
+				metrics.AddCounter("router.admits", int64(len(out)-len(dst)))
+				metrics.AddCounter(s.rt.admitShardCounter(i), int64(len(out)-len(dst)))
 				metrics.ObserveHistogram("router.admit.latency_ns", time.Since(t0).Nanoseconds())
 			}
 			return out, nil
@@ -564,7 +565,8 @@ func (s *Session) AdmitBatch(r *rng.RNG, count int, dst []AdmitResult) ([]AdmitR
 
 // admitAt sends one ADMIT for count balls to shard i on the
 // already-probed connection, appending one result per admitted ball to
-// dst. On any failure dst is returned unchanged.
+// dst (fewer than count if the shard filled up). On any failure dst is
+// returned unchanged.
 func (s *Session) admitAt(i int, count uint32, dst []AdmitResult) ([]AdmitResult, error) {
 	c := s.conns[i]
 	if c == nil {
@@ -584,7 +586,7 @@ func (s *Session) admitAt(i int, count uint32, dst []AdmitResult) ([]AdmitResult
 	case dgram.TAdmitOK:
 		s.pairs = s.pairs[:0]
 		s.pairs, err = dgram.DecodeBinLoads(p, s.pairs)
-		if err != nil || len(s.pairs) != int(count) {
+		if err != nil || len(s.pairs) == 0 || len(s.pairs) > int(count) {
 			s.drop(i)
 			return dst, fmt.Errorf("router: shard %d ADMIT reply: %d pairs, %v", i, len(s.pairs), err)
 		}

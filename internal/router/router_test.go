@@ -106,9 +106,8 @@ func TestAdmitPrefersLeastLoadedShard(t *testing.T) {
 	b := startShard(t, 64, 2, nil)
 	c := startShard(t, 64, 3, nil)
 	// Preload shard a well above the others.
-	var sc serve.AdmitScratch
 	for i := 0; i < 300; i++ {
-		a.st.AdmitBatch([]int{i % 64}, nil, &sc)
+		a.st.AdmitBatch([]int{i % 64}, nil)
 	}
 	rt := newTestRouter(t, 3, a, b, c)
 	ses := rt.NewSession()
@@ -395,5 +394,56 @@ func TestOptionsValidation(t *testing.T) {
 	defer rt.Close()
 	if rt.D() != 2 {
 		t.Fatalf("d clamped to %d, want 2", rt.D())
+	}
+}
+
+// TestShortAdmitReplyIsAPartialResult: a shard whose store reached its
+// ball bound between two passes answers ADMIT with the balls it did
+// place, and the session hands those back as the result — it neither
+// drops the connection nor admits the batch again elsewhere.
+func TestShortAdmitReplyIsAPartialResult(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	admits := make(chan struct{}, 16)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				fr, fw := dgram.NewReader(c), dgram.NewWriter(c)
+				for {
+					typ, _, err := fr.ReadFrame()
+					switch {
+					case err != nil:
+						return
+					case typ == dgram.TProbe:
+						err = fw.WriteFrame(dgram.TSummary, dgram.AppendSummary(nil, dgram.Summary{N: 8, Total: 1}))
+					case typ == dgram.TAdmit:
+						admits <- struct{}{}
+						err = fw.WriteFrame(dgram.TAdmitOK, dgram.AppendBinLoads(nil, []dgram.BinLoad{{Bin: 3, Load: 7}}))
+					}
+					if err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	rt, err := New(Options{Shards: []string{ln.Addr().String()}, D: 1, DialTimeout: 2 * time.Second, CallTimeout: 2 * time.Second, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	ses := rt.NewSession()
+	defer ses.Close()
+	out, err := ses.AdmitBatch(rng.New(1), 5, nil)
+	if err != nil || len(out) != 1 || out[0].Bin != 3 || out[0].Load != 7 || len(admits) != 1 {
+		t.Fatalf("short ADMIT reply: %+v, %v, %d ADMIT frames sent", out, err, len(admits))
 	}
 }

@@ -118,25 +118,55 @@ func TestOversizedCountsAreRefusedBeforeAnyMutation(t *testing.T) {
 
 // TestOverflowingCrashIsAnErrorNotAPanic is the regression test for the
 // second: CRASH{K: 1<<31} wrapped int32(k) negative and panicked in
-// shard.reindex with the stripe lock held.
+// shard.reindex with the stripe lock held. The bound is store-wide: a
+// crash that would take the store past MaxInt32 balls is refused.
 func TestOverflowingCrashIsAnErrorNotAPanic(t *testing.T) {
 	a := startShard(t, 16, 1, nil)
 	a.st.FillBalanced(16)
 	c := dialRaw(t, a)
 	before := a.st.Stats()
-	for _, k := range []uint32{1 << 31, 1<<31 - 1, 1<<32 - 1} {
+	for _, k := range []uint32{1 << 31, 1<<31 - 1, 1<<31 - 16, 1<<32 - 1} {
 		c.wantErr(dgram.TCrash, dgram.AppendCrashReq(nil, dgram.CrashReq{Bin: 0, K: k}), dgram.CodeBadRequest)
 	}
 	c.wantErr(dgram.TCrash, dgram.AppendCrashReq(nil, dgram.CrashReq{Bin: 16, K: 1}), dgram.CodeBadRequest)
 	if got := a.st.Stats(); got != before {
 		t.Fatalf("refused crashes changed the store: %+v -> %+v", before, got)
 	}
-	// Bin 0's stripe lock is free and the bin takes what fits.
-	rt, rp := c.call(dgram.TCrash, dgram.AppendCrashReq(nil, dgram.CrashReq{Bin: 0, K: 1<<31 - 2}))
+	// The stripe locks are free and the store takes what fits.
+	rt, rp := c.call(dgram.TCrash, dgram.AppendCrashReq(nil, dgram.CrashReq{Bin: 0, K: 1<<31 - 17}))
+	if load, err := dgram.DecodeLoad(rp); rt != dgram.TCrashOK || err != nil || load != 1<<31-16 {
+		t.Fatalf("crash to the brim answered %v load %d (%v)", rt, load, err)
+	}
+	c.wantErr(dgram.TCrash, dgram.AppendCrashReq(nil, dgram.CrashReq{Bin: 3, K: 1}), dgram.CodeBadRequest)
+}
+
+// TestAdmitIntoABrimBinIsRefusedNotAPanic: a crash fills the only bin
+// of a store to MaxInt32 balls, and an ADMIT, which can only land in
+// that bin, answers bad_request with nothing applied. A bin bound alone
+// let the crash through and the admission wrapped the bin's int32 load
+// in shard.reindex, a panic with the locks held; the store-wide bound
+// refuses it before any mutation, and the connection keeps serving.
+func TestAdmitIntoABrimBinIsRefusedNotAPanic(t *testing.T) {
+	a := startShard(t, 1, 1, nil)
+	c := dialRaw(t, a)
+	rt, rp := c.call(dgram.TCrash, dgram.AppendCrashReq(nil, dgram.CrashReq{Bin: 0, K: 1<<31 - 1}))
 	if load, err := dgram.DecodeLoad(rp); rt != dgram.TCrashOK || err != nil || load != 1<<31-1 {
 		t.Fatalf("crash to the brim answered %v load %d (%v)", rt, load, err)
 	}
-	c.wantErr(dgram.TCrash, dgram.AppendCrashReq(nil, dgram.CrashReq{Bin: 0, K: 1}), dgram.CodeBadRequest)
+	before := a.st.Stats()
+	for _, count := range []uint32{1, 300} {
+		c.wantErr(dgram.TAdmit, dgram.AppendAdmitReq(nil, dgram.AdmitReq{Count: count}), dgram.CodeBadRequest)
+	}
+	if got := a.st.Stats(); got != before || a.st.Load(0) != 1<<31-1 {
+		t.Fatalf("refused admissions changed the store: %+v -> %+v", before, got)
+	}
+	rt, rp = c.call(dgram.TFree, dgram.AppendFreeReq(nil, dgram.FreeReq{Mode: dgram.FreeScenario, Count: 2}))
+	if pairs, err := dgram.DecodeBinLoads(rp, nil); rt != dgram.TFreeOK || err != nil || len(pairs) != 2 || pairs[1].Load != 1<<31-3 {
+		t.Fatalf("FREE{2} after the refusals answered %v %v (%v)", rt, pairs, err)
+	}
+	if rt, _ := c.call(dgram.TAdmit, dgram.AppendAdmitReq(nil, dgram.AdmitReq{Count: 2})); rt != dgram.TAdmitOK {
+		t.Fatalf("ADMIT{2} into the room the frees made answered %v", rt)
+	}
 }
 
 // TestStateTooLargeForOneFrame: a store whose load vector does not fit

@@ -11,6 +11,7 @@ import (
 	"dynalloc/internal/process"
 	"dynalloc/internal/rng"
 	"dynalloc/internal/rules"
+	"dynalloc/internal/simfs"
 	"dynalloc/internal/stats"
 	"dynalloc/internal/wal"
 )
@@ -54,9 +55,9 @@ func shippedPolicies() []Policy {
 // (duplicates included), one AdmitBatch of k balls must be
 // observationally equivalent to k AdmitBatch passes of one ball each —
 // same final state and counters, same per-ball load results, same
-// per-bin hook event counts, every pass of one a run of one — and
-// Order() must be a shard-grouped, within-shard-stable permutation of
-// the entries whose load results are consistent with the apply order.
+// hook events in the same order, every pass of one a run of one — and
+// the batch must reach the hook as one OnAllocRun holding its bins in
+// entry order.
 func TestAdmitBatchMatchesSequentialAllocs(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		r := rng.New(0xBA7C4 + uint64(trial))
@@ -85,8 +86,9 @@ func TestAdmitBatchMatchesSequentialAllocs(t *testing.T) {
 			bins[i] = r.Intn(n)
 		}
 		batchLoads := make([]int32, k)
-		var sc AdmitScratch
-		batchStore.AdmitBatch(bins, batchLoads, &sc)
+		if err := batchStore.AdmitBatch(bins, batchLoads); err != nil {
+			t.Fatal(err)
+		}
 
 		seqLoads := make([]int32, k)
 		for i, b := range bins {
@@ -106,76 +108,19 @@ func TestAdmitBatchMatchesSequentialAllocs(t *testing.T) {
 			t.Fatalf("trial %d: stats diverge: batch=%+v seq=%+v", trial, bs, ss)
 		}
 
-		// Per-ball load results: same bin, same multiset of loads, and
-		// within one bin the sorted loads must match (each admission to a
-		// bin yields a distinct consecutive load, in apply order).
-		perBin := map[int][]int32{}
-		for i, b := range bins {
-			perBin[b] = append(perBin[b], batchLoads[i])
-		}
-		perBinSeq := map[int][]int32{}
-		for i, b := range bins {
-			perBinSeq[b] = append(perBinSeq[b], seqLoads[i])
-		}
-		for b, bl := range perBin {
-			sl := perBinSeq[b]
-			// Entry order within a bin == apply order within a bin (the
-			// shard chain is FIFO), so the load sequences match directly.
-			if !reflect.DeepEqual(bl, sl) {
-				t.Fatalf("trial %d bin %d: per-ball loads diverge: batch=%v seq=%v", trial, b, bl, sl)
-			}
+		// Per-ball load results: the batch applies in entry order, so
+		// every ball sees exactly the load its pass of one saw.
+		if !reflect.DeepEqual(batchLoads, seqLoads) {
+			t.Fatalf("trial %d: per-ball loads diverge: batch=%v seq=%v", trial, batchLoads, seqLoads)
 		}
 
-		// Hook events: equal per-bin counts (order across bins may differ
-		// by shard grouping; per-bin order is trivially equal since every
-		// event of a bin is the same record).
-		count := func(evs []recEvent) map[recEvent]int {
-			m := map[recEvent]int{}
-			for _, e := range evs {
-				m[e]++
-			}
-			return m
+		// Hook events: the same sequence, and the batch is one run of
+		// its bins in entry order.
+		if !reflect.DeepEqual(bh.events, sh.events) {
+			t.Fatalf("trial %d: hook events diverge: batch=%v seq=%v", trial, bh.events, sh.events)
 		}
-		if !reflect.DeepEqual(count(bh.events), count(sh.events)) {
-			t.Fatalf("trial %d: hook events diverge: batch=%v seq=%v", trial, count(bh.events), count(sh.events))
-		}
-
-		// The batch hook's runs concatenate to exactly Order()'s bins, and
-		// each run stays within a single shard.
-		var runCat []int
-		for _, run := range bh.runs {
-			s0 := run[0] / batchStore.shardSize
-			for _, b := range run {
-				if b/batchStore.shardSize != s0 {
-					t.Fatalf("trial %d: run %v crosses shards", trial, run)
-				}
-			}
-			runCat = append(runCat, run...)
-		}
-		order := sc.Order()
-		if len(order) != k {
-			t.Fatalf("trial %d: Order() has %d entries, want %d", trial, len(order), k)
-		}
-		seen := make([]bool, k)
-		for pos, e := range order {
-			if seen[e] {
-				t.Fatalf("trial %d: Order() repeats entry %d", trial, e)
-			}
-			seen[e] = true
-			if runCat[pos] != bins[e] {
-				t.Fatalf("trial %d: apply order pos %d: hook saw bin %d, Order() says entry %d (bin %d)",
-					trial, pos, runCat[pos], e, bins[e])
-			}
-		}
-		// Within-shard stability: entries of the same shard appear in
-		// Order() in entry order.
-		lastPerShard := map[int]int32{}
-		for _, e := range order {
-			si := bins[e] / batchStore.shardSize
-			if prev, ok := lastPerShard[si]; ok && e < prev {
-				t.Fatalf("trial %d: shard %d applied entry %d after %d (not FIFO)", trial, si, e, prev)
-			}
-			lastPerShard[si] = e
+		if len(bh.runs) != 1 || !reflect.DeepEqual(bh.runs[0], bins) {
+			t.Fatalf("trial %d: the batch reached the hook as runs %v, want one run %v", trial, bh.runs, bins)
 		}
 	}
 }
@@ -246,10 +191,9 @@ func TestBatchLaneChoiceDistribution(t *testing.T) {
 
 			batchCounts := make([]int, st.N())
 			bins := make([]int, batch)
-			var sc AdmitScratch
 			for drawn := 0; drawn < statDraws; drawn += batch {
 				pol.PickBatch(st, r1, bins)
-				st.AdmitBatch(bins, nil, &sc)
+				st.AdmitBatch(bins, nil)
 				for _, b := range bins {
 					batchCounts[b]++
 					if _, err := st.FreeBin(b); err != nil { // undo
@@ -278,13 +222,13 @@ func TestBatchLaneChoiceDistribution(t *testing.T) {
 
 // TestAdmitBatchJournalSeqOrder pins the invariant the crash-schedule
 // explorer leans on: with a Journal installed, the WAL records of one
-// AdmitBatch land with consecutive seqs whose bin sequence equals the
-// batch's bins permuted by AdmitScratch.Order().
+// AdmitBatch land with consecutive seqs in the batch's entry order.
 func TestAdmitBatchJournalSeqOrder(t *testing.T) {
 	st, j, fs, dir := newJournaled(t, 32, 4, wal.Options{SegmentBytes: 1 << 20})
 	bins := []int{0, 31, 8, 0, 16, 9, 24, 1, 1}
-	var sc AdmitScratch
-	st.AdmitBatch(bins, nil, &sc)
+	if err := st.AdmitBatch(bins, nil); err != nil {
+		t.Fatal(err)
+	}
 	j.Drain()
 	if err := j.Close(); err != nil { // flush the log's write buffer to the fs
 		t.Fatal(err)
@@ -300,12 +244,72 @@ func TestAdmitBatchJournalSeqOrder(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := make([]int, 0, len(bins))
-	for _, e := range sc.Order() {
-		want = append(want, bins[e])
+	if !reflect.DeepEqual(got, bins) {
+		t.Fatalf("WAL bin sequence %v, want entry order %v", got, bins)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("WAL bin sequence %v, want apply order %v", got, want)
+}
+
+// TestPassJournalsFreesThenAdmits: under a SyncWriter journal, one Pass
+// of k writes k OpFree records in draw order, then k OpAlloc records in
+// entry order, with consecutive seqs — the departures the draw made and
+// the destinations the policy picked, as a second store driven by the
+// same stream through FreeBall and PickBatch shows them.
+func TestPassJournalsFreesThenAdmits(t *testing.T) {
+	const n, k = 64, 24
+	for _, sc := range []process.Scenario{process.ScenarioA, process.ScenarioB} {
+		t.Run(fmt.Sprintf("%v", sc), func(t *testing.T) {
+			fs := simfs.New()
+			l, err := wal.Open(wal.Options{Dir: "/wal", Fsync: wal.FsyncNever, FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := NewStoreShards(n, 8)
+			st.FillBalanced(2 * n)
+			j := NewJournal(st, l, 0, JournalOptions{SyncWriter: true})
+			pol := NewABKUPolicy(2)
+			if got, err := NewBatcher(st, pol, sc, k).Pass(rng.New(5), k); got != k || err != nil {
+				t.Fatalf("Pass = %d, %v", got, err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			ref := NewStoreShards(n, 8)
+			ref.FillBalanced(2 * n)
+			r := rng.New(5)
+			var want []wal.Record
+			for i := 0; i < k; i++ {
+				free := ref.FreeBall
+				if sc == process.ScenarioB {
+					free = ref.FreeNonEmpty
+				}
+				b, err := free(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, wal.Record{Op: wal.OpFree, Bin: uint32(b), K: 1})
+			}
+			bins := make([]int, k)
+			pol.PickBatch(ref, r, bins)
+			for _, b := range bins {
+				want = append(want, wal.Record{Op: wal.OpAlloc, Bin: uint32(b), K: 1})
+			}
+			var got []wal.Record
+			if _, err := wal.ReplayPipelineFS(fs, "/wal", 0, wal.PipelineOptions{
+				ApplyBatch: func(_ int, recs []wal.Record) error {
+					got = append(got, recs...)
+					return nil
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				want[i].Seq = uint64(i + 1)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("WAL records\n%v\nwant\n%v", got, want)
+			}
+		})
 	}
 }
 
@@ -388,10 +392,9 @@ func TestAdmitBatchConcurrentMixedTraffic(t *testing.T) {
 			pol := NewABKUPolicy(2)
 			bins := make([]int, batch)
 			loads := make([]int32, batch)
-			var sc AdmitScratch
 			for i := 0; i < iters; i++ {
 				pol.PickBatch(st, r, bins)
-				st.AdmitBatch(bins, loads, &sc)
+				st.AdmitBatch(bins, loads)
 				admitted.Add(batch)
 			}
 		}(w)
@@ -479,7 +482,7 @@ func TestAdmitBatchConcurrentMixedTraffic(t *testing.T) {
 		t.Errorf("mass: sum=%d, want %d (m + admitted + crashed - freed)", sum, want)
 	}
 	for i := range st.shards {
-		tot := st.shards[i].total.Load()
+		tot := st.shards[i].total
 		var shardSum int64
 		for b := 0; b < n; b++ {
 			if b/st.shardSize == i {

@@ -6,9 +6,8 @@ import "dynalloc/internal/rng"
 // Store.AdmitBatch, the store's only admission path — and returns the
 // bin's new load. It is what the sequential references are built from.
 func admitOne(st *Store, b int) int {
-	var sc AdmitScratch
 	bins, loads := [1]int{b}, [1]int32{}
-	st.AdmitBatch(bins[:], loads[:], &sc)
+	st.AdmitBatch(bins[:], loads[:])
 	return int(loads[0])
 }
 

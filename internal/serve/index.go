@@ -1,6 +1,9 @@
 package serve
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // The per-stripe index. Every mutation of a bin goes through
 // shard.reindex under the stripe lock it already holds, and three
@@ -11,6 +14,8 @@ import "sync/atomic"
 //     runs — in at most 64 + 64 + (stripe bins / 4096) steps. The sums
 //     are plain integers: both their writer and their only reader hold
 //     the stripe lock.
+//   - Scenario B's fallback draw finds its nonempty bin through one
+//     occupancy word per 64 bins, not ~n/NonEmpty() rejection tries.
 //   - LoadSummary (the PROBE reply) takes the maximum of the stripes'
 //     atomic max loads.
 //   - Detector.Check reads a histogram of the loads. A sorted load
@@ -47,24 +52,28 @@ type levelCount struct {
 }
 
 // initIndex carves every stripe's two sum levels out of one backing
-// array (cmd/bench builds a store per op and gates on allocs/op), each
-// stripe's share rounded up to whole cache lines so that two stripes'
-// writers share none, and counts all bins at load 0.
+// array and its occupancy words out of another (cmd/bench gates a store
+// per op on allocs/op), each stripe's share rounded up to whole cache
+// lines so that two stripes' writers share none, and counts all bins at
+// load 0.
 func (st *Store) initIndex() {
 	runs := func(x int) int { return (x + 1<<runBits - 1) >> runBits }
-	const line = 8 // int64s per cache line
-	words := 0
+	const line = 8 // words per cache line
+	lines := func(x int) int { return (x + line - 1) &^ (line - 1) }
+	words, occWords := 0, 0
 	for i := range st.shards {
 		n1 := runs(st.shards[i].hi - st.shards[i].lo)
-		words += (n1 + runs(n1) + line - 1) &^ (line - 1)
+		words += lines(n1 + runs(n1))
+		occWords += lines(n1)
 	}
-	back := make([]int64, words)
+	back, occ := make([]int64, words), make([]uint64, occWords)
 	for i := range st.shards {
 		sh := &st.shards[i]
 		n1 := runs(sh.hi - sh.lo)
 		n2 := runs(n1)
 		sh.sum1, sh.sum2 = back[:n1:n1], back[n1:n1+n2:n1+n2]
-		back = back[(n1+n2+line-1)&^(line-1):]
+		back = back[lines(n1+n2):]
+		sh.occ, occ = occ[:n1:n1], occ[lines(n1):]
 		sh.atLeast[0].Store(int32(sh.hi - sh.lo))
 	}
 }
@@ -133,6 +142,9 @@ func (sh *shard) reindex(b int, old, new int32) {
 	j := (b - sh.lo) >> runBits
 	sh.sum1[j] += d
 	sh.sum2[j>>runBits] += d
+	if (old == 0) != (new == 0) {
+		sh.occ[j] ^= 1 << ((b - sh.lo) & (1<<runBits - 1))
+	}
 	lo, hi, sign := old, new, int32(1)
 	if new < old {
 		lo, hi, sign = new, old, -1
@@ -161,6 +173,7 @@ func (sh *shard) reindex(b int, old, new int32) {
 func (sh *shard) rebuild(loads []atomic.Int32) (total, nonEmpty int64) {
 	clear(sh.sum1)
 	clear(sh.sum2)
+	clear(sh.occ)
 	sh.sparse.Store(nil)
 	var on [denseLevels]int32 // bins on exactly level l; the last entry takes every load above
 	var top int32
@@ -174,6 +187,7 @@ func (sh *shard) rebuild(loads []atomic.Int32) (total, nonEmpty int64) {
 			sh.sparseAdd(l, 1)
 		}
 		if l > 0 {
+			sh.occ[j] |= 1 << ((b - sh.lo) & (1<<runBits - 1))
 			nonEmpty++
 			total += int64(l)
 		}
@@ -210,6 +224,23 @@ func (sh *shard) locate(loads []atomic.Int32, target int64) int {
 		target -= l
 		b++
 	}
+}
+
+// nth returns the stripe's r-th nonempty bin in bin order, counting from
+// zero, in one popcount per 64 bins. Caller holds the stripe lock and
+// guarantees 0 <= r < atLeast[1], the stripe's nonempty bins.
+func (sh *shard) nth(r int) int {
+	for j, w := range sh.occ {
+		if c := bits.OnesCount64(w); r >= c {
+			r -= c
+			continue
+		}
+		for ; r > 0; r-- {
+			w &= w - 1
+		}
+		return sh.lo + j<<runBits + bits.TrailingZeros64(w)
+	}
+	panic("serve: the occupancy bits disagree with the nonempty count")
 }
 
 // levels reads the store's merged load histogram without taking a

@@ -19,7 +19,7 @@ func linearFreeBall(st *Store, r *rng.RNG) int {
 	target := int64(r.Uint64n(uint64(st.Total())))
 	for i := range st.shards {
 		sh := &st.shards[i]
-		if t := sh.total.Load(); target >= t {
+		if t := sh.total; target >= t {
 			target -= t
 			continue
 		}
@@ -101,6 +101,20 @@ func checkIndex(t *testing.T, what string, st *Store, r *rng.RNG) {
 		if !slices.Equal(got.sum1, want.sum1) || !slices.Equal(got.sum2, want.sum2) {
 			t.Fatalf("%s: stripe %d sums differ from a rebuild", what, i)
 		}
+		if !slices.Equal(got.occ, want.occ) {
+			t.Fatalf("%s: stripe %d occupancy bits differ from a rebuild", what, i)
+		}
+		var nonEmpty []int
+		for b := got.lo; b < got.hi; b++ {
+			if st.loads[b].Load() > 0 {
+				nonEmpty = append(nonEmpty, b)
+			}
+		}
+		for _, k := range []int{0, len(nonEmpty) / 3, len(nonEmpty) - 1} {
+			if k >= 0 && k < len(nonEmpty) && got.nth(k) != nonEmpty[k] {
+				t.Fatalf("%s: stripe %d nth(%d) = bin %d, a scan says %d", what, i, k, got.nth(k), nonEmpty[k])
+			}
+		}
 		if got.max.Load() != want.max.Load() {
 			t.Fatalf("%s: stripe %d max %d, rebuild %d", what, i, got.max.Load(), want.max.Load())
 		}
@@ -174,11 +188,10 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				if _, _, err := j.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
-				var sc AdmitScratch
 				bins := make([]int, 64)
 				for i := 0; i < 4; i++ {
 					pol.PickBatch(st, r, bins)
-					st.AdmitBatch(bins, nil, &sc)
+					st.AdmitBatch(bins, nil)
 				}
 				checkIndex(t, "batch-admitted", st, r)
 				st.Crash(r.Intn(n), 70) // a second, low sparse level

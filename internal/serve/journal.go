@@ -23,10 +23,11 @@ type JournalOptions struct {
 	// stall mode this implies: there is only no room for long while the
 	// writer is stuck inside a WAL write/fsync that neither returns nor
 	// errors (a hung disk, not a failing one), and a blocked push holds
-	// its shard's lock — so a wedged disk stalls every mutation on that
-	// shard and any Checkpoint waiting to lock all shards. The "WAL
-	// errors degrade durability, never availability" guarantee covers
-	// errors; for stalls, set StallTimeout.
+	// the locks of the mutation that made it — for a critical section,
+	// every stripe lock — so a wedged disk stalls every mutator at once,
+	// and any Checkpoint waiting for a stripe. The "WAL errors degrade
+	// durability, never availability" guarantee covers errors; for
+	// stalls, set StallTimeout.
 	Buffer int
 
 	// StallTimeout, when positive, bounds how long a mutation waits for
@@ -81,7 +82,7 @@ func (o *JournalOptions) fill() {
 }
 
 // Journal makes a Store durable: it installs itself as the store's
-// mutation hook and, under the shard lock that applied a mutation,
+// mutation hook and, under the stripe locks that applied a mutation,
 // copies its records — one run per hook call — into a slab, drawing
 // their WAL sequence numbers under the slab's mutex. Seq order is
 // therefore slab order and log order (a segment never opens past a seq
@@ -246,11 +247,11 @@ func (j *Journal) LastSeq() uint64 { return j.seq.Load() }
 // push journals one run — the records (op, bins[i], k), in order —
 // taking mu once: wait for room, draw the run's seq range, copy it
 // into the slab, and wake the writer if the slab was empty. It runs
-// under the mutating shard's lock (see StoreHook; AdmitBatch calls it
-// once per shard group), so seq order equals mutation order per bin,
-// and a Checkpoint holding a shard's lock observes a seq that covers
-// exactly the shard's applied records. With no StallTimeout a push
-// without room blocks here — holding that shard lock — until the
+// under the mutated bins' stripe locks (see StoreHook; an AdmitBatch is
+// one run, a departure one record), so seq order equals mutation order
+// per bin, and a Checkpoint holding a shard's lock observes a seq that
+// covers exactly the shard's applied records. With no StallTimeout a
+// push without room blocks here — holding those locks — until the
 // writer's watermark moves (see JournalOptions.Buffer for what that
 // stall mode means). A run longer than Buffer goes in Buffer-sized
 // pieces.
@@ -329,8 +330,8 @@ func (j *Journal) Drain() {
 	}
 }
 
-// OnAllocRun implements StoreHook: one shard group of an admission
-// pass, pushed as one run.
+// OnAllocRun implements StoreHook: one admission batch, pushed as one
+// run.
 func (j *Journal) OnAllocRun(bins []int) { j.push(wal.OpAlloc, bins, 1) }
 
 // OnAlloc is a run of one. The store never calls it (admissions arrive
@@ -340,6 +341,9 @@ func (j *Journal) OnAlloc(bin int) { j.push(wal.OpAlloc, []int{bin}, 1) }
 
 // OnFree implements StoreHook.
 func (j *Journal) OnFree(bin int) { j.push(wal.OpFree, []int{bin}, 1) }
+
+// onFreeRun takes a section's departures as one run (see freeRunHook).
+func (j *Journal) onFreeRun(bins []int) { j.push(wal.OpFree, bins, 1) }
 
 // OnCrash implements StoreHook.
 func (j *Journal) OnCrash(bin, k int) { j.push(wal.OpCrash, []int{bin}, k) }
@@ -399,7 +403,7 @@ func (j *Journal) checkpoint(maintain bool) (checkpoint.Snapshot, string, error)
 			loads[b] = st.loads[b].Load()
 		}
 		wm := j.seq.Load()
-		a, f := sh.allocs.Load(), sh.frees.Load()
+		a, f := sh.allocs, sh.frees
 		sh.mu.Unlock()
 		hold := time.Since(t0).Nanoseconds()
 		copyNs += hold

@@ -879,7 +879,6 @@ func TestJournalLogIsInSeqOrderAcrossRotations(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			r := rng.NewStream(24, uint64(g))
-			var sc AdmitScratch
 			run := make([]int, 5)
 			for i := 0; i < ops; i++ {
 				bin := g*perStripe + r.Intn(perStripe)
@@ -893,7 +892,7 @@ func TestJournalLogIsInSeqOrderAcrossRotations(t *testing.T) {
 					for k := range run {
 						run[k] = g*perStripe + r.Intn(perStripe)
 					}
-					st.AdmitBatch(run, nil, &sc)
+					st.AdmitBatch(run, nil)
 				}
 			}
 		}(g)
@@ -958,15 +957,13 @@ func TestCloseWakesPushBlockedOnFullSlab(t *testing.T) {
 	}
 	st := NewStoreShards(8, 1) // one stripe: an AdmitBatch is one run
 	j := NewJournal(st, l, 0, JournalOptions{Buffer: 8})
-	var sc AdmitScratch
-	st.AdmitBatch([]int{0, 1, 2}, nil, &sc)
-	st.AdmitBatch([]int{3, 4, 5}, nil, &sc) // 6 queued behind the wedged write
+	st.AdmitBatch([]int{0, 1, 2}, nil)
+	st.AdmitBatch([]int{3, 4, 5}, nil) // 6 queued behind the wedged write
 
 	pushed := make(chan struct{})
 	go func() {
 		defer close(pushed)
-		var sc AdmitScratch
-		st.AdmitBatch([]int{6, 7, 0}, nil, &sc) // 6 + 3 > 8: waits whole
+		st.AdmitBatch([]int{6, 7, 0}, nil) // 6 + 3 > 8: waits whole
 	}()
 	for st.Total() != 9 { // applied; its hook call is next
 		runtime.Gosched()
@@ -1043,5 +1040,39 @@ func TestJournaledDriveWithinFactorOfBare(t *testing.T) {
 	t.Logf("bare %.2fM phases/s, journaled %.2fM phases/s, ratio %.2f", bare/1e6, journaled/1e6, ratio)
 	if ratio < 0.55 {
 		t.Errorf("the journaled drive runs at %.2f of the bare one; want >= 0.55", ratio)
+	}
+}
+
+// TestEngineWorkersDoNotSlowTheDrive holds the bare drive's second
+// worker to no harm: each pass is one critical section over the store,
+// so passes serialize and a second worker cannot double the rate, but
+// it must not cost one either. In each of 3 rounds the 2-worker drive
+// (n = 2^15, passes of 64) runs right after the 1-worker one, and the
+// best round must keep at least 0.85 of the 1-worker phases/s (a drive
+// whose workers collide on every pass reads 0.5–0.7). A ratio of
+// timings taken back to back does not depend on the runner's speed.
+func TestEngineWorkersDoNotSlowTheDrive(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing test: skipped under -short and -race")
+	}
+	const n, steps = 1 << 15, 1 << 20
+	drive := func(workers int) float64 {
+		st := NewStore(n)
+		st.FillBalanced(n)
+		res := NewEngine(Config{
+			Store: st, Policy: NewABKUPolicy(2), Scenario: process.ScenarioA,
+			Workers: workers, Seed: 1998, MaxSteps: steps, Batch: 64,
+		}).Run(context.Background())
+		return float64(res.Steps) / res.Wall.Seconds()
+	}
+	var best float64
+	for round := 0; round < 3; round++ {
+		one := drive(1)
+		two := drive(2)
+		t.Logf("round %d: 1 worker %.2fM phases/s, 2 workers %.2fM phases/s, ratio %.2f", round, one/1e6, two/1e6, two/one)
+		best = max(best, two/one)
+	}
+	if best < 0.85 {
+		t.Errorf("2 workers drive at %.2f of 1 worker's rate in the best round; want >= 0.85", best)
 	}
 }

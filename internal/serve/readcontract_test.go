@@ -54,7 +54,7 @@ func TestReadsAnswerWhileAStripeLockIsHeld(t *testing.T) {
 	st.SetHook(hook)
 	allocDone := make(chan struct{})
 	go func() {
-		st.AdmitBatch([]int{5}, nil, new(serve.AdmitScratch))
+		st.AdmitBatch([]int{5}, nil)
 		close(allocDone)
 	}()
 	<-hook.entered // bin 5 is at load 2 and the stripe lock is held

@@ -170,10 +170,11 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 
 // replayApplier applies batches of replayed WAL records into the store
 // with one stripe-lock acquisition per touched stripe per batch, and
-// one delta flush of the global counters per stripe group — the same
-// chain-grouping technique as Store.AdmitBatch. It is safe for
-// concurrent batches as long as no stripe's records are in flight on
-// two workers at once, which is exactly what the pipeline's
+// one delta flush of the global counters per stripe group, made before
+// the stripe's lock is released so that a section's Scenario A draw
+// always finds the stripe totals summing to the store total. It is
+// safe for concurrent batches as long as no stripe's records are in
+// flight on two workers at once, which is exactly what the pipeline's
 // stripe-to-worker partition guarantees. The store must not have a
 // journal hook installed (replayed mutations must not re-journal);
 // applier writes bypass the hook entirely. The stripe's index follows
@@ -324,14 +325,14 @@ func (a *replayApplier) applyBatch(w int, recs []wal.Record) error {
 			}
 			total += int64(d)
 		}
-		sh.total.Add(total)
-		sh.allocs.Add(allocs)
-		sh.frees.Add(frees)
-		sh.mu.Unlock()
+		sh.total += total
+		sh.allocs += allocs
+		sh.frees += frees
 		st.total.Add(total)
 		st.nonEmpty.Add(nonEmpty)
 		st.allocs.Add(allocs)
 		st.frees.Add(frees)
+		sh.mu.Unlock()
 		sc.head[si], sc.tail[si] = 0, 0
 	}
 	a.applied.Add(applied)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dynalloc/internal/rng"
@@ -137,5 +138,44 @@ func TestFreeNonEmptySingleSurvivor(t *testing.T) {
 			t.Fatalf("draw %d: got bin %d, %v; want 11", d, b, err)
 		}
 		admitOne(st, 11)
+	}
+}
+
+// TestFreeNonEmptyOnANearlyEmptyStore pins Scenario B where rejection
+// sampling is hopeless: three nonempty bins, in different stripes, of
+// 2^20. Every draw must stay uniform over the three, and must consume
+// at most rejectTries + 2 variates (a draw that rejection-sampled to
+// the end would take about n/3 = 350 000).
+func TestFreeNonEmptyOnANearlyEmptyStore(t *testing.T) {
+	const n = 1 << 20
+	st := NewStoreShards(n, 8)
+	full := []int{5, 400000, n - 1}
+	for _, b := range full {
+		admitOne(st, b)
+	}
+	r := rng.New(0x5BA25E)
+	counts := make([]int, 3)
+	for d := 0; d < 3000; d++ {
+		before := *r
+		b, err := st.FreeNonEmpty(r)
+		if err != nil {
+			t.Fatalf("draw %d: %v", d, err)
+		}
+		variates := 0
+		for ; before != *r && variates <= rejectTries+2; variates++ {
+			before.Uint64()
+		}
+		if before != *r {
+			t.Fatalf("draw %d consumed more than %d variates", d, rejectTries+2)
+		}
+		i := slices.Index(full, b)
+		if i < 0 {
+			t.Fatalf("draw %d freed empty bin %d", d, b)
+		}
+		counts[i]++
+		admitOne(st, b)
+	}
+	if _, _, p := stats.ChiSquareGOF(counts, []float64{1, 1, 1}); p < statAlpha {
+		t.Errorf("FreeNonEmpty not uniform over a sparse store's nonempty bins: p=%.2g counts=%v", p, counts)
 	}
 }

@@ -119,7 +119,7 @@ type Placement struct {
 }
 
 // Lane is one caller's handle on the mutating verbs: its own policy
-// clone, rng stream and admission scratch, so callers never contend on
+// clone, rng stream and chunk scratch, so callers never contend on
 // admission state — the isolation the Engine gives its workers. It is
 // single-caller state (one per connection, or one behind a mutex), and
 // a steady stream of calls allocates nothing once dst has grown to the
@@ -128,7 +128,6 @@ type Lane struct {
 	svc   *Service
 	pol   Policy
 	r     *rng.RNG
-	sc    AdmitScratch
 	bins  [laneChunk]int
 	loads [laneChunk]int32
 }
@@ -167,7 +166,11 @@ func badBin(bin, n int) error {
 
 // Admit admits count balls through the policy in passes of at most
 // laneChunk, appends one Placement per ball to dst, and returns the
-// probes consumed.
+// probes consumed. Each chunk checks, inside its critical section, that
+// the store can hold the whole rest of the request, so one that would
+// take it past math.MaxInt32 balls is refused (ErrOverflow under
+// ErrBadRequest) before anything moves. Traffic racing it to the bound
+// can stop a later chunk; then, as in Free, partial success is success.
 func (l *Lane) Admit(count int, dst []Placement) ([]Placement, int, error) {
 	if err := l.check(count); err != nil {
 		return dst, 0, err
@@ -177,7 +180,12 @@ func (l *Lane) Admit(count int, dst []Placement) ([]Placement, int, error) {
 		n := min(left, laneChunk)
 		bins, loads := l.bins[:n], l.loads[:n]
 		probes += l.pol.PickBatch(st, l.r, bins)
-		st.AdmitBatch(bins, loads, &l.sc)
+		if err := st.admit(bins, loads, left); err != nil {
+			if left < count {
+				break
+			}
+			return dst, probes, fmt.Errorf("%w: admit of %d balls: %w", ErrBadRequest, count, err)
+		}
 		for i, b := range bins {
 			dst = append(dst, Placement{Bin: b, Load: loads[i]})
 		}
@@ -188,10 +196,11 @@ func (l *Lane) Admit(count int, dst []Placement) ([]Placement, int, error) {
 
 // Free removes count balls — from bin when fromBin is set (a bin out of
 // range is refused), otherwise drawn from the service's departure
-// scenario (A: uniform ball, B: uniform nonempty bin) — and appends one
-// Placement per departure to dst. Partial success is success: when the
-// supply runs dry mid-request the departures so far are returned with a
-// nil error, and ErrEmpty or ErrEmptyBin only when there were none.
+// scenario (A: uniform ball, B: uniform nonempty bin) one critical
+// section per laneChunk departures — and appends one Placement per
+// departure to dst. Partial success is success: when the supply runs
+// dry mid-request the departures so far are returned with a nil error,
+// and ErrEmpty or ErrEmptyBin only when there were none.
 func (l *Lane) Free(fromBin bool, bin, count int, dst []Placement) ([]Placement, error) {
 	st := l.svc.st
 	if err := l.check(count); err != nil {
@@ -200,27 +209,30 @@ func (l *Lane) Free(fromBin bool, bin, count int, dst []Placement) ([]Placement,
 	if fromBin && (bin < 0 || bin >= st.n) {
 		return dst, badBin(bin, st.n)
 	}
-	for freed := 0; freed < count; freed++ {
-		var load int
-		var err error
-		switch {
-		case fromBin:
-			load, err = st.FreeBin(bin)
-		case l.svc.sc == process.ScenarioB:
-			bin, err = st.FreeNonEmpty(l.r)
-		default:
-			bin, err = st.FreeBall(l.r)
-		}
-		if err != nil {
-			if freed == 0 {
+	if fromBin {
+		for freed := 0; freed < count; freed++ {
+			load, err := st.FreeBin(bin)
+			if err != nil {
+				if freed > 0 {
+					err = nil // partial success
+				}
 				return dst, err
 			}
+			dst = append(dst, Placement{Bin: bin, Load: int32(load)})
+		}
+		return dst, nil
+	}
+	for freed := 0; freed < count; {
+		n := min(count-freed, laneChunk)
+		got := st.freeDrawn(l.r, l.svc.sc, l.bins[:n], l.loads[:n])
+		for i := 0; i < got; i++ {
+			dst = append(dst, Placement{Bin: l.bins[i], Load: l.loads[i]})
+		}
+		if freed += got; freed == 0 {
+			return dst, ErrEmpty
+		} else if got < n {
 			break
 		}
-		if !fromBin {
-			load = st.Load(bin)
-		}
-		dst = append(dst, Placement{Bin: bin, Load: int32(load)})
 	}
 	return dst, nil
 }
@@ -228,8 +240,9 @@ func (l *Lane) Free(fromBin bool, bin, count int, dst []Placement) ([]Placement,
 // Crash dumps k extra balls into bin — the fault injector — marks the
 // detector disrupted so the recovery is measured from the injection,
 // and returns the bin's new load. Beyond the gate it refuses a bin out
-// of range, a negative k, and a k the bin's int32 load cannot hold
-// (checked under the stripe lock; nothing is applied).
+// of range, a negative k, and a k that would take the store past
+// math.MaxInt32 balls (checked inside the crash's critical section;
+// nothing is applied).
 func (l *Lane) Crash(bin, k int) (int, error) {
 	st := l.svc.st
 	if err := l.svc.refusal(); err != nil {

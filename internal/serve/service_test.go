@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dynalloc/internal/process"
+	"dynalloc/internal/rng"
 	"dynalloc/internal/rules"
 )
 
@@ -31,8 +32,11 @@ func stateOf(st *Store) storeState { return storeState{st.Stats(), loadsHash(st)
 
 // TestServiceVerbTable is the verb table's own test, with no sockets:
 // verb x {ok, draining, standby, bin out of range, count 0 / over the
-// bound, overflowing k, empty store, empty bin} -> the typed error a
-// codec maps, and no state change on any refusal.
+// bound, overflowing k or count, empty store, empty bin} -> the typed
+// error a codec maps, and no state change on any refusal. The
+// overflow bound is store-wide: a crash or an admission that would take
+// the store past math.MaxInt32 balls is refused whichever bin it aims
+// at, so no bin's int32 load can wrap.
 func TestServiceVerbTable(t *testing.T) {
 	const n = 16
 	type gate int
@@ -54,7 +58,7 @@ func TestServiceVerbTable(t *testing.T) {
 		name  string
 		gate  gate
 		empty bool // leave the store empty instead of one ball per bin (bin 3: none)
-		brim  bool // bin 5 holds MaxInt32-1 balls
+		brim  bool // the store holds MaxInt32-1 balls, all but 15 in bin 5
 		call  func(*Lane) error
 		want  error // nil: the verb must succeed and change the state
 	}{
@@ -67,6 +71,9 @@ func TestServiceVerbTable(t *testing.T) {
 		{"admit/count-negative", serving, false, false, admit(-4), ErrBadRequest},
 		{"admit/count-over-bound", serving, false, false, admit(MaxCount + 1), ErrBadRequest},
 		{"admit/count-3M", serving, false, false, admit(3 << 20), ErrBadRequest},
+		{"admit/ok-to-the-brim", serving, false, true, admit(1), nil},
+		{"admit/overflows-the-store", serving, false, true, admit(2), ErrBadRequest},
+		{"admit/chunked-overflows-the-store", serving, false, true, admit(3 * laneChunk), ErrBadRequest},
 
 		{"free/ok-scenario", serving, false, false, free(false, 0, 1), nil},
 		{"free/ok-bin", serving, false, false, free(true, 2, 1), nil},
@@ -92,6 +99,7 @@ func TestServiceVerbTable(t *testing.T) {
 		{"crash/k-2^31", serving, false, false, crash(4, 1<<31), ErrBadRequest},
 		{"crash/k-maxint64", serving, false, false, crash(4, math.MaxInt64), ErrBadRequest},
 		{"crash/k-overflows-full-bin", serving, false, true, crash(5, 2), ErrBadRequest},
+		{"crash/k-overflows-the-store", serving, false, true, crash(4, 2), ErrBadRequest},
 	}
 	for _, sc := range []process.Scenario{process.ScenarioA, process.ScenarioB} {
 		for _, tc := range cases {
@@ -102,7 +110,9 @@ func TestServiceVerbTable(t *testing.T) {
 					st.FreeBin(3)
 				}
 				if tc.brim {
-					st.Crash(5, math.MaxInt32-2)
+					if _, err := st.Crash(5, math.MaxInt32-1-int(st.Total())); err != nil {
+						t.Fatal(err)
+					}
 				}
 				svc := NewService(st, NewABKUPolicy(2), sc, 7)
 				det := NewDetector(st, Target{PredictedMax: math.MaxInt32})
@@ -221,8 +231,9 @@ func TestServiceGate(t *testing.T) {
 	}
 }
 
-// TestStoreCrashOverflow: a crash past MaxInt32 is an error found under
-// the stripe lock, with nothing applied and the lock released.
+// TestStoreCrashOverflow: a crash past MaxInt32 balls in the store is
+// an error found inside the section, with nothing applied and the locks
+// released; a full store refuses admissions the same way.
 func TestStoreCrashOverflow(t *testing.T) {
 	st := NewStoreShards(8, 1)
 	st.Crash(2, 7)
@@ -239,42 +250,89 @@ func TestStoreCrashOverflow(t *testing.T) {
 	if load, err := st.Crash(2, math.MaxInt32-7); err != nil || load != math.MaxInt32 {
 		t.Fatalf("crash to the brim: %d, %v", load, err)
 	}
-	admitOne(st, 3) // the stripe lock was released on every path
+	full := stateOf(st)
+	if err := st.AdmitBatch([]int{3}, nil); !errors.Is(err, ErrOverflow) || stateOf(st) != full {
+		t.Fatalf("admit into a full store: %v", err)
+	}
+	if _, err := st.FreeBin(2); err != nil { // the locks were released on every path
+		t.Fatal(err)
+	}
+	admitOne(st, 3)
+}
+
+// brimmingPolicy sends every ball to bin 0 and, before its second pass,
+// crashes the store to the ball bound: the concurrent traffic a chunked
+// admission can meet between two chunks.
+type brimmingPolicy struct {
+	Policy
+	passes int
+}
+
+func (p *brimmingPolicy) PickBatch(st *Store, _ *rng.RNG, bins []int) int {
+	if p.passes++; p.passes == 2 {
+		if _, err := st.Crash(1, math.MaxInt32-int(st.Total())); err != nil {
+			panic(err)
+		}
+	}
+	clear(bins)
+	return len(bins)
+}
+
+func (p *brimmingPolicy) Clone() Policy { return p }
+
+// TestAdmitCutShortByTheBoundIsPartialSuccess: a chunked admission whose
+// later chunk finds the store at the bound returns the chunks already
+// admitted with a nil error, as Free does when its supply runs dry; a
+// request that finds the store full is refused with nothing applied.
+func TestAdmitCutShortByTheBoundIsPartialSuccess(t *testing.T) {
+	st := NewStoreShards(16, 4)
+	lane := NewService(st, &brimmingPolicy{Policy: NewABKUPolicy(2)}, process.ScenarioA, 1).NewLane(0)
+	placed, _, err := lane.Admit(3*laneChunk, nil)
+	if err != nil || len(placed) != laneChunk || st.Load(0) != laneChunk || st.Total() != math.MaxInt32 {
+		t.Fatalf("admit cut short: %d placements, bin 0 at %d, %d balls, %v", len(placed), st.Load(0), st.Total(), err)
+	}
+	full := stateOf(st)
+	if _, _, err := lane.Admit(1, nil); !errors.Is(err, ErrBadRequest) || !errors.Is(err, ErrOverflow) || stateOf(st) != full {
+		t.Fatalf("admit into a full store: %v", err)
+	}
 }
 
 // TestEngineRetracesPerPhaseGoldens: the one lane at pass size 0 and 1
 // must retrace, bit for bit, the trajectory of the per-phase lane this
-// tree used to carry beside it. The goldens (FNV-64a of the final
-// int32 loads, Allocs, Frees) were recorded from that lane — Engine
-// with Batch <= 1 at commit 91c2694 — at n=257, 8 stripes, 400 balls
-// seeded balanced plus a crash of 100 into bin 3, seed 1998, one
-// worker, 20000 phases.
+// tree used to carry beside it, and at the pass sizes the drive runs
+// (16, 64, 256) the trajectory the lane had when a pass took a stripe
+// lock per departure and per touched shard. The goldens (FNV-64a of the
+// final int32 loads; Allocs and Frees are 20000 each) were recorded
+// from those lanes — Engine with Batch <= 1 at commit 91c2694, larger
+// passes at commit f8121aa — at n=257, 8 stripes, 400 balls seeded
+// balanced plus a crash of 100 into bin 3, seed 1998, one worker, 20000
+// phases.
 func TestEngineRetracesPerPhaseGoldens(t *testing.T) {
 	goldens := []struct {
 		pol    Policy
 		sc     process.Scenario
-		hash   uint64
-		allocs int64
-		frees  int64
+		hash   uint64    // pass size 0 and 1
+		passes [3]uint64 // pass size 16, 64, 256
 	}{
-		{NewABKUPolicy(2), process.ScenarioA, 0x59f6ae97578051a7, 20000, 20000},
-		{NewABKUPolicy(2), process.ScenarioB, 0x76a330f4bd0533eb, 20000, 20000},
-		{NewADAPPolicy(rules.SliceThresholds{1, 2, 2, 3}), process.ScenarioA, 0x22db9fe59cba7321, 20000, 20000},
-		{NewADAPPolicy(rules.SliceThresholds{1, 2, 2, 3}), process.ScenarioB, 0x43b1e2d2f7aaee7f, 20000, 20000},
-		{NewMixedPolicy(0.5), process.ScenarioA, 0x008678c1a5ec0ac7, 20000, 20000},
-		{NewMixedPolicy(0.5), process.ScenarioB, 0x119d007a9cd9aec1, 20000, 20000},
+		{NewABKUPolicy(2), process.ScenarioA, 0x59f6ae97578051a7, [3]uint64{0x81361f1edcb2d225, 0x76e12b3a599fd3d1, 0x5014ee81575bc4d3}},
+		{NewABKUPolicy(2), process.ScenarioB, 0x76a330f4bd0533eb, [3]uint64{0x78bedc6ba811db3d, 0xd0acf398d9a1f22b, 0xb6ead10ace9a8253}},
+		{NewADAPPolicy(rules.SliceThresholds{1, 2, 2, 3}), process.ScenarioA, 0x22db9fe59cba7321, [3]uint64{0xb3863b5269d951e1, 0x18e8b1a4892a4975, 0x30eda0ee754d20d5}},
+		{NewADAPPolicy(rules.SliceThresholds{1, 2, 2, 3}), process.ScenarioB, 0x43b1e2d2f7aaee7f, [3]uint64{0x657c88ba8afe428b, 0x0d35a051833e3b07, 0xb41d954133799e15}},
+		{NewMixedPolicy(0.5), process.ScenarioA, 0x008678c1a5ec0ac7, [3]uint64{0x712d45f9070958d1, 0xb874b447854a20a5, 0x8fa84c929f71d135}},
+		{NewMixedPolicy(0.5), process.ScenarioB, 0x119d007a9cd9aec1, [3]uint64{0x42f21fa6fce582d9, 0x5fb3937a59139adf, 0x507396ab4e79781d}},
 	}
 	for _, g := range goldens {
-		for _, batch := range []int{0, 1} {
+		want := map[int]uint64{0: g.hash, 1: g.hash, 16: g.passes[0], 64: g.passes[1], 256: g.passes[2]}
+		for _, batch := range []int{0, 1, 16, 64, 256} {
 			t.Run(fmt.Sprintf("%s/%v/batch=%d", g.pol.Name(), g.sc, batch), func(t *testing.T) {
 				st := NewStoreShards(257, 8)
 				st.FillBalanced(400)
 				st.Crash(3, 100)
 				eng := NewEngine(Config{Store: st, Policy: g.pol, Scenario: g.sc, Workers: 1, Seed: 1998, MaxSteps: 20000, Batch: batch})
 				eng.Run(context.Background())
-				if h := loadsHash(st); h != g.hash || st.Allocs() != g.allocs || st.Frees() != g.frees {
-					t.Fatalf("final loads hash %#016x allocs %d frees %d, want %#016x %d %d",
-						h, st.Allocs(), st.Frees(), g.hash, g.allocs, g.frees)
+				if h := loadsHash(st); h != want[batch] || st.Allocs() != 20000 || st.Frees() != 20000 {
+					t.Fatalf("final loads hash %#016x allocs %d frees %d, want %#016x 20000 20000",
+						h, st.Allocs(), st.Frees(), want[batch])
 				}
 			})
 		}

@@ -14,15 +14,19 @@
 // applies to the live system unchanged.
 //
 // Concurrency model: per-bin loads live in a flat array of atomics, so
-// the admission path probes without taking any lock. Mutations go
-// through striped (power-of-two sharded) locks; each shard additionally
-// maintains an atomic ball total and an index of its bins (index.go),
-// which give the Scenario A departure stream a weighted sample (pick a
-// shard by its total, then descend the shard's sums to a bin) without
-// a global lock, and give LoadSummary and the detector the maximum
-// load and the load histogram without reading the bins — and, like
-// every reader in this package, without a lock. Single-worker runs
-// driven from one rng stream are fully deterministic; see Engine.
+// admissions probe without a lock. Mutations go through striped locks.
+// Every mutation that can span stripes — an admission batch, a
+// departure draw, a drive pass, a crash — is one critical section: it
+// takes every stripe lock once, in index order, so its draws are exact
+// and its admissions apply in entry order, and it publishes the store's
+// counters with one atomic add each before the hook hears of it.
+// FreeBin and the striped checkpoint take one stripe at a time. Each
+// shard's ball total and bin index (index.go) give the Scenario A draw a
+// weighted sample and give LoadSummary and the detector the maximum
+// load and the histogram — lock-free, like every reader here: loads and
+// the index are written per ball, so a reader sees a section's balls
+// one by one and its counters at once. Single-worker runs from one rng
+// stream are deterministic; see Engine.
 package serve
 
 import (
@@ -30,11 +34,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"dynalloc/internal/loadvec"
+	"dynalloc/internal/process"
 	"dynalloc/internal/rng"
 )
 
@@ -46,51 +50,44 @@ var ErrEmpty = errors.New("serve: store is empty")
 // ball (a process never removes from an empty bin).
 var ErrEmptyBin = errors.New("serve: bin is empty")
 
-// ErrOverflow is returned by Crash when the injection would take the
-// bin's load past math.MaxInt32, the largest load a bin can hold.
-var ErrOverflow = errors.New("serve: crash overflows the bin's int32 load")
+// ErrOverflow is returned by Crash and AdmitBatch when the mutation
+// would take the store past math.MaxInt32 balls. Bounding the sum of the
+// loads bounds every bin's int32 load, so no bin can wrap.
+var ErrOverflow = errors.New("serve: the store would hold more than math.MaxInt32 balls")
 
-// shard is one lock stripe of the store. The mutex guards all mutations
-// of the bins in [lo, hi); total mirrors the ball count of those bins
-// and is additionally readable lock-free (atomic) so Scenario A shard
-// selection does not serialize on the stripe locks. allocs/frees count
-// the stripe's completed admissions/departures: they are bumped under
-// the stripe lock alongside the global counters, so a striped
-// checkpoint reading them under each lock gets an exact per-section
-// counter cut without stopping the world (only the SUM over stripes is
-// persisted, which is why Restore may rebase the whole total onto one
-// stripe). sum1 through atLeast are the stripe's index (see index.go). The pad
-// rounds the struct to whole cache lines, so adjacent shards share none.
+// shard is one lock stripe of the store. The mutex guards the bins in
+// [lo, hi) and the stripe's plain counters — its ball total and its
+// completed admissions/departures — which only lock holders read: the
+// Scenario A draw inside a section, and the striped checkpoint, which
+// sums allocs and frees over the stripes (hence Restore may rebase them
+// onto one stripe). sum1 through atLeast are the stripe's index (see
+// index.go). The pad keeps adjacent shards off each other's cache lines.
 type shard struct {
 	mu     sync.Mutex
-	total  atomic.Int64
-	allocs atomic.Int64
-	frees  atomic.Int64
+	total  int64
+	allocs int64
+	frees  int64
 	lo     int
 	hi     int
 
 	sum1    []int64                      // balls per run of 64 bins; guarded by mu
 	sum2    []int64                      // balls per run of 64 sum1 entries; guarded by mu
+	occ     []uint64                     // bit i of word j: bin lo+64j+i holds a ball; guarded by mu
 	sparse  atomic.Pointer[sparseLevels] // bins on each load >= denseLevels
 	max     atomic.Int32                 // largest load in [lo, hi)
 	atLeast [denseLevels]atomic.Int32    // atLeast[l]: bins holding l balls or more
 	_       [20]byte
 }
 
-// StoreHook observes committed store mutations. Implementations are
-// called with the owning shard lock held — immediately after the
-// mutation is applied and before the lock is released — so per-bin
-// hook order exactly matches per-bin mutation order. Implementations
-// must therefore be fast and must never call back into the store; the
-// durability Journal, for example, only assigns sequence numbers and
-// enqueues WAL records.
-//
-// Admissions are reported one run at a time: AdmitBatch hands each
-// shard's group of a pass to OnAllocRun in one call, right after the
-// whole group is applied (a pass of one ball is a run of one), so
-// per-push overhead — in the Journal, one acquisition of its slab
-// mutex and one seq range — is paid once per group. bins is scratch
-// owned by the caller and must not be retained past the call.
+// StoreHook observes committed store mutations. It is called with the
+// mutated bins' stripe locks held — after the mutation is applied and
+// the counters published — so per-bin hook order is per-bin mutation
+// order; it must be fast and never call back into the store (the
+// Journal only draws seqs and enqueues WAL records). A critical section
+// reports its departures first, one OnFree per ball in draw order (the
+// Journal takes them as one run; see freeRunHook), then its admissions
+// as one OnAllocRun in entry order, so the Journal's per-push overhead
+// is paid once per batch. bins must not be retained past the call.
 type StoreHook interface {
 	OnAllocRun(bins []int)
 	OnFree(bin int)
@@ -123,25 +120,10 @@ type Store struct {
 	frees    atomic.Int64 // completed Free* calls
 }
 
-// NewStore returns an empty store with n bins and an automatic shard
-// count: the smallest power of two covering 2x GOMAXPROCS, clamped to
-// [8, 256] and to at most n. Use NewStoreShards to pin the shard count
-// (the Scenario A departure stream consumes randomness per shard
-// geometry, so pinning it makes runs reproducible across machines).
-func NewStore(n int) *Store {
-	target := 2 * runtime.GOMAXPROCS(0)
-	if target < 8 {
-		target = 8
-	}
-	if target > 256 {
-		target = 256
-	}
-	shards := ceilPow2(target)
-	if shards > n {
-		shards = ceilPow2(n)
-	}
-	return NewStoreShards(n, shards)
-}
+// NewStore returns an empty store with n bins and 8 shards (fewer when
+// n < 8), whatever GOMAXPROCS: a section takes every stripe, so more
+// would only add lock pairs to it. NewStoreShards pins another count.
+func NewStore(n int) *Store { return NewStoreShards(n, min(8, ceilPow2(n))) }
 
 // NewStoreShards returns an empty store with n bins and exactly
 // `shards` lock stripes. It panics unless n >= 1 and shards is a power
@@ -219,139 +201,196 @@ func (st *Store) shardOf(b int) *shard { return &st.shards[b/st.shardSize] }
 // intended call sites.
 func (st *Store) SetHook(h StoreHook) { st.hook = h }
 
-// admitLocked adds one ball to bin b. Caller holds the shard lock and
-// reports the run to the hook (OnAllocRun) before releasing it.
-func (st *Store) admitLocked(sh *shard, b int) int32 {
+// lockAll opens a critical section: every shard lock, in index order,
+// so no other mutation (and no journal push) runs until unlockAll.
+func (st *Store) lockAll() {
+	for i := range st.shards {
+		st.shards[i].mu.Lock()
+	}
+}
+
+func (st *Store) unlockAll() {
+	for i := len(st.shards) - 1; i >= 0; i-- {
+		st.shards[i].mu.Unlock()
+	}
+}
+
+// tally is one critical section's movement of the store's counters,
+// plain integers its locks guard until settle publishes them — before
+// the hook runs, so a push that blocks for room has already published.
+type tally struct{ total, nonEmpty, allocs, frees int64 }
+
+func (st *Store) settle(t *tally) {
+	st.total.Add(t.total)
+	st.nonEmpty.Add(t.nonEmpty)
+	st.allocs.Add(t.allocs)
+	st.frees.Add(t.frees)
+}
+
+// add puts one ball into bin b and returns the bin's new load. Caller
+// holds b's stripe lock; t takes the store-counter movement.
+func (st *Store) add(b int, t *tally) int32 {
+	sh := st.shardOf(b)
 	l := st.loads[b].Add(1)
 	sh.reindex(b, l-1, l)
+	sh.total++
+	sh.allocs++
+	t.total++
+	t.allocs++
 	if l == 1 {
-		st.nonEmpty.Add(1)
+		t.nonEmpty++
 	}
-	sh.total.Add(1)
-	sh.allocs.Add(1)
-	st.total.Add(1)
-	st.allocs.Add(1)
 	return l
 }
 
-// freeLocked removes one ball from bin b. Caller holds the shard lock
-// and has verified the bin is nonempty.
-func (st *Store) freeLocked(sh *shard, b int) int32 {
+// take removes one ball from the nonempty bin b; see add.
+func (st *Store) take(b int, t *tally) int32 {
+	sh := st.shardOf(b)
 	l := st.loads[b].Add(-1)
 	sh.reindex(b, l+1, l)
+	sh.total--
+	sh.frees++
+	t.total--
+	t.frees++
 	if l == 0 {
-		st.nonEmpty.Add(-1)
-	}
-	sh.total.Add(-1)
-	sh.frees.Add(1)
-	st.total.Add(-1)
-	st.frees.Add(1)
-	if st.hook != nil {
-		st.hook.OnFree(b)
+		t.nonEmpty--
 	}
 	return l
 }
 
-// AdmitScratch is the reusable per-caller state of Store.AdmitBatch:
-// the per-shard chain heads/tails, the entry links, the list of
-// touched shards, and the shard-grouped apply order of the last batch.
-// The zero value is ready to use; the slices grow to the store's shard
-// count and the largest batch seen, after which AdmitBatch performs no
-// heap allocation. A scratch is single-caller state — never share one
-// between concurrent AdmitBatch calls.
-type AdmitScratch struct {
-	head    []int32 // per touched shard slot: 1-based index of its first entry
-	tail    []int32 // per touched shard slot: 1-based index of its last entry
-	next    []int32 // per entry: 1-based index of the next entry in its shard
-	touched []int32 // shard indices hit by the batch, in first-touch order
-	order   []int32 // entry indices in the order their admissions were applied
-	run     []int   // current shard's bins, handed to StoreHook.OnAllocRun
+// rejectTries bounds Scenario B's rejection sampling. All tries miss
+// with probability (1 − NonEmpty/n)^rejectTries, below 10^-77 when half
+// the bins are loaded; the fallback prices a nearly empty store.
+const rejectTries = 256
+
+// draw picks the bin of one departure inside a section, exactly as a
+// quiescent store would, and returns false on an empty store. Scenario
+// B takes a uniform nonempty bin: the first nonempty one of up to
+// rejectTries uniform bins, else one variate in [0, nonempty) located
+// through the stripes' nonempty counts and occupancy bits — uniform
+// too, and bounded work whatever the occupancy. Scenario A takes a
+// uniform ball: one variate in [0, total) picks the shard by the shard
+// totals and the bin by the shard's sum index. The store counters plus
+// t, the section's own movement, are exact: no one else can move them.
+func (st *Store) draw(r *rng.RNG, sc process.Scenario, t *tally) (int, bool) {
+	total := st.total.Load() + t.total
+	if total <= 0 {
+		return -1, false
+	}
+	if sc == process.ScenarioB {
+		for range rejectTries {
+			if b := r.Intn(st.n); st.loads[b].Load() > 0 {
+				return b, true
+			}
+		}
+		target := r.Intn(int(st.nonEmpty.Load() + t.nonEmpty))
+		for si := range st.shards {
+			sh := &st.shards[si]
+			if c := int(sh.atLeast[1].Load()); target >= c {
+				target -= c
+				continue
+			}
+			return sh.nth(target), true
+		}
+	} else {
+		target := int64(r.Uint64n(uint64(total)))
+		for si := range st.shards {
+			sh := &st.shards[si]
+			if target < sh.total {
+				return sh.locate(st.loads, target), true
+			}
+			target -= sh.total
+		}
+	}
+	panic("serve: the shard counters disagree with the store's")
 }
 
-// Order returns the entry indices of the most recent AdmitBatch in the
-// order their admissions were applied: grouped by shard (first-touch
-// order), stable within a shard. Because the Journal assigns sequence
-// numbers under the shard lock at apply time, this is exactly WAL seq
-// order — which is what the crash-schedule explorer needs to keep its
-// reference history aligned with what a power cut can tear. The slice
-// is valid until the next AdmitBatch call with this scratch.
-func (sc *AdmitScratch) Order() []int32 { return sc.order }
+// drawFrees removes up to len(bins) balls by sc's departure stream
+// inside a section, writing their bins to bins and, if loads is
+// non-nil, the bins' new loads to loads. It returns how many it removed
+// (fewer only when the store ran empty).
+func (st *Store) drawFrees(r *rng.RNG, sc process.Scenario, bins []int, loads []int32, t *tally) int {
+	for i := range bins {
+		b, ok := st.draw(r, sc, t)
+		if !ok {
+			return i
+		}
+		l := st.take(b, t)
+		bins[i] = b
+		if loads != nil {
+			loads[i] = l
+		}
+	}
+	return len(bins)
+}
+
+// freeRunHook is a hook that takes a section's departures as one run:
+// the Journal, for which that is the same records and seqs as one
+// OnFree per ball (no other push can come between them) for one
+// acquisition of its slab mutex.
+type freeRunHook interface{ onFreeRun(bins []int) }
+
+// release ends a section: it publishes t, reports the departures (in
+// draw order) and then the admissions (one OnAllocRun, in entry order)
+// to the hook, and unlocks every stripe.
+func (st *Store) release(t *tally, freed, admitted []int) {
+	st.settle(t)
+	if h := st.hook; h != nil {
+		if fr, ok := h.(freeRunHook); ok && len(freed) > 0 {
+			fr.onFreeRun(freed)
+		} else {
+			for _, b := range freed {
+				h.OnFree(b)
+			}
+		}
+		if len(admitted) > 0 {
+			h.OnAllocRun(admitted)
+		}
+	}
+	st.unlockAll()
+}
 
 // AdmitBatch admits one ball into bins[i] for every i — the store's
-// only admission path; a single admission is a batch of one. It takes
-// one striped-lock acquisition per *touched shard* per batch: entries
-// are grouped by shard and applied shard by shard in first-touch order,
-// stable within a shard. Entries of different shards may commit out of
-// entry order, which is invisible to any observer because single-ball
-// admissions to distinct bins commute (every interleaving reaches the
-// same state, and concurrent readers could see any of them already).
-// Use sc.Order() when the true apply order matters.
-//
-// If loads is non-nil it must hold at least len(bins) entries;
-// loads[i] receives bin bins[i]'s load immediately after its
-// admission. AdmitBatch panics — before mutating anything — if any bin
-// is out of range.
-func (st *Store) AdmitBatch(bins []int, loads []int32, sc *AdmitScratch) {
-	n := len(bins)
-	if n == 0 {
-		return
+// only admission path — in one critical section, in entry order, and
+// hands the batch to the hook as one run. If loads is non-nil, loads[i]
+// receives bins[i]'s load right after its admission. It returns
+// ErrOverflow, with nothing applied, when the batch would take the
+// store past math.MaxInt32 balls, and panics, before mutating anything,
+// if a bin is out of range.
+func (st *Store) AdmitBatch(bins []int, loads []int32) error {
+	return st.admit(bins, loads, len(bins))
+}
+
+// admit is AdmitBatch refusing unless the store has room for need >=
+// len(bins) more balls: a chunked request's whole remainder.
+func (st *Store) admit(bins []int, loads []int32, need int) error {
+	if len(bins) == 0 {
+		return nil
 	}
 	for _, b := range bins {
 		if b < 0 || b >= st.n {
 			panic(fmt.Sprintf("serve: AdmitBatch bin %d out of range [0,%d)", b, st.n))
 		}
 	}
-	if len(sc.head) < len(st.shards) {
-		sc.head = make([]int32, len(st.shards))
-		sc.tail = make([]int32, len(st.shards))
+	var t tally
+	st.lockAll()
+	if st.total.Load()+int64(need) > math.MaxInt32 {
+		st.unlockAll()
+		return ErrOverflow
 	}
-	if cap(sc.next) < n {
-		sc.next = make([]int32, n)
-	}
-	sc.next = sc.next[:n]
-	sc.touched = sc.touched[:0]
-	sc.order = sc.order[:0]
-
-	// Group entries into per-shard FIFO chains (1-based links; 0 = nil).
 	for i, b := range bins {
-		si := int32(b / st.shardSize)
-		sc.next[i] = 0
-		if sc.head[si] == 0 {
-			sc.head[si] = int32(i + 1)
-			sc.touched = append(sc.touched, si)
-		} else {
-			sc.next[sc.tail[si]-1] = int32(i + 1)
+		l := st.add(b, &t)
+		if loads != nil {
+			loads[i] = l
 		}
-		sc.tail[si] = int32(i + 1)
 	}
-
-	hook := st.hook
-	for _, si := range sc.touched {
-		sh := &st.shards[si]
-		sh.mu.Lock()
-		sc.run = sc.run[:0]
-		for e := sc.head[si]; e != 0; e = sc.next[e-1] {
-			i := int(e - 1)
-			l := st.admitLocked(sh, bins[i])
-			if loads != nil {
-				loads[i] = l
-			}
-			sc.order = append(sc.order, int32(i))
-			if hook != nil {
-				sc.run = append(sc.run, bins[i])
-			}
-		}
-		if hook != nil {
-			hook.OnAllocRun(sc.run)
-		}
-		sh.mu.Unlock()
-		sc.head[si], sc.tail[si] = 0, 0
-	}
+	st.release(&t, nil, bins)
+	return nil
 }
 
 // FreeBin removes one ball from the specific bin b and returns its new
-// load, or ErrEmptyBin if the bin holds no ball. It panics if b is out
-// of range.
+// load, or ErrEmptyBin if the bin holds no ball. It takes b's stripe
+// lock alone. It panics if b is out of range.
 func (st *Store) FreeBin(b int) (int, error) {
 	if b < 0 || b >= st.n {
 		panic(fmt.Sprintf("serve: FreeBin bin %d out of range [0,%d)", b, st.n))
@@ -362,116 +401,49 @@ func (st *Store) FreeBin(b int) (int, error) {
 	if st.loads[b].Load() == 0 {
 		return 0, ErrEmptyBin
 	}
-	return int(st.freeLocked(sh, b)), nil
+	var t tally
+	l := st.take(b, &t)
+	st.settle(&t)
+	if st.hook != nil {
+		st.hook.OnFree(b)
+	}
+	return int(l), nil
 }
 
-// FreeBall implements the Scenario A departure stream: it removes a
-// ball chosen uniformly at random among all stored balls (a bin is hit
-// with probability proportional to its load) and returns the bin it
-// was taken from.
-//
-// One uniform variate in [0, Total()) selects a shard by walking the
-// atomic shard totals, then the residue selects a bin inside the
-// (locked) shard: the bin holding the residue-th ball in bin order,
-// found by descending the shard's sum index (shard.locate). With
-// quiescent writers this is an exact weighted sample; under concurrent
-// churn the totals can drift during the walk, in which case the draw
-// is retried (and, within a confirmed shard, the residue is clamped — a
-// bias of at most one ball's weight per racing mutation).
-func (st *Store) FreeBall(r *rng.RNG) (int, error) {
-	for attempt := 0; attempt < 64; attempt++ {
-		total := st.total.Load()
-		if total <= 0 {
-			return -1, ErrEmpty
-		}
-		target := int64(r.Uint64n(uint64(total)))
-		for si := range st.shards {
-			sh := &st.shards[si]
-			t := sh.total.Load()
-			if target >= t {
-				target -= t
-				continue
-			}
-			sh.mu.Lock()
-			t = sh.total.Load() // stable now: all writers take this lock
-			if t == 0 {
-				sh.mu.Unlock()
-				break // drifted empty under us; redraw
-			}
-			if target >= t {
-				target = t - 1
-			}
-			b := sh.locate(st.loads, target)
-			st.freeLocked(sh, b)
-			sh.mu.Unlock()
-			return b, nil
-		}
+// FreeBall is the Scenario A departure stream: it removes a ball chosen
+// uniformly among all stored balls and returns its bin. The draw is one
+// critical section (see draw), so it is exact however much traffic
+// races it.
+func (st *Store) FreeBall(r *rng.RNG) (int, error) { return st.freeOne(r, process.ScenarioA) }
+
+// FreeNonEmpty is the Scenario B departure stream: it removes one ball
+// from a bin chosen uniformly among the nonempty bins and returns the
+// bin; see FreeBall.
+func (st *Store) FreeNonEmpty(r *rng.RNG) (int, error) { return st.freeOne(r, process.ScenarioB) }
+
+func (st *Store) freeOne(r *rng.RNG, sc process.Scenario) (int, error) {
+	var one [1]int
+	if st.freeDrawn(r, sc, one[:], nil) == 0 {
+		return -1, ErrEmpty
 	}
-	// Pathological churn: fall back to the first ball found under locks.
-	for si := range st.shards {
-		sh := &st.shards[si]
-		sh.mu.Lock()
-		if sh.total.Load() > 0 {
-			b := sh.locate(st.loads, 0)
-			st.freeLocked(sh, b)
-			sh.mu.Unlock()
-			return b, nil
-		}
-		sh.mu.Unlock()
-	}
-	return -1, ErrEmpty
+	return one[0], nil
 }
 
-// FreeNonEmpty implements the Scenario B departure stream: it removes
-// one ball from a nonempty bin chosen uniformly at random among the
-// nonempty bins, and returns that bin. The draw is rejection sampling
-// over uniform bins (expected n/NonEmpty() iterations, at most 2
-// whenever at least half the bins are loaded); after 4n+64 consecutive
-// rejections it falls back to a linear scan over all bins, which keeps
-// the call bounded when racing frees empty the store.
-func (st *Store) FreeNonEmpty(r *rng.RNG) (int, error) {
-	maxRejects := 4*st.n + 64
-	for attempt := 0; attempt <= maxRejects; attempt++ {
-		if st.total.Load() <= 0 {
-			return -1, ErrEmpty
-		}
-		b := r.Intn(st.n)
-		if st.loads[b].Load() == 0 {
-			continue
-		}
-		sh := st.shardOf(b)
-		sh.mu.Lock()
-		if st.loads[b].Load() > 0 {
-			st.freeLocked(sh, b)
-			sh.mu.Unlock()
-			return b, nil
-		}
-		sh.mu.Unlock()
-	}
-	for off := 0; off < st.n; off++ {
-		b := off
-		if st.loads[b].Load() == 0 {
-			continue
-		}
-		sh := st.shardOf(b)
-		sh.mu.Lock()
-		if st.loads[b].Load() > 0 {
-			st.freeLocked(sh, b)
-			sh.mu.Unlock()
-			return b, nil
-		}
-		sh.mu.Unlock()
-	}
-	return -1, ErrEmpty
+// freeDrawn is drawFrees in a section of its own.
+func (st *Store) freeDrawn(r *rng.RNG, sc process.Scenario, bins []int, loads []int32) int {
+	var t tally
+	st.lockAll()
+	n := st.drawFrees(r, sc, bins, loads, &t)
+	st.release(&t, bins[:n], nil)
+	return n
 }
 
 // Crash dumps k extra balls into bin b at once — the fault injector
-// that manufactures the adversarial "all the mass in one place" states
-// of the paper's introduction. It returns the bin's new load, or the
-// unchanged load and ErrOverflow when the bin cannot hold k more (the
-// check runs under the stripe lock, so nothing is half-applied). Crash
-// counts neither as admissions nor as departures, so the step clock
-// (Allocs) measures recovery work only.
+// behind the paper's "all the mass in one place" states. It returns the
+// bin's new load, or the unchanged load and ErrOverflow when the store
+// cannot hold k more balls (checked inside the section, so no
+// concurrent mutation races past it). Crash counts neither as
+// admissions nor as departures: Allocs measures recovery work only.
 func (st *Store) Crash(b, k int) (int, error) {
 	if b < 0 || b >= st.n {
 		panic(fmt.Sprintf("serve: Crash bin %d out of range [0,%d)", b, st.n))
@@ -482,20 +454,21 @@ func (st *Store) Crash(b, k int) (int, error) {
 	if k == 0 {
 		return st.Load(b), nil
 	}
-	sh := st.shardOf(b)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	st.lockAll()
+	defer st.unlockAll()
 	old := st.loads[b].Load()
-	if int64(k) > math.MaxInt32-int64(old) {
+	if int64(k) > math.MaxInt32-st.total.Load() {
 		return int(old), ErrOverflow
 	}
+	sh := st.shardOf(b)
 	l := st.loads[b].Add(int32(k))
 	sh.reindex(b, old, l)
+	sh.total += int64(k)
+	t := tally{total: int64(k)}
 	if old == 0 {
-		st.nonEmpty.Add(1)
+		t.nonEmpty = 1
 	}
-	sh.total.Add(int64(k))
-	st.total.Add(int64(k))
+	st.settle(&t)
 	if st.hook != nil {
 		st.hook.OnCrash(b, k)
 	}
@@ -504,11 +477,9 @@ func (st *Store) Crash(b, k int) (int, error) {
 
 // FillBalanced seeds the store with the most balanced state of Omega_m:
 // every bin gets floor(m/n) balls and the first m mod n bins one more.
-// Intended for initialization; it takes each shard lock once — the
-// hook sees one OnCrash per seeded bin, in bin order, as n Crash calls
-// would show it, but the shard's index is built and its counters are
-// added once — and is safe (though pointless) to race with traffic.
-// Seeding counts as neither admissions nor departures.
+// It takes each shard lock once (the hook sees one OnCrash per seeded
+// bin, in bin order; the index is built once per shard), and seeding
+// counts as neither admissions nor departures.
 func (st *Store) FillBalanced(m int) {
 	if m < 0 {
 		panic("serve: FillBalanced needs m >= 0")
@@ -536,7 +507,7 @@ func (st *Store) FillBalanced(m int) {
 		}
 		if added > 0 {
 			sh.rebuild(st.loads)
-			sh.total.Add(added)
+			sh.total += added
 			st.total.Add(added)
 			st.nonEmpty.Add(filled)
 		}
@@ -608,22 +579,6 @@ type Stats struct {
 	Frees    int64 `json:"frees"`
 }
 
-// lockAll acquires every shard lock in index order, stopping the world
-// for an exact checkpoint cut: with all stripes held no mutation (and
-// therefore no journal push) can be in flight.
-func (st *Store) lockAll() {
-	for i := range st.shards {
-		st.shards[i].mu.Lock()
-	}
-}
-
-// unlockAll releases every shard lock (reverse order of lockAll).
-func (st *Store) unlockAll() {
-	for i := len(st.shards) - 1; i >= 0; i-- {
-		st.shards[i].mu.Unlock()
-	}
-}
-
 // Restore overwrites the store's entire state with the given per-bin
 // loads and counter values — the boot-time half of checkpoint
 // recovery. It is NOT safe to race with traffic; call it before any
@@ -645,9 +600,7 @@ func (st *Store) Restore(loads []int32, allocs, frees int64) error {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		t, ne := sh.rebuild(st.loads)
-		sh.total.Store(t)
-		sh.allocs.Store(0)
-		sh.frees.Store(0)
+		sh.total, sh.allocs, sh.frees = t, 0, 0
 		total += t
 		nonEmpty += ne
 	}
@@ -656,8 +609,7 @@ func (st *Store) Restore(loads []int32, allocs, frees int64) error {
 	// 0: per-stripe counts stop being meaningful, but the sum over
 	// stripes — the only thing a striped checkpoint persists — stays
 	// exact as subsequent mutations bump their own stripes.
-	st.shards[0].allocs.Store(allocs)
-	st.shards[0].frees.Store(frees)
+	st.shards[0].allocs, st.shards[0].frees = allocs, frees
 	st.total.Store(total)
 	st.nonEmpty.Store(nonEmpty)
 	st.allocs.Store(allocs)

@@ -264,7 +264,7 @@ func TestStoreConcurrent(t *testing.T) {
 	}
 	var shardSum int64
 	for i := range st.shards {
-		shardSum += st.shards[i].total.Load()
+		shardSum += st.shards[i].total
 	}
 	if shardSum != total {
 		t.Fatalf("shard totals sum to %d, bins to %d", shardSum, total)
@@ -381,7 +381,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 	}
 	var shardSum int64
 	for i := range other.shards {
-		shardSum += other.shards[i].total.Load()
+		shardSum += other.shards[i].total
 	}
 	if shardSum != other.Total() {
 		t.Fatalf("restored shard totals sum to %d, want %d", shardSum, other.Total())
@@ -422,7 +422,7 @@ func TestLoadSummaryMatchesSnapshot(t *testing.T) {
 			}
 			var sumStripes int64
 			for i := range st.shards {
-				sumStripes += st.shards[i].total.Load()
+				sumStripes += st.shards[i].total
 			}
 			if sumStripes != sum.Total {
 				t.Fatalf("n=%d: stripe totals sum %d, total %d", tc.n, sumStripes, sum.Total)

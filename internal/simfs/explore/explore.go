@@ -30,14 +30,13 @@
 // Admit-batched schedules (Config.AdmitBatch > 1, see
 // DefaultAdmitBatched) drive the batched admission pipeline: admission
 // traffic arrives in groups of several balls applied through
-// Store.AdmitBatch — one striped-lock acquisition per touched shard,
-// one seq-range reservation in the journal's batch hook — and the
-// armed power cut can land inside the store-apply/journal-push window
-// of a half-persisted group. The reference history records the group
-// in AdmitScratch.Order order, which is by construction the journal's
-// seq order, so the invariant sharpens to: a group torn mid-batch must
-// replay as a clean prefix OF THE APPLY ORDER, never a subset or a
-// reordering.
+// Store.AdmitBatch — one critical section, one seq-range reservation in
+// the journal's batch hook — and the armed power cut can land inside
+// the store-apply/journal-push window of a half-persisted group. The
+// group applies in entry order, which is by construction the journal's
+// seq order, so the reference history records it in entry order and
+// the invariant sharpens to: a group torn mid-batch must replay as a
+// clean prefix OF THE ENTRY ORDER, never a subset or a reordering.
 //
 // Chaos schedules (Config.ChaosFaults > 0, see DefaultChaos) further
 // arm transient write-path faults at random points DURING traffic:
@@ -114,9 +113,8 @@ type Config struct {
 	// batch hook's single seq-range reservation, so the armed power cut
 	// can land inside the store-apply/journal-push window of a
 	// half-persisted group. The reference history appends the group in
-	// AdmitScratch.Order order — the journal's seq order — so a torn
-	// group must replay as a clean prefix of the apply order. 0/1 is
-	// the per-ball configuration.
+	// entry order — the journal's seq order — so a torn group must
+	// replay as a clean prefix of it. 0/1 is the per-ball configuration.
 	AdmitBatch int
 
 	// RestoreWorkers is the apply-worker count every restore in the
@@ -459,7 +457,6 @@ func runSchedule(cfg Config, schedule int) (*Violation, Stats) {
 		burst = 1
 	}
 	admitBins := make([]int, max(cfg.AdmitBatch, 1))
-	var admitSc serve.AdmitScratch
 
 	for round := 0; round < cfg.Rounds; round++ {
 		// Arm the crash at a pseudo-random upcoming FS operation. A
@@ -498,7 +495,7 @@ func runSchedule(cfg Config, schedule int) (*Violation, Stats) {
 		// replay bit-identically to the pre-AdmitBatch explorer.
 		for c := 0; c < cfg.OpsPerRound && !fs.Crashed(); {
 			prev := c
-			c += driveSome(r, st, &ref, admitBins, &admitSc, cfg.AdmitBatch, cfg.OpsPerRound-c, &stats)
+			c += driveSome(r, st, &ref, admitBins, cfg.AdmitBatch, cfg.OpsPerRound-c, &stats)
 			stats.StoreOps += int64(c - prev)
 			if c/burst == prev/burst && c < cfg.OpsPerRound {
 				continue // mid-burst: keep queueing, no drain yet
@@ -587,9 +584,9 @@ func runSchedule(cfg Config, schedule int) (*Violation, Stats) {
 // (no size draw, so the rng draws are identical to the historical
 // per-ball driver), of 1+Intn(admitBatch) balls otherwise (clamped to
 // rem, the mutations left in the round). The group's refOps are
-// appended in sc.Order() order — the order the journal assigned their
-// WAL seqs.
-func driveSome(r *rng.RNG, st *serve.Store, ref *[]refOp, bins []int, sc *serve.AdmitScratch, admitBatch, rem int, stats *Stats) int {
+// appended in entry order — the order the journal assigned their WAL
+// seqs.
+func driveSome(r *rng.RNG, st *serve.Store, ref *[]refOp, bins []int, admitBatch, rem int, stats *Stats) int {
 	switch p := r.Intn(10); {
 	case p == 0: // fault injection: dump k balls into one bin
 		bin, k := r.Intn(st.N()), 1+r.Intn(4)
@@ -617,11 +614,9 @@ func driveSome(r *rng.RNG, st *serve.Store, ref *[]refOp, bins []int, sc *serve.
 		for i := 0; i < g; i++ {
 			bins[i] = r.Intn(st.N())
 		}
-		st.AdmitBatch(bins[:g], nil, sc)
-		// Journal seqs were reserved in apply order, not submission
-		// order; the reference history must match them index for index.
-		for _, idx := range sc.Order() {
-			*ref = append(*ref, refOp{wal.OpAlloc, bins[idx], 1})
+		st.AdmitBatch(bins[:g], nil) // loads stay tiny: ErrOverflow cannot occur
+		for _, b := range bins[:g] {
+			*ref = append(*ref, refOp{wal.OpAlloc, b, 1})
 		}
 		if g > 1 {
 			stats.BatchedAdmits++

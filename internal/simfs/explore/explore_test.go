@@ -144,10 +144,10 @@ func TestExploreBatched(t *testing.T) {
 // Store.AdmitBatch, journaled through the batch hook's single
 // seq-range reservation, so the armed power cut regularly lands in the
 // store-apply/journal-push window with a group half-persisted. The
-// reference history follows AdmitScratch.Order — the invariant demands
-// a torn group replay as a clean prefix of the APPLY order, which is
-// exactly what would break if AdmitBatch's per-shard application and
-// the batch hook's seq reservation ever disagreed.
+// reference history follows the entry order — the invariant demands a
+// torn group replay as a clean prefix of it, which is exactly what
+// would break if AdmitBatch's application order and the batch hook's
+// seq reservation ever disagreed.
 func TestExploreAdmitBatched(t *testing.T) {
 	cfg := explore.DefaultAdmitBatched()
 	cfg.Seed = *exploreSeed
