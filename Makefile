@@ -16,7 +16,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/par/ ./internal/core/ ./internal/tvest/ ./internal/metrics/ ./internal/rules/ ./internal/serve/ ./internal/wal/ ./internal/checkpoint/
+	$(GO) test -race ./internal/par/ ./internal/core/ ./internal/tvest/ ./internal/metrics/ ./internal/rules/ ./internal/serve/ ./internal/replica/ ./internal/wal/ ./internal/checkpoint/
 
 # The full sweep CI runs on one matrix leg.
 race-all:

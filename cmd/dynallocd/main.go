@@ -92,7 +92,6 @@ func main() {
 	flag.StringVar(&opt.scenario, "scenario", "A", "departure scenario: A (uniform ball) or B (uniform nonempty bin)")
 	flag.Uint64Var(&opt.seed, "seed", 1998, "rng seed (workers use derived streams)")
 	flag.IntVar(&opt.workers, "workers", runtime.GOMAXPROCS(0), "drive worker goroutines (1 = deterministic)")
-	flag.IntVar(&opt.shards, "shards", 0, "store shard count, power of two (0: auto)")
 	flag.IntVar(&opt.slack, "slack", 1, "recovery threshold slack above the fluid-limit prediction")
 
 	flag.BoolVar(&opt.drive, "drive", false, "run the built-in traffic driver")
@@ -151,7 +150,6 @@ type options struct {
 	scenario      string
 	seed          uint64
 	workers       int
-	shards        int
 	slack         int
 	drive         bool
 	batch         int
@@ -226,12 +224,7 @@ func run(opt options) int {
 		return fail(fmt.Errorf("-replica-listen needs -wal-dir (the stream ships the WAL)"))
 	}
 
-	var st *serve.Store
-	if opt.shards > 0 {
-		st = serve.NewStoreShards(opt.n, opt.shards)
-	} else {
-		st = serve.NewStore(opt.n)
-	}
+	st := serve.NewStore(opt.n)
 	// The one Service the dgram listener is a codec over and the admin
 	// plane reads.
 	svc := serve.NewService(st, pol, sc, opt.seed)

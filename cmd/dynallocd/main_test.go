@@ -159,7 +159,7 @@ func TestRunDriveRecovers(t *testing.T) {
 	code := run(options{
 		addr: "", n: 256, m: 256,
 		d: 2, scenario: "A",
-		seed: 2024, workers: 1, shards: 8, slack: 1,
+		seed: 2024, workers: 1, slack: 1,
 		drive: true, crashK: 128, crashBin: 0,
 	})
 	if code != 0 {
@@ -243,7 +243,7 @@ func TestRunDurableBootRestoreDrill(t *testing.T) {
 	base := options{
 		addr: "", n: 128, m: 128,
 		d: 2, scenario: "A",
-		seed: 11, workers: 1, shards: 4, slack: 1,
+		seed: 11, workers: 1, slack: 1,
 		walDir: dir, fsync: "never",
 	}
 	if code := run(base); code != 0 {

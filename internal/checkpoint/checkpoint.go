@@ -37,13 +37,14 @@ var ErrNoCheckpoint = errors.New("checkpoint: no valid checkpoint found")
 // and the service counters, consistent as of WAL sequence number Seq
 // (every record with seq <= Seq is reflected, none with seq > Seq is).
 //
-// A striped checkpoint additionally carries Sections — per-stripe seq
-// watermarks from copies taken under the store's stripe locks one at a
-// time instead of under a stop-the-world cut. Seq is then the MINIMUM
-// section watermark, which keeps the reading above true (everything
-// with seq <= Seq is reflected in its section) and so keeps WAL
-// truncation through Seq sound; restore filters replayed records per
-// section with WatermarkFor. Empty Sections (replica snapshots,
+// A striped checkpoint additionally carries Sections, one per store
+// stripe, each with a seq watermark. The store writes every section at
+// Seq (its checkpoint is one cut under the store's mutex); files from
+// older releases, which copied one stripe at a time, carry distinct
+// watermarks, with Seq the MINIMUM, which keeps the reading above true
+// (everything with seq <= Seq is reflected in its section) and so keeps
+// WAL truncation through Seq sound; restore filters replayed records
+// per section with WatermarkFor. Empty Sections (replica snapshots,
 // decoded v1 files) mean one uniform watermark, Seq; WriteFS persists
 // such a snapshot as a single section [0, n) at that watermark.
 type Snapshot struct {

@@ -311,9 +311,9 @@ func (f *Follower) applyBatch(recs []wal.Record) error {
 	if err := f.log.AppendBatch(fresh); err != nil {
 		return fmt.Errorf("replica: persist batch: %w", err)
 	}
-	// One batch-applier call instead of a per-record apply loop:
-	// one stripe-lock acquisition per touched stripe, per-bin order
-	// preserved (see serve.ApplyRecords).
+	// One batch-applier call instead of a per-record apply loop: one
+	// hold of the store's mutex, records in file order (see
+	// serve.ApplyRecords).
 	skipped, err := serve.ApplyRecords(f.cfg.Store, fresh)
 	if err != nil {
 		return fmt.Errorf("replica: apply: %w", err)

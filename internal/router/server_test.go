@@ -118,7 +118,7 @@ func TestOversizedCountsAreRefusedBeforeAnyMutation(t *testing.T) {
 
 // TestOverflowingCrashIsAnErrorNotAPanic is the regression test for the
 // second: CRASH{K: 1<<31} wrapped int32(k) negative and panicked in
-// shard.reindex with the stripe lock held. The bound is store-wide: a
+// shard.reindex with the store's mutex held. The bound is store-wide: a
 // crash that would take the store past MaxInt32 balls is refused.
 func TestOverflowingCrashIsAnErrorNotAPanic(t *testing.T) {
 	a := startShard(t, 16, 1, nil)
@@ -132,7 +132,7 @@ func TestOverflowingCrashIsAnErrorNotAPanic(t *testing.T) {
 	if got := a.st.Stats(); got != before {
 		t.Fatalf("refused crashes changed the store: %+v -> %+v", before, got)
 	}
-	// The stripe locks are free and the store takes what fits.
+	// The store's mutex is free and the store takes what fits.
 	rt, rp := c.call(dgram.TCrash, dgram.AppendCrashReq(nil, dgram.CrashReq{Bin: 0, K: 1<<31 - 17}))
 	if load, err := dgram.DecodeLoad(rp); rt != dgram.TCrashOK || err != nil || load != 1<<31-16 {
 		t.Fatalf("crash to the brim answered %v load %d (%v)", rt, load, err)

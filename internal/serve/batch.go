@@ -11,7 +11,7 @@ import (
 // Batcher is one worker's admission lane through the engine — the only
 // one: each Pass drives up to `batch` remove-then-insert phases as one
 // critical section of the store (see the package comment): it takes
-// every stripe lock once, draws k departures through the scenario
+// the store's mutex once, draws k departures through the scenario
 // exactly as a quiescent store would, picks k destinations through the
 // policy's batch path, admits all k in entry order, and publishes the
 // counters once. A pass of size 1 is exactly one phase of the paper's
@@ -79,7 +79,7 @@ func (b *Batcher) Pass(r *rng.RNG, k int) (int, error) {
 	k = min(k, len(b.bins))
 	st := b.st
 	var t tally
-	st.lockAll()
+	st.mu.Lock()
 	freed := st.drawFrees(r, b.sc, b.freed[:k], nil, &t)
 	bins := b.bins[:freed]
 	if freed > 0 {

@@ -127,7 +127,7 @@ type Status struct {
 }
 
 // Detector watches a Store converge to its typical state. Check reads
-// the store's load histogram (lock-free, a handful of levels per lock
+// the store's load histogram (lock-free, a handful of levels per index
 // stripe — not the bins), computes the distance-to-typical measures —
 // maximum load against the fluid-limit prediction, the gap above fair
 // share, and the path-coupling metric Delta(v, balanced) that Sections

@@ -6,14 +6,14 @@ import (
 )
 
 // The per-stripe index. Every mutation of a bin goes through
-// shard.reindex under the stripe lock it already holds, and three
-// readers that used to walk all n bin atomics read the index instead:
+// shard.reindex under the store's mutex, and three readers that used to
+// walk all n bin atomics read the index instead:
 //
 //   - Scenario A's in-stripe weighted draw (FreeBall) descends a
 //     two-level sum — balls per run of 64 bins, and per run of 64 such
 //     runs — in at most 64 + 64 + (stripe bins / 4096) steps. The sums
 //     are plain integers: both their writer and their only reader hold
-//     the stripe lock.
+//     the store's mutex.
 //   - Scenario B's fallback draw finds its nonempty bin through one
 //     occupancy word per 64 bins, not ~n/NonEmpty() rejection tries.
 //   - LoadSummary (the PROBE reply) takes the maximum of the stripes'
@@ -29,9 +29,10 @@ import (
 //     move of every admission and departure (a bin going from l-1 to
 //     l, or back) writes one counter, not two.
 //
-// The max and the histogram are atomics written under the stripe lock,
-// so LoadSummary, Check and /healthz keep the package's read contract:
-// they take no stripe lock and answer while a hook stalls inside one.
+// The max and the histogram are atomics written under the store's
+// mutex, so LoadSummary, Check and /healthz keep the package's read
+// contract: they take no lock and answer while a hook stalls inside a
+// critical section.
 const (
 	runBits     = 6 // 64 bins per level-1 sum, 64 level-1 sums per level-2 sum
 	denseLevels = 64
@@ -53,33 +54,28 @@ type levelCount struct {
 
 // initIndex carves every stripe's two sum levels out of one backing
 // array and its occupancy words out of another (cmd/bench gates a store
-// per op on allocs/op), each stripe's share rounded up to whole cache
-// lines so that two stripes' writers share none, and counts all bins at
-// load 0.
+// per op on allocs/op), and counts all bins at load 0.
 func (st *Store) initIndex() {
 	runs := func(x int) int { return (x + 1<<runBits - 1) >> runBits }
-	const line = 8 // words per cache line
-	lines := func(x int) int { return (x + line - 1) &^ (line - 1) }
 	words, occWords := 0, 0
 	for i := range st.shards {
 		n1 := runs(st.shards[i].hi - st.shards[i].lo)
-		words += lines(n1 + runs(n1))
-		occWords += lines(n1)
+		words += n1 + runs(n1)
+		occWords += n1
 	}
 	back, occ := make([]int64, words), make([]uint64, occWords)
 	for i := range st.shards {
 		sh := &st.shards[i]
 		n1 := runs(sh.hi - sh.lo)
 		n2 := runs(n1)
-		sh.sum1, sh.sum2 = back[:n1:n1], back[n1:n1+n2:n1+n2]
-		back = back[lines(n1+n2):]
-		sh.occ, occ = occ[:n1:n1], occ[lines(n1):]
+		sh.sum1, sh.sum2, back = back[:n1:n1], back[n1:n1+n2:n1+n2], back[n1+n2:]
+		sh.occ, occ = occ[:n1:n1], occ[n1:]
 		sh.atLeast[0].Store(int32(sh.hi - sh.lo))
 	}
 }
 
 // sparseAdd moves d = ±1 bins onto level l >= denseLevels. Caller holds
-// the stripe lock.
+// the store's mutex.
 func (sh *shard) sparseAdd(l, d int32) {
 	var tab sparseLevels
 	if p := sh.sparse.Load(); p != nil {
@@ -112,7 +108,7 @@ func (sh *shard) sparseAdd(l, d int32) {
 }
 
 // topLevel returns the highest occupied level that is <= from. Caller
-// holds the stripe lock, and no level above from is occupied.
+// holds the store's mutex, and no level above from is occupied.
 func (sh *shard) topLevel(from int32) int32 {
 	if from >= denseLevels {
 		top := int32(0)
@@ -135,8 +131,8 @@ func (sh *shard) topLevel(from int32) int32 {
 }
 
 // reindex records that bin b's load went from old to new. It is the
-// only writer of the index besides rebuild; caller holds the stripe
-// lock and has already stored the new load.
+// only writer of the index besides rebuild; caller holds the store's
+// mutex and has already stored the new load.
 func (sh *shard) reindex(b int, old, new int32) {
 	d := int64(new) - int64(old)
 	j := (b - sh.lo) >> runBits
@@ -168,8 +164,8 @@ func (sh *shard) reindex(b int, old, new int32) {
 }
 
 // rebuild recomputes the stripe's index from its bin loads and returns
-// the stripe's ball and nonempty-bin counts. Caller holds the stripe
-// lock (or, at boot, owns the store).
+// the stripe's ball and nonempty-bin counts. Caller holds the store's
+// mutex (or, at boot, owns the store).
 func (sh *shard) rebuild(loads []atomic.Int32) (total, nonEmpty int64) {
 	clear(sh.sum1)
 	clear(sh.sum2)
@@ -204,8 +200,8 @@ func (sh *shard) rebuild(loads []atomic.Int32) (total, nonEmpty int64) {
 
 // locate returns the bin holding the stripe's target-th ball, counting
 // balls in bin order from zero: the bin a linear scan of the stripe
-// subtracting loads from target would stop at. Caller holds the stripe
-// lock and guarantees 0 <= target < the stripe's ball total.
+// subtracting loads from target would stop at. Caller holds the store's
+// mutex and guarantees 0 <= target < the stripe's ball total.
 func (sh *shard) locate(loads []atomic.Int32, target int64) int {
 	k := 0
 	for ; target >= sh.sum2[k]; k++ {
@@ -227,7 +223,7 @@ func (sh *shard) locate(loads []atomic.Int32, target int64) int {
 }
 
 // nth returns the stripe's r-th nonempty bin in bin order, counting from
-// zero, in one popcount per 64 bins. Caller holds the stripe lock and
+// zero, in one popcount per 64 bins. Caller holds the store's mutex and
 // guarantees 0 <= r < atLeast[1], the stripe's nonempty bins.
 func (sh *shard) nth(r int) int {
 	for j, w := range sh.occ {

@@ -23,9 +23,9 @@ type JournalOptions struct {
 	// stall mode this implies: there is only no room for long while the
 	// writer is stuck inside a WAL write/fsync that neither returns nor
 	// errors (a hung disk, not a failing one), and a blocked push holds
-	// the locks of the mutation that made it — for a critical section,
-	// every stripe lock — so a wedged disk stalls every mutator at once,
-	// and any Checkpoint waiting for a stripe. The "WAL errors degrade
+	// the store's mutex, which the mutation that made it holds — so a
+	// wedged disk stalls every mutator at once, and any Checkpoint
+	// waiting for the store. The "WAL errors degrade
 	// durability, never availability" guarantee covers errors; for
 	// stalls, set StallTimeout.
 	Buffer int
@@ -82,7 +82,7 @@ func (o *JournalOptions) fill() {
 }
 
 // Journal makes a Store durable: it installs itself as the store's
-// mutation hook and, under the stripe locks that applied a mutation,
+// mutation hook and, under the store's mutex that applied a mutation,
 // copies its records — one run per hook call — into a slab, drawing
 // their WAL sequence numbers under the slab's mutex. Seq order is
 // therefore slab order and log order (a segment never opens past a seq
@@ -95,12 +95,10 @@ func (o *JournalOptions) fill() {
 // appended watermark, which is what room for new records (see
 // JournalOptions.Buffer) and Drain are defined by.
 //
-// Checkpoint walks the lock stripes one at a time — no stop-the-world
-// cut — capturing each stripe's loads, counters, and a per-stripe seq
-// watermark under that stripe's lock alone; the cut is exact because
-// seq assignment happens under the same locks (see Checkpoint for the
-// argument). WAL segments fully covered by the oldest retained
-// checkpoint are deleted afterwards.
+// Checkpoint copies the loads, the counters and the seq under the
+// store's mutex, one exact cut: seq assignment happens under the same
+// mutex (see Checkpoint). WAL segments fully covered by the oldest
+// retained checkpoint are deleted afterwards.
 //
 // A WAL append error does not stop the service: the first error is
 // retained (Err), subsequent records are still handed to the log, and
@@ -113,7 +111,7 @@ type Journal struct {
 
 	// seq is the last seq drawn. It moves only under mu, as the records
 	// that drew it enter q; it is an atomic so that Checkpoint can read
-	// it under a stripe lock alone.
+	// it under the store's mutex alone.
 	seq atomic.Uint64
 
 	// The hand-off. q is the slab the hooks fill and spare the one the
@@ -247,11 +245,11 @@ func (j *Journal) LastSeq() uint64 { return j.seq.Load() }
 // push journals one run — the records (op, bins[i], k), in order —
 // taking mu once: wait for room, draw the run's seq range, copy it
 // into the slab, and wake the writer if the slab was empty. It runs
-// under the mutated bins' stripe locks (see StoreHook; an AdmitBatch is
-// one run, a departure one record), so seq order equals mutation order
-// per bin, and a Checkpoint holding a shard's lock observes a seq that
-// covers exactly the shard's applied records. With no StallTimeout a
-// push without room blocks here — holding those locks — until the
+// under the store's mutex (see StoreHook; an AdmitBatch is one run, a
+// section's departures another), so seq order equals mutation order,
+// and a Checkpoint holding the store's mutex observes a seq that covers
+// exactly the applied records. With no StallTimeout a push without
+// room blocks here — holding the store's mutex — until the
 // writer's watermark moves (see JournalOptions.Buffer for what that
 // stall mode means). A run longer than Buffer goes in Buffer-sized
 // pieces.
@@ -348,27 +346,20 @@ func (j *Journal) onFreeRun(bins []int) { j.push(wal.OpFree, bins, 1) }
 // OnCrash implements StoreHook.
 func (j *Journal) OnCrash(bin, k int) { j.push(wal.OpCrash, []int{bin}, k) }
 
-// Checkpoint captures a striped snapshot — no stop-the-world cut —
-// persists it, prunes old checkpoints and truncates WAL segments the
-// oldest retained checkpoint covers. It returns the snapshot and the
-// file it was written to. Only a failure to persist the snapshot is an
-// error: once the snapshot file is durable, pruning and truncation are
-// maintenance, and their failure (say, one unremovable old file) is
-// recorded in MaintErr and retried by the next checkpoint instead of
-// being returned — a successful checkpoint must never look fatal.
+// Checkpoint captures a snapshot of the store, persists it, prunes old
+// checkpoints and truncates WAL segments the oldest retained checkpoint
+// covers. It returns the snapshot and the file it was written to. Only
+// a failure to persist the snapshot is an error: once the snapshot file
+// is durable, pruning and truncation are maintenance, and their failure
+// (say, one unremovable old file) is recorded in MaintErr and retried
+// by the next checkpoint instead of being returned — a successful
+// checkpoint must never look fatal.
 //
-// The striped cut walks the store's lock stripes one at a time: each
-// stripe's loads and counters are copied under that stripe's lock
-// alone, so admissions on other stripes never stall for longer than
-// one stripe copy. The per-stripe seq fence is j.seq read UNDER the
-// stripe lock: every record targeting the stripe with a seq at or
-// below that read is already applied (seq assignment — including the
-// batch hook's range reservation — happens under the stripe lock,
-// after the mutation), and any later record draws a strictly higher
-// seq. Each stripe therefore becomes a checkpoint Section with an
-// exact watermark; Snapshot.Seq is the minimum watermark, which keeps
-// WAL truncation through Seq sound, and restore filters replayed records per
-// section (see RestoreFSOpts).
+// The cut is one hold of the store's mutex: the loads, the clocks and
+// j.seq are read under it, and every record is pushed under it right
+// after its mutation, so Snapshot.Seq covers exactly the copied state.
+// The snapshot is still written as one section per stripe — each at
+// watermark Seq — so that it encodes and decodes in parallel.
 func (j *Journal) Checkpoint() (checkpoint.Snapshot, string, error) {
 	return j.checkpoint(true)
 }
@@ -388,48 +379,18 @@ func (j *Journal) checkpoint(maintain bool) (checkpoint.Snapshot, string, error)
 
 	st := j.st
 	loads := make([]int32, st.n)
-	sections := make([]checkpoint.Section, 0, len(st.shards))
-	var allocs, frees int64
-	minWm := ^uint64(0)
-	var copyNs, maxHoldNs int64
+	t0 := time.Now()
+	st.mu.Lock()
+	for b := range loads {
+		loads[b] = st.loads[b].Load()
+	}
+	snap := checkpoint.Snapshot{Seq: j.seq.Load(), Allocs: st.allocs.Load(), Frees: st.frees.Load(), Loads: loads}
+	st.mu.Unlock()
+	metrics.ObserveTimer("checkpoint.copy_ns", time.Since(t0))
 	for i := range st.shards {
-		sh := &st.shards[i]
-		if sh.lo == sh.hi {
-			continue // empty trailing stripe (shards > bins geometry)
+		if sh := &st.shards[i]; sh.lo < sh.hi { // skip empty trailing stripes (shards > bins)
+			snap.Sections = append(snap.Sections, checkpoint.Section{Lo: sh.lo, Hi: sh.hi, Watermark: snap.Seq})
 		}
-		t0 := time.Now()
-		sh.mu.Lock()
-		for b := sh.lo; b < sh.hi; b++ {
-			loads[b] = st.loads[b].Load()
-		}
-		wm := j.seq.Load()
-		a, f := sh.allocs, sh.frees
-		sh.mu.Unlock()
-		hold := time.Since(t0).Nanoseconds()
-		copyNs += hold
-		if hold > maxHoldNs {
-			maxHoldNs = hold
-		}
-		sections = append(sections, checkpoint.Section{Lo: sh.lo, Hi: sh.hi, Watermark: wm})
-		allocs += a
-		frees += f
-		if wm < minWm {
-			minWm = wm
-		}
-	}
-	if minWm == ^uint64(0) {
-		minWm = j.seq.Load()
-	}
-	metrics.AddCounter("checkpoint.stripe.copies", int64(len(sections)))
-	metrics.ObserveTimer("checkpoint.stripe.copy_ns", time.Duration(copyNs))
-	metrics.SetGauge("checkpoint.stripe.max_hold_ns", float64(maxHoldNs))
-
-	snap := checkpoint.Snapshot{
-		Seq:      minWm,
-		Allocs:   allocs,
-		Frees:    frees,
-		Loads:    loads,
-		Sections: sections,
 	}
 
 	path, err := checkpoint.WriteFS(j.log.FS(), j.log.Dir(), snap)

@@ -11,7 +11,7 @@ import (
 	"dynalloc/internal/serve"
 )
 
-// stallHook blocks inside OnAllocRun — with the stripe lock held, as a
+// stallHook blocks inside OnAllocRun — with the store's mutex held, as a
 // journal push stalled on a hung disk would — until released.
 type stallHook struct {
 	entered, release chan struct{}
@@ -23,8 +23,8 @@ func (h *stallHook) OnCrash(int, int) {}
 
 // TestReadsAnswerWhileAStripeLockIsHeld pins the package's read
 // contract on the index-backed reads: LoadSummary, Detector.Check and
-// the dgram PROBE handler take no stripe lock, so all three return
-// while a mutation sits inside the store's only stripe.
+// the dgram PROBE handler take no lock, so all three return while a
+// mutation sits inside a critical section.
 func TestReadsAnswerWhileAStripeLockIsHeld(t *testing.T) {
 	const n = 1 << 10
 	st := serve.NewStoreShards(n, 1)
@@ -57,7 +57,7 @@ func TestReadsAnswerWhileAStripeLockIsHeld(t *testing.T) {
 		st.AdmitBatch([]int{5}, nil)
 		close(allocDone)
 	}()
-	<-hook.entered // bin 5 is at load 2 and the stripe lock is held
+	<-hook.entered // bin 5 is at load 2 and the store's mutex is held
 
 	type reads struct {
 		sum   serve.LoadSummary
@@ -91,7 +91,7 @@ func TestReadsAnswerWhileAStripeLockIsHeld(t *testing.T) {
 			t.Errorf("Check = %+v; want total %d at distance 0 from balanced", r.check, n+1)
 		}
 	case <-time.After(20 * time.Second):
-		t.Error("LoadSummary, Detector.Check or PROBE blocked behind a held stripe lock")
+		t.Error("LoadSummary, Detector.Check or PROBE blocked behind the held store mutex")
 	}
 	close(hook.release)
 	<-allocDone

@@ -1,10 +1,11 @@
 // Cold-start restore: load the newest valid checkpoint, replay the WAL
 // suffix, fence the unreachable tail. wal.ReplayPipelineFS drops the
 // records the checkpoint's seq covers and partitions the rest by the
-// store's lock stripes in its decode workers; the batch applier here
-// filters each stripe's records against that stripe's own watermark and
-// applies them, in file order, on one worker, and the stripes' indexes
-// are rebuilt once when the replay ends.
+// store's index stripes in its decode workers; the batch applier here
+// applies each batch in file order — filtering records against their
+// section's watermark when an older checkpoint carries distinct ones —
+// with the store's mutex held for the whole replay, and the stripes'
+// indexes are rebuilt once when the replay ends.
 package serve
 
 import (
@@ -35,7 +36,7 @@ type RestoreOptions struct {
 // keeps the pipeline (read-ahead, decode, apply overlap) on even a
 // single-core runner, where overlapping segment reads with CRC checks
 // and applies still wins; the ceiling reflects that replay saturates on
-// lock stripes and memory bandwidth well before high core counts.
+// decode and memory bandwidth well before high core counts.
 func DefaultRestoreWorkers() int {
 	w := runtime.GOMAXPROCS(0)
 	if w > 8 {
@@ -77,15 +78,17 @@ type RestoreResult struct {
 //
 // The suffix is replayed by wal.ReplayPipelineFS — segment read-ahead
 // and record decode overlap with application, and records fan out to
-// Workers appliers partitioned by the store's lock stripes, so the
+// Workers appliers partitioned by the store's index stripes, so the
 // final state (loads, counters, and every RestoreResult field except
 // the timings) does not depend on the worker count. A checkpoint whose
-// sections carry distinct watermarks (see Journal.Checkpoint)
-// additionally filters each replayed record against its stripe's seq
-// watermark, so records already reflected in the stripe's copy are not
-// applied twice. Nothing reads the store while it is being rebuilt, so
-// the replay leaves the stripes' indexes alone and rebuilds them once
-// at the end, as Store.Restore does.
+// sections carry distinct watermarks (written by older releases, which
+// copied the store one stripe at a time) additionally filters each
+// replayed record against its section's seq watermark, so records
+// already reflected in the section's copy are not applied twice. The
+// store is fresh, so the restore holds its mutex for the whole replay
+// and index rebuild; under it the apply workers write disjoint bins and
+// leave the stripes' indexes and totals alone, and the restore rebuilds
+// them once at the end, as Store.Restore does.
 //
 // Replay is defensive the same way the paper's processes are: a free
 // whose bin is already empty (possible only against a forged or
@@ -122,9 +125,10 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 	}
 	res.CheckpointNs = time.Since(t0).Nanoseconds()
 
-	ap := newReplayApplier(st, &snap, workers)
+	ap := newReplayApplier(st, &snap)
 	ap.index = false
 	t0 = time.Now()
+	st.mu.Lock()
 	stats, err := wal.ReplayPipelineFS(fsys, dir, res.CheckpointSeq, wal.PipelineOptions{
 		Workers:    workers,
 		Partition:  func(rec wal.Record) int { return int(rec.Bin) / st.shardSize },
@@ -132,9 +136,10 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 	})
 	if ap.applied.Load() > 0 {
 		for i := range st.shards {
-			st.shards[i].rebuild(st.loads)
+			st.shards[i].total, _ = st.shards[i].rebuild(st.loads)
 		}
 	}
+	st.mu.Unlock()
 	res.ReplayNs = time.Since(t0).Nanoseconds()
 	res.ReadNs, res.DecodeNs, res.ApplyNs = stats.ReadNs, stats.DecodeNs, stats.ApplyNs
 	res.Replayed = ap.applied.Load()
@@ -168,38 +173,24 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 	return res, nil
 }
 
-// replayApplier applies batches of replayed WAL records into the store
-// with one stripe-lock acquisition per touched stripe per batch, and
-// one delta flush of the global counters per stripe group, made before
-// the stripe's lock is released so that a section's Scenario A draw
-// always finds the stripe totals summing to the store total. It is
-// safe for concurrent batches as long as no stripe's records are in
-// flight on two workers at once, which is exactly what the pipeline's
-// stripe-to-worker partition guarantees. The store must not have a
-// journal hook installed (replayed mutations must not re-journal);
-// applier writes bypass the hook entirely. The stripe's index follows
-// every load change through shard.reindex like a live mutation, except
-// in the cold restore, which owns the store and rebuilds it afterwards.
+// replayApplier applies batches of replayed WAL records into the store,
+// each in file order, with one settle of the store's counters per
+// batch. Its caller holds the store's mutex; concurrent batches are
+// safe as long as no stripe's records are in flight on two workers at
+// once, which is exactly what the pipeline's stripe-to-worker partition
+// guarantees. The store must not have a journal hook installed
+// (replayed mutations must not re-journal); applier writes bypass the
+// hook entirely. The stripe's index and ball total follow every load
+// change like a live mutation's, except in the cold restore, which owns
+// the store and rebuilds both afterwards.
 type replayApplier struct {
 	st    *Store
-	snap  *checkpoint.Snapshot // non-nil only when stripes have distinct watermarks
+	snap  *checkpoint.Snapshot // non-nil only when sections have distinct watermarks
 	wm    []uint64             // with snap: each stripe's watermark, wmPerBin where sections split it
-	index bool                 // reindex per record (false: the caller rebuilds the indexes itself)
+	index bool                 // keep the stripes' indexes and totals per record (false: the caller rebuilds them)
 
 	applied      atomic.Int64 // records past the seq/watermark filters
 	skippedFrees atomic.Int64 // frees that hit an already-empty bin
-
-	scratch []applyScratch
-}
-
-// applyScratch is one worker's reusable grouping state: per-stripe
-// chain heads/tails (1-based; 0 = nil), per-record links, and the
-// stripes touched by the current batch.
-type applyScratch struct {
-	head    []int32
-	tail    []int32
-	next    []int32
-	touched []int32
 }
 
 // wmPerBin marks a stripe that lies across checkpoint sections with
@@ -207,13 +198,13 @@ type applyScratch struct {
 // geometry): its records ask the snapshot bin by bin.
 const wmPerBin = ^uint64(0)
 
-// newReplayApplier builds an applier for workers concurrent lanes.
-// Records are filtered against a watermark only when the snapshot's
-// sections carry watermarks above Seq — a quiesced or section-less
-// checkpoint skips the filter entirely — and then against a table with
-// one entry per stripe, since a checkpoint's sections are stripes.
-func newReplayApplier(st *Store, snap *checkpoint.Snapshot, workers int) *replayApplier {
-	a := &replayApplier{st: st, index: true, scratch: make([]applyScratch, workers)}
+// newReplayApplier builds an applier. Records are filtered against a
+// watermark only when the snapshot's sections carry watermarks above
+// Seq — a checkpoint taken as one cut, or a section-less one, skips the
+// filter entirely — and then against a table with one entry per
+// stripe, since an old checkpoint's sections are stripes.
+func newReplayApplier(st *Store, snap *checkpoint.Snapshot) *replayApplier {
+	a := &replayApplier{st: st, index: true}
 	if snap.MaxWatermark() > snap.Seq {
 		a.snap = snap
 		a.wm = make([]uint64, len(st.shards))
@@ -230,126 +221,86 @@ func newReplayApplier(st *Store, snap *checkpoint.Snapshot, workers int) *replay
 	return a
 }
 
-// applyBatch applies one pipeline batch on worker w. Records are
-// grouped into per-stripe chains first (preserving in-batch order, so
-// per-bin order survives), then each stripe group is applied under one
-// lock acquisition; per-stripe and global counters take one delta add
-// per group instead of one per record. An error aborts the batch with
-// the store state unspecified, matching the replay contract.
-func (a *replayApplier) applyBatch(w int, recs []wal.Record) error {
+// applyBatch applies one pipeline batch (on any worker), record by
+// record in file order, and settles the store's counters once. An
+// error aborts the batch with the store state unspecified, matching the
+// replay contract.
+func (a *replayApplier) applyBatch(_ int, recs []wal.Record) error {
 	st := a.st
-	sc := &a.scratch[w]
-	if len(sc.head) < len(st.shards) {
-		sc.head = make([]int32, len(st.shards))
-		sc.tail = make([]int32, len(st.shards))
-	}
-	if cap(sc.next) < len(recs) {
-		sc.next = make([]int32, len(recs))
-	}
-	sc.next = sc.next[:len(recs)]
-	sc.touched = sc.touched[:0]
-
-	var applied int64
-	for i, rec := range recs {
+	var t tally
+	var applied, skipped int64
+	var err error
+	for _, rec := range recs {
 		bin := int(rec.Bin)
 		if bin < 0 || bin >= st.n {
-			for _, si := range sc.touched {
-				sc.head[si], sc.tail[si] = 0, 0
-			}
-			return fmt.Errorf("serve: replay record seq %d targets bin %d of %d", rec.Seq, bin, st.n)
+			err = fmt.Errorf("serve: replay record seq %d targets bin %d of %d", rec.Seq, bin, st.n)
+			break
 		}
-		si := int32(bin / st.shardSize)
 		if a.wm != nil {
-			wm := a.wm[si]
+			wm := a.wm[bin/st.shardSize]
 			if wm == wmPerBin {
 				wm = a.snap.WatermarkFor(bin)
 			}
 			if rec.Seq <= wm {
-				continue // already reflected in the stripe's checkpoint section
+				continue // already reflected in the section's copy
 			}
 		}
-		sc.next[i] = 0
-		if sc.head[si] == 0 {
-			sc.head[si] = int32(i + 1)
-			sc.touched = append(sc.touched, si)
-		} else {
-			sc.next[sc.tail[si]-1] = int32(i + 1)
-		}
-		sc.tail[si] = int32(i + 1)
 		applied++
-	}
-
-	var skipped int64
-	var err error
-	for _, si := range sc.touched {
-		if err != nil {
-			sc.head[si], sc.tail[si] = 0, 0
-			continue
-		}
-		sh := &st.shards[si]
-		var total, allocs, frees, nonEmpty int64
-		sh.mu.Lock()
-		for e := sc.head[si]; e != 0 && err == nil; e = sc.next[e-1] {
-			rec := recs[e-1]
-			bin := int(rec.Bin)
-			var d int32 // the record's effect on its bin
-			switch rec.Op {
-			case wal.OpAlloc:
-				d = 1
-				allocs++
-			case wal.OpFree:
-				if st.loads[bin].Load() == 0 {
-					skipped++
-					continue
-				}
-				d = -1
-				frees++
-			case wal.OpCrash:
-				if d = rec.K; d < 0 {
-					err = fmt.Errorf("serve: replay crash record seq %d has k=%d", rec.Seq, rec.K)
-				}
-			default:
-				err = fmt.Errorf("serve: replay record seq %d has unknown op %v", rec.Seq, rec.Op)
-			}
-			if d == 0 || err != nil {
+		var d int32 // the record's effect on its bin
+		switch rec.Op {
+		case wal.OpAlloc:
+			d = 1
+			t.allocs++
+		case wal.OpFree:
+			if st.loads[bin].Load() == 0 {
+				skipped++
 				continue
 			}
-			l := st.loads[bin].Add(d)
-			if a.index {
-				sh.reindex(bin, l-d, l)
+			d = -1
+			t.frees++
+		case wal.OpCrash:
+			if d = rec.K; d < 0 {
+				err = fmt.Errorf("serve: replay crash record seq %d has k=%d", rec.Seq, rec.K)
 			}
-			if l == d {
-				nonEmpty++
-			} else if l == 0 {
-				nonEmpty--
-			}
-			total += int64(d)
+		default:
+			err = fmt.Errorf("serve: replay record seq %d has unknown op %v", rec.Seq, rec.Op)
 		}
-		sh.total += total
-		sh.allocs += allocs
-		sh.frees += frees
-		st.total.Add(total)
-		st.nonEmpty.Add(nonEmpty)
-		st.allocs.Add(allocs)
-		st.frees.Add(frees)
-		sh.mu.Unlock()
-		sc.head[si], sc.tail[si] = 0, 0
+		if err != nil {
+			break
+		}
+		if d == 0 {
+			continue
+		}
+		l := st.loads[bin].Add(d)
+		if a.index {
+			sh := st.shardOf(bin)
+			sh.reindex(bin, l-d, l)
+			sh.total += int64(d)
+		}
+		if l == d {
+			t.nonEmpty++
+		} else if l == 0 {
+			t.nonEmpty--
+		}
+		t.total += int64(d)
 	}
+	st.settle(&t)
 	a.applied.Add(applied)
 	a.skippedFrees.Add(skipped)
 	return err
 }
 
 // ApplyRecords replays a batch of WAL records into st through the same
-// batch applier restore uses — one stripe-lock acquisition per touched
-// stripe, per-bin order preserved — and reports how many frees hit an
-// already-empty bin. It is the warm-replay entry point for a
-// replication follower applying the primary's record batches and for
-// the explorer's reference replay. Single caller at a time; the store
-// must not have a journal hook installed.
+// batch applier restore uses — one hold of the store's mutex, records
+// in file order — and reports how many frees hit an already-empty bin.
+// It is the warm-replay entry point for a replication follower applying
+// the primary's record batches and for the explorer's reference replay.
+// The store must not have a journal hook installed.
 func ApplyRecords(st *Store, recs []wal.Record) (skippedFrees int64, err error) {
 	var snap checkpoint.Snapshot
-	ap := newReplayApplier(st, &snap, 1)
+	ap := newReplayApplier(st, &snap)
+	st.mu.Lock()
 	err = ap.applyBatch(0, recs)
+	st.mu.Unlock()
 	return ap.skippedFrees.Load(), err
 }

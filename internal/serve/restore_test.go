@@ -106,8 +106,8 @@ func TestParallelRestoreMatchesSequential(t *testing.T) {
 
 // TestStripedCheckpointCarriesSections pins the striped checkpoint's
 // on-disk shape: one section per non-empty stripe, tiling the bins,
-// with Seq = the minimum watermark — the truncation-soundness
-// invariant — and restore consuming it back to the exact live state.
+// every section at watermark Seq — the checkpoint is one exact cut —
+// and restore consuming it back to the exact live state.
 func TestStripedCheckpointCarriesSections(t *testing.T) {
 	const n, shards = 32, 4
 	st, j, fs, dir := newJournaled(t, n, shards, wal.Options{})
@@ -125,22 +125,21 @@ func TestStripedCheckpointCarriesSections(t *testing.T) {
 	if len(snap.Sections) != shards {
 		t.Fatalf("checkpoint has %d sections, want one per stripe (%d)", len(snap.Sections), shards)
 	}
-	minWm := ^uint64(0)
 	prev := 0
 	for i, sec := range snap.Sections {
 		if sec.Lo != prev || sec.Hi <= sec.Lo {
 			t.Fatalf("section %d [%d,%d) does not tile (prev end %d)", i, sec.Lo, sec.Hi, prev)
 		}
 		prev = sec.Hi
-		if sec.Watermark < minWm {
-			minWm = sec.Watermark
+		if sec.Watermark != snap.Seq {
+			t.Fatalf("section %d at watermark %d, Seq %d: not one cut", i, sec.Watermark, snap.Seq)
 		}
 	}
 	if prev != n {
 		t.Fatalf("sections cover %d of %d bins", prev, n)
 	}
-	if snap.Seq != minWm || written.Seq != snap.Seq {
-		t.Fatalf("Seq %d (Checkpoint returned %d), min watermark %d: truncation invariant broken", snap.Seq, written.Seq, minWm)
+	if written.Seq != snap.Seq || snap.Seq != j.LastSeq() {
+		t.Fatalf("Seq %d (Checkpoint returned %d), last seq %d", snap.Seq, written.Seq, j.LastSeq())
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -182,7 +181,7 @@ func TestSectionlessCheckpointRestoresUnfiltered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Sections) != 1 || newReplayApplier(NewStoreShards(n, shards), &loaded, 1).snap != nil {
+	if len(loaded.Sections) != 1 || newReplayApplier(NewStoreShards(n, shards), &loaded).snap != nil {
 		t.Fatalf("sections %+v: restore would filter per record against a uniform watermark", loaded.Sections)
 	}
 	for _, workers := range []int{1, 2, shards} {
@@ -205,11 +204,10 @@ func TestSectionlessCheckpointRestoresUnfiltered(t *testing.T) {
 }
 
 // TestStripedCheckpointUnderConcurrentTraffic checkpoints repeatedly
-// while mutator goroutines hammer the journaled store — the striped
-// snapshot holds only one stripe lock at a time, so traffic keeps
-// flowing mid-checkpoint. Every checkpoint written during the storm
-// must restore (with the WAL suffix on top) to the final state, with
-// one apply lane and with one per stripe.
+// while mutator goroutines hammer the journaled store. Every checkpoint
+// taken during the storm must be one exact cut — every section at
+// watermark Seq — and the last must restore (with the WAL suffix on
+// top) to the final state, with one apply lane and with one per stripe.
 func TestStripedCheckpointUnderConcurrentTraffic(t *testing.T) {
 	const n, shards = 128, 8
 	st, j, fs, dir := newJournaled(t, n, shards, wal.Options{SegmentBytes: 1 << 16})
@@ -241,10 +239,16 @@ func TestStripedCheckpointUnderConcurrentTraffic(t *testing.T) {
 				return
 			default:
 			}
-			if _, _, err := j.Checkpoint(); err != nil {
+			snap, _, err := j.Checkpoint()
+			if err != nil {
 				t.Errorf("checkpoint under traffic: %v", err)
 				ckptDone <- taken
 				return
+			}
+			for _, sec := range snap.Sections {
+				if sec.Watermark != snap.Seq {
+					t.Errorf("checkpoint at seq %d has section [%d,%d) at watermark %d", snap.Seq, sec.Lo, sec.Hi, sec.Watermark)
+				}
 			}
 			taken++
 		}
@@ -261,9 +265,7 @@ func TestStripedCheckpointUnderConcurrentTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Also into stores striped differently from the one checkpointed: a
-	// stripe that spans several sections (1, 2, 4 stripes) filters bin by
-	// bin, one inside a section (16) by the section's watermark.
+	// Also into stores striped differently from the one checkpointed.
 	for _, geo := range [][2]int{{1, shards}, {shards, shards}, {2, 2}, {4, 4}, {4, 16}, {1, 1}} {
 		workers := geo[0]
 		fresh := NewStoreShards(n, geo[1])
@@ -279,6 +281,70 @@ func TestStripedCheckpointUnderConcurrentTraffic(t *testing.T) {
 		}
 		if fresh.Allocs() != wantAllocs || fresh.Frees() != wantFrees {
 			t.Fatalf("workers=%d: clocks %d/%d want %d/%d", workers, fresh.Allocs(), fresh.Frees(), wantAllocs, wantFrees)
+		}
+	}
+}
+
+// TestOldStripedCheckpointRestoresExactly keeps the reader of
+// checkpoints with distinct section watermarks under test: older
+// releases copied the store one stripe at a time under traffic, and
+// such files (the frozen benchmark's fixture among them) must still
+// restore exactly. The test builds one by hand over a live WAL — one
+// stripe copied every 64 records, its section at the seq drawn last,
+// Seq the first copy's — and restores it into stores striped inside,
+// along and across its sections (a stripe spanning sections filters
+// bin by bin), at several worker counts.
+func TestOldStripedCheckpointRestoresExactly(t *testing.T) {
+	const n, stripes, stagger = 128, 8, 64
+	st, j, fs, dir := newJournaled(t, n, stripes, wal.Options{})
+	st.FillBalanced(n)
+	const size = n / stripes
+	var stripeAllocs, stripeFrees [stripes]int64
+	var snap checkpoint.Snapshot
+	snap.Loads = make([]int32, n)
+	r := rng.New(7)
+	const ops, ckptAt = 3000, 1000
+	for i := 1; i <= ops; i++ {
+		b := int(r.Uint64n(n))
+		switch x := r.Float64(); {
+		case x < 0.55:
+			admitOne(st, b)
+			stripeAllocs[b/size]++
+		case x < 0.95:
+			if _, err := st.FreeBin(b); err == nil {
+				stripeFrees[b/size]++
+			}
+		default:
+			st.Crash(b, 1+int(r.Uint64n(3)))
+		}
+		if s := (i - ckptAt) / stagger; i >= ckptAt && (i-ckptAt)%stagger == 0 && s < stripes {
+			loads := st.LoadsCopy()
+			for b := s * size; b < (s+1)*size; b++ {
+				snap.Loads[b] = int32(loads[b])
+			}
+			snap.Sections = append(snap.Sections, checkpoint.Section{Lo: s * size, Hi: (s + 1) * size, Watermark: j.LastSeq()})
+			snap.Allocs += stripeAllocs[s]
+			snap.Frees += stripeFrees[s]
+		}
+	}
+	snap.Seq = snap.Sections[0].Watermark
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.WriteFS(fs, dir, snap); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, _, err := checkpoint.LoadLatestFS(fs, dir); err != nil || loaded.MaxWatermark() <= loaded.Seq {
+		t.Fatalf("hand-built checkpoint: max watermark %d, Seq %d, %v", loaded.MaxWatermark(), loaded.Seq, err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, geo := range []int{1, 4, 8, 16} {
+			fresh := NewStoreShards(n, geo)
+			res, err := RestoreFSOpts(fresh, fs.Clone(), dir, RestoreOptions{Workers: workers})
+			if err != nil || res.CheckpointSeq != snap.Seq {
+				t.Fatalf("workers=%d stripes=%d: restore %+v, %v", workers, geo, res, err)
+			}
+			assertStoresEqual(t, fmt.Sprintf("workers=%d stripes=%d", workers, geo), fresh, st)
 		}
 	}
 }

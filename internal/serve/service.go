@@ -224,12 +224,12 @@ func (l *Lane) Free(fromBin bool, bin, count int, dst []Placement) ([]Placement,
 	}
 	for freed := 0; freed < count; {
 		n := min(count-freed, laneChunk)
-		got := st.freeDrawn(l.r, l.svc.sc, l.bins[:n], l.loads[:n])
+		got, err := st.freeDrawn(l.r, l.svc.sc, l.bins[:n], l.loads[:n])
 		for i := 0; i < got; i++ {
 			dst = append(dst, Placement{Bin: l.bins[i], Load: l.loads[i]})
 		}
 		if freed += got; freed == 0 {
-			return dst, ErrEmpty
+			return dst, err
 		} else if got < n {
 			break
 		}

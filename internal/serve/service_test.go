@@ -339,6 +339,35 @@ func TestEngineRetracesPerPhaseGoldens(t *testing.T) {
 	}
 }
 
+// TestStripeCountIsNotAProcessParameter: both departure streams draw
+// the target-th ball or the target-th nonempty bin in bin order, and
+// the store moves under one mutex whatever its index stripes, so the
+// stripe count changes no trajectory. The grid mirrors the goldens'
+// setup at pass sizes 1 and 64; every stripe count must land on one
+// final loads hash per policy, scenario and pass size.
+func TestStripeCountIsNotAProcessParameter(t *testing.T) {
+	for _, pol := range []Policy{NewABKUPolicy(2), NewADAPPolicy(rules.SliceThresholds{1, 2, 2, 3})} {
+		for _, sc := range []process.Scenario{process.ScenarioA, process.ScenarioB} {
+			for _, batch := range []int{1, 64} {
+				var want uint64
+				for _, stripes := range []int{1, 2, 8, 64, 256} {
+					st := NewStoreShards(257, stripes)
+					st.FillBalanced(400)
+					st.Crash(3, 100)
+					eng := NewEngine(Config{Store: st, Policy: pol, Scenario: sc, Workers: 1, Seed: 1998, MaxSteps: 20000, Batch: batch})
+					eng.Run(context.Background())
+					h := loadsHash(st)
+					if stripes == 1 {
+						want = h
+					} else if h != want {
+						t.Fatalf("%s/%v/batch=%d: %d stripes end at %#016x, 1 stripe at %#016x", pol.Name(), sc, batch, stripes, h, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestEpisodeState walks the shared state machine through its
 // transitions: boot episode, announced fault, merged fault keeping the
 // origin, drift-opened outage.

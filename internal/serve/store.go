@@ -14,15 +14,15 @@
 // applies to the live system unchanged.
 //
 // Concurrency model: per-bin loads live in a flat array of atomics, so
-// admissions probe without a lock. Mutations go through striped locks.
-// Every mutation that can span stripes — an admission batch, a
-// departure draw, a drive pass, a crash — is one critical section: it
-// takes every stripe lock once, in index order, so its draws are exact
-// and its admissions apply in entry order, and it publishes the store's
-// counters with one atomic add each before the hook hears of it.
-// FreeBin and the striped checkpoint take one stripe at a time. Each
-// shard's ball total and bin index (index.go) give the Scenario A draw a
-// weighted sample and give LoadSummary and the detector the maximum
+// admissions probe without a lock. Every mutation — an admission batch,
+// a departure draw, a drive pass, a crash, a FreeBin — is one critical
+// section under the store's one mutex, so the store moves as the
+// paper's sequential chain does: its draws are exact, its admissions
+// apply in entry order, and it publishes the store's counters with one
+// atomic add each before the hook hears of it. The contiguous stripes
+// that remain are the bin index (index.go): each stripe's ball total
+// and sums give the Scenario A draw a weighted sample, and its atomic
+// maximum and histogram give LoadSummary and the detector the maximum
 // load and the histogram — lock-free, like every reader here: loads and
 // the index are written per ball, so a reader sees a section's balls
 // one by one and its counters at once. Single-worker runs from one rng
@@ -55,39 +55,32 @@ var ErrEmptyBin = errors.New("serve: bin is empty")
 // loads bounds every bin's int32 load, so no bin can wrap.
 var ErrOverflow = errors.New("serve: the store would hold more than math.MaxInt32 balls")
 
-// shard is one lock stripe of the store. The mutex guards the bins in
-// [lo, hi) and the stripe's plain counters — its ball total and its
-// completed admissions/departures — which only lock holders read: the
-// Scenario A draw inside a section, and the striped checkpoint, which
-// sums allocs and frees over the stripes (hence Restore may rebase them
-// onto one stripe). sum1 through atLeast are the stripe's index (see
-// index.go). The pad keeps adjacent shards off each other's cache lines.
+// shard is one stripe of the store's bin index: the bins in [lo, hi),
+// the stripe's ball total and the sums, occupancy bits, maximum and
+// histogram of index.go. The plain fields are written and read under
+// the store's mutex; the atomics are read lock-free.
 type shard struct {
-	mu     sync.Mutex
-	total  int64
-	allocs int64
-	frees  int64
-	lo     int
-	hi     int
+	total int64
+	lo    int
+	hi    int
 
-	sum1    []int64                      // balls per run of 64 bins; guarded by mu
-	sum2    []int64                      // balls per run of 64 sum1 entries; guarded by mu
-	occ     []uint64                     // bit i of word j: bin lo+64j+i holds a ball; guarded by mu
+	sum1    []int64                      // balls per run of 64 bins
+	sum2    []int64                      // balls per run of 64 sum1 entries
+	occ     []uint64                     // bit i of word j: bin lo+64j+i holds a ball
 	sparse  atomic.Pointer[sparseLevels] // bins on each load >= denseLevels
 	max     atomic.Int32                 // largest load in [lo, hi)
 	atLeast [denseLevels]atomic.Int32    // atLeast[l]: bins holding l balls or more
-	_       [20]byte
 }
 
 // StoreHook observes committed store mutations. It is called with the
-// mutated bins' stripe locks held — after the mutation is applied and
-// the counters published — so per-bin hook order is per-bin mutation
-// order; it must be fast and never call back into the store (the
-// Journal only draws seqs and enqueues WAL records). A critical section
-// reports its departures first, one OnFree per ball in draw order (the
-// Journal takes them as one run; see freeRunHook), then its admissions
-// as one OnAllocRun in entry order, so the Journal's per-push overhead
-// is paid once per batch. bins must not be retained past the call.
+// store's mutex held — after the mutation is applied and the counters
+// published — so hook order is mutation order; it must be fast and
+// never call back into the store (the Journal only draws seqs and
+// enqueues WAL records). A critical section reports its departures
+// first, one OnFree per ball in draw order (the Journal takes them as
+// one run; see freeRunHook), then its admissions as one OnAllocRun in
+// entry order, so the Journal's per-push overhead is paid once per
+// batch. bins must not be retained past the call.
 type StoreHook interface {
 	OnAllocRun(bins []int)
 	OnFree(bin int)
@@ -114,19 +107,21 @@ type Store struct {
 	shards    []shard
 	hook      StoreHook // set before traffic via SetHook; nil = one branch per mutation
 
+	mu sync.Mutex // guards every mutation, the shards' plain fields and the hook calls
+
 	total    atomic.Int64 // balls currently stored
 	nonEmpty atomic.Int64 // bins with load > 0
 	allocs   atomic.Int64 // completed admissions (the service's step clock)
 	frees    atomic.Int64 // completed Free* calls
 }
 
-// NewStore returns an empty store with n bins and 8 shards (fewer when
-// n < 8), whatever GOMAXPROCS: a section takes every stripe, so more
-// would only add lock pairs to it. NewStoreShards pins another count.
+// NewStore returns an empty store with n bins and 8 index stripes
+// (fewer when n < 8). NewStoreShards pins another count; the stripe
+// count changes no draw and no trajectory, only the index's shape.
 func NewStore(n int) *Store { return NewStoreShards(n, min(8, ceilPow2(n))) }
 
 // NewStoreShards returns an empty store with n bins and exactly
-// `shards` lock stripes. It panics unless n >= 1 and shards is a power
+// `shards` index stripes. It panics unless n >= 1 and shards is a power
 // of two in [1, 2^20].
 func NewStoreShards(n, shards int) *Store {
 	if n < 1 {
@@ -168,7 +163,7 @@ func ceilPow2(x int) int {
 // N returns the number of bins.
 func (st *Store) N() int { return st.n }
 
-// Shards returns the number of lock stripes.
+// Shards returns the number of index stripes.
 func (st *Store) Shards() int { return len(st.shards) }
 
 // Total returns the number of balls currently stored.
@@ -201,23 +196,9 @@ func (st *Store) shardOf(b int) *shard { return &st.shards[b/st.shardSize] }
 // intended call sites.
 func (st *Store) SetHook(h StoreHook) { st.hook = h }
 
-// lockAll opens a critical section: every shard lock, in index order,
-// so no other mutation (and no journal push) runs until unlockAll.
-func (st *Store) lockAll() {
-	for i := range st.shards {
-		st.shards[i].mu.Lock()
-	}
-}
-
-func (st *Store) unlockAll() {
-	for i := len(st.shards) - 1; i >= 0; i-- {
-		st.shards[i].mu.Unlock()
-	}
-}
-
 // tally is one critical section's movement of the store's counters,
-// plain integers its locks guard until settle publishes them — before
-// the hook runs, so a push that blocks for room has already published.
+// plain integers until settle publishes them — before the hook runs, so
+// a push that blocks for room has already published.
 type tally struct{ total, nonEmpty, allocs, frees int64 }
 
 func (st *Store) settle(t *tally) {
@@ -228,13 +209,12 @@ func (st *Store) settle(t *tally) {
 }
 
 // add puts one ball into bin b and returns the bin's new load. Caller
-// holds b's stripe lock; t takes the store-counter movement.
+// holds the store's mutex; t takes the store-counter movement.
 func (st *Store) add(b int, t *tally) int32 {
 	sh := st.shardOf(b)
 	l := st.loads[b].Add(1)
 	sh.reindex(b, l-1, l)
 	sh.total++
-	sh.allocs++
 	t.total++
 	t.allocs++
 	if l == 1 {
@@ -249,7 +229,6 @@ func (st *Store) take(b int, t *tally) int32 {
 	l := st.loads[b].Add(-1)
 	sh.reindex(b, l+1, l)
 	sh.total--
-	sh.frees++
 	t.total--
 	t.frees++
 	if l == 0 {
@@ -332,7 +311,7 @@ type freeRunHook interface{ onFreeRun(bins []int) }
 
 // release ends a section: it publishes t, reports the departures (in
 // draw order) and then the admissions (one OnAllocRun, in entry order)
-// to the hook, and unlocks every stripe.
+// to the hook, and unlocks the store.
 func (st *Store) release(t *tally, freed, admitted []int) {
 	st.settle(t)
 	if h := st.hook; h != nil {
@@ -347,7 +326,7 @@ func (st *Store) release(t *tally, freed, admitted []int) {
 			h.OnAllocRun(admitted)
 		}
 	}
-	st.unlockAll()
+	st.mu.Unlock()
 }
 
 // AdmitBatch admits one ball into bins[i] for every i — the store's
@@ -373,9 +352,9 @@ func (st *Store) admit(bins []int, loads []int32, need int) error {
 		}
 	}
 	var t tally
-	st.lockAll()
+	st.mu.Lock()
 	if st.total.Load()+int64(need) > math.MaxInt32 {
-		st.unlockAll()
+		st.mu.Unlock()
 		return ErrOverflow
 	}
 	for i, b := range bins {
@@ -389,15 +368,14 @@ func (st *Store) admit(bins []int, loads []int32, need int) error {
 }
 
 // FreeBin removes one ball from the specific bin b and returns its new
-// load, or ErrEmptyBin if the bin holds no ball. It takes b's stripe
-// lock alone. It panics if b is out of range.
+// load, or ErrEmptyBin if the bin holds no ball. It panics if b is out
+// of range.
 func (st *Store) FreeBin(b int) (int, error) {
 	if b < 0 || b >= st.n {
 		panic(fmt.Sprintf("serve: FreeBin bin %d out of range [0,%d)", b, st.n))
 	}
-	sh := st.shardOf(b)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.loads[b].Load() == 0 {
 		return 0, ErrEmptyBin
 	}
@@ -414,28 +392,32 @@ func (st *Store) FreeBin(b int) (int, error) {
 // uniformly among all stored balls and returns its bin. The draw is one
 // critical section (see draw), so it is exact however much traffic
 // races it.
-func (st *Store) FreeBall(r *rng.RNG) (int, error) { return st.freeOne(r, process.ScenarioA) }
+func (st *Store) FreeBall(r *rng.RNG) (int, error) {
+	one := [1]int{-1}
+	_, err := st.freeDrawn(r, process.ScenarioA, one[:], nil)
+	return one[0], err
+}
 
 // FreeNonEmpty is the Scenario B departure stream: it removes one ball
 // from a bin chosen uniformly among the nonempty bins and returns the
 // bin; see FreeBall.
-func (st *Store) FreeNonEmpty(r *rng.RNG) (int, error) { return st.freeOne(r, process.ScenarioB) }
-
-func (st *Store) freeOne(r *rng.RNG, sc process.Scenario) (int, error) {
-	var one [1]int
-	if st.freeDrawn(r, sc, one[:], nil) == 0 {
-		return -1, ErrEmpty
-	}
-	return one[0], nil
+func (st *Store) FreeNonEmpty(r *rng.RNG) (int, error) {
+	one := [1]int{-1}
+	_, err := st.freeDrawn(r, process.ScenarioB, one[:], nil)
+	return one[0], err
 }
 
-// freeDrawn is drawFrees in a section of its own.
-func (st *Store) freeDrawn(r *rng.RNG, sc process.Scenario, bins []int, loads []int32) int {
+// freeDrawn is drawFrees in a section of its own. It returns ErrEmpty
+// when it removed no ball.
+func (st *Store) freeDrawn(r *rng.RNG, sc process.Scenario, bins []int, loads []int32) (int, error) {
 	var t tally
-	st.lockAll()
+	st.mu.Lock()
 	n := st.drawFrees(r, sc, bins, loads, &t)
 	st.release(&t, bins[:n], nil)
-	return n
+	if n == 0 {
+		return 0, ErrEmpty
+	}
+	return n, nil
 }
 
 // Crash dumps k extra balls into bin b at once — the fault injector
@@ -454,8 +436,8 @@ func (st *Store) Crash(b, k int) (int, error) {
 	if k == 0 {
 		return st.Load(b), nil
 	}
-	st.lockAll()
-	defer st.unlockAll()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	old := st.loads[b].Load()
 	if int64(k) > math.MaxInt32-st.total.Load() {
 		return int(old), ErrOverflow
@@ -477,17 +459,18 @@ func (st *Store) Crash(b, k int) (int, error) {
 
 // FillBalanced seeds the store with the most balanced state of Omega_m:
 // every bin gets floor(m/n) balls and the first m mod n bins one more.
-// It takes each shard lock once (the hook sees one OnCrash per seeded
-// bin, in bin order; the index is built once per shard), and seeding
-// counts as neither admissions nor departures.
+// It is one critical section (the hook sees one OnCrash per seeded bin,
+// in bin order; the index is built once per stripe), and seeding counts
+// as neither admissions nor departures.
 func (st *Store) FillBalanced(m int) {
 	if m < 0 {
 		panic("serve: FillBalanced needs m >= 0")
 	}
 	q, rem := m/st.n, m%st.n
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	for i := range st.shards {
 		sh := &st.shards[i]
-		sh.mu.Lock()
 		var added, filled int64
 		for b := sh.lo; b < sh.hi; b++ {
 			add := q
@@ -511,7 +494,6 @@ func (st *Store) FillBalanced(m int) {
 			st.total.Add(added)
 			st.nonEmpty.Add(filled)
 		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -600,16 +582,10 @@ func (st *Store) Restore(loads []int32, allocs, frees int64) error {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		t, ne := sh.rebuild(st.loads)
-		sh.total, sh.allocs, sh.frees = t, 0, 0
+		sh.total = t
 		total += t
 		nonEmpty += ne
 	}
-	// The restored totals cannot be attributed to individual stripes
-	// (the snapshot persists only the sums), so they rebase onto stripe
-	// 0: per-stripe counts stop being meaningful, but the sum over
-	// stripes — the only thing a striped checkpoint persists — stays
-	// exact as subsequent mutations bump their own stripes.
-	st.shards[0].allocs, st.shards[0].frees = allocs, frees
 	st.total.Store(total)
 	st.nonEmpty.Store(nonEmpty)
 	st.allocs.Store(allocs)

@@ -78,7 +78,7 @@ type Config struct {
 	Rounds      int // crash/restore cycles per schedule
 	OpsPerRound int // store mutations attempted per round
 	Bins        int // store bins
-	Shards      int // store lock stripes
+	Shards      int // store index stripes
 
 	// CheckpointEvery takes a checkpoint after every that-many mutations
 	// within a round (0 disables checkpoints).

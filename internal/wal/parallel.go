@@ -158,7 +158,7 @@ func (r *replay) decode(raw rawSegment) (d decodedSegment) {
 // segments are sound to apply before handing their batches to
 // opts.Workers apply workers. Records of one partition are always
 // applied, in file order, by one worker, so callers whose partitions
-// commute (the store's lock stripes) get a final state that does not
+// commute (the store's index stripes) get a final state that does not
 // depend on the worker count; Workers == 1 is the same pipeline with a
 // single apply lane. Segment buffers and record batches come from free
 // lists of fixed size owned by this call (see PipelineOptions.ReadAhead),
