@@ -635,11 +635,13 @@ func runReplica(svc *serve.Service, opt options) int {
 
 // printRestoreBreakdown prints the restore phases the drills assert on,
 // then the replay's stage totals (summed over each stage's goroutines:
-// they overlap, and can exceed the replay's wall time).
+// they overlap, and can exceed the replay's wall time) and its WAL
+// segments by path (skipped, summarized from footers, decoded).
 func printRestoreBreakdown(res serve.RestoreResult) {
-	fmt.Printf("dynallocd: restore breakdown: checkpoint %v, replay %v, fence %v, workers %d, read %v, decode %v, apply %v\n",
+	fmt.Printf("dynallocd: restore breakdown: checkpoint %v, replay %v, fence %v, workers %d, read %v, decode %v, apply %v, segments %d skipped / %d summarized / %d decoded\n",
 		time.Duration(res.CheckpointNs), time.Duration(res.ReplayNs), time.Duration(res.FenceNs), res.Workers,
-		time.Duration(res.ReadNs), time.Duration(res.DecodeNs), time.Duration(res.ApplyNs))
+		time.Duration(res.ReadNs), time.Duration(res.DecodeNs), time.Duration(res.ApplyNs),
+		res.SegmentsSkipped, res.SegmentsSummarized, res.SegmentsDecoded)
 }
 
 // warnMaint surfaces a checkpoint's non-fatal maintenance failure

@@ -212,11 +212,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	// (record offset 9..17) of the last surviving record IS the highest
 	// surviving seq.
 	recordsIn := func(cfs *simfs.FS, path string) int {
-		size := cfs.Size(path)
-		if size < 0 {
+		data, err := cfs.ReadFile(path)
+		if err != nil {
 			t.Fatalf("missing segment %s", path)
 		}
-		return int((size - 16) / wal.RecordSize)
+		return (len(data) - 16 - wal.FooterLen(data)) / wal.RecordSize
 	}
 	seqAt := func(cfs *simfs.FS, path string, idx int) int {
 		data, err := cfs.ReadFile(path)
@@ -913,7 +913,7 @@ func TestJournalLogIsInSeqOrderAcrossRotations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for off := 16; off < len(data); off += wal.RecordSize {
+		for off := 16; off < len(data)-wal.FooterLen(data); off += wal.RecordSize {
 			rec, ok := wal.DecodeRecord(data[off : off+wal.RecordSize])
 			if !ok || rec.Seq != last+1 {
 				t.Fatalf("%s byte %d: seq %d (ok=%v) after seq %d", p, off, rec.Seq, ok, last)

@@ -11,6 +11,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -59,6 +60,9 @@ type RestoreResult struct {
 	Torn           bool   // replay stopped at a torn/corrupted record
 	LastSeq        uint64 // seq the rebuilt state is consistent with
 	StaleRemoved   int    // unreachable post-gap segments pruned (see wal.RemoveStaleFS)
+
+	// WAL segments by how the replay took them (see wal.ReplayStats).
+	SegmentsSkipped, SegmentsSummarized, SegmentsDecoded int
 
 	Workers      int   // apply workers the replay ran with
 	CheckpointNs int64 // loading + installing the checkpoint
@@ -130,9 +134,11 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 	t0 = time.Now()
 	st.mu.Lock()
 	stats, err := wal.ReplayPipelineFS(fsys, dir, res.CheckpointSeq, wal.PipelineOptions{
-		Workers:    workers,
-		Partition:  func(rec wal.Record) int { return int(rec.Bin) / st.shardSize },
-		ApplyBatch: ap.applyBatch,
+		Workers:      workers,
+		Partition:    func(rec wal.Record) int { return int(rec.Bin) / st.shardSize },
+		ApplyBatch:   ap.applyBatch,
+		ApplySummary: ap.applySummary,
+		Floor:        snap.MaxWatermark(),
 	})
 	if ap.applied.Load() > 0 {
 		for i := range st.shards {
@@ -144,6 +150,7 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 	res.ReadNs, res.DecodeNs, res.ApplyNs = stats.ReadNs, stats.DecodeNs, stats.ApplyNs
 	res.Replayed = ap.applied.Load()
 	res.SkippedFrees = ap.skippedFrees.Load()
+	res.SegmentsSkipped, res.SegmentsSummarized, res.SegmentsDecoded = stats.Skipped, stats.Summarized, stats.Decoded
 	if err != nil {
 		return res, err
 	}
@@ -156,6 +163,9 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 	}
 	metrics.AddCounter("wal.replay.records", res.Replayed)
 	metrics.AddCounter("wal.replay.skipped_frees", res.SkippedFrees)
+	metrics.AddCounter("wal.replay.segments_skipped", int64(stats.Skipped))
+	metrics.AddCounter("wal.replay.segments_summarized", int64(stats.Summarized))
+	metrics.AddCounter("wal.replay.segments_decoded", int64(stats.Decoded))
 
 	// Replay may have stopped short of the on-disk max at a seq gap (an
 	// aborted append dropped a record; everything past it was never
@@ -271,6 +281,10 @@ func (a *replayApplier) applyBatch(_ int, recs []wal.Record) error {
 		if d == 0 {
 			continue
 		}
+		if int64(st.loads[bin].Load())+int64(d) > math.MaxInt32 {
+			err = fmt.Errorf("serve: replay record seq %d overflows bin %d", rec.Seq, bin)
+			break
+		}
 		l := st.loads[bin].Add(d)
 		if a.index {
 			sh := st.shardOf(bin)
@@ -286,6 +300,37 @@ func (a *replayApplier) applyBatch(_ int, recs []wal.Record) error {
 	}
 	st.settle(&t)
 	a.applied.Add(applied)
+	a.skippedFrees.Add(skipped)
+	return err
+}
+
+// applySummary applies a worker's share of a sealed segment's footer
+// with the effect applyBatch gives its records (see wal.Summary): the
+// same loads, the same skipped frees taken out of the segment's free
+// count, an overflow exactly when the records would overflow. Only the
+// cold restore, which rebuilds the indexes afterwards, applies one.
+func (a *replayApplier) applySummary(_ int, sum wal.Summary) error {
+	st := a.st
+	t := tally{allocs: sum.Allocs, frees: sum.Frees}
+	var skipped int64
+	var err error
+	for _, e := range sum.Entries {
+		bin := int(e.Bin)
+		if bin >= st.n || int64(st.loads[bin].Load())+int64(e.High) > math.MaxInt32 {
+			err = fmt.Errorf("serve: replay summary overflows or misses bin %d of %d", bin, st.n)
+			break
+		}
+		x0 := int64(st.loads[bin].Load())
+		s := max(0, -(x0 + int64(e.Low)))
+		x1 := x0 + int64(e.Delta) + s
+		skipped += s
+		st.loads[bin].Store(int32(x1))
+		t.total += x1 - x0
+		t.nonEmpty += min(x1, 1) - min(x0, 1) // loads are never negative
+	}
+	t.frees -= skipped
+	st.settle(&t)
+	a.applied.Add(sum.Records)
 	a.skippedFrees.Add(skipped)
 	return err
 }

@@ -271,46 +271,29 @@ type Violation struct {
 
 // Error implements error.
 func (v *Violation) Error() string {
-	var mode string
-	if v.Burst > 1 {
-		mode = fmt.Sprintf(" burst=%d", v.Burst)
-	}
-	if v.AdmitBatch > 1 {
-		mode += fmt.Sprintf(" admitbatch=%d", v.AdmitBatch)
-	}
-	if v.Burst > 1 || v.AdmitBatch > 1 {
-		mode += fmt.Sprintf(" maxbatch=%d", v.MaxBatch)
-	}
-	if v.Chaos > 0 {
-		mode += fmt.Sprintf(" chaos=%d", v.Chaos)
-	}
-	if v.Workers != 0 && v.Workers != Default().RestoreWorkers {
-		mode += fmt.Sprintf(" workers=%d", v.Workers)
-	}
 	return fmt.Sprintf("durability violation at seed=%d schedule=%d round=%d%s: %s",
-		v.Seed, v.Schedule, v.Round, mode, v.Msg)
+		v.Seed, v.Schedule, v.Round, v.knobs(""), v.Msg)
 }
 
 // Repro returns a one-line shell repro for this violation.
 func (v *Violation) Repro() string {
-	repro := fmt.Sprintf("go test ./internal/simfs/explore -run TestReplaySchedule -explore.seed=%d -explore.schedule=%d",
-		v.Seed, v.Schedule)
-	if v.Burst > 1 {
-		repro += fmt.Sprintf(" -explore.burst=%d", v.Burst)
+	return fmt.Sprintf("go test ./internal/simfs/explore -run TestReplaySchedule -explore.seed=%d -explore.schedule=%d%s",
+		v.Seed, v.Schedule, v.knobs("-explore."))
+}
+
+// knobs renders the schedule's non-default knobs as " <prefix>name=value".
+func (v *Violation) knobs(prefix string) (s string) {
+	add := func(on bool, name string, val int) {
+		if on {
+			s += fmt.Sprintf(" %s%s=%d", prefix, name, val)
+		}
 	}
-	if v.AdmitBatch > 1 {
-		repro += fmt.Sprintf(" -explore.admitbatch=%d", v.AdmitBatch)
-	}
-	if v.Burst > 1 || v.AdmitBatch > 1 {
-		repro += fmt.Sprintf(" -explore.maxbatch=%d", v.MaxBatch)
-	}
-	if v.Chaos > 0 {
-		repro += fmt.Sprintf(" -explore.chaos=%d", v.Chaos)
-	}
-	if v.Workers != 0 && v.Workers != Default().RestoreWorkers {
-		repro += fmt.Sprintf(" -explore.workers=%d", v.Workers)
-	}
-	return repro
+	add(v.Burst > 1, "burst", v.Burst)
+	add(v.AdmitBatch > 1, "admitbatch", v.AdmitBatch)
+	add(v.Burst > 1 || v.AdmitBatch > 1, "maxbatch", v.MaxBatch)
+	add(v.Chaos > 0, "chaos", v.Chaos)
+	add(v.Workers != 0 && v.Workers != Default().RestoreWorkers, "workers", v.Workers)
+	return s
 }
 
 // Stats aggregates what an exploration exercised; all fields are
@@ -319,6 +302,7 @@ type Stats struct {
 	StoreOps       int64 // store mutations driven (acknowledged or not)
 	FSOps          int64 // simulated filesystem operations consumed
 	Restores       int   // restore passes executed
+	Summarized     int   // WAL segments those restores applied from their footers
 	Checkpoints    int   // checkpoints that completed successfully
 	MidOpCuts      int   // rounds whose armed crash point fired during traffic
 	TornCuts       int   // power cuts that left at least one torn tail
@@ -331,6 +315,7 @@ func (s *Stats) add(o Stats) {
 	s.StoreOps += o.StoreOps
 	s.FSOps += o.FSOps
 	s.Restores += o.Restores
+	s.Summarized += o.Summarized
 	s.Checkpoints += o.Checkpoints
 	s.MidOpCuts += o.MidOpCuts
 	s.TornCuts += o.TornCuts
@@ -539,6 +524,7 @@ func runSchedule(cfg Config, schedule int) (*Violation, Stats) {
 		st = serve.NewStoreShards(cfg.Bins, cfg.Shards)
 		res, err := cfg.Restore(st, fs, dir, serve.RestoreOptions{Workers: cfg.RestoreWorkers})
 		stats.Restores++
+		stats.Summarized += res.SegmentsSummarized
 		stats.FSOps = fs.OpCount()
 		if err != nil {
 			return fail(round, "restore failed: %v", err)

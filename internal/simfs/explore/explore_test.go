@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dynalloc/internal/simfs/explore"
+	"dynalloc/internal/wal"
 )
 
 // Repro flags: a failing schedule prints a one-line
@@ -21,6 +22,7 @@ var (
 	exploreMaxBatch   = flag.Int("explore.maxbatch", 0, "journal batch ceiling for TestReplaySchedule burst/admit-batch mode")
 	exploreChaos      = flag.Int("explore.chaos", 0, "chaos faults per round for TestReplaySchedule (0 = none)")
 	exploreWorkers    = flag.Int("explore.workers", 0, "restore apply workers for TestReplaySchedule (0 = suite default of 2, 1 = one apply lane)")
+	exploreSummarized = flag.Bool("explore.summarized", false, "replay on TestExploreSummarized's configuration")
 
 	// exploreSchedules overrides the sweep width of every TestExplore*
 	// sweep; the nightly soak passes -explore.schedules=10000.
@@ -326,6 +328,9 @@ func TestReplaySchedule(t *testing.T) {
 		t.Skip("replay entry point: pass -explore.seed and -explore.schedule")
 	}
 	cfg := explore.Default()
+	if *exploreSummarized {
+		cfg = summarizedConfig()
+	}
 	if *exploreBurst > 1 {
 		cfg = explore.DefaultBatched()
 		cfg.Burst = *exploreBurst
@@ -444,6 +449,64 @@ func TestExploreBatchedFindsLegacyTornStopBug(t *testing.T) {
 		t.Fatalf("repro did not replay: got %v, want %v", rv, &v)
 	}
 
+	cfg.Restore = nil
+	if v2 := explore.RunSchedule(cfg, v.Schedule); v2 != nil {
+		t.Fatalf("schedule %d fails even without the mutation: %v", v.Schedule, v2)
+	}
+}
+
+// summarizedConfig is the sweep whose restores apply sealed segments
+// from their footers: 4 bins over 2 stripes and 32-record segments, so
+// a segment's entries (at most 4) stay within a quarter of its records,
+// and a checkpoint every 60 mutations, so whole sealed segments lie
+// past it. Its repro lines carry -explore.summarized.
+func summarizedConfig() explore.Config {
+	c := explore.Default()
+	c.Bins, c.Shards = 4, 2
+	c.SegmentBytes = 32 * wal.RecordSize
+	c.CheckpointEvery = 60
+	return c
+}
+
+// TestExploreSummarized sweeps power cuts over logs whose sealed
+// segments carry footers the restores apply in place of their records:
+// the footer path must keep every acknowledged mutation and nothing
+// more, like the record path does.
+func TestExploreSummarized(t *testing.T) {
+	cfg := summarizedConfig()
+	cfg.Seed = *exploreSeed
+	cfg.Schedules = sweepSchedules(cfg.Schedules)
+	res := explore.Explore(cfg)
+	t.Logf("explored %d summarized schedules: %+v", res.Schedules, res.Stats)
+	if res.Stats.Summarized < cfg.Schedules/4 {
+		t.Errorf("only %d segments applied from footers in %d schedules; the footer path is unexercised", res.Stats.Summarized, res.Schedules)
+	}
+	if res.Failed() {
+		writeReproArtifact(t, res)
+		t.Fatalf("durability violations (add -explore.summarized to each repro):\n%s", res.Report())
+	}
+}
+
+// TestExploreSummarizedFindsDroppedBatchBug is the footer's mutation
+// self-check: a summariser that leaves each segment's last batch out
+// of its footer (droppedBatchRestore) must be rediscovered by the
+// summarized sweep, and the same schedule must pass without it.
+func TestExploreSummarizedFindsDroppedBatchBug(t *testing.T) {
+	cfg := summarizedConfig()
+	cfg.Restore = droppedBatchRestore
+	cfg.Schedules = 200
+	cfg.MaxViolations = 1
+	res := explore.Explore(cfg)
+	if !res.Failed() {
+		t.Fatalf("summarized explorer missed the dropped-batch summariser in %d schedules", cfg.Schedules)
+	}
+	v := res.Violations[0]
+	t.Logf("rediscovered after %d summarized schedules: %v", res.Schedules, &v)
+
+	rv := explore.RunSchedule(cfg, v.Schedule)
+	if rv == nil || rv.Round != v.Round || rv.Msg != v.Msg {
+		t.Fatalf("repro did not replay: got %v, want %v", rv, &v)
+	}
 	cfg.Restore = nil
 	if v2 := explore.RunSchedule(cfg, v.Schedule); v2 != nil {
 		t.Fatalf("schedule %d fails even without the mutation: %v", v.Schedule, v2)

@@ -3,7 +3,9 @@ package explore_test
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -81,7 +83,9 @@ func legacyRestore(bug legacyBug) explore.RestoreFunc {
 					break
 				}
 			}
-			body := data[16:]
+			// A footer is not a tear: the historical walk ended cleanly
+			// where the records did.
+			body := data[16 : len(data)-wal.FooterLen(data)]
 			var recs []wal.Record
 			for ; len(body) >= wal.RecordSize; body = body[wal.RecordSize:] {
 				rec, ok := wal.DecodeRecord(body[:wal.RecordSize])
@@ -176,4 +180,86 @@ func TestLegacyRestoreReproducesOldBugs(t *testing.T) {
 	if got := lastSeq(legacyRestore(legacyTornStop), fs); got != 6 {
 		t.Fatalf("torn-stop mutant reached seq %d past a clean gap, want 6", got)
 	}
+}
+
+// droppedBatchRestore is the fifth mutant: the restore of a log whose
+// writer sealed each segment with a summariser that left the segment's
+// last batch out of the footer — here its last record, which in the
+// per-record sweep is usually the whole batch. It rewrites every valid
+// footer on disk the way that writer would have written it, then
+// restores as production does.
+func droppedBatchRestore(st *serve.Store, fsys vfs.FS, dir string, opts serve.RestoreOptions) (serve.RestoreResult, error) {
+	fs := fsys.(*simfs.FS)
+	paths, err := fs.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		return serve.RestoreResult{}, err
+	}
+	for _, p := range paths {
+		data, err := fs.ReadFile(p)
+		n := wal.FooterLen(data)
+		if err != nil || n == 0 {
+			continue
+		}
+		seg := data[:len(data)-n]
+		var recs []wal.Record
+		for off := 16; off+wal.RecordSize <= len(seg); off += wal.RecordSize {
+			if r, ok := wal.DecodeRecord(seg[off : off+wal.RecordSize]); ok {
+				recs = append(recs, r)
+			}
+		}
+		if len(recs) >= 2 && 16+len(recs)*wal.RecordSize == len(seg) {
+			if err := fs.WriteFile(p, sealDroppingLast(seg, recs)); err != nil {
+				return serve.RestoreResult{}, err
+			}
+		}
+	}
+	return serve.RestoreFSOpts(st, fsys, dir, opts)
+}
+
+// sealDroppingLast appends to seg (header and records) the footer the
+// mutant summariser writes: per-bin sums and alloc/free counts over
+// every record but the last, and the true record count and seq range
+// (the log tracks those as it writes), under CRCs that check out.
+func sealDroppingLast(seg []byte, recs []wal.Record) []byte {
+	type sum struct{ delta, low, high int16 }
+	sums := map[uint32]sum{}
+	var allocs, frees, minSeq, maxSeq uint64 = 0, 0, ^uint64(0), 0
+	for _, r := range recs {
+		minSeq, maxSeq = min(minSeq, r.Seq), max(maxSeq, r.Seq)
+	}
+	for _, r := range recs[:len(recs)-1] {
+		d := int16(r.K)
+		switch r.Op {
+		case wal.OpAlloc:
+			d, allocs = 1, allocs+1
+		case wal.OpFree:
+			d, frees = -1, frees+1
+		}
+		s := sums[r.Bin]
+		s.delta += d
+		s.low, s.high = min(s.low, s.delta), max(s.high, s.delta)
+		sums[r.Bin] = s
+	}
+	var bins []uint32
+	for b, s := range sums {
+		if s != (sum{}) {
+			bins = append(bins, b)
+		}
+	}
+	slices.Sort(bins)
+	if len(bins)*4 > len(recs) {
+		bins = nil
+	}
+	le := binary.LittleEndian
+	out := append(slices.Clip(seg), 0xff)
+	for _, b := range bins {
+		s := sums[b]
+		out = le.AppendUint16(le.AppendUint16(le.AppendUint16(le.AppendUint32(out, b), uint16(s.delta)), uint16(s.low)), uint16(s.high))
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	body := crc32.Checksum(out, castagnoli)
+	tail := le.AppendUint64(le.AppendUint64(le.AppendUint64(nil, uint64(len(recs))), allocs), frees)
+	tail = le.AppendUint32(le.AppendUint32(le.AppendUint64(le.AppendUint64(tail, minSeq), maxSeq), uint32(len(bins))), body)
+	tail = le.AppendUint32(tail, crc32.Checksum(tail, castagnoli))
+	return append(append(out, tail...), "dwalsum1"...)
 }

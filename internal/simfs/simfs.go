@@ -680,6 +680,20 @@ func (h *handle) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// ReadAt reads at off without moving the cursor; it is one OpRead.
+func (h *handle) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, errors.New("simfs: negative offset")
+	}
+	at := *h
+	at.off = int(off)
+	n, err := at.Read(p)
+	if err == nil && n < len(p) {
+		err = io.EOF
+	}
+	return n, err
+}
+
 func (h *handle) Close() error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
@@ -763,18 +777,6 @@ func (s *FS) Size(name string) int64 {
 	defer s.mu.Unlock()
 	if ino, ok := s.cur[clean(name)]; ok {
 		return int64(len(ino.data))
-	}
-	return -1
-}
-
-// DurableLen returns how many of a file's bytes would survive a
-// strict (no torn tail) power cut right now; -1 when the file has no
-// durable directory entry at all.
-func (s *FS) DurableLen(name string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ino, ok := s.dur[clean(name)]; ok {
-		return int64(ino.synced)
 	}
 	return -1
 }

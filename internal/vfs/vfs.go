@@ -6,13 +6,14 @@
 // crash-schedule simulations.
 //
 // The interface is deliberately narrow — create-exclusive, append-only
-// writes, fsync, rename, remove, globbing and whole-file reads — which
-// is exactly the vocabulary a write-ahead log and an atomic-rename
-// checkpoint store need, and exactly the vocabulary a power-cut model
-// can give precise semantics to. Anything richer (seeks, truncation,
-// permissions) is intentionally absent: if the durability code cannot
-// express an operation here, it cannot accidentally depend on
-// filesystem behavior the simulator does not model.
+// writes, fsync, rename, remove, globbing, streaming, positional (a WAL
+// segment's footer) and whole-file reads — exactly the vocabulary a
+// write-ahead log and an atomic-rename checkpoint store need, and a
+// power-cut model can give precise semantics to. Anything richer
+// (seeks, truncation, permissions) is intentionally absent: if the
+// durability code cannot express an operation here, it cannot
+// accidentally depend on filesystem behavior the simulator does not
+// model.
 package vfs
 
 import (
@@ -27,10 +28,11 @@ import (
 // are write-only and append-only; handles returned by Open are
 // read-only. Both directions implement the full interface so one type
 // serves the log writer (Write/Sync/Close) and the replay reader
-// (Read/Close); calling the wrong direction returns an error from the
-// underlying implementation.
+// (Read/ReadAt/Close; ReadAt leaves Read's position alone); calling the
+// wrong direction returns an error from the underlying implementation.
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	// Sync forces everything written so far to stable storage. Only
 	// bytes covered by a completed Sync are guaranteed to survive a

@@ -146,11 +146,11 @@ type Log struct {
 	bw       *bufio.Writer
 	curPath  string
 	curSize  int64
-	curMax   uint64 // max seq written to the current segment
 	lastSync time.Time
 	closed   bool
 	one      [1]Record // Append's one-element batch, reused under mu
 	batchBuf []byte    // grow-only encode buffer, reused under mu
+	sum      segSum    // the open segment's footer, built as records land
 
 	// Resolved once in Open: a by-name lookup takes the registry's read
 	// lock and hashes the name, three times per batch on the CPU of
@@ -242,11 +242,7 @@ func (l *Log) appendBatchLocked(recs []Record) error {
 		l.abortSegmentLocked()
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	for i := range recs {
-		if recs[i].Seq > l.curMax {
-			l.curMax = recs[i].Seq
-		}
-	}
+	l.sum.add(recs, buf)
 	l.curSize += int64(need)
 	if metrics.Enabled() {
 		l.appendRecords.Add(int64(len(recs)))
@@ -254,34 +250,23 @@ func (l *Log) appendBatchLocked(recs []Record) error {
 		l.batchRecords.Observe(int64(len(recs)))
 	}
 
-	switch l.opts.Fsync {
-	case FsyncAlways:
-		if err := l.syncLocked(); err != nil {
-			l.abortSegmentLocked()
-			return err
-		}
-		if len(recs) > 1 {
-			// Group commit: all but the first record rode an fsync that
-			// would each have been their own under per-record append.
-			metrics.AddCounter("wal.sync.coalesced", int64(len(recs)-1))
-		}
-	case FsyncInterval:
-		if time.Since(l.lastSync) >= l.opts.FsyncInterval {
-			if err := l.syncLocked(); err != nil {
-				l.abortSegmentLocked()
-				return err
-			}
-			if len(recs) > 1 {
-				metrics.AddCounter("wal.sync.coalesced", int64(len(recs)-1))
-			}
-		}
+	sync := l.opts.Fsync == FsyncAlways ||
+		l.opts.Fsync == FsyncInterval && time.Since(l.lastSync) >= l.opts.FsyncInterval
+	var err error
+	switch {
+	case l.curSize >= l.opts.SegmentBytes:
+		err = l.sealLocked() // the seal's fsync covers the batch too
+	case sync:
+		err = l.syncLocked()
 	}
-
-	if l.curSize >= l.opts.SegmentBytes {
-		if err := l.sealLocked(); err != nil {
-			l.abortSegmentLocked()
-			return err
-		}
+	if err != nil {
+		l.abortSegmentLocked()
+		return err
+	}
+	if sync && len(recs) > 1 {
+		// Group commit: all but the first record rode an fsync that
+		// would each have been their own under per-record append.
+		metrics.AddCounter("wal.sync.coalesced", int64(len(recs)-1))
 	}
 	return nil
 }
@@ -303,7 +288,8 @@ func (l *Log) abortSegmentLocked() {
 	}
 	l.f.Close() // best effort: the segment is already suspect
 	l.f, l.bw, l.curPath = nil, nil, ""
-	l.curSize, l.curMax = 0, 0
+	l.curSize = 0
+	clear(l.sum.bins)
 	metrics.AddCounter("wal.segment.aborts", 1)
 }
 
@@ -325,7 +311,7 @@ func (l *Log) openSegmentLocked(firstSeq uint64) error {
 	}
 	l.f, l.bw, l.curPath = f, bw, path
 	l.curSize = segHeaderSize
-	l.curMax = 0
+	l.sum.reset(hdr[:])
 	if metrics.Enabled() {
 		l.appendBytes.Add(segHeaderSize)
 	}
@@ -350,26 +336,26 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// sealLocked closes the current segment (flushed, and fsynced unless
-// the policy is FsyncNever); the next append opens a fresh one.
+// sealLocked writes the current segment's footer and closes it
+// (flushed, and fsynced unless the policy is FsyncNever); the next
+// append opens a fresh one. The footer rides the seal's one fsync.
 func (l *Log) sealLocked() error {
 	if l.f == nil {
 		return nil
 	}
-	if err := l.bw.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+	if err := l.sum.write(l.bw); err != nil {
+		return fmt.Errorf("wal: write footer: %w", err)
 	}
 	if l.opts.Fsync != FsyncNever {
-		start := time.Now()
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
+		if err := l.syncLocked(); err != nil {
+			return err
 		}
-		metrics.ObserveHistogram("wal.fsync_ns", time.Since(start).Nanoseconds())
-		l.lastSync = time.Now()
+	} else if err := l.bw.Flush(); err != nil {
+		return fmt.Errorf("wal: flush: %w", err)
 	}
 	err := l.f.Close()
 	l.f, l.bw, l.curPath = nil, nil, ""
-	l.curSize, l.curMax = 0, 0
+	l.curSize = 0
 	metrics.AddCounter("wal.segment.rotations", 1)
 	if err != nil {
 		return fmt.Errorf("wal: close segment: %w", err)
@@ -425,7 +411,7 @@ func (l *Log) TruncateThrough(seq uint64) (int, error) {
 		if cur != "" && p == cur {
 			continue
 		}
-		info, err := scanSegment(l.opts.FS, p)
+		info, err := segmentInfo(l.opts.FS, p)
 		if err != nil {
 			// Unreadable file: leave it; replay will classify it.
 			continue

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -13,9 +15,10 @@ import (
 
 // PipelineOptions configures ReplayPipelineFS: a segment read-ahead
 // stage feeds decode workers that verify, filter and partition the
-// records, a sequential validator makes every torn-tail / seq-gap
-// decision from one summary per segment, and the batches of the
-// segments it admits go to partitioned apply workers.
+// records (or a sealed segment's footer entries), a sequential
+// validator makes every torn-tail / seq-gap decision from one summary
+// per segment, and the batches of the segments it admits go to
+// partitioned apply workers.
 type PipelineOptions struct {
 	// Workers is the number of apply workers (< 1 is treated as 1).
 	// Each partition id maps to exactly one worker (id % Workers), so
@@ -30,10 +33,11 @@ type PipelineOptions struct {
 	ReadAhead int
 
 	// Partition maps a record to its partition id (the serve layer uses
-	// the store's lock-stripe index, so applies to different partitions
-	// commute). It is called from the decode workers, concurrently. nil
-	// sends every record to partition 0 — one apply worker does all the
-	// work, the others idle.
+	// the store's index stripe, a run of bins, so applies to different
+	// partitions commute). It is called from the decode workers,
+	// concurrently, and for a footer entry with a Record that carries
+	// only its Bin. nil sends every record to partition 0 — one apply
+	// worker does all the work, the others idle.
 	Partition func(Record) int
 
 	// ApplyBatch applies one ordered batch of records belonging to
@@ -42,13 +46,24 @@ type PipelineOptions struct {
 	// recs is recycled after the call returns and must not be retained.
 	// An error aborts the replay; see ReplayPipelineFS.
 	ApplyBatch func(worker int, recs []Record) error
+
+	// ApplySummary applies worker's share of a sealed segment's footer
+	// in place of its records, in order with the worker's batches: for
+	// a segment whose footer has entries, whose records all lie past
+	// max(afterSeq, Floor), and whose bytes match the footer's CRC. nil
+	// decodes every segment.
+	ApplySummary func(worker int, s Summary) error
+
+	// Floor is the checkpoint's highest section watermark, if any.
+	Floor uint64
 }
 
-// rawSegment is one segment file read whole by the read-ahead stage.
+// rawSegment is a segment read whole, or only its footer's tail (skip).
 type rawSegment struct {
 	idx     int
-	data    []byte // back on the free list once the validator has passed the segment
-	readErr bool   // mid-read failure: the undecoded tail counts as torn
+	data    []byte  // back on the free list once the validator has passed the segment
+	readErr bool    // mid-read failure: the undecoded tail counts as torn
+	skip    *footer // set when nothing past the footer tail was read
 }
 
 // decodedSegment is what the validator learns about one segment,
@@ -61,19 +76,19 @@ type decodedSegment struct {
 	records  int64      // valid records, whatever their seq
 	maxSeq   uint64     // highest seq among them (0 when none)
 	batches  [][]Record // per apply worker: the records to apply, in file order
-	clean    bool       // ended exactly at a record boundary with no corruption
+	sums     []Summary  // per apply worker, instead of batches: the footer's entries
+	skipped  bool       // read no further than the footer's tail
+	clean    bool       // ended exactly at a record boundary (or its footer) with no corruption
 	openErr  error      // fatal: a segment that cannot be opened fails the replay
 }
 
 // readSegment reads one segment file whole into buf, or into a fresh
-// buffer when buf cannot hold it. The file's size only sizes the buffer
-// (with room for the read that reports EOF; a failed Stat is a size of
-// zero): the read loop runs to EOF whatever the size said. That Stat
-// makes a replay's filesystem schedule one op per segment longer than
-// Open + Reads + Close. An open failure is returned; a failure mid-read
-// keeps the bytes already read and taints the tail, so the segment
-// counts as torn after its readable prefix.
-func readSegment(fsys vfs.FS, path string, idx int, buf []byte) (rawSegment, error) {
+// buffer when buf cannot hold it — unless the footer tail at the size
+// Stat reports shows afterSeq covers it. The size sizes the buffer (a
+// failed Stat is zero), but the read runs to EOF whatever it said. An
+// open failure is returned; a failure mid-read keeps the bytes read and
+// taints the tail, so the segment counts as torn after that prefix.
+func readSegment(fsys vfs.FS, path string, idx int, buf []byte, afterSeq uint64) (rawSegment, error) {
 	raw := rawSegment{idx: idx}
 	size, _ := fsys.Stat(path)
 	f, err := fsys.Open(path)
@@ -81,6 +96,10 @@ func readSegment(fsys vfs.FS, path string, idx int, buf []byte) (rawSegment, err
 		return raw, fmt.Errorf("wal: replay: %w", err)
 	}
 	defer f.Close()
+	if ft, ok := readTail(f, size); ok && ft.records > 0 && ft.maxSeq <= afterSeq {
+		raw.data, raw.skip = buf, &ft
+		return raw, nil
+	}
 	if int64(cap(buf)) <= size {
 		// A rotated segment overshoots the rotation size by part of one
 		// batch; the slack lets one buffer fit all of them.
@@ -99,6 +118,12 @@ func readSegment(fsys vfs.FS, path string, idx int, buf []byte) (rawSegment, err
 	}
 }
 
+// applyItem is a record batch or a footer share for an apply worker.
+type applyItem struct {
+	recs []Record
+	sum  *Summary
+}
+
 // replay is the state the stages of one ReplayPipelineFS call share.
 // Its free lists bound the call's memory: they start full of nil slots,
 // and a stage waits for a slot (and makes the buffer if it is nil).
@@ -110,15 +135,38 @@ type replay struct {
 	recs     chan []Record // record batches: enough for those segments, back once applied
 }
 
-// decode verifies one segment's bytes record by record, stopping at the
-// first torn or corrupted one (a segment contributes its valid prefix
-// and nothing after it), and sorts the records the caller wants — seq
-// past afterSeq — into one batch per apply worker.
+// worker is the apply worker of rec's partition.
+func (r *replay) worker(rec Record) int {
+	w := 0
+	if r.opts.Partition != nil {
+		if w = r.opts.Partition(rec) % r.workers; w < 0 {
+			w += r.workers
+		}
+	}
+	return w
+}
+
+// decode turns one segment into what the validator needs: a skipped
+// segment's footer; a summarized one's footer entries, one share per
+// apply worker; or else its records verified one by one, stopping at
+// the first torn or corrupted one (a segment contributes its valid
+// prefix and nothing after it), with those the caller wants — seq past
+// afterSeq — sorted into one batch per apply worker.
 func (r *replay) decode(raw rawSegment) (d decodedSegment) {
+	if t := raw.skip; t != nil {
+		return decodedSegment{firstSeq: t.minSeq, hdrOK: true, records: t.records,
+			maxSeq: t.maxSeq, skipped: true, clean: true}
+	}
 	if d.firstSeq, d.hdrOK = parseSegmentHeader(raw.data); !d.hdrOK {
 		return d // torn at segment birth
 	}
 	body := raw.data[segHeaderSize:]
+	if ft, ok := segmentFooter(raw.data); ok && !raw.readErr {
+		if r.summarize(ft, raw.data, &d) {
+			return d
+		}
+		body = body[:ft.records*RecordSize]
+	}
 	n := len(body) / RecordSize
 	d.batches = make([][]Record, r.workers)
 	for i := 0; i < n; i++ {
@@ -131,12 +179,7 @@ func (r *replay) decode(raw rawSegment) (d decodedSegment) {
 		if rec.Seq <= r.afterSeq || r.opts.ApplyBatch == nil {
 			continue
 		}
-		w := 0
-		if r.opts.Partition != nil {
-			if w = r.opts.Partition(rec) % r.workers; w < 0 {
-				w += r.workers
-			}
-		}
+		w := r.worker(rec)
 		if d.batches[w] == nil {
 			if d.batches[w] = (<-r.recs)[:0]; d.batches[w] == nil {
 				rest := n - i // an even share of what is left, and a margin
@@ -149,32 +192,56 @@ func (r *replay) decode(raw rawSegment) (d decodedSegment) {
 	return d
 }
 
+// summarize fills d from seg's footer ft when it can stand in for the
+// records (see PipelineOptions.ApplySummary).
+func (r *replay) summarize(ft footer, seg []byte, d *decodedSegment) bool {
+	end := ft.bodyLen()
+	if ft.entries == 0 || r.opts.ApplySummary == nil || ft.minSeq <= max(r.afterSeq, r.opts.Floor) ||
+		crc32.Checksum(seg[:end], crcTable) != ft.bodyCRC {
+		return false
+	}
+	d.sums = make([]Summary, r.workers)
+	d.sums[0] = Summary{Records: ft.records, Allocs: ft.allocs, Frees: ft.frees}
+	le := binary.LittleEndian
+	for e := seg[end-int64(ft.entries)*entrySize : end]; len(e) > 0; e = e[entrySize:] {
+		bd := BinDelta{Bin: le.Uint32(e), Delta: int16(le.Uint16(e[4:])),
+			Low: int16(le.Uint16(e[6:])), High: int16(le.Uint16(e[8:]))}
+		s := &d.sums[r.worker(Record{Bin: bd.Bin})]
+		s.Entries = append(s.Entries, bd)
+	}
+	d.records, d.maxSeq, d.clean = ft.records, ft.maxSeq, true
+	return true
+}
+
 // ReplayPipelineFS is the WAL replay: it walks the segments of dir in
 // order and hands every valid record with Seq > afterSeq to
-// opts.ApplyBatch. A read-ahead goroutine loads segments whole; decode
-// workers verify CRCs, drop the records afterSeq covers and partition
-// the rest concurrently; and a sequential validator — consuming one
-// summary per segment, strictly in segment order — decides which
-// segments are sound to apply before handing their batches to
-// opts.Workers apply workers. Records of one partition are always
-// applied, in file order, by one worker, so callers whose partitions
-// commute (the store's index stripes) get a final state that does not
-// depend on the worker count; Workers == 1 is the same pipeline with a
-// single apply lane. Segment buffers and record batches come from free
+// opts.ApplyBatch, or a sealed segment's footer sums to
+// opts.ApplySummary in place of its records. A read-ahead goroutine
+// reads each segment's footer tail, skips a segment whose records
+// afterSeq all covers, and loads the others whole; decode workers
+// verify CRCs, drop the records afterSeq covers and partition the rest
+// (or the footer's entries) concurrently; and a sequential validator —
+// consuming one summary per segment, strictly in segment order —
+// decides which segments are sound to apply before handing their
+// batches to opts.Workers apply workers. Records (and entries) of one
+// partition are always applied, in file order, by one worker, so
+// callers whose partitions commute (the store's index stripes) get a
+// final state that does not depend on the worker count; Workers == 1
+// is the same pipeline with a single apply lane. Segment buffers and record batches come from free
 // lists of fixed size owned by this call (see PipelineOptions.ReadAhead),
 // so the replay allocates for the segments in flight, not for the log.
 //
 // A torn or corrupted record (CRC mismatch, partial tail, or bad
 // segment header) ends the current segment without error and sets
-// stats.Torn. Replay continues into a later segment — after a torn tail
-// or a clean end alike — only when that segment's header proves no
-// record would be skipped (see opensGap), and stops for good at the
-// first segment that would: recovery is "everything reachable without
-// skipping a record". The records past a gap stay on disk but are
+// stats.Torn; a valid footer is a clean end. Replay continues into a
+// later segment — after a torn tail or a clean end alike — only when
+// that segment's header proves no record would be skipped (see
+// opensGap), and stops for good at the first segment that would:
+// recovery is "everything reachable without skipping a record". The records past a gap stay on disk but are
 // unsound to apply until a checkpoint covers it; the reader is by then
 // as far past the gap as the pipeline is deep, and stops there.
 //
-// On an ApplyBatch error the pipeline stops and returns the first error
+// On an ApplyBatch or ApplySummary error the pipeline stops and returns the first error
 // observed; records already handed to other workers may or may not
 // have been applied, so the store's state is unspecified and stats are
 // best-effort. A segment that cannot be opened is fatal too, after the
@@ -241,7 +308,7 @@ func ReplayPipelineFS(fsys vfs.FS, dir string, afterSeq uint64, opts PipelineOpt
 				return
 			}
 			t := time.Now()
-			raw, err := readSegment(fsys, p, i, buf[:0])
+			raw, err := readSegment(fsys, p, i, buf[:0], afterSeq)
 			readNs.Add(time.Since(t).Nanoseconds())
 			if err != nil {
 				outs[i] <- decodedSegment{openErr: err}
@@ -276,26 +343,33 @@ func ReplayPipelineFS(fsys vfs.FS, dir string, afterSeq uint64, opts PipelineOpt
 	// Apply stage: one goroutine per worker, fed per-segment batches.
 	// After an error the workers keep draining (so the validator never
 	// blocks on a full channel) but apply nothing further.
-	applyCh := make([]chan []Record, workers)
+	applyCh := make([]chan applyItem, workers)
 	for w := range applyCh {
-		applyCh[w] = make(chan []Record, 4)
+		applyCh[w] = make(chan applyItem, 4)
 	}
-	var applyErr atomic.Pointer[error] // the first ApplyBatch error
+	var applyErr atomic.Pointer[error] // the first apply error
 	var applyWg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		applyWg.Add(1)
 		go func(w int) {
 			defer applyWg.Done()
-			for b := range applyCh[w] {
+			for it := range applyCh[w] {
 				if applyErr.Load() == nil {
 					t := time.Now()
-					err := opts.ApplyBatch(w, b)
+					var err error
+					if it.sum != nil {
+						err = opts.ApplySummary(w, *it.sum)
+					} else {
+						err = opts.ApplyBatch(w, it.recs)
+					}
 					applyNs.Add(time.Since(t).Nanoseconds())
 					if err != nil {
 						applyErr.CompareAndSwap(nil, &err)
 					}
 				}
-				r.recs <- b
+				if it.sum == nil {
+					r.recs <- it.recs
+				}
 			}
 		}(w)
 	}
@@ -321,15 +395,28 @@ func ReplayPipelineFS(fsys vfs.FS, dir string, afterSeq uint64, opts PipelineOpt
 			break // the reader stopped here too
 		}
 		stats.Records += d.records
-		stats.Bytes += d.records * RecordSize
 		stats.LastSeq = max(stats.LastSeq, d.maxSeq)
 		stats.Torn = stats.Torn || !d.clean
+		switch {
+		case d.skipped:
+			stats.Skipped++
+		case d.sums != nil:
+			stats.Summarized++
+			stats.Applied += d.records
+		default:
+			stats.Decoded++
+		}
+		// Blocking sends are safe: workers always drain their channel,
+		// discarding batches after an error.
 		for w, b := range d.batches {
 			if len(b) > 0 {
 				stats.Applied += int64(len(b))
-				// Blocking send is safe: workers always drain their
-				// channel, discarding batches after an error.
-				applyCh[w] <- b
+				applyCh[w] <- applyItem{recs: b}
+			}
+		}
+		for w := range d.sums {
+			if w == 0 || len(d.sums[w].Entries) > 0 {
+				applyCh[w] <- applyItem{sum: &d.sums[w]}
 			}
 		}
 		r.bufs <- d.data

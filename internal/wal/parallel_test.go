@@ -415,7 +415,7 @@ func TestPipelineReadFaultMidSegment(t *testing.T) {
 		fs.FailOp(simfs.OpRead, 3, boom)
 		streams, stats, err := pipelineRun(t, short, dir, 0, workers)
 		want := ReplayStats{Segments: 2, Records: int64(prefix + 50), Applied: int64(prefix + 50),
-			Bytes: int64(prefix+50) * RecordSize, LastSeq: uint64(prefix + 50), Torn: true}
+			LastSeq: uint64(prefix + 50), Torn: true, Decoded: 2}
 		if err != nil || stats != want {
 			t.Fatalf("workers=%d: stats %+v, %v; want %+v", workers, stats, err, want)
 		}
@@ -432,12 +432,13 @@ func TestPipelineReadFaultMidSegment(t *testing.T) {
 	}
 
 	// The fault on the very read that would have reported EOF loses no
-	// byte, but the tail can no longer be called clean.
+	// byte, but the tail can no longer be called clean. (Read 1 is the
+	// footer tail's positional read, read 2 the whole segment.)
 	fs2 := testFS()
 	l3 := testOpen(t, fs2, Options{Fsync: FsyncNever, SegmentBytes: 1 << 20})
 	appendN(t, l3, 1, 40)
 	l3.Close()
-	fs2.FailOp(simfs.OpRead, 2, boom)
+	fs2.FailOp(simfs.OpRead, 3, boom)
 	streams, stats, err = pipelineRun(t, fs2, l3.Dir(), 0, 1)
 	if err != nil || len(streams[0]) != 40 || !stats.Torn {
 		t.Fatalf("fault at EOF: %d records, stats %+v, %v; want all 40 and torn", len(streams[0]), stats, err)

@@ -2,29 +2,25 @@
 // service: a segmented, append-only write-ahead log of the store's
 // mutations (alloc / free / crash), written as fixed-width binary
 // records each protected by a CRC32C, with a configurable fsync policy
-// and size-based segment rotation.
+// and size-based segment rotation. A sealed segment ends in a footer
+// carrying its per-bin sum (see footer.go), so replay can skip a
+// segment a checkpoint covers and apply a later one without decoding
+// it.
 //
-// The log records *committed* mutations, so restore is "load the
-// latest valid checkpoint (internal/checkpoint), then replay the WAL
-// suffix". Replay is tolerant of the two corruptions a crash can
-// leave behind: a torn tail (a partial record at the end of a
-// segment) and a corrupted record (CRC mismatch); in both cases
-// replay skips to the next segment when its header shows the record
-// stream stays contiguous (so segments written after a restore — they
-// open at the restored seq + 1 — survive a later crash even while an
-// older torn segment is still on disk), and stops at the last valid
-// record only when continuing would skip a record. Either way it
-// reports the corruption instead of failing, which is exactly the
-// self-stabilization reading of the paper — a crash-corrupted state
-// is just another starting point the process recovers from.
+// Restore is "load the latest valid checkpoint (internal/checkpoint),
+// then replay the WAL suffix". Replay tolerates the two corruptions a
+// crash leaves behind, a torn tail and a corrupted record (CRC
+// mismatch): it ends the segment there, walks into the next one when
+// its header shows the record stream stays contiguous (segments written
+// after a restore open at the restored seq + 1), and stops only where
+// continuing would skip a record. It reports the corruption instead of
+// failing — the self-stabilization reading of the paper: a
+// crash-corrupted state is just another starting point.
 //
-// Records carry a caller-assigned sequence number (seq). Sequence
-// numbers are assigned under the store's shard locks, so a checkpoint
-// taken with every shard locked knows exactly which seq it covers;
-// records may still land in the file slightly out of seq order (two
-// shards can enqueue in either order), which is harmless because
-// per-bin order is preserved and replay filters by seq, not by file
-// position.
+// Records carry a caller-assigned sequence number (seq). The serving
+// journal draws seqs and hands the log its runs in one order, so the
+// log holds its records in seq order; replay filters by seq all the
+// same, never by file position.
 package wal
 
 import (

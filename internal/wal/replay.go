@@ -15,9 +15,11 @@ type ReplayStats struct {
 	Segments int    // segment files visited
 	Records  int64  // valid records decoded (including ones skipped by seq)
 	Applied  int64  // records handed to the apply callback
-	Bytes    int64  // record bytes decoded
 	LastSeq  uint64 // highest seq seen (0 if none)
 	Torn     bool   // a torn tail or corrupted record was encountered
+
+	// Segments skipped (afterSeq covers them), summarized, decoded.
+	Skipped, Summarized, Decoded int
 
 	// Time spent in each stage, summed over the stage's goroutines (so
 	// they can exceed the wall time of the pass). Decode includes waiting
@@ -109,48 +111,33 @@ func readSegmentFirstSeq(fsys vfs.FS, path string) (uint64, bool) {
 	return parseSegmentHeader(hdr[:n])
 }
 
-// segInfo is the summary scanSegment produces for truncation
-// decisions.
-type segInfo struct {
-	firstSeq uint64 // from the header (the seq the segment was opened for)
-	maxSeq   uint64 // highest valid record seq (0 when records == 0)
-	records  int64  // valid records
-}
-
-// scanSegment reads a segment's valid prefix without applying it.
-// Corruption is not an error here — the scan just stops, like replay.
-// It streams instead of sharing the pipeline's whole-segment read:
-// TruncateThrough runs at every checkpoint of a serving process and
-// must not pull rotation-sized segments into the heap.
-func scanSegment(fsys vfs.FS, path string) (segInfo, error) {
-	var info segInfo
+// segmentInfo reads what TruncateThrough needs of a segment: its
+// footer's tail, or — without a valid footer — its header and valid
+// records, streamed so a checkpoint never pulls a whole segment into
+// the heap.
+func segmentInfo(fsys vfs.FS, path string) (d decodedSegment, err error) {
+	size, _ := fsys.Stat(path)
 	f, err := fsys.Open(path)
 	if err != nil {
-		return info, err
+		return d, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-
-	var hdr [segHeaderSize]byte
-	n, _ := io.ReadFull(br, hdr[:])
-	first, ok := parseSegmentHeader(hdr[:n])
-	if !ok {
-		return info, nil
+	if ft, ok := readTail(f, size); ok && ft.records > 0 {
+		return decodedSegment{firstSeq: ft.minSeq, records: ft.records, maxSeq: ft.maxSeq}, nil
 	}
-	info.firstSeq = first
-
+	br := bufio.NewReaderSize(f, 1<<16)
 	var buf [RecordSize]byte
-	for {
+	n, _ := io.ReadFull(br, buf[:segHeaderSize])
+	d.firstSeq, d.hdrOK = parseSegmentHeader(buf[:n])
+	for d.hdrOK {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return info, nil
+			break
 		}
 		rec, ok := DecodeRecord(buf[:])
 		if !ok {
-			return info, nil
+			break
 		}
-		info.records++
-		if rec.Seq > info.maxSeq {
-			info.maxSeq = rec.Seq
-		}
+		d.records, d.maxSeq = d.records+1, max(d.maxSeq, rec.Seq)
 	}
+	return d, nil
 }

@@ -45,12 +45,6 @@ func SegmentsFS(fsys vfs.FS, dir string) ([]SegmentInfo, error) {
 	return out, nil
 }
 
-// Segments enumerates this log's segments (SegmentsFS on its own
-// directory and filesystem).
-func (l *Log) Segments() ([]SegmentInfo, error) {
-	return SegmentsFS(l.opts.FS, l.opts.Dir)
-}
-
 // Seal flushes, fsyncs (unless the policy is FsyncNever) and closes
 // the current segment; the next append opens a fresh one. A follower
 // mirrors the primary's rotation points by calling Seal on its local
@@ -79,8 +73,7 @@ const (
 	// header seq. Emitted before the segment's records.
 	TailSegment
 	// TailRecords: TailResult.Records holds 1..max decoded records in
-	// file order (per-bin seq order; see the package comment on
-	// cross-shard seq interleaving).
+	// file order, which is seq order (see the package comment).
 	TailRecords
 	// TailGap: the next segment's header opens a true seq gap —
 	// records were truncated or lost under the reader. The stream
@@ -97,8 +90,9 @@ type TailResult struct {
 }
 
 // TailReader follows a live log directory as an ordered record stream:
-// the segment walk of ReplayPipelineFS — including its seq-continuity
-// rule at every segment boundary — but incremental, holding its
+// the record walk of ReplayPipelineFS — including its seq-continuity
+// rule at every segment boundary, and a sealed segment's footer read
+// as the end of its records — but incremental, holding its
 // position at the live tail and picking up appended bytes and new
 // segments as they arrive. A record split across two flushes is held
 // as a partial until the rest lands; a torn or corrupted record parks

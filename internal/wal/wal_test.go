@@ -560,6 +560,7 @@ func TestConcurrentAppendsAllSurvive(t *testing.T) {
 	segs, _ := listSegments(fs, l.Dir())
 	for _, p := range segs {
 		data, err := fs.ReadFile(p)
+		data = data[:len(data)-FooterLen(data)]
 		first, ok := parseSegmentHeader(data)
 		if err != nil || !ok || (len(data)-segHeaderSize)%RecordSize != 0 {
 			t.Fatalf("segment %s: %d bytes, header ok %v, err %v", p, len(data), ok, err)
