@@ -24,7 +24,7 @@
 // Chaos mode (-chaos, see docs/CHAOS.md): a Poisson catastrophe
 // process fires mass-relocating bin overloads — plus WAL sync stalls
 // and injected ENOSPC when -wal-dir is set — while traffic runs; the
-// episode tracker segments the timeline into recovery episodes and
+// detector segments the timeline into recovery episodes and
 // publishes MTTR, downtime, and budget-normalized recovery histograms
 // (serve.episodes.*), with the aggregate on /state?summary=1. With
 // -drive, -chaos-min-episodes and -chaos-budget-mult turn the run
@@ -417,7 +417,7 @@ type primary struct {
 // arm makes the daemon a serving primary over the store as it stands:
 // with -wal-dir, open the WAL after lastSeq, attach the journal and
 // checkpoint (durable before any listener opens); compute the recovery
-// target for m balls and build the detector + episode tracker, noting
+// target for m balls and build the detector, noting
 // `fault`, if any, so the episode is measured from it; bind the dgram
 // listener dynrouter probes and admits through (a promoted standby
 // binds the -dgram-addr the dead primary held, so a router's health
@@ -471,7 +471,6 @@ func (p *primary) arm(walFS vfs.FS, lastSeq uint64, m int, fault string) (serve.
 	fmt.Printf("dynallocd: recovery target max load %d (fluid prediction %d + slack %d), budget %.0f steps\n",
 		target.MaxLoad(), target.PredictedMax, target.Slack, target.BudgetSteps)
 	det := serve.NewDetector(st, target)
-	det.AttachEpisodes(serve.NewEpisodeTracker(target.BudgetSteps))
 	if fault != "" {
 		det.NoteFault(fault)
 	}
@@ -703,7 +702,7 @@ func runDrive(ctx context.Context, svc *serve.Service, opt options, target serve
 // bar the chaos-drill CI job exercises.
 func reportChaos(det *serve.Detector, target serve.Target, opt options, res serve.Result) int {
 	det.Check() // close an episode the last in-drive check may have missed
-	sum := det.Episodes().Summary()
+	sum := det.Summary()
 	fmt.Printf("dynallocd: chaos drive done: %d steps in %v\n", res.Steps, res.Wall.Round(time.Millisecond))
 	fmt.Printf("dynallocd: episodes: %d completed, %d faults (%d merged), open=%v\n",
 		sum.Completed, sum.Faults, sum.MergedFaults, sum.Open)
@@ -835,35 +834,30 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("summary") != "" {
 		// The cheap polling form: no load vector — but with the episode
 		// aggregate, which is how the chaos drills watch MTTR accrue.
-		out := map[string]any{
+		daemon.WriteJSON(w, http.StatusOK, map[string]any{
 			"n":         st.N(),
 			"m":         st.Total(),
 			"max_load":  status.MaxLoad,
 			"gap":       status.Gap,
 			"recovered": status.Recovered,
-		}
-		if tr := det.Episodes(); tr != nil {
-			out["episodes"] = tr.Summary()
-		}
-		daemon.WriteJSON(w, http.StatusOK, out)
+			"episodes":  det.Summary(),
+		})
 		return
 	}
 	ep, episodes := det.LastEpisode()
 	target := det.Target()
 	state := map[string]any{
-		"n":            st.N(),
-		"shards":       st.Shards(),
-		"rule":         s.svc.Policy().Name(),
-		"scenario":     s.svc.Scenario().String(),
-		"stats":        st.Stats(),
-		"status":       status,
-		"target":       target,
-		"episodes":     episodes,
-		"last_episode": ep,
-		"loads":        st.LoadsCopy(),
-	}
-	if tr := det.Episodes(); tr != nil {
-		state["episode_summary"] = tr.Summary()
+		"n":               st.N(),
+		"shards":          st.Shards(),
+		"rule":            s.svc.Policy().Name(),
+		"scenario":        s.svc.Scenario().String(),
+		"stats":           st.Stats(),
+		"status":          status,
+		"target":          target,
+		"episodes":        episodes,
+		"last_episode":    ep,
+		"episode_summary": det.Summary(),
+		"loads":           st.LoadsCopy(),
 	}
 	if j := s.svc.Journal(); j != nil {
 		state["wal_last_seq"] = j.LastSeq()

@@ -325,3 +325,44 @@ func TestStandbyRefusesMutations(t *testing.T) {
 		t.Fatalf("POST /checkpoint after Arm = %d, body %v; want the armed 409", code, body)
 	}
 }
+
+// lookup walks a jq-style path (".a.b.c") through a decoded JSON body,
+// nil where it leads nowhere.
+func lookup(body map[string]any, path string) any {
+	var v any = body
+	for _, k := range strings.Split(strings.TrimPrefix(path, "."), ".") {
+		m, ok := v.(map[string]any)
+		if !ok {
+			return nil
+		}
+		v = m[k]
+	}
+	return v
+}
+
+// TestStatePathsTheDrillsRead pins the /state paths the recovery,
+// fail-over and chaos drills read with jq.
+func TestStatePathsTheDrillsRead(t *testing.T) {
+	s, _ := newTestServer(t)
+	h := s.routes()
+	_, sum := do(t, h, http.MethodGet, "/state?summary=1")
+	if v := lookup(sum, ".recovered"); v != true {
+		t.Errorf("summary .recovered = %v, want true", v)
+	}
+	if v, ok := lookup(sum, ".episodes.last.steps").(float64); !ok || v < 0 {
+		t.Errorf("summary .episodes.last.steps = %v", lookup(sum, ".episodes.last.steps"))
+	}
+	if v, ok := lookup(sum, ".episodes.budget_steps").(float64); !ok || v <= 0 {
+		t.Errorf("summary .episodes.budget_steps = %v", lookup(sum, ".episodes.budget_steps"))
+	}
+	_, full := do(t, h, http.MethodGet, "/state")
+	if v := lookup(full, ".episodes"); v != float64(1) {
+		t.Errorf(".episodes = %v, want the 1 boot episode", v)
+	}
+	if v, ok := lookup(full, ".last_episode.steps").(float64); !ok || v < 0 {
+		t.Errorf(".last_episode = %v", lookup(full, ".last_episode"))
+	}
+	if v := lookup(full, ".episode_summary.completed"); v != float64(1) {
+		t.Errorf(".episode_summary = %v", lookup(full, ".episode_summary"))
+	}
+}

@@ -270,7 +270,7 @@ func closedLoop(rt *router.Router, seed uint64, w int, stop <-chan struct{}, ops
 // worst-case load, then run closed-loop traffic through the router
 // until the cluster detector sees the typical state again, and gate
 // the measured recovery against the Theorem 1 budget.
-func runDrive(ctx context.Context, rt *router.Router, det *router.Detector, opt options, target serve.Target) int {
+func runDrive(ctx context.Context, rt *router.Router, det *serve.Detector, opt options, target serve.Target) int {
 	if opt.crashShard < 0 || opt.crashShard >= rt.NumShards() {
 		fmt.Fprintf(os.Stderr, "dynrouter: -crash-shard %d out of range\n", opt.crashShard)
 		return 2
@@ -301,7 +301,7 @@ func runDrive(ctx context.Context, rt *router.Router, det *router.Detector, opt 
 	}
 
 	t0 := time.Now()
-	var last router.ClusterStatus
+	var last serve.Status
 	recovered := false
 	for !recovered {
 		select {
@@ -343,13 +343,13 @@ func runDrive(ctx context.Context, rt *router.Router, det *router.Detector, opt 
 // fleet and the traffic workers' counters.
 type server struct {
 	rt  *router.Router
-	det *router.Detector
+	det *serve.Detector
 
 	trafficOps  atomic.Int64
 	trafficErrs atomic.Int64
 }
 
-func newServer(rt *router.Router, det *router.Detector) *server {
+func newServer(rt *router.Router, det *serve.Detector) *server {
 	return &server{rt: rt, det: det}
 }
 

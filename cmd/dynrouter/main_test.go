@@ -140,3 +140,41 @@ func TestStateSummary(t *testing.T) {
 		t.Fatalf("GET /state = %d, body %v", code, body)
 	}
 }
+
+// lookup walks a jq-style path (".a.b.c") through a decoded JSON body,
+// nil where it leads nowhere.
+func lookup(body map[string]any, path string) any {
+	var v any = body
+	for _, k := range strings.Split(strings.TrimPrefix(path, "."), ".") {
+		m, ok := v.(map[string]any)
+		if !ok {
+			return nil
+		}
+		v = m[k]
+	}
+	return v
+}
+
+// TestStatePathsTheDrillsRead pins the /state paths the cluster drill
+// reads with jq.
+func TestStatePathsTheDrillsRead(t *testing.T) {
+	h, _, _ := newTestFleet(t)
+	_, body := do(t, h, http.MethodGet, "/state")
+	for path, want := range map[string]any{
+		".status.live_shards": float64(2),
+		".status.recovered":   true,
+		".status.degraded":    false,
+		".episodes":           float64(1),
+		".traffic.errors":     float64(0),
+	} {
+		if v := lookup(body, path); v != want {
+			t.Errorf("%s = %v, want %v", path, v, want)
+		}
+	}
+	if v, ok := lookup(body, ".last_episode.steps").(float64); !ok || v < 0 {
+		t.Errorf(".last_episode.steps = %v", lookup(body, ".last_episode.steps"))
+	}
+	if v, ok := lookup(body, ".target.budget_steps").(float64); !ok || v <= 0 {
+		t.Errorf(".target.budget_steps = %v", lookup(body, ".target.budget_steps"))
+	}
+}

@@ -435,19 +435,8 @@ func (f *Follower) checkpointLocked() error {
 	}); err != nil {
 		return err
 	}
-	if _, err := checkpoint.PruneFS(f.cfg.FS, f.cfg.Dir, f.cfg.KeepCheckpoints); err != nil {
-		return err
-	}
-	metas, err := checkpoint.ListFS(f.cfg.FS, f.cfg.Dir)
-	if err != nil {
-		return err
-	}
-	if len(metas) > 0 {
-		if _, err := f.log.TruncateThrough(metas[0].Seq); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := serve.RetainCheckpoints(f.log, f.cfg.KeepCheckpoints)
+	return err
 }
 
 // Close shuts an un-promoted follower down cleanly: drops the live

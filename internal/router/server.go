@@ -3,9 +3,9 @@
 // instance speak the binary protocol natively, the client/router layer
 // (Router) that partitions the bin space across N shard endpoints and
 // applies the paper's d-choice rule ACROSS shards — probe d shards,
-// admit at the least loaded — and the cluster-wide recovery Detector
-// that aggregates per-shard load digests against the fluid-limit
-// prediction exactly like serve.Detector does for one store.
+// admit at the least loaded — and the fleet load source that lets a
+// serve.Detector judge per-shard load digests against the fluid-limit
+// prediction exactly as it judges one store (NewDetector).
 //
 // This is the two-level power-of-d structure of the Luczak–McDiarmid
 // continuous-time two-choices model: the router balances ball mass

@@ -77,7 +77,7 @@ type ChaosConfig struct {
 // interarrivals at Rate, a uniformly drawn catastrophe kind per
 // firing, and exponential repair windows for the faults that persist
 // (disk stall, ENOSPC). Every catastrophe is reported to the Detector
-// via NoteFault, so the EpisodeTracker attributes episodes to fault
+// via NoteFault, so the detector attributes episodes to fault
 // kinds and measures each recovery from the first fault of its outage.
 //
 // Counters: serve.chaos.catastrophes (total) and serve.chaos.<kind>

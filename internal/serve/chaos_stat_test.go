@@ -14,7 +14,7 @@ import (
 // sampler battery in sampling_stat_test.go: a failure is a sampler
 // defect, never flake.
 func TestChaosInterarrivalIsExponential(t *testing.T) {
-	st, det, _ := chaosFixture(t)
+	st, det := chaosFixture(t)
 	const (
 		rate  = 2.0
 		draws = 20000

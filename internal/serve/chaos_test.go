@@ -10,19 +10,17 @@ import (
 	"dynalloc/internal/vfs"
 )
 
-func chaosFixture(t *testing.T) (*Store, *Detector, *EpisodeTracker) {
+func chaosFixture(t *testing.T) (*Store, *Detector) {
 	t.Helper()
 	st := NewStore(64)
 	st.FillBalanced(256) // 4 per bin
 	det := NewDetector(st, Target{PredictedMax: 4, Slack: 1, BudgetSteps: 1000})
-	tr := NewEpisodeTracker(1000)
-	det.AttachEpisodes(tr)
 	det.Check() // close the startup episode; the store is balanced
-	return st, det, tr
+	return st, det
 }
 
 func TestChaosInjectorValidation(t *testing.T) {
-	st, det, _ := chaosFixture(t)
+	st, det := chaosFixture(t)
 	cases := []struct {
 		name string
 		cfg  ChaosConfig
@@ -66,7 +64,7 @@ func TestChaosInjectorValidation(t *testing.T) {
 // it does not mint them — the recovery target computed at boot stays
 // valid across arbitrarily many catastrophes.
 func TestChaosCrashPreservesMass(t *testing.T) {
-	st, det, tr := chaosFixture(t)
+	st, det := chaosFixture(t)
 	inj, err := NewChaosInjector(ChaosConfig{
 		Store: st, Detector: det, Seed: 7, Faults: []string{ChaosCrash}, CrashFrac: 0.125,
 	})
@@ -87,7 +85,7 @@ func TestChaosCrashPreservesMass(t *testing.T) {
 		t.Fatal("detector still recovered after catastrophes")
 	}
 	// All 10 landed before any recovery: one episode, nine merges.
-	sum := tr.Summary()
+	sum := det.Summary()
 	if !sum.Open || sum.OpenFaults != 10 || sum.MergedFaults != 9 {
 		t.Fatalf("catastrophes not merged into the open episode: %+v", sum)
 	}
@@ -102,7 +100,7 @@ func TestChaosCrashPreservesMass(t *testing.T) {
 // note the fault on the detector, and the exponential repair window
 // clears them.
 func TestChaosDiskFaultsArmAndRepair(t *testing.T) {
-	st, det, tr := chaosFixture(t)
+	st, det := chaosFixture(t)
 	ffs := vfs.NewFaultFS(vfs.OS)
 	dir := t.TempDir()
 	inj, err := NewChaosInjector(ChaosConfig{
@@ -118,7 +116,7 @@ func TestChaosDiskFaultsArmAndRepair(t *testing.T) {
 	if _, err := ffs.Create(filepath.Join(dir, "x")); !errors.Is(err, vfs.ErrInjectedNoSpace) {
 		t.Fatalf("create during enospc: %v, want ErrInjectedNoSpace", err)
 	}
-	if sum := tr.Summary(); !sum.Open || sum.OpenKind != ChaosNoSpace {
+	if sum := det.Summary(); !sum.Open || sum.OpenKind != ChaosNoSpace {
 		t.Fatalf("enospc not noted as a fault: %+v", sum)
 	}
 	// The repair timer (mean 1ms) clears the fault well within a second.
@@ -139,7 +137,7 @@ type fakeCutter struct{ k int }
 func (f *fakeCutter) CrashAfterOps(k int) { f.k = k }
 
 func TestChaosPowerCutSchedulesNearFuture(t *testing.T) {
-	st, det, _ := chaosFixture(t)
+	st, det := chaosFixture(t)
 	cut := &fakeCutter{}
 	inj, err := NewChaosInjector(ChaosConfig{
 		Store: st, Detector: det, Seed: 13,
@@ -161,7 +159,7 @@ func TestChaosPowerCutSchedulesNearFuture(t *testing.T) {
 // rate and checks the lifecycle: catastrophes fire, the observer hook
 // sees them, and cancellation clears any armed disk fault.
 func TestChaosInjectorRun(t *testing.T) {
-	st, det, _ := chaosFixture(t)
+	st, det := chaosFixture(t)
 	ffs := vfs.NewFaultFS(vfs.OS)
 	var seen int
 	inj, err := NewChaosInjector(ChaosConfig{

@@ -60,118 +60,96 @@ func NewTarget(p Policy, sc process.Scenario, n, m, slack int) (Target, error) {
 	}, nil
 }
 
-// Episode is one completed recovery: the store left the typical state
-// (a crash, or a slow drift) and came back. Steps counts admissions
-// (the service's phase clock), Wall is elapsed wall-clock time.
-type Episode struct {
-	Steps int64         `json:"steps"`
-	Wall  time.Duration `json:"wall_ns"`
-}
-
-// EpisodeState is the recovered/disrupted state machine of a recovery
-// detector, whatever its load source: serve.Detector feeds it one
-// store's level counts, router.Detector a fleet's probed digests. It
-// begins disrupted (Start stamps the origin); a fault while disrupted
-// merges into the open outage — the origin is kept, so the episode is
-// measured from the first fault — and the first typical observation
-// closes it. Not safe for concurrent use: the detector's lock guards it,
-// with whatever that detector keeps in step with the transitions.
-type EpisodeState struct {
-	Recovered bool    // the last transition left the state typical
-	Last      Episode // most recently completed episode
-	Episodes  int64   // completed episodes
-
-	since   int64     // step clock at the current outage's origin
-	sinceTS time.Time // wall clock at the current outage's origin
-}
-
-// Start stamps the origin of the boot outage.
-func (e *EpisodeState) Start(steps int64, now time.Time) { e.since, e.sinceTS = steps, now }
-
-// Disrupt notes a fault at (steps, now): it opens an outage and returns
-// true if the state was recovered, and merges into the open one if not.
-func (e *EpisodeState) Disrupt(steps int64, now time.Time) bool {
-	if !e.Recovered {
-		return false
-	}
-	e.Recovered = false
-	e.since, e.sinceTS = steps, now
-	return true
-}
-
-// Observe feeds one observation taken at (steps, now). A typical one
-// while disrupted closes the episode (returned, closed = true); an
-// atypical one while recovered — drift, or a fault nobody announced —
-// opens an outage at the observation.
-func (e *EpisodeState) Observe(typical bool, steps int64, now time.Time) (ep Episode, closed, opened bool) {
-	if typical && !e.Recovered {
-		e.Last = Episode{Steps: steps - e.since, Wall: now.Sub(e.sinceTS)}
-		e.Episodes++
-		e.Recovered = true
-		return e.Last, true, false
-	}
-	return Episode{}, false, !typical && e.Disrupt(steps, now)
-}
-
-// Status is one detector observation of the store.
+// Status is one detector observation. LiveShards, Shards and Degraded
+// are a fleet's (see LoadSource); a store leaves them zero.
 type Status struct {
-	Steps        int64 `json:"steps"`         // store admission clock at the check
-	MaxLoad      int   `json:"max_load"`      // current maximum bin load
-	Gap          int   `json:"gap"`           // max load above fair share (loadvec.Gap)
-	DeltaTypical int   `json:"delta_typical"` // path-coupling distance Delta to the balanced state
-	PredictedMax int   `json:"predicted_max"` // fluid-limit stationary prediction
-	TargetMax    int   `json:"target_max"`    // recovery threshold (predicted + slack)
-	Total        int64 `json:"total"`         // balls in the store
-	NonEmpty     int64 `json:"non_empty"`     // nonempty bins
-	Recovered    bool  `json:"recovered"`
+	Steps        int64 `json:"steps"`                 // step clock at the check (a fleet: the sum of its shards')
+	MaxLoad      int   `json:"max_load"`              // current maximum bin load
+	Gap          int   `json:"gap"`                   // max load above fair share (loadvec.Gap)
+	DeltaTypical int   `json:"delta_typical"`         // path-coupling distance Delta to the balanced state (a fleet: a lower bound)
+	PredictedMax int   `json:"predicted_max"`         // fluid-limit stationary prediction
+	TargetMax    int   `json:"target_max"`            // recovery threshold (predicted + slack)
+	Total        int64 `json:"total"`                 // balls observed
+	NonEmpty     int64 `json:"non_empty"`             // nonempty bins
+	LiveShards   int   `json:"live_shards,omitempty"` // shards that answered this sweep
+	Shards       int   `json:"shards,omitempty"`      // configured shard count
+	Degraded     bool  `json:"degraded"`              // a shard did not answer: the sweep cannot be typical
+	Recovered    bool  `json:"recovered"`             // the detector's state after this observation
 }
 
-// Detector watches a Store converge to its typical state. Check reads
-// the store's load histogram (lock-free, a handful of levels per index
-// stripe — not the bins), computes the distance-to-typical measures —
-// maximum load against the fluid-limit prediction, the gap above fair
-// share, and the path-coupling metric Delta(v, balanced) that Sections
-// 4 and 5 contract — and tracks recovered/disrupted transitions. Each
-// not-recovered -> recovered transition closes an Episode, recorded in
-// the "serve.recovery.steps" and "serve.recovery.wall_ns" histograms;
-// the current state is published through the "serve.recovered" gauge
-// and friends (see docs/SERVING.md for the full metric list).
+// A LoadSource is what a Detector observes: one Store's level histogram
+// (NewDetector) or a fleet's probed digests (router.NewDetector).
+type LoadSource interface {
+	// Observe reads the current state into every Status field but the
+	// target's and Recovered. The Detector never overlaps two calls.
+	Observe() Status
+	// Steps returns the step clock without observing: the stamp a
+	// fault gets. It may run concurrently with Observe.
+	Steps() int64
+	// Close releases what the source holds.
+	Close()
+}
+
+// Detector watches a load source converge to its typical state: the
+// maximum load back under the fluid-limit target, on a source that saw
+// everything (a degraded fleet sweep is never typical — max load on an
+// unreachable shard is unknown). It tracks the recovered/disrupted
+// transitions and segments them into Episodes, measured on the
+// source's step clock — the phase count Theorem 1's budget is stated
+// in. The boot is the first outage (kind "startup"). Its metrics go out
+// under the source's prefix ("serve." for a store, "router." for a
+// fleet; docs/OBSERVABILITY.md lists them): the recovered gauge and
+// friends on every Check, the per-episode "recovery.steps" and
+// "recovery.wall_ns" histograms, and the "episodes.*" ledger — MTTR,
+// downtime, fault counts, and recovery times against the Theorem 1
+// budget.
 //
 // All methods are safe for concurrent use. Overlapping Check calls are
 // coalesced: a call that finds another check in flight returns the
-// previous observation instead of reading the store again, so a
+// previous observation instead of reading the source again, so a
 // wall-clock ticker and a step-cadence driver sharing one detector
 // observe one sequence of transitions.
 type Detector struct {
-	store  *Store
+	src    LoadSource
 	target Target
+	names  detectorMetrics
+	now    func() time.Time // time.Now; tests substitute a clock
 
-	checkMu sync.Mutex   // serializes the read+transition critical section
-	sparse  []levelCount // Check's scratch for levels >= denseLevels; guarded by checkMu
+	checkMu sync.Mutex // one Check reads the source at a time
 
-	mu      sync.Mutex // guards everything below
-	ep      EpisodeState
-	last    Status          // what a coalesced Check returns
-	tracker *EpisodeTracker // optional; see AttachEpisodes
+	mu   sync.Mutex // guards everything below
+	ep   episodes
+	last Status // what a coalesced Check returns
 }
 
-// NewDetector returns a detector for st with the given target. The
-// store starts in the "disrupted" state: the first Check that observes
-// a typical state closes the initial episode (recovery from startup).
+// NewDetector returns a detector for st with the given target.
 func NewDetector(st *Store, target Target) *Detector {
-	d := &Detector{store: st, target: target}
-	d.ep.Start(st.Allocs(), time.Now())
+	return NewSourceDetector(&storeSource{st: st}, target, "serve")
+}
+
+// NewSourceDetector returns a detector over src with the given target,
+// publishing its metrics under prefix. It starts disrupted: the first
+// Check that observes a typical state closes the boot episode.
+func NewSourceDetector(src LoadSource, target Target, prefix string) *Detector {
+	d := &Detector{
+		src:    src,
+		target: target,
+		names:  newDetectorMetrics(prefix),
+		now:    time.Now,
+		ep:     episodes{budget: target.BudgetSteps, recovered: true, byKind: map[string]int64{}},
+	}
+	d.NoteFault("startup")
 	return d
 }
 
 // Target returns the detector's recovery target.
 func (d *Detector) Target() Target { return d.target }
 
-// Recovered reports whether the last observation was typical.
+// Recovered reports whether the detector is in the typical state.
 func (d *Detector) Recovered() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.ep.Recovered
+	return d.ep.recovered
 }
 
 // LastEpisode returns the most recently completed recovery episode and
@@ -179,67 +157,49 @@ func (d *Detector) Recovered() bool {
 func (d *Detector) LastEpisode() (Episode, int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.ep.Last, d.ep.Episodes
+	return d.ep.last, d.ep.completed
 }
 
-// AttachEpisodes connects an EpisodeTracker to the detector: every
-// NoteFault/MarkDisrupted call and every drift-opened outage is
-// reported to the tracker as a fault, and every recovery closes the
-// tracker's open episode. If the detector is currently disrupted
-// (which includes a freshly constructed detector — the store starts
-// atypical), the tracker opens a "startup" episode stamped at the
-// outage's origin, so boot-time recovery is the first episode.
-func (d *Detector) AttachEpisodes(tr *EpisodeTracker) {
+// Summary snapshots the full episode history. OpenWall is measured
+// against now for an open outage.
+func (d *Detector) Summary() EpisodeSummary {
+	now := d.now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.tracker = tr
-	if tr != nil && !d.ep.Recovered {
-		tr.noteFault("startup", d.ep.since, d.ep.sinceTS)
-	}
+	return d.ep.summary(now)
 }
 
-// Episodes returns the attached tracker, or nil.
-func (d *Detector) Episodes() *EpisodeTracker {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.tracker
-}
-
-// MarkDisrupted forces the detector into the not-recovered state,
-// stamping the outage at the store's current step clock. Call it right
+// MarkDisrupted is NoteFault with the kind "manual": call it right
 // after a fault injection (Store.Crash) so the following recovery is
-// measured from the injection, not from the next Check. It is
-// NoteFault with the kind "manual".
+// measured from the injection, not from the next Check.
 func (d *Detector) MarkDisrupted() { d.NoteFault("manual") }
 
 // NoteFault records a fault of the given kind (the chaos injector
-// passes its catastrophe names; /crash passes "manual"). If the store
-// is currently recovered this opens a new outage at the store's
-// current step clock. If it is already disrupted the fault MERGES into
-// the ongoing outage: the origin stamp is kept, so the eventual
-// episode is measured from the first fault — overlapping faults are
-// one episode, the self-stabilization unit of account.
+// passes its catastrophe names). If the detector is recovered this
+// opens an outage at the source's step clock; if not, the fault MERGES
+// into the open outage, which keeps its origin — overlapping faults
+// are one episode.
 func (d *Detector) NoteFault(kind string) {
-	now := time.Now()
-	steps := d.store.Allocs()
+	now, steps := d.now(), d.src.Steps()
 	d.mu.Lock()
-	d.ep.Disrupt(steps, now)
-	if d.tracker != nil {
-		d.tracker.noteFault(kind, steps, now)
-	}
+	d.faultLocked(kind, steps, now)
 	d.mu.Unlock()
-	metrics.SetGauge("serve.recovered", 0)
 }
 
-// Check observes the store and updates the recovery state, returning
+// faultLocked notes a fault and publishes it. d.mu held.
+func (d *Detector) faultLocked(kind string, steps int64, now time.Time) {
+	merged := d.ep.fault(kind, steps, now)
+	metrics.SetGauge(d.names.recovered, 0)
+	metrics.AddCounter(d.names.faults, 1)
+	metrics.SetGauge(d.names.open, 1)
+	if merged {
+		metrics.AddCounter(d.names.merged, 1)
+	}
+}
+
+// Check observes the source and updates the recovery state, returning
 // the observation. If another Check is already in flight the cached
 // observation is returned instead (see the type comment).
-//
-// The observation is computed from the store's level counts alone: the
-// normalized load vector is the levels in descending order, each
-// repeated once per bin on it. At rest it equals what Snapshot() would
-// give field for field; under traffic the counts are not one cut, so
-// the fields can be off by the operations in flight, never negative.
 func (d *Detector) Check() Status {
 	if !d.checkMu.TryLock() {
 		d.mu.Lock()
@@ -249,15 +209,112 @@ func (d *Detector) Check() Status {
 	}
 	defer d.checkMu.Unlock()
 
-	steps := d.store.Allocs()
-	var atLeast [denseLevels]int64
-	d.sparse = d.store.levels(&atLeast, d.sparse[:0])
-	s := Status{
-		Steps:        steps,
-		PredictedMax: d.target.PredictedMax,
-		TargetMax:    d.target.MaxLoad(),
-		NonEmpty:     atLeast[1],
+	// The fault count is the epoch: a fault noted while the source is
+	// read may postdate what was read, so that read cannot close the
+	// fault's outage — the next Check does. Checks never overlap, so
+	// only NoteFault moves the count meanwhile.
+	d.mu.Lock()
+	epoch := d.ep.faults
+	d.mu.Unlock()
+	s := d.src.Observe()
+	s.PredictedMax, s.TargetMax = d.target.PredictedMax, d.target.MaxLoad()
+	now := d.now()
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	typical := !s.Degraded && s.MaxLoad <= s.TargetMax && d.ep.faults == epoch
+	switch {
+	case typical && !d.ep.recovered:
+		d.publishClose(d.ep.close(s.Steps, now))
+	case !typical && d.ep.recovered:
+		// The source drifted (or was crashed unannounced) out of the
+		// typical band between checks: the outage opens here.
+		d.faultLocked("drift", s.Steps, now)
 	}
+	s.Recovered = d.ep.recovered
+	d.last = s
+
+	metrics.AddCounter(d.names.checks, 1)
+	metrics.SetGauge(d.names.recovered, boolGauge(s.Recovered))
+	metrics.SetGauge(d.names.maxLoad, float64(s.MaxLoad))
+	metrics.SetGauge(d.names.gap, float64(s.Gap))
+	metrics.SetGauge(d.names.delta, float64(s.DeltaTypical))
+	metrics.SetGauge(d.names.predicted, float64(s.PredictedMax))
+	metrics.SetGauge(d.names.targetMax, float64(s.TargetMax))
+	metrics.SetGauge(d.names.budget, d.target.BudgetSteps)
+	return s
+}
+
+// publishClose publishes a closed episode. d.mu held.
+func (d *Detector) publishClose(ep Episode) {
+	e := &d.ep
+	metrics.ObserveHistogram(d.names.recSteps, ep.Steps)
+	metrics.ObserveHistogram(d.names.recWall, ep.Wall.Nanoseconds())
+	metrics.AddCounter(d.names.completed, 1)
+	metrics.SetGauge(d.names.open, 0)
+	metrics.SetGauge(d.names.downtime, float64(e.downtime.Nanoseconds()))
+	metrics.SetGauge(d.names.mttr, float64(e.downtime.Nanoseconds())/float64(e.completed))
+	metrics.SetGauge(d.names.mttrSteps, float64(e.downSteps)/float64(e.completed))
+	metrics.ObserveHistogram(d.names.epSteps, ep.Steps)
+	metrics.ObserveHistogram(d.names.epWall, ep.Wall.Nanoseconds())
+	if e.budget > 0 {
+		metrics.ObserveHistogram(d.names.budgetPct, int64(ep.BudgetRatio*100))
+	}
+}
+
+// Close releases the source (a fleet's probe session).
+func (d *Detector) Close() {
+	d.checkMu.Lock()
+	d.src.Close()
+	d.checkMu.Unlock()
+}
+
+// detectorMetrics are the names a Detector publishes, built once under
+// its source's prefix so Check concatenates nothing.
+type detectorMetrics struct {
+	recovered, maxLoad, gap, delta, predicted, targetMax, budget, checks string
+	recSteps, recWall                                                    string
+	faults, merged, open, completed, downtime, mttr, mttrSteps           string
+	epSteps, epWall, budgetPct                                           string
+}
+
+func newDetectorMetrics(prefix string) detectorMetrics {
+	p := prefix + "."
+	return detectorMetrics{
+		recovered: p + "recovered", maxLoad: p + "max_load", gap: p + "gap",
+		delta: p + "delta_typical", predicted: p + "predicted_max_load",
+		targetMax: p + "target_max_load", budget: p + "recovery.budget_steps",
+		checks: p + "detector.checks", recSteps: p + "recovery.steps", recWall: p + "recovery.wall_ns",
+		faults: p + "episodes.faults", merged: p + "episodes.merged_faults", open: p + "episodes.open",
+		completed: p + "episodes.completed", downtime: p + "episodes.downtime_ns",
+		mttr: p + "episodes.mttr_ns", mttrSteps: p + "episodes.mttr_steps",
+		epSteps: p + "episodes.steps", epWall: p + "episodes.wall_ns", budgetPct: p + "episodes.budget_pct",
+	}
+}
+
+// storeSource observes one Store through its load histogram (lock-free,
+// a handful of levels per index stripe — not the bins).
+type storeSource struct {
+	st     *Store
+	sparse []levelCount // Observe's scratch for levels >= denseLevels
+}
+
+func (src *storeSource) Steps() int64 { return src.st.Allocs() }
+func (src *storeSource) Close()       {}
+
+// Observe computes the distance-to-typical measures — maximum load,
+// the gap above fair share, and the path-coupling metric
+// Delta(v, balanced) that Sections 4 and 5 contract — from the store's
+// level counts alone: the normalized load vector is the levels in
+// descending order, each repeated once per bin on it. At rest it equals
+// what Snapshot() would give field for field; under traffic the counts
+// are not one cut, so the fields can be off by the operations in
+// flight, never negative.
+func (src *storeSource) Observe() Status {
+	var atLeast [denseLevels]int64
+	s := Status{Steps: src.st.Allocs()}
+	src.sparse = src.st.levels(&atLeast, src.sparse[:0])
+	s.NonEmpty = atLeast[1]
 	// A bin of load v is counted by atLeast[1..v], so the levels sum to
 	// the mass; the dense levels stop at denseLevels-1 and the sparse
 	// list supplies the rest of each taller bin.
@@ -267,14 +324,14 @@ func (d *Detector) Check() Status {
 			s.MaxLoad = l
 		}
 	}
-	for _, lv := range d.sparse {
+	for _, lv := range src.sparse {
 		s.Total += lv.bins * (lv.load - (denseLevels - 1))
 		s.MaxLoad = max(s.MaxLoad, int(lv.load))
 	}
 	// The balanced state of the same mass has r bins at q+1 and the
 	// rest at q, so against it level q+1 is over by the bins past r and
 	// every level above by all of its bins: that excess is Delta.
-	n := int64(d.store.N())
+	n := int64(src.st.N())
 	q, r := s.Total/n, s.Total%n
 	var next, above int64 // bins at >= q+1; sum over l >= q+2 of bins at >= l
 	for l := q + 1; l < denseLevels; l++ {
@@ -284,7 +341,7 @@ func (d *Detector) Check() Status {
 			above += atLeast[l]
 		}
 	}
-	for _, lv := range d.sparse {
+	for _, lv := range src.sparse {
 		if q+1 >= denseLevels && lv.load > q {
 			next += lv.bins
 		}
@@ -295,32 +352,6 @@ func (d *Detector) Check() Status {
 	// read mid-move can show one bin on two levels; then the fair share
 	// of the doubled mass may pass the max.
 	s.Gap = max(s.MaxLoad-int((s.Total+n-1)/n), 0)
-	s.Recovered = s.MaxLoad <= d.target.MaxLoad()
-
-	now := time.Now()
-	d.mu.Lock()
-	if ep, closed, opened := d.ep.Observe(s.Recovered, steps, now); closed {
-		metrics.ObserveHistogram("serve.recovery.steps", ep.Steps)
-		metrics.ObserveHistogram("serve.recovery.wall_ns", ep.Wall.Nanoseconds())
-		if d.tracker != nil {
-			d.tracker.noteRecovered(steps, now)
-		}
-	} else if opened && d.tracker != nil {
-		// The store drifted (or was crashed) out of the typical band
-		// between checks: the outage opens at this observation.
-		d.tracker.noteFault("drift", steps, now)
-	}
-	d.last = s
-	d.mu.Unlock()
-
-	metrics.AddCounter("serve.detector.checks", 1)
-	metrics.SetGauge("serve.recovered", boolGauge(s.Recovered))
-	metrics.SetGauge("serve.max_load", float64(s.MaxLoad))
-	metrics.SetGauge("serve.gap", float64(s.Gap))
-	metrics.SetGauge("serve.delta_typical", float64(s.DeltaTypical))
-	metrics.SetGauge("serve.predicted_max_load", float64(s.PredictedMax))
-	metrics.SetGauge("serve.target_max_load", float64(s.TargetMax))
-	metrics.SetGauge("serve.recovery.budget_steps", d.target.BudgetSteps)
 	return s
 }
 

@@ -1,10 +1,10 @@
 package serve
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"dynalloc/internal/core"
-	"dynalloc/internal/metrics"
 	"dynalloc/internal/process"
 )
 
@@ -47,102 +47,57 @@ func TestNewTargetMixed(t *testing.T) {
 	}
 }
 
-func TestDetectorEpisodes(t *testing.T) {
-	metrics.Reset()
-	metrics.Enable()
-	defer metrics.Disable()
-	defer metrics.Reset()
-
-	const n, m = 64, 64
-	st := NewStoreShards(n, 8)
-	st.FillBalanced(m)
-	target := Target{PredictedMax: 2, Slack: 1, BudgetSteps: 1}
-	d := NewDetector(st, target)
-
-	// Startup: balanced state is typical, so the first check closes the
-	// initial (startup) episode.
-	s := d.Check()
-	if !s.Recovered || !d.Recovered() {
-		t.Fatalf("balanced store not recovered: %+v", s)
-	}
-	if _, eps := d.LastEpisode(); eps != 1 {
-		t.Fatalf("startup episode not recorded: %d episodes", eps)
-	}
-
-	// Crash and mark: the detector must flip to disrupted.
-	st.Crash(5, 40)
-	d.MarkDisrupted()
-	if d.Recovered() {
-		t.Fatal("recovered right after MarkDisrupted")
-	}
-	s = d.Check()
-	if s.Recovered || s.MaxLoad < 40 {
-		t.Fatalf("crash not observed: %+v", s)
-	}
-	if s.DeltaTypical == 0 || s.Gap == 0 {
-		t.Fatalf("distance metrics flat after crash: %+v", s)
-	}
-
-	// Drain the crashed bin; do some admissions so the episode has a
-	// nonzero step count, then the next check closes episode 2.
-	for i := 0; i < 40; i++ {
-		if _, err := st.FreeBin(5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	admitOne(st, 5) // advance the step clock
-	if _, err := st.FreeBin(5); err != nil {
-		t.Fatal(err)
-	}
-	s = d.Check()
-	if !s.Recovered {
-		t.Fatalf("still disrupted after drain: %+v", s)
-	}
-	ep, eps := d.LastEpisode()
-	if eps != 2 {
-		t.Fatalf("episodes = %d, want 2", eps)
-	}
-	if ep.Steps != 1 {
-		t.Fatalf("episode steps = %d, want the 1 admission since the crash", ep.Steps)
-	}
-
-	// The metric surface: recovered gauge is 1, the recovery histogram
-	// holds both completed episodes.
-	snap := metrics.Default().Snapshot()
-	if g := snap.Gauges["serve.recovered"]; g != 1 {
-		t.Fatalf("serve.recovered gauge = %v, want 1", g)
-	}
-	if h := snap.Histograms["serve.recovery.steps"]; h.Count != 2 {
-		t.Fatalf("serve.recovery.steps count = %d, want 2", h.Count)
-	}
-	if h := snap.Histograms["serve.recovery.wall_ns"]; h.Count != 2 {
-		t.Fatalf("serve.recovery.wall_ns count = %d, want 2", h.Count)
-	}
-	if g := snap.Gauges["serve.target_max_load"]; g != 3 {
-		t.Fatalf("serve.target_max_load gauge = %v, want 3", g)
-	}
+// gateSource is a LoadSource that reads typical levels and, once armed,
+// blocks mid-read until released — where a crash can land between a
+// Check's read and its transition.
+type gateSource struct {
+	steps            atomic.Int64
+	reading, release chan struct{}
 }
 
-func TestDetectorDriftReopensOutage(t *testing.T) {
-	st := NewStoreShards(16, 4)
-	st.FillBalanced(16)
-	d := NewDetector(st, Target{PredictedMax: 1, Slack: 0})
+func (g *gateSource) Observe() Status {
+	s := Status{Steps: g.steps.Load(), MaxLoad: 1}
+	if g.reading != nil {
+		g.reading <- struct{}{}
+		<-g.release
+	}
+	return s
+}
+
+func (g *gateSource) Steps() int64 { return g.steps.Load() }
+func (g *gateSource) Close()       {}
+
+// TestCheckCannotCloseALaterFault: a Check whose read began before a
+// fault was noted cannot close that fault's outage — its typical levels
+// predate the crash. Without the epoch guard the stale read closes a
+// bogus zero-step "crash" episode, and the real recovery is lost.
+func TestCheckCannotCloseALaterFault(t *testing.T) {
+	src := &gateSource{}
+	d := NewSourceDetector(src, Target{PredictedMax: 1, BudgetSteps: 100}, "test")
 	if s := d.Check(); !s.Recovered {
-		t.Fatalf("balanced not typical: %+v", s)
+		t.Fatalf("boot outage not closed: %+v", s)
 	}
-	// Drift out of the band without MarkDisrupted: the detector itself
-	// must open a new outage on observation.
-	st.Crash(0, 10)
-	if s := d.Check(); s.Recovered {
-		t.Fatal("detector missed the drift")
+
+	src.steps.Store(10)
+	src.reading, src.release = make(chan struct{}), make(chan struct{})
+	done := make(chan Status)
+	go func() { done <- d.Check() }()
+	<-src.reading // the Check has read typical levels at step 10
+	d.NoteFault(ChaosCrash)
+	close(src.release)
+	if s := <-done; s.Recovered {
+		t.Fatalf("a read that began before the crash reported recovered: %+v", s)
 	}
-	for i := 0; i < 10; i++ {
-		st.FreeBin(0)
+	if sum := d.Summary(); sum.Completed != 1 || !sum.Open || sum.OpenKind != ChaosCrash {
+		t.Fatalf("a read that began before the crash closed its outage: %+v", sum)
 	}
+
+	src.reading = nil
+	src.steps.Store(25)
 	if s := d.Check(); !s.Recovered {
-		t.Fatal("detector missed the drift recovery")
+		t.Fatalf("a read after the crash did not close it: %+v", s)
 	}
-	if _, eps := d.LastEpisode(); eps != 2 {
-		t.Fatalf("episodes = %d, want 2 (startup + drift)", eps)
+	if ep, n := d.LastEpisode(); n != 2 || ep.Kind != ChaosCrash || ep.Steps != 15 {
+		t.Fatalf("crash episode %+v (%d completed), want a crash of 15 steps", ep, n)
 	}
 }

@@ -424,20 +424,8 @@ func (j *Journal) Maintain() int {
 // segments after a successful snapshot write. A failure is recorded
 // (MaintErr, checkpoint.maintenance.errors) rather than returned:
 // durability is already intact and the next checkpoint retries.
-func (j *Journal) maintain() (segments int) {
-	err := func() error {
-		if _, err := checkpoint.PruneFS(j.log.FS(), j.log.Dir(), j.opts.KeepCheckpoints); err != nil {
-			return err
-		}
-		metas, err := checkpoint.ListFS(j.log.FS(), j.log.Dir())
-		if err != nil {
-			return err
-		}
-		if len(metas) > 0 {
-			segments, err = j.log.TruncateThrough(metas[0].Seq)
-		}
-		return err
-	}()
+func (j *Journal) maintain() int {
+	segments, err := RetainCheckpoints(j.log, j.opts.KeepCheckpoints)
 	j.maintMu.Lock()
 	j.maintErr = err
 	j.maintMu.Unlock()
@@ -445,6 +433,21 @@ func (j *Journal) maintain() (segments int) {
 		metrics.AddCounter("checkpoint.maintenance.errors", 1)
 	}
 	return segments
+}
+
+// RetainCheckpoints is checkpoint retention in one pass, for a primary's
+// journal and a replica's follower alike: keep the newest keep
+// checkpoints in log's directory, then drop the WAL segments the oldest
+// survivor covers. It returns how many segments it removed.
+func RetainCheckpoints(log *wal.Log, keep int) (segments int, err error) {
+	if _, err := checkpoint.PruneFS(log.FS(), log.Dir(), keep); err != nil {
+		return 0, err
+	}
+	metas, err := checkpoint.ListFS(log.FS(), log.Dir())
+	if err != nil || len(metas) == 0 {
+		return 0, err
+	}
+	return log.TruncateThrough(metas[0].Seq)
 }
 
 // MaintErr returns the maintenance (prune/truncate) failure of the

@@ -368,38 +368,35 @@ func TestStripeCountIsNotAProcessParameter(t *testing.T) {
 	}
 }
 
-// TestEpisodeState walks the shared state machine through its
-// transitions: boot episode, announced fault, merged fault keeping the
-// origin, drift-opened outage.
+// TestEpisodeState walks the detector's timeline through its
+// transitions: boot outage, merged fault keeping the origin, announced
+// fault, and the clamp on a clock that ran backwards.
 func TestEpisodeState(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	at := func(s int) time.Time { return t0.Add(time.Duration(s) * time.Second) }
-	var e EpisodeState
-	e.Start(10, at(0))
-	if _, closed, opened := e.Observe(false, 15, at(1)); closed || opened || e.Recovered {
-		t.Fatal("atypical observation while disrupted must change nothing")
+	e := episodes{budget: 100, recovered: true, byKind: map[string]int64{}}
+	if e.fault("startup", 10, at(0)) || e.recovered {
+		t.Fatal("a fault while recovered opens an outage; it must not merge")
 	}
-	if e.Disrupt(16, at(2)) {
+	if !e.fault(ChaosCrash, 16, at(2)) {
 		t.Fatal("a fault while disrupted merges; it must not open an outage")
 	}
-	ep, closed, _ := e.Observe(true, 40, at(5))
-	if !closed || ep != (Episode{Steps: 30, Wall: 5 * time.Second}) || !e.Recovered || e.Episodes != 1 || e.Last != ep {
-		t.Fatalf("boot episode: %+v closed=%v state=%+v", ep, closed, e)
+	ep := e.close(40, at(5))
+	want := Episode{Kind: "startup", Faults: 2, Steps: 30, Wall: 5 * time.Second, BudgetRatio: 0.3}
+	if ep != want || !e.recovered || e.completed != 1 || e.last != ep {
+		t.Fatalf("boot episode: %+v, state %+v", ep, e)
 	}
-	if _, closed, opened := e.Observe(true, 50, at(6)); closed || opened {
-		t.Fatal("typical observation while recovered must change nothing")
-	}
-	if !e.Disrupt(60, at(7)) || e.Recovered {
-		t.Fatal("a fault while recovered opens an outage")
-	}
-	e.Disrupt(70, at(8)) // merged: the origin stays at 60
-	if ep, closed, _ := e.Observe(true, 100, at(10)); !closed || ep.Steps != 40 || ep.Wall != 3*time.Second {
+	e.fault(ChaosCrash, 60, at(7))
+	e.fault(ChaosStall, 70, at(8)) // merged: the origin stays at 60
+	if ep := e.close(100, at(10)); ep.Steps != 40 || ep.Wall != 3*time.Second || ep.Faults != 2 {
 		t.Fatalf("merged-fault episode measured %+v, want 40 steps / 3s from the first fault", ep)
 	}
-	if _, closed, opened := e.Observe(false, 120, at(11)); closed || !opened || e.Recovered {
-		t.Fatal("atypical observation while recovered opens a drift outage")
+	e.fault("drift", 120, at(11))
+	if ep := e.close(110, at(10)); ep.Steps != 0 || ep.Wall != 0 {
+		t.Fatalf("a clock that ran backwards made episode %+v, want it clamped at zero", ep)
 	}
-	if ep, _, _ := e.Observe(true, 125, at(12)); ep.Steps != 5 || e.Episodes != 3 {
-		t.Fatalf("drift episode %+v, episodes %d", ep, e.Episodes)
+	s := e.summary(at(20))
+	if s.Completed != 3 || s.Faults != 5 || s.MergedFaults != 2 || s.Open || s.MaxSteps != 40 || s.TotalDownSteps != 70 {
+		t.Fatalf("summary %+v", s)
 	}
 }

@@ -11,7 +11,9 @@
 #   3. kill -9 one shard mid-traffic and assert the router degrades
 #      (d-1 probing) with ZERO client-visible errors,
 #   4. restart the shard on the same address, assert its state came
-#      back from the WAL and the cluster detector re-fires.
+#      back from the WAL and the cluster detector re-fires,
+#   5. stop the router gracefully and check its exit metrics snapshot
+#      holds the detector's recovered gauge and recovery histogram.
 #
 # Usage: scripts/cluster_drill.sh
 set -euo pipefail
@@ -77,9 +79,11 @@ say "shards at ${SHARD_ADDR[0]} ${SHARD_ADDR[1]} ${SHARD_ADDR[2]}"
 rm -f "$WORK/router.port"
 "$WORK/dynrouter" -shards "${SHARD_ADDR[0]},${SHARD_ADDR[1]},${SHARD_ADDR[2]}" \
   -d 2 -addr 127.0.0.1:0 -port-file "$WORK/router.port" \
-  -traffic 4 -check-interval 200ms >"$WORK/router.log" 2>&1 &
-PIDS+=("$!")
-disown "$!"
+  -traffic 4 -check-interval 200ms -metrics "$WORK/router-metrics.json" \
+  >"$WORK/router.log" 2>&1 &
+ROUTER_PID=$!
+PIDS+=("$ROUTER_PID")
+disown "$ROUTER_PID"
 wait_file "$WORK/router.port"
 RADDR="$(cat "$WORK/router.port")"
 say "router at $RADDR"
@@ -152,4 +156,21 @@ if [ "$FERRS" != "0" ]; then
   exit 1
 fi
 echo "$FINAL" | jq '{status: .status, traffic: .traffic, last_episode: .last_episode}'
+
+say "phase 5: SIGTERM the router, check its metrics snapshot"
+kill -TERM "$ROUTER_PID"
+for _ in $(seq 1 100); do
+  kill -0 "$ROUTER_PID" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$ROUTER_PID" 2>/dev/null; then
+  say "FAIL: router still running 10s after SIGTERM"
+  exit 1
+fi
+for want in '"router.recovered": *1' '"router.recovery.steps"'; do
+  if ! grep -q "$want" "$WORK/router-metrics.json"; then
+    say "FAIL: router metrics snapshot lacks $want"
+    exit 1
+  fi
+done
 say "PASS"
