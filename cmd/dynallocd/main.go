@@ -59,6 +59,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -213,8 +214,8 @@ func run(opt options) int {
 	if opt.m == 0 {
 		opt.m = opt.n
 	}
-	if opt.m < 1 {
-		return fail(fmt.Errorf("-m must be >= 1, got %d", opt.m))
+	if opt.m < 1 || opt.m > math.MaxInt32 {
+		return fail(fmt.Errorf("-m must be in [1, %d] (the store's ball bound), got %d", math.MaxInt32, opt.m))
 	}
 	if opt.walDir != "" {
 		if opt.fp, err = wal.ParseFsyncPolicy(opt.fsync); err != nil {
@@ -242,20 +243,16 @@ func run(opt options) int {
 	// without it a fresh boot's balls would exist nowhere on disk.
 	var faultFS *vfs.FaultFS // chaos mode's disk-fault seam on the WAL dir
 	walFS := vfs.FS(vfs.OS)  // the FS the WAL dir is reached through (replication reads it too)
-	var lastSeq uint64
+	var res serve.RestoreResult
 	if opt.walDir != "" {
-		res, err := serve.RestoreFSOpts(st, vfs.OS, opt.walDir, serve.RestoreOptions{})
-		if err != nil {
+		if res, err = serve.RestoreFSOpts(st, vfs.OS, opt.walDir, serve.RestoreOptions{}); err != nil {
 			return fail(err)
 		}
 		if res.Restored {
 			fmt.Printf("dynallocd: restored %d balls from %s (checkpoint seq %d, %d WAL records replayed, torn=%v)\n",
 				st.Total(), opt.walDir, res.CheckpointSeq, res.Replayed, res.Torn)
 			printRestoreBreakdown(res)
-		} else {
-			st.FillBalanced(opt.m)
 		}
-		lastSeq = res.LastSeq
 		if opt.chaos {
 			// The WAL (and the checkpoint writer, which shares the log's
 			// FS) runs behind the fault seam so the injector can arm
@@ -263,14 +260,17 @@ func run(opt options) int {
 			faultFS = vfs.NewFaultFS(vfs.OS)
 			walFS = faultFS
 		}
-	} else {
+	}
+	if !res.Restored {
+		t0 := time.Now()
 		st.FillBalanced(opt.m)
+		fmt.Printf("dynallocd: seeded %d balls into %d bins in %v\n", opt.m, opt.n, time.Since(t0))
 	}
 
 	fmt.Printf("dynallocd: n=%d m=%d rule=%s scenario=%s workers=%d shards=%d seed=%d\n",
 		opt.n, opt.m, pol.Name(), sc, opt.workers, st.Shards(), opt.seed)
 	p := &primary{svc: svc, opt: opt}
-	target, err := p.arm(walFS, lastSeq, int(st.Total())+opt.crashK, "")
+	target, err := p.arm(walFS, res.LastSeq, int(st.Total())+opt.crashK, "")
 	if err != nil {
 		return fail(err)
 	}

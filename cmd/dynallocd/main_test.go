@@ -284,6 +284,19 @@ func TestRunRejectsBadFsyncPolicy(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMPastTheBallBound: an -m the store cannot hold is a
+// flag error, found before seeding: at n = 2 its fair share m/n does not
+// even fit a bin's int32 load.
+func TestRunRejectsMPastTheBallBound(t *testing.T) {
+	code := run(options{
+		addr: "", n: 2, m: 1<<32 + 4, d: 2, scenario: "A",
+		seed: 1, workers: 1, slack: 1,
+	})
+	if code != 2 {
+		t.Fatalf("-m 4294967300 exited %d, want 2", code)
+	}
+}
+
 // TestVerbErrStatusTable pins the admin plane's mapping of the two gate
 // refusals it can still meet (docs/SERVING.md, "Verbs, refusals and
 // errors").

@@ -187,41 +187,22 @@ type SnapshotMsg struct {
 	Loads  []int32
 }
 
-// snapshotFixed is the fixed prefix of an encoded SnapshotMsg.
-const snapshotFixed = 8 + 8 + 8 + 4
-
-// AppendSnapshotMsg appends the encoded form of s to dst.
+// AppendSnapshotMsg appends the encoded form of s to dst: the seq, then
+// the clocks and loads as a StateReply encodes them.
 func AppendSnapshotMsg(dst []byte, s SnapshotMsg) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, s.Seq)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Allocs))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Frees))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Loads)))
-	for _, l := range s.Loads {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(l))
-	}
-	return dst
+	return AppendStateReply(dst, StateReply{Allocs: s.Allocs, Frees: s.Frees, Loads: s.Loads})
 }
 
 // DecodeSnapshotMsg parses a SnapshotMsg payload, appending the loads
 // into loads (which may be a reused slice).
 func DecodeSnapshotMsg(p []byte, loads []int32) (SnapshotMsg, error) {
-	if len(p) < snapshotFixed {
+	if len(p) < 8 {
 		return SnapshotMsg{}, fmt.Errorf("%w: snapshot payload %d bytes", ErrShort, len(p))
 	}
-	s := SnapshotMsg{
-		Seq:    binary.LittleEndian.Uint64(p[0:8]),
-		Allocs: int64(binary.LittleEndian.Uint64(p[8:16])),
-		Frees:  int64(binary.LittleEndian.Uint64(p[16:24])),
+	r, err := DecodeStateReply(p[8:], loads)
+	if err != nil {
+		return SnapshotMsg{}, fmt.Errorf("snapshot: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(p[24:28])
-	if uint64(len(p)) != snapshotFixed+4*uint64(n) {
-		return SnapshotMsg{}, fmt.Errorf("%w: snapshot payload %d bytes for %d bins", ErrShort, len(p), n)
-	}
-	off := snapshotFixed
-	for i := uint32(0); i < n; i++ {
-		loads = append(loads, int32(binary.LittleEndian.Uint32(p[off:off+4])))
-		off += 4
-	}
-	s.Loads = loads
-	return s, nil
+	return SnapshotMsg{Seq: binary.LittleEndian.Uint64(p), Allocs: r.Allocs, Frees: r.Frees, Loads: r.Loads}, nil
 }

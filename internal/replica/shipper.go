@@ -193,13 +193,7 @@ func (s *Shipper) initTail(send func(dgram.Type, []byte) error) error {
 	}
 	after := s.after
 	if need {
-		s.pbuf = dgram.AppendSnapshotMsg(s.pbuf[:0], dgram.SnapshotMsg{
-			Seq:    snap.Seq,
-			Allocs: snap.Allocs,
-			Frees:  snap.Frees,
-			Loads:  snap.Loads,
-		})
-		if err := send(dgram.TSnapshot, s.pbuf); err != nil {
+		if err := s.sendSnapshot(send, &snap); err != nil {
 			return err
 		}
 		if s.cfg.ForceSnapshot {
@@ -212,6 +206,12 @@ func (s *Shipper) initTail(send func(dgram.Type, []byte) error) error {
 	return nil
 }
 
+// sendSnapshot ships snap to the follower as one SNAPSHOT frame.
+func (s *Shipper) sendSnapshot(send func(dgram.Type, []byte) error, snap *checkpoint.Snapshot) error {
+	s.pbuf = dgram.AppendSnapshotMsg(s.pbuf[:0], dgram.SnapshotMsg{Seq: snap.Seq, Allocs: snap.Allocs, Frees: snap.Frees, Loads: snap.Loads})
+	return send(dgram.TSnapshot, s.pbuf)
+}
+
 // resync is initTail for the mid-stream gap case: the snapshot is
 // mandatory (a gap means the log alone cannot continue).
 func (s *Shipper) resync(send func(dgram.Type, []byte) error) error {
@@ -222,13 +222,7 @@ func (s *Shipper) resync(send func(dgram.Type, []byte) error) error {
 		}
 		return fmt.Errorf("replica: resync: %w", err)
 	}
-	s.pbuf = dgram.AppendSnapshotMsg(s.pbuf[:0], dgram.SnapshotMsg{
-		Seq:    snap.Seq,
-		Allocs: snap.Allocs,
-		Frees:  snap.Frees,
-		Loads:  snap.Loads,
-	})
-	if err := send(dgram.TSnapshot, s.pbuf); err != nil {
+	if err := s.sendSnapshot(send, &snap); err != nil {
 		return err
 	}
 	after := s.after

@@ -326,6 +326,27 @@ func replayBytes(t *testing.T, segments, per int, opts wal.PipelineOptions) (log
 	return uint64(segments * (16 + per*wal.RecordSize)), m1.TotalAlloc - m0.TotalAlloc
 }
 
+// TestAllocBudgetFillBalanced: seeding writes the loads and the index
+// the store already owns and allocates nothing, sparse levels aside (a
+// fair share of 64 balls or more grows each stripe's level table once).
+func TestAllocBudgetFillBalanced(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are meaningless under -race instrumentation")
+	}
+	const n = 1 << 12
+	stores := make([]*Store, 11) // AllocsPerRun makes one warm-up run
+	for i := range stores {
+		stores[i] = NewStoreShards(n, 8)
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(len(stores)-1, func() {
+		stores[i].FillBalanced(3*n + 5)
+		i++
+	}); avg != 0 {
+		t.Fatalf("FillBalanced: %.1f allocs per seeding, want 0", avg)
+	}
+}
+
 // The replay allocates for the segments it holds in flight, never for
 // the log. Machine-independent forms of that: (a) a restore of a
 // single-segment log — cmd/bench's wal/replay-parallel and

@@ -163,31 +163,27 @@ func (sh *shard) reindex(b int, old, new int32) {
 	}
 }
 
-// rebuild recomputes the stripe's index from its bin loads and returns
-// the stripe's ball and nonempty-bin counts. Caller holds the store's
-// mutex (or, at boot, owns the store).
+// rebuild recomputes the stripe's index and total from its loads, one
+// run of 64 bins at a time, and returns its ball and nonempty-bin
+// counts. Caller holds the store's mutex (or, at boot, owns the store).
 func (sh *shard) rebuild(loads []atomic.Int32) (total, nonEmpty int64) {
-	clear(sh.sum1)
 	clear(sh.sum2)
-	clear(sh.occ)
 	sh.sparse.Store(nil)
 	var on [denseLevels]int32 // bins on exactly level l; the last entry takes every load above
 	var top int32
-	for b := sh.lo; b < sh.hi; b++ {
-		l := loads[b].Load()
-		j := (b - sh.lo) >> runBits
-		sh.sum1[j] += int64(l)
-		sh.sum2[j>>runBits] += int64(l)
-		on[min(l, denseLevels-1)]++
-		if l >= denseLevels {
-			sh.sparseAdd(l, 1)
+	for j := range sh.sum1 {
+		run := loads[sh.lo+j<<runBits : min(sh.lo+(j+1)<<runBits, sh.hi)]
+		sum, occ, most := tallyRun(run, &on)
+		sh.sum1[j], sh.occ[j] = sum, occ
+		sh.sum2[j>>runBits] += sum
+		total += sum
+		nonEmpty += int64(bits.OnesCount64(occ))
+		top = max(top, most)
+		for i := 0; most >= denseLevels && i < len(run); i++ {
+			if l := run[i].Load(); l >= denseLevels {
+				sh.sparseAdd(l, 1)
+			}
 		}
-		if l > 0 {
-			sh.occ[j] |= 1 << ((b - sh.lo) & (1<<runBits - 1))
-			nonEmpty++
-			total += int64(l)
-		}
-		top = max(top, l)
 	}
 	var above int32
 	for l := denseLevels - 1; l >= 0; l-- {
@@ -195,7 +191,34 @@ func (sh *shard) rebuild(loads []atomic.Int32) (total, nonEmpty int64) {
 		sh.atLeast[l].Store(above)
 	}
 	sh.max.Store(top)
+	sh.total = total
 	return total, nonEmpty
+}
+
+// tallyRun counts a nonempty run's bins into the histogram on and
+// returns its sum, occupancy word (1<<64 is 0; min(l, 1) is l > 0
+// branch-free, loads never being negative) and maximum. A run of one
+// load, like all but one run of a seeded store, costs one xor per bin
+// and one histogram write. Never inlined: in rebuild it would spill.
+//
+//go:noinline
+func tallyRun(run []atomic.Int32, on *[denseLevels]int32) (sum int64, occ uint64, most int32) {
+	first, diff := run[0].Load(), int32(0)
+	for i := range run {
+		diff |= run[i].Load() ^ first
+	}
+	if diff == 0 {
+		on[min(first, denseLevels-1)] += int32(len(run))
+		return int64(first) * int64(len(run)), (1<<len(run) - 1) * uint64(min(first, 1)), first
+	}
+	for i := range run {
+		l := run[i].Load()
+		sum += int64(l)
+		occ |= uint64(min(l, 1)) << (i & 63)
+		most = max(most, l)
+		on[min(l, denseLevels-1)]++
+	}
+	return sum, occ, most
 }
 
 // locate returns the bin holding the stripe's target-th ball, counting

@@ -141,9 +141,7 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 		Floor:        snap.MaxWatermark(),
 	})
 	if ap.applied.Load() > 0 {
-		for i := range st.shards {
-			st.shards[i].total, _ = st.shards[i].rebuild(st.loads)
-		}
+		st.reindexAll()
 	}
 	st.mu.Unlock()
 	res.ReplayNs = time.Since(t0).Nanoseconds()

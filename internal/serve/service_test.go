@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -258,6 +260,60 @@ func TestStoreCrashOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	admitOne(st, 3)
+}
+
+// TestInstallsEnforceTheBallBound: the two installs hold the store to
+// the same math.MaxInt32 ball bound as Crash and AdmitBatch, and refuse
+// with nothing installed. FillBalanced panics on an m past the bound
+// (at n = 2, m = 2^32+4 would wrap the fair share into a negative load;
+// at n = 4, m = 3·10^9 would pass the bound the batched drive relies
+// on) and on a store that already holds balls; Restore returns
+// ErrOverflow for loads that sum past it.
+func TestInstallsEnforceTheBallBound(t *testing.T) {
+	fillPanics := func(st *Store, m int) (msg any) {
+		defer func() { msg = recover() }()
+		st.FillBalanced(m)
+		return nil
+	}
+	for _, tc := range []struct{ n, m int }{{2, 1<<32 + 4}, {4, 3e9}, {1, math.MaxInt32 + 1}, {8, -1}} {
+		st := NewStoreShards(tc.n, 1)
+		msg := fillPanics(st, tc.m)
+		if s, ok := msg.(string); !ok || !strings.Contains(s, "FillBalanced") {
+			t.Errorf("FillBalanced(%d) on %d bins: recovered %v, want FillBalanced's own panic", tc.m, tc.n, msg)
+		}
+		if st.Total() != 0 || slices.ContainsFunc(st.LoadsCopy(), func(l int) bool { return l != 0 }) {
+			t.Errorf("refused FillBalanced(%d) left %d balls", tc.m, st.Total())
+		}
+	}
+	st := NewStoreShards(4, 1)
+	st.FillBalanced(math.MaxInt32)
+	if want := []int{1 << 29, 1 << 29, 1 << 29, 1<<29 - 1}; st.Total() != math.MaxInt32 || !slices.Equal(st.LoadsCopy(), want) {
+		t.Fatalf("FillBalanced to the brim: %d balls, loads %v, want %v", st.Total(), st.LoadsCopy(), want)
+	}
+
+	held := NewStoreShards(8, 2)
+	held.Crash(5, 1)
+	before := stateOf(held)
+	if msg := fillPanics(held, 8); msg == nil || stateOf(held) != before {
+		t.Errorf("FillBalanced on a store holding a ball: recovered %v, state changed %v", msg, stateOf(held) != before)
+	}
+
+	for _, loads := range [][]int32{
+		{math.MaxInt32, 1, 0, 0},
+		{750_000_000, 750_000_000, 750_000_000, 750_000_000},
+		{math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32},
+	} {
+		st := NewStoreShards(4, 2)
+		st.FillBalanced(6)
+		before := stateOf(st)
+		if err := st.Restore(loads, 1, 1); !errors.Is(err, ErrOverflow) || stateOf(st) != before {
+			t.Errorf("Restore(%v) = %v, state changed %v; want ErrOverflow and nothing installed", loads, err, stateOf(st) != before)
+		}
+	}
+	brim := []int32{math.MaxInt32 - 3, 1, 1, 1}
+	if err := st.Restore(brim, 0, 0); err != nil || st.Total() != math.MaxInt32 {
+		t.Fatalf("Restore to the brim: %v, %d balls", err, st.Total())
+	}
 }
 
 // brimmingPolicy sends every ball to bin 0 and, before its second pass,

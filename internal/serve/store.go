@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 
 	"dynalloc/internal/loadvec"
+	"dynalloc/internal/metrics"
 	"dynalloc/internal/process"
 	"dynalloc/internal/rng"
 )
@@ -50,9 +51,9 @@ var ErrEmpty = errors.New("serve: store is empty")
 // ball (a process never removes from an empty bin).
 var ErrEmptyBin = errors.New("serve: bin is empty")
 
-// ErrOverflow is returned by Crash and AdmitBatch when the mutation
-// would take the store past math.MaxInt32 balls. Bounding the sum of the
-// loads bounds every bin's int32 load, so no bin can wrap.
+// ErrOverflow is returned by Crash, AdmitBatch and Restore when the
+// store would hold more than math.MaxInt32 balls. Bounding the sum of
+// the loads bounds every bin's int32 load, so no bin can wrap.
 var ErrOverflow = errors.New("serve: the store would hold more than math.MaxInt32 balls")
 
 // shard is one stripe of the store's bin index: the bins in [lo, hi),
@@ -459,42 +460,50 @@ func (st *Store) Crash(b, k int) (int, error) {
 
 // FillBalanced seeds the store with the most balanced state of Omega_m:
 // every bin gets floor(m/n) balls and the first m mod n bins one more.
-// It is one critical section (the hook sees one OnCrash per seeded bin,
-// in bin order; the index is built once per stripe), and seeding counts
-// as neither admissions nor departures.
+// It is an install, like Restore: no other goroutine can reach the
+// store yet, the store holds no balls and 0 <= m <= math.MaxInt32 (it
+// panics otherwise). The hook hears one OnCrash(b, load) per nonempty
+// bin, in bin order; seeding counts as neither admissions nor frees.
 func (st *Store) FillBalanced(m int) {
-	if m < 0 {
-		panic("serve: FillBalanced needs m >= 0")
+	if m < 0 || m > math.MaxInt32 || st.total.Load() != 0 {
+		panic(fmt.Sprintf("serve: FillBalanced(%d) needs 0 <= m <= math.MaxInt32 and an empty store", m))
 	}
-	q, rem := m/st.n, m%st.n
+	defer metrics.Span("serve.store.seed_ns")()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for i := range st.shards {
-		sh := &st.shards[i]
-		var added, filled int64
-		for b := sh.lo; b < sh.hi; b++ {
-			add := q
-			if b < rem {
-				add++
-			}
-			if add == 0 {
-				break // bins past rem get q == 0, here and in every later shard
-			}
-			if st.loads[b].Add(int32(add)) == int32(add) {
-				filled++
-			}
-			added += int64(add)
-			if st.hook != nil {
-				st.hook.OnCrash(b, add)
-			}
-		}
-		if added > 0 {
-			sh.rebuild(st.loads)
-			sh.total += added
-			st.total.Add(added)
-			st.nonEmpty.Add(filled)
+	q, rem := int32(m/st.n), m%st.n
+	fillLoads(st.loads[:rem], q+1)
+	fillLoads(st.loads[rem:], q)
+	st.reindexAll()
+	if st.hook != nil {
+		for b := range min(m, st.n) {
+			st.hook.OnCrash(b, int(st.loads[b].Load()))
 		}
 	}
+}
+
+// fillLoads sets every load in v, all zero, to l by doubling copies:
+// plain writes, which only an install may make.
+func fillLoads(v []atomic.Int32, l int32) {
+	if len(v) > 0 && l > 0 {
+		v[0].Store(l)
+		for k := 1; k < len(v); k *= 2 {
+			copy(v[k:], v[:k])
+		}
+	}
+}
+
+// reindexAll rebuilds every stripe's index and ball total from the
+// loads and publishes the store's ball and nonempty-bin counts. Caller
+// owns the store or holds its mutex.
+func (st *Store) reindexAll() {
+	var total, nonEmpty int64
+	for i := range st.shards {
+		t, ne := st.shards[i].rebuild(st.loads)
+		total, nonEmpty = total+t, nonEmpty+ne
+	}
+	st.total.Store(total)
+	st.nonEmpty.Store(nonEmpty)
 }
 
 // Snapshot reads every bin with one atomic load apiece — no locks — and
@@ -563,31 +572,26 @@ type Stats struct {
 
 // Restore overwrites the store's entire state with the given per-bin
 // loads and counter values — the boot-time half of checkpoint
-// recovery. It is NOT safe to race with traffic; call it before any
-// worker or handler touches the store. Restoring counts as neither
-// admissions nor departures beyond the restored counter values.
+// recovery. It is an install: no other goroutine may touch the store
+// meanwhile, and the loads must be nonnegative and sum to at most
+// math.MaxInt32 (ErrOverflow otherwise; a refused state installs
+// nothing). The hook hears nothing; the clocks are the given values.
 func (st *Store) Restore(loads []int32, allocs, frees int64) error {
 	if len(loads) != st.n {
 		return fmt.Errorf("serve: restore of %d bins into a store of %d", len(loads), st.n)
 	}
+	var sum int64
 	for b, l := range loads {
-		if l < 0 {
+		if sum += int64(l); l < 0 {
 			return fmt.Errorf("serve: restore bin %d has negative load %d", b, l)
+		} else if sum > math.MaxInt32 {
+			return ErrOverflow
 		}
 	}
 	for b, l := range loads {
 		st.loads[b].Store(l)
 	}
-	var total, nonEmpty int64
-	for i := range st.shards {
-		sh := &st.shards[i]
-		t, ne := sh.rebuild(st.loads)
-		sh.total = t
-		total += t
-		nonEmpty += ne
-	}
-	st.total.Store(total)
-	st.nonEmpty.Store(nonEmpty)
+	st.reindexAll()
 	st.allocs.Store(allocs)
 	st.frees.Store(frees)
 	return nil
