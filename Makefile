@@ -27,9 +27,9 @@ race-all:
 # Lane.Admit(16) and Lane.Free — and its durable form (Batcher pass and
 # Lane.Admit(16) through a journal) at a fixed ceiling under SyncWriter
 # and at 0 with the writer goroutine running, FillBalanced at 0 per
-# seeding, and byte gates holding WAL replay to the segments it has in
-# flight. No -race: the budgets skip themselves under race
-# instrumentation, which allocates.
+# seeding, and a fixed byte ceiling on WAL replay, whose chunk pool
+# holds it whatever the segments' size and count. No -race: the
+# budgets skip themselves under race instrumentation, which allocates.
 # Same leg as the alloc-budget CI job.
 alloc-budget:
 	$(GO) test ./internal/serve -run AllocBudget -count=1 -v
@@ -54,6 +54,7 @@ bench-check: build
 	$(GO) run ./cmd/bench -quick -out BENCH_head.json
 	$(GO) run ./cmd/bench -compare BENCH_baseline.json BENCH_head.json -threshold 25
 	$(GO) test ./internal/serve -run 'TestStoreReadsScaleSublinearly|TestSeedingCostsAboutAPageTouch|TestJournaledDriveWithinFactorOfBare|TestEngineWorkersDoNotSlowTheDrive' -count=1 -v
+	$(GO) test ./cmd/dynallocd -run TestFirstReplyWithinASysmonTick -count=1 -v
 
 # CPU/heap profiles plus a metrics snapshot of a representative
 # experiment pass. Override EXP to profile a different experiment.

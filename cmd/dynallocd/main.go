@@ -200,6 +200,7 @@ func fail(err error) int {
 }
 
 func run(opt options) int {
+	boot := time.Now()
 	sc, err := daemon.ParseScenario(opt.scenario)
 	if err != nil {
 		return fail(err)
@@ -269,8 +270,15 @@ func run(opt options) int {
 
 	fmt.Printf("dynallocd: n=%d m=%d rule=%s scenario=%s workers=%d shards=%d seed=%d\n",
 		opt.n, opt.m, pol.Name(), sc, opt.workers, st.Shards(), opt.seed)
+	// Signals are the daemon's from before its listeners open: one that
+	// arrives as soon as a port file appears is a shutdown, not a kill.
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
 	p := &primary{svc: svc, opt: opt}
-	target, err := p.arm(walFS, res.LastSeq, int(st.Total())+opt.crashK, "")
+	if opt.addr == "" && opt.dgramAddr == "" {
+		boot = time.Time{} // no listener: no reply to wait for
+	}
+	target, err := p.arm(walFS, res.LastSeq, int(st.Total())+opt.crashK, "", boot)
 	if err != nil {
 		return fail(err)
 	}
@@ -279,9 +287,6 @@ func run(opt options) int {
 		fail(err)
 		return p.shutdown(2)
 	}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
 
 	srv := newServer(svc)
 	var httpDone chan error
@@ -412,6 +417,7 @@ type primary struct {
 
 	dgram     *router.Server // nil without -dgram-addr
 	dgramDone chan error
+	quit      chan struct{} // closed by shutdown: the deferred chores are off
 }
 
 // arm makes the daemon a serving primary over the store as it stands:
@@ -425,16 +431,18 @@ type primary struct {
 // the Service, which ends the standby refusal. On error nothing is
 // installed and the WAL is closed again, so a promotion can be retried.
 //
-// Two chores follow behind listeners that already answer, so neither
-// delays the first PROBE reply. The checkpoint made the replayed
-// segments garbage; unlinking them scans the log once more (see
-// Journal.Maintain). What the replay and that scan allocated is garbage
-// by now and the serving path allocates nothing, so no later collection
+// Two chores wait for the first request a listener answers after
+// `since` (zero: none to wait for; see afterFirstReply), so neither
+// delays it. The checkpoint made the
+// replayed segments garbage; unlinking them reads the log's tail once
+// more (see Journal.Maintain). What the replay allocated is garbage by
+// now and the serving path allocates nothing, so no later collection
 // would hand it back: without FreeOSMemory a shard's resident set
 // depends on whether a GC cycle happened to follow its boot.
-func (p *primary) arm(walFS vfs.FS, lastSeq uint64, m int, fault string) (serve.Target, error) {
+func (p *primary) arm(walFS vfs.FS, lastSeq uint64, m int, fault string, since time.Time) (serve.Target, error) {
 	svc, opt := p.svc, p.opt
 	st := svc.Store()
+	p.quit = make(chan struct{})
 	what := "boot"
 	if fault != "" {
 		what = fault
@@ -456,7 +464,7 @@ func (p *primary) arm(walFS vfs.FS, lastSeq uint64, m int, fault string) (serve.
 			jo.SyncEvery = opt.fsyncInterval
 		}
 		j = serve.NewJournal(st, log, lastSeq, jo)
-		// Durable before the listeners open; its maintenance runs behind them.
+		// Durable before the listeners open; its maintenance waits for the first reply.
 		if _, _, err := j.CheckpointDeferMaint(); err != nil {
 			return fail(fmt.Errorf("%s checkpoint: %w", what, err))
 		}
@@ -488,16 +496,37 @@ func (p *primary) arm(walFS vfs.FS, lastSeq uint64, m int, fault string) (serve.
 		fmt.Printf("dynallocd: dgram listening on %s\n", ln.Addr())
 	}
 
-	if j != nil {
-		go func() {
-			t0 := time.Now()
-			removed := j.Maintain()
-			fmt.Printf("dynallocd: %s checkpoint maintenance: %v, %d WAL segments removed\n", what, time.Since(t0), removed)
-			warnMaint(j, what+" checkpoint")
-			debug.FreeOSMemory()
-		}()
-	}
+	go p.afterFirstReply(j, what, since)
 	return target, nil
+}
+
+// afterFirstReply waits for the first request either listener answers
+// and reports how long after since it came, then runs the chores arm
+// deferred: the checkpoint's maintenance and handing the restore's heap
+// back. With a zero since — no listener, or a promotion, whose admin
+// plane has long been answering — they run at once. A shutdown that
+// comes first leaves them to the final checkpoint, which maintains on
+// its own: a node that answers nothing keeps its replayed segments
+// until its next checkpoint, which costs disk space, not state.
+func (p *primary) afterFirstReply(j *serve.Journal, what string, since time.Time) {
+	when := "at once"
+	if !since.IsZero() {
+		select {
+		case <-p.svc.FirstReply():
+			fmt.Printf("dynallocd: first reply after %v\n", time.Since(since))
+			when = "behind the first reply"
+		case <-p.quit:
+			return
+		}
+	}
+	if j == nil {
+		return
+	}
+	t := time.Now()
+	removed := j.Maintain()
+	fmt.Printf("dynallocd: %s checkpoint maintenance (%s): %v, %d WAL segments removed\n", what, when, time.Since(t), removed)
+	warnMaint(j, what+" checkpoint")
+	debug.FreeOSMemory()
 }
 
 // shutdown quiesces an armed primary and persists it: refuse mutations
@@ -507,6 +536,7 @@ func (p *primary) arm(walFS vfs.FS, lastSeq uint64, m int, fault string) (serve.
 // from the checkpoint alone. It returns code,
 // or 1 when code was 0 and a step failed.
 func (p *primary) shutdown(code int) int {
+	close(p.quit)
 	p.svc.SetDraining()
 	if p.dgram != nil {
 		p.dgram.Close()
@@ -586,7 +616,7 @@ func runReplica(svc *serve.Service, opt options) int {
 		if err != nil || svc.Detector() != nil {
 			return pres, err // refused, or an idempotent re-promote
 		}
-		if _, err := p.arm(vfs.OS, pres.LastSeq, int(st.Total()), "promote"); err != nil {
+		if _, err := p.arm(vfs.OS, pres.LastSeq, int(st.Total()), "promote", time.Time{}); err != nil {
 			return pres, err
 		}
 		fmt.Printf("dynallocd: promoted at seq %d (forced=%v, %d frees skipped in replay)\n",
@@ -634,12 +664,13 @@ func runReplica(svc *serve.Service, opt options) int {
 
 // printRestoreBreakdown prints the restore phases the drills assert on,
 // then the replay's stage totals (summed over each stage's goroutines:
-// they overlap, and can exceed the replay's wall time) and its WAL
-// segments by path (skipped, summarized from footers, decoded).
+// they overlap, and can exceed the replay's wall time), the bytes of
+// its chunk pool, and its WAL segments by path (skipped, summarized
+// from footers, decoded).
 func printRestoreBreakdown(res serve.RestoreResult) {
-	fmt.Printf("dynallocd: restore breakdown: checkpoint %v, replay %v, fence %v, workers %d, read %v, decode %v, apply %v, segments %d skipped / %d summarized / %d decoded\n",
+	fmt.Printf("dynallocd: restore breakdown: checkpoint %v, replay %v, fence %v, workers %d, read %v, decode %v, apply %v, pool %.1f MiB, segments %d skipped / %d summarized / %d decoded\n",
 		time.Duration(res.CheckpointNs), time.Duration(res.ReplayNs), time.Duration(res.FenceNs), res.Workers,
-		time.Duration(res.ReadNs), time.Duration(res.DecodeNs), time.Duration(res.ApplyNs),
+		time.Duration(res.ReadNs), time.Duration(res.DecodeNs), time.Duration(res.ApplyNs), float64(res.PoolBytes)/(1<<20),
 		res.SegmentsSkipped, res.SegmentsSummarized, res.SegmentsDecoded)
 }
 
@@ -744,7 +775,10 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("/promote", s.handlePromote)
 	mux.HandleFunc("/state", s.handleState)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mux.ServeHTTP(w, r)
+		s.svc.Answered()
+	})
 }
 
 // watch runs periodic detector checks until ctx is done, so the

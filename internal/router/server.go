@@ -201,5 +201,6 @@ func (s *Server) handle(c net.Conn) {
 		if fw.WriteFrame(rt, payload) != nil {
 			return
 		}
+		s.svc.Answered()
 	}
 }

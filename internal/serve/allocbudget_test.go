@@ -347,25 +347,34 @@ func TestAllocBudgetFillBalanced(t *testing.T) {
 	}
 }
 
-// The replay allocates for the segments it holds in flight, never for
-// the log. Machine-independent forms of that: (a) a restore of a
-// single-segment log — cmd/bench's wal/replay-parallel and
-// serve/restore/n=1e5 rows, where the baseline's io.ReadAll and
-// decode-then-partition copies cost 8 x the log's bytes — stays under
-// 3 x; (b) four times the segments do not mean more bytes, once the
-// pipeline's depth is pinned below both logs' length.
+// The replay streams the log through a fixed pool of chunks and record
+// batches: what a restore allocates is bounded by that pool, whatever
+// the segments' size and count. The ceiling is the pool's worst case
+// (8 chunks of 512 KiB, each with a record batch of 1.125 × its
+// records: 9.6 MiB) and a margin.
+const replayByteCeiling = 12 << 20
+
 func TestAllocBudgetReplayBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are meaningless under -race instrumentation")
 	}
-	logBytes, got := replayBytes(t, 1, 100_000, wal.PipelineOptions{})
-	if got > 3*logBytes {
-		t.Errorf("restore of a %d-byte log allocated %d bytes (%.1fx), ceiling 3x", logBytes, got, float64(got)/float64(logBytes))
-	}
-	depth2 := wal.PipelineOptions{Workers: 1, ReadAhead: 1, ApplyBatch: func(int, []wal.Record) error { return nil }}
-	_, two := replayBytes(t, 2, 20_000, depth2)
-	_, eight := replayBytes(t, 8, 20_000, depth2)
-	if ratio := float64(eight) / float64(two); ratio >= 1.5 {
-		t.Errorf("replay of 8 segments allocated %d bytes, of 2 segments %d: ratio %.2f, want < 1.5", eight, two, ratio)
+	decodeOnly := wal.PipelineOptions{Workers: 1, ApplyBatch: func(int, []wal.Record) error { return nil }}
+	for _, c := range []struct {
+		segments, per int
+		opts          wal.PipelineOptions
+	}{
+		{1, 100_000, wal.PipelineOptions{}},
+		{8, 20_000, wal.PipelineOptions{}},
+		{2, 300_000, wal.PipelineOptions{}},
+		{1, 100_000, decodeOnly},
+		{8, 20_000, decodeOnly},
+		{2, 300_000, decodeOnly},
+		{32, 5_000, decodeOnly},
+	} {
+		logBytes, got := replayBytes(t, c.segments, c.per, c.opts)
+		t.Logf("%d x %d records (%d log bytes), restore %v: %d bytes allocated", c.segments, c.per, logBytes, c.opts.ApplyBatch == nil, got)
+		if got > replayByteCeiling {
+			t.Errorf("replay of %d segments of %d records allocated %d bytes, ceiling %d", c.segments, c.per, got, replayByteCeiling)
+		}
 	}
 }

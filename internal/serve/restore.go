@@ -72,6 +72,10 @@ type RestoreResult struct {
 	// The replay's stages (wal.ReplayStats), each summed over its
 	// goroutines: they overlap, so they do not add up to ReplayNs.
 	ReadNs, DecodeNs, ApplyNs int64
+
+	// PoolBytes is what the replay allocated for its chunk pool
+	// (wal.ReplayStats.PoolBytes).
+	PoolBytes int64
 }
 
 // RestoreFSOpts rebuilds st from the durability directory: load the
@@ -80,25 +84,27 @@ type RestoreResult struct {
 // fresh store before any traffic and before NewJournal (replayed
 // mutations must not re-journal).
 //
-// The suffix is replayed by wal.ReplayPipelineFS — segment read-ahead
-// and record decode overlap with application, and records fan out to
+// The suffix is replayed by wal.ReplayPipelineFS — chunked reads and
+// record decode overlap with application, and records fan out to
 // Workers appliers partitioned by the store's index stripes, so the
 // final state (loads, counters, and every RestoreResult field except
-// the timings) does not depend on the worker count. A checkpoint whose
-// sections carry distinct watermarks (written by older releases, which
-// copied the store one stripe at a time) additionally filters each
-// replayed record against its section's seq watermark, so records
-// already reflected in the section's copy are not applied twice. The
-// store is fresh, so the restore holds its mutex for the whole replay
-// and index rebuild; under it the apply workers write disjoint bins and
-// leave the stripes' indexes and totals alone, and the restore rebuilds
-// them once at the end, as Store.Restore does.
+// the timings and the pool size) does not depend on the worker count.
+// A checkpoint whose sections carry distinct watermarks (written by
+// older releases, which copied the store one stripe at a time)
+// additionally filters each replayed record against its section's seq
+// watermark, so records already reflected in the section's copy are
+// not applied twice. The store is fresh, so the restore holds its mutex
+// for the whole replay and index rebuild; under it the apply workers
+// write disjoint bins and leave the stripes' indexes and totals alone,
+// and the restore rebuilds them once at the end, as Store.Restore does.
 //
 // Replay is defensive the same way the paper's processes are: a free
 // whose bin is already empty (possible only against a forged or
 // hand-edited log — per-bin order makes it impossible in our own) is
 // skipped and counted, never fatal, so an adversarially bad WAL still
-// yields *a* state the process can recover from.
+// yields *a* state the process can recover from. A log whose replay
+// would leave more than math.MaxInt32 balls in the store is refused
+// with ErrOverflow, the bound every other install enforces.
 func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (RestoreResult, error) {
 	defer metrics.Span("checkpoint.restore_ns")()
 	workers := opts.Workers
@@ -143,9 +149,15 @@ func RestoreFSOpts(st *Store, fsys vfs.FS, dir string, opts RestoreOptions) (Res
 	if ap.applied.Load() > 0 {
 		st.reindexAll()
 	}
+	if err == nil && st.total.Load() > math.MaxInt32 {
+		// Each record and footer entry kept its bin in range; the store's
+		// bound is on the sum, which only the whole replay knows.
+		err = fmt.Errorf("serve: restore: the replayed log holds %d balls: %w", st.total.Load(), ErrOverflow)
+	}
 	st.mu.Unlock()
 	res.ReplayNs = time.Since(t0).Nanoseconds()
 	res.ReadNs, res.DecodeNs, res.ApplyNs = stats.ReadNs, stats.DecodeNs, stats.ApplyNs
+	res.PoolBytes = stats.PoolBytes
 	res.Replayed = ap.applied.Load()
 	res.SkippedFrees = ap.skippedFrees.Load()
 	res.SegmentsSkipped, res.SegmentsSummarized, res.SegmentsDecoded = stats.Skipped, stats.Summarized, stats.Decoded
@@ -283,6 +295,10 @@ func (a *replayApplier) applyBatch(_ int, recs []wal.Record) error {
 			err = fmt.Errorf("serve: replay record seq %d overflows bin %d", rec.Seq, bin)
 			break
 		}
+		if a.index && st.total.Load()+t.total+int64(d) > math.MaxInt32 {
+			err = fmt.Errorf("serve: replay record seq %d: %w", rec.Seq, ErrOverflow)
+			break
+		}
 		l := st.loads[bin].Add(d)
 		if a.index {
 			sh := st.shardOf(bin)
@@ -336,6 +352,9 @@ func (a *replayApplier) applySummary(_ int, sum wal.Summary) error {
 // ApplyRecords replays a batch of WAL records into st through the same
 // batch applier restore uses — one hold of the store's mutex, records
 // in file order — and reports how many frees hit an already-empty bin.
+// A record that would take the store past math.MaxInt32 balls is
+// refused with ErrOverflow, like every other install, and the batch
+// stops before it.
 // It is the warm-replay entry point for a replication follower applying
 // the primary's record batches and for the explorer's reference replay.
 // The store must not have a journal hook installed.

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -13,10 +15,11 @@ import (
 )
 
 // diffResults compares two RestoreResults on every field except the
-// worker count and the phase timings (those legitimately differ across
-// restore modes). Empty string means equal.
+// worker count, the phase timings and the pool size (those
+// legitimately differ across restore modes). Empty string means equal.
 func diffResults(a, b RestoreResult) string {
 	a.Workers, b.Workers = 0, 0
+	a.PoolBytes, b.PoolBytes = 0, 0
 	a.CheckpointNs, b.CheckpointNs = 0, 0
 	a.ReplayNs, b.ReplayNs = 0, 0
 	a.FenceNs, b.FenceNs = 0, 0
@@ -458,6 +461,68 @@ func TestApplyRecordsErrors(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesTheBallBound: every bin of a replayed log stays in
+// range, but together they pass the store's bound of math.MaxInt32
+// balls. A restore refuses that with ErrOverflow whether the records
+// are decoded or applied from a footer, and so does the follower's
+// ApplyRecords, which stops before the record that would cross it.
+func TestReplayRefusesTheBallBound(t *testing.T) {
+	const n, dir = 4, "/wal"
+	near := []int32{math.MaxInt32 - 10, 0, 0, 0}
+	crashes := []wal.Record{
+		{Op: wal.OpCrash, Bin: 0, K: math.MaxInt32, Seq: 1},
+		{Op: wal.OpCrash, Bin: 1, K: 1, Seq: 2},
+	}
+	var allocs []wal.Record
+	for seq := uint64(6); seq <= 25; seq++ {
+		allocs = append(allocs, wal.Record{Op: wal.OpAlloc, Bin: 1 + uint32(seq%3), K: 1, Seq: seq})
+	}
+	write := func(recs []wal.Record, snap *checkpoint.Snapshot) *simfs.FS {
+		fs := simfs.New()
+		if snap != nil {
+			if _, err := checkpoint.WriteFS(fs, dir, *snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l, err := wal.Open(wal.Options{Dir: dir, FS: fs, Fsync: wal.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	summed := write(allocs, &checkpoint.Snapshot{Seq: 5, Loads: near})
+	for name, fs := range map[string]*simfs.FS{
+		"two crashes":               write(crashes, nil),
+		"allocs past a checkpoint":  summed,
+		"the same, footers cut off": stripFooters(t, summed, dir),
+	} {
+		for _, workers := range []int{1, 2} {
+			res, err := RestoreFSOpts(NewStoreShards(n, 2), fs, dir, RestoreOptions{Workers: workers})
+			if !errors.Is(err, ErrOverflow) {
+				t.Errorf("%s, workers=%d: restore = %+v, %v; want ErrOverflow", name, workers, res, err)
+			}
+		}
+	}
+	res, err := RestoreFSOpts(NewStoreShards(n, 2), summed, dir, RestoreOptions{})
+	if !errors.Is(err, ErrOverflow) || res.SegmentsSummarized != 1 {
+		t.Errorf("the summed log took no footer: %+v, %v", res, err)
+	}
+
+	st := NewStoreShards(n, 2)
+	if err := st.Restore(near, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ApplyRecords(st, allocs); !errors.Is(err, ErrOverflow) || st.Total() != math.MaxInt32 {
+		t.Fatalf("ApplyRecords past the bound = %v, total %d; want ErrOverflow at %d", err, st.Total(), math.MaxInt32)
+	}
+}
+
 // stripFooters returns a copy of fs whose WAL segments have lost their
 // footers: the directory a writer from before footers would have left.
 func stripFooters(t *testing.T, fs *simfs.FS, dir string) *simfs.FS {
@@ -479,145 +544,4 @@ func stripFooters(t *testing.T, fs *simfs.FS, dir string) *simfs.FS {
 		}
 	}
 	return out
-}
-
-// TestFootersRestoreLikeRecords is the equivalence property of the
-// segment footer: every directory restores to the same loads, clocks,
-// skipped frees, LastSeq and Torn whether its sealed segments are
-// skipped and applied from their footers or, footers cut off, decoded
-// record by record — at every worker count and stripe geometry. The
-// directories: journaled traffic with crashes and a checkpoint over
-// small segments (sealed at Close, and the same log killed with its
-// newest segment open); a hand-written log whose frees hit empty bins
-// at random (the reflection case); an old striped checkpoint whose
-// section watermarks fall inside a segment; and a record corrupted
-// inside a segment that would otherwise be summarized.
-func TestFootersRestoreLikeRecords(t *testing.T) {
-	const n, dir = 16, "/wal"
-	seg := wal.Options{SegmentBytes: 16 + 96*wal.RecordSize}
-	dirs := map[string]*simfs.FS{}
-
-	for seed := uint64(1); seed <= 3; seed++ {
-		st, j, fs, _ := newJournaled(t, n, 4, seg)
-		st.FillBalanced(n)
-		r := rng.New(seed)
-		for i := 1; i <= 1500; i++ {
-			b := int(r.Uint64n(n))
-			switch x := r.Float64(); {
-			case x < 0.5:
-				admitOne(st, b)
-			case x < 0.97:
-				st.FreeBin(b)
-			default:
-				st.Crash(b, 1+int(r.Uint64n(40)))
-			}
-			if i == 500 {
-				if _, _, err := j.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		j.Drain()
-		dirs[fmt.Sprintf("traffic %d killed", seed)] = fs.Clone()
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		dirs[fmt.Sprintf("traffic %d", seed)] = fs
-	}
-
-	fs := simfs.New()
-	l, err := wal.Open(wal.Options{Dir: dir, FS: fs, Fsync: wal.FsyncNever, SegmentBytes: seg.SegmentBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(9)
-	for seq := uint64(1); seq <= 900; seq++ {
-		rec := wal.Record{Op: wal.OpFree, Bin: uint32(r.Uint64n(n)), K: 1, Seq: seq}
-		switch x := r.Float64(); {
-		case x < 0.45:
-			rec.Op = wal.OpAlloc
-		case x > 0.97:
-			rec.Op, rec.K = wal.OpCrash, int32(r.Uint64n(5))
-		}
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dirs["reflection"] = fs
-	corrupt := fs.Clone()
-	segs, _ := corrupt.Glob(dir + "/wal-*.seg")
-	if err := corrupt.Corrupt(segs[3], 16+40*wal.RecordSize+2, 0x10); err != nil {
-		t.Fatal(err)
-	}
-	dirs["corrupt"] = corrupt
-
-	{
-		const stripes, size, stagger = 8, n / 8, 8
-		st, j, fs, _ := newJournaled(t, n, stripes, seg)
-		st.FillBalanced(n)
-		var stripeAllocs, stripeFrees [stripes]int64
-		snap := checkpoint.Snapshot{Loads: make([]int32, n)}
-		r := rng.New(5)
-		for i := 1; i <= 1500; i++ {
-			b := int(r.Uint64n(n))
-			if r.Float64() < 0.5 {
-				admitOne(st, b)
-				stripeAllocs[b/size]++
-			} else if _, err := st.FreeBin(b); err == nil {
-				stripeFrees[b/size]++
-			}
-			if s := (i - 500) / stagger; i >= 500 && (i-500)%stagger == 0 && s < stripes {
-				j.Drain()
-				loads := st.LoadsCopy()
-				for b := s * size; b < (s+1)*size; b++ {
-					snap.Loads[b] = int32(loads[b])
-				}
-				snap.Sections = append(snap.Sections, checkpoint.Section{Lo: s * size, Hi: (s + 1) * size, Watermark: j.LastSeq()})
-				snap.Allocs += stripeAllocs[s]
-				snap.Frees += stripeFrees[s]
-			}
-		}
-		snap.Seq = snap.Sections[0].Watermark
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := checkpoint.WriteFS(fs, dir, snap); err != nil {
-			t.Fatal(err)
-		}
-		dirs["old striped checkpoint"] = fs
-	}
-
-	for name, fs := range dirs {
-		bare := stripFooters(t, fs, dir)
-		summarized, skipped := 0, 0
-		for _, workers := range []int{1, 2, 8} {
-			for _, stripes := range []int{1, 4, 8} {
-				what := fmt.Sprintf("%s, workers=%d stripes=%d", name, workers, stripes)
-				a, b := NewStoreShards(n, stripes), NewStoreShards(n, stripes)
-				ra, errA := RestoreFSOpts(a, fs.Clone(), dir, RestoreOptions{Workers: workers})
-				rb, errB := RestoreFSOpts(b, bare.Clone(), dir, RestoreOptions{Workers: workers})
-				if errA != nil || errB != nil {
-					t.Fatalf("%s: %v / %v", what, errA, errB)
-				}
-				if ra.SkippedFrees != rb.SkippedFrees || ra.LastSeq != rb.LastSeq || ra.Torn != rb.Torn || ra.Replayed != rb.Replayed {
-					t.Fatalf("%s: with footers %+v, without %+v", what, ra, rb)
-				}
-				assertStoresEqual(t, what, a, b)
-				summarized += ra.SegmentsSummarized
-				skipped += ra.SegmentsSkipped
-				if name == "reflection" && ra.SkippedFrees == 0 {
-					t.Fatalf("%s: no free hit an empty bin", what)
-				}
-				if rb.SegmentsSummarized+rb.SegmentsSkipped != 0 {
-					t.Fatalf("%s: a footer survived stripping: %+v", what, rb)
-				}
-			}
-		}
-		if summarized == 0 || name == "old striped checkpoint" && skipped == 0 {
-			t.Errorf("%s: %d segments applied from their footers, %d skipped", name, summarized, skipped)
-		}
-	}
 }

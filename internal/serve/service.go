@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"dynalloc/internal/process"
@@ -57,6 +58,9 @@ type Service struct {
 	det  atomic.Pointer[Detector]
 	jp   atomic.Pointer[Journal] // nil when durability is off
 	gate atomic.Int32
+
+	answered   chan struct{} // closed by the first Answered
+	answerOnce sync.Once
 }
 
 // NewService returns a serving service with no detector or journal yet
@@ -68,8 +72,17 @@ func NewService(st *Store, pol Policy, sc process.Scenario, seed uint64) *Servic
 	if sc != process.ScenarioA && sc != process.ScenarioB {
 		panic(fmt.Sprintf("serve: unknown scenario %v", sc))
 	}
-	return &Service{st: st, pol: pol, sc: sc, seed: seed}
+	return &Service{st: st, pol: pol, sc: sc, seed: seed, answered: make(chan struct{})}
 }
+
+// Answered records that a front end has written a reply; the listeners
+// call it after every one. FirstReply is closed from the first call on:
+// the boot's deferred chores wait for it, so nothing but the state
+// rebuild stands between a restart and its first answer.
+func (s *Service) Answered() { s.answerOnce.Do(func() { close(s.answered) }) }
+
+// FirstReply is closed once a front end has answered a request.
+func (s *Service) FirstReply() <-chan struct{} { return s.answered }
 
 // Store, Policy (the prototype Lanes clone) and Scenario return what the
 // service was built over.

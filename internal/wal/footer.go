@@ -85,11 +85,6 @@ func parseTail(tail []byte, size int64) (footer, bool) {
 	return f, true
 }
 
-// segmentFooter parses the footer of a whole segment held in memory.
-func segmentFooter(seg []byte) (footer, bool) {
-	return parseTail(seg[max(0, len(seg)-tailSize):], int64(len(seg)))
-}
-
 // readTail reads and validates an open segment's tail in one read.
 func readTail(f vfs.File, size int64) (footer, bool) {
 	var tail [tailSize]byte
@@ -102,7 +97,7 @@ func readTail(f vfs.File, size int64) (footer, bool) {
 // FooterLen returns the length of the valid footer of seg, a whole
 // segment file, or 0 when it has none.
 func FooterLen(seg []byte) int {
-	f, ok := segmentFooter(seg)
+	f, ok := parseTail(seg[max(0, len(seg)-tailSize):], int64(len(seg)))
 	if !ok {
 		return 0
 	}

@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"path/filepath"
 	"slices"
@@ -53,7 +54,8 @@ func fuzzRecords(ops []byte) []wal.Record {
 // fuzzModel is what a restore of dir must produce, computed the oldest
 // way there is: each segment read from the front, record by record,
 // stopping at the first bad one and at the first header that opens a
-// seq gap, applying through the replay's rules one record at a time.
+// seq gap, applying through the replay's rules one record at a time,
+// and refusing a store that ends up past the ball bound.
 type fuzzModel struct {
 	loads                  []int
 	allocs, frees, skipped int64
@@ -98,13 +100,42 @@ func replayModel(files [][]byte) fuzzModel {
 			}
 		}
 	}
+	total := 0
+	for _, l := range m.loads {
+		total += l
+	}
+	m.refused = total > math.MaxInt32
 	return m
 }
 
+// fuzzChunks are the replay chunk sizes, in records, every fuzzed
+// directory restores at besides the replay's own: at 2 a footer of
+// more than 5 entries spans two chunks, so its segment is decoded; at
+// 7 it fits, and a 64-record segment breaks across chunks at record
+// offsets that move with every segment.
+var fuzzChunks = []int{2, 7}
+
 // restoreAgainst restores files, as the segments at paths, into a fresh
-// store and checks it against the model; it returns the restore's Torn
-// flag.
+// store at the replay's chunk size and at each of fuzzChunks, checks
+// every restore against the model, and returns the restores' Torn flag,
+// which must not depend on the chunk size.
 func restoreAgainst(t *testing.T, paths []string, files [][]byte, m fuzzModel, how string) bool {
+	torn := restoreAt(t, paths, files, m, how)
+	for _, n := range fuzzChunks {
+		chunkTorn := func() bool {
+			defer wal.SetChunkRecords(n)()
+			return restoreAt(t, paths, files, m, fmt.Sprintf("%s, chunks of %d", how, n))
+		}()
+		if chunkTorn != torn {
+			t.Fatalf("%s: torn %v, %v in chunks of %d", how, torn, chunkTorn, n)
+		}
+	}
+	return torn
+}
+
+// restoreAt is one restore of restoreAgainst.
+func restoreAt(t *testing.T, paths []string, files [][]byte, m fuzzModel, how string) bool {
+	t.Helper()
 	fs := simfs.New()
 	for i, p := range paths {
 		if err := fs.WriteFile(p, files[i]); err != nil {
@@ -160,6 +191,24 @@ func FuzzReplaySegment(f *testing.F) {
 	outOfRange := slices.Clone(honest)
 	outOfRange[6*40+1] = 251
 	f.Add(outOfRange, uint32(0), byte(0), uint16(0), false)
+	// Allocations over all 8 bins: sealed segments of 64 records whose
+	// footers carry 8 entries, which span two chunks of 2 records (the
+	// segments are decoded) and fit one of 7 (they are summarized). The
+	// first segment is 16 + 64×21 + 141 bytes, the last one 8 records
+	// and a 61-byte footer.
+	allocs := make([]byte, 0, 6*200)
+	for i := 0; i < 200; i++ {
+		allocs = append(allocs, 0, byte(i%8), 0, 0, 0, 2)
+	}
+	f.Add(allocs, uint32(0), byte(0), uint16(0), false)
+	// A footer entry's byte flipped: the body CRC fails, the fallback
+	// decodes the first segment's intact records.
+	f.Add(allocs, uint32(16+64*wal.RecordSize+1+3), byte(0x01), uint16(0), false)
+	// A corrupt record at 16 + 14×21, the first of the third chunk of 7.
+	f.Add(allocs, uint32(16+14*wal.RecordSize+5), byte(0x40), uint16(0), false)
+	// The last segment torn 10 bytes into its 8th record, the one that
+	// starts the second chunk of 7.
+	f.Add(allocs, uint32(0), byte(0), uint16(16+8*wal.RecordSize+61-(16+7*wal.RecordSize+10)), false)
 
 	f.Fuzz(func(t *testing.T, ops []byte, hit uint32, mask byte, cut uint16, del bool) {
 		recs := fuzzRecords(ops)

@@ -411,15 +411,9 @@ func (l *Log) TruncateThrough(seq uint64) (int, error) {
 		if cur != "" && p == cur {
 			continue
 		}
-		info, err := segmentInfo(l.opts.FS, p)
-		if err != nil {
-			// Unreadable file: leave it; replay will classify it.
-			continue
-		}
-		covered := (info.records > 0 && info.maxSeq <= seq) ||
-			(info.records == 0 && info.firstSeq <= seq)
-		if !covered {
-			continue
+		covered, err := segmentCovered(l.opts.FS, p, seq)
+		if err != nil || !covered {
+			continue // an unreadable file stays: replay will classify it
 		}
 		if err := l.opts.FS.Remove(p); err != nil {
 			return removed, fmt.Errorf("wal: truncate: %w", err)

@@ -31,9 +31,9 @@ func pipelineRun(t *testing.T, fs vfs.FS, dir string, afterSeq uint64, workers i
 			return nil
 		},
 	})
-	// Stage timings differ from run to run; everything else is compared
-	// with ==.
-	stats.ReadNs, stats.DecodeNs, stats.ApplyNs = 0, 0, 0
+	// Stage timings differ from run to run, and the pool's batches with
+	// the worker count; everything else is compared with ==.
+	stats.ReadNs, stats.DecodeNs, stats.ApplyNs, stats.PoolBytes = 0, 0, 0, 0
 	return streams, stats, err
 }
 
@@ -276,7 +276,7 @@ func TestPipelineNilPartitionAndApply(t *testing.T) {
 			return nil
 		},
 	})
-	stats.ReadNs, stats.DecodeNs, stats.ApplyNs = 0, 0, 0
+	stats.ReadNs, stats.DecodeNs, stats.ApplyNs, stats.PoolBytes = 0, 0, 0, 0
 	if err != nil || stats != wantStats {
 		t.Fatalf("nil partition: stats %+v, %v; want %+v", stats, err, wantStats)
 	}
@@ -291,7 +291,7 @@ func TestPipelineNilPartitionAndApply(t *testing.T) {
 	scanStats := wantStats
 	scanStats.Applied = 0
 	stats, err = ReplayPipelineFS(fs, l.Dir(), 0, PipelineOptions{Workers: 3})
-	stats.ReadNs, stats.DecodeNs, stats.ApplyNs = 0, 0, 0
+	stats.ReadNs, stats.DecodeNs, stats.ApplyNs, stats.PoolBytes = 0, 0, 0, 0
 	if err != nil || stats != scanStats {
 		t.Fatalf("nil ApplyBatch: stats %+v, %v; want %+v", stats, err, scanStats)
 	}
@@ -321,8 +321,8 @@ func TestPipelineNegativePartitionWraps(t *testing.T) {
 	}
 }
 
-// hintFS reports every file's size through hint: the replay sizes its
-// segment buffers by Stat and must not believe it.
+// hintFS reports every file's size through hint: the replay finds a
+// footer at the size Stat reports and must not believe it.
 type hintFS struct {
 	*simfs.FS
 	hint func(int64) int64
@@ -334,13 +334,14 @@ func (h hintFS) Stat(name string) (int64, error) {
 }
 
 // TestPipelineParitySizeHint: segments longer than the size the
-// filesystem reported (read on to EOF, growing the buffer), shorter
+// filesystem reported (read on to EOF, chunk after chunk), shorter
 // than it (not an error), and of unknown size all replay exactly as
 // when the size was right, at every worker count.
 func TestPipelineParitySizeHint(t *testing.T) {
+	defer SetChunkRecords(100)()
 	fs := testFS()
 	l := testOpen(t, fs, Options{Fsync: FsyncNever, SegmentBytes: segHeaderSize + 300*RecordSize})
-	appendN(t, l, 1, 1000) // 6.3 KB segments: several reads each once the hint is short
+	appendN(t, l, 1, 1000) // 6.3 KB segments: several chunks, so several reads, each
 	l.Close()
 	want, wantStats := collect(t, fs, l.Dir(), 0)
 	for name, hint := range map[string]func(int64) int64{
@@ -363,7 +364,7 @@ func TestPipelineParitySizeHint(t *testing.T) {
 			}
 		}
 		if n := fs.Ops(simfs.OpRead) - reads; name != "shorter" && n <= 2*2*int64(wantStats.Segments) {
-			t.Fatalf("%s file: %d reads for 2 passes over %d segments: the buffer never had to grow", name, n, wantStats.Segments)
+			t.Fatalf("%s file: %d reads for 2 passes over %d segments: no segment was read in chunks", name, n, wantStats.Segments)
 		}
 	}
 
@@ -393,8 +394,9 @@ func TestPipelineReadFaultMidSegment(t *testing.T) {
 	l1 := testOpen(t, fs, Options{Dir: dir, Fsync: FsyncNever, SegmentBytes: 1 << 20})
 	appendN(t, l1, 1, 400)
 	l1.Close()
-	short := hintFS{fs, func(n int64) int64 { return n / 8 }} // several reads per segment
+	short := hintFS{fs, func(n int64) int64 { return n / 8 }}
 	boom := errors.New("injected read error")
+	restore := SetChunkRecords(50) // several reads per segment
 
 	fs.FailOp(simfs.OpRead, 3, boom)
 	streams, stats, err := pipelineRun(t, short, dir, 0, 1)
@@ -434,6 +436,7 @@ func TestPipelineReadFaultMidSegment(t *testing.T) {
 	// The fault on the very read that would have reported EOF loses no
 	// byte, but the tail can no longer be called clean. (Read 1 is the
 	// footer tail's positional read, read 2 the whole segment.)
+	restore()
 	fs2 := testFS()
 	l3 := testOpen(t, fs2, Options{Fsync: FsyncNever, SegmentBytes: 1 << 20})
 	appendN(t, l3, 1, 40)

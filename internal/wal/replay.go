@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -22,9 +21,14 @@ type ReplayStats struct {
 	Skipped, Summarized, Decoded int
 
 	// Time spent in each stage, summed over the stage's goroutines (so
-	// they can exceed the wall time of the pass). Decode includes waiting
-	// for a record batch to come back from the apply stage.
+	// they can exceed the wall time of the pass). Read includes checking
+	// a summarized segment's CRC; decode includes waiting for a record
+	// batch to come back from the apply stage.
 	ReadNs, DecodeNs, ApplyNs int64
+
+	// PoolBytes is what the pass allocated for its chunk buffers:
+	// bounded by the pool, not by the log.
+	PoolBytes int64
 }
 
 // parseSegmentHeader is the one parser of the on-disk segment header:
@@ -111,33 +115,55 @@ func readSegmentFirstSeq(fsys vfs.FS, path string) (uint64, bool) {
 	return parseSegmentHeader(hdr[:n])
 }
 
-// segmentInfo reads what TruncateThrough needs of a segment: its
-// footer's tail, or — without a valid footer — its header and valid
-// records, streamed so a checkpoint never pulls a whole segment into
-// the heap.
-func segmentInfo(fsys vfs.FS, path string) (d decodedSegment, err error) {
+// segmentCovered reports whether seq covers every valid record of the
+// segment at path, or, without one, its header's seq: a footer answers
+// in one read. Without one, the last whole record, read in one more,
+// proves the segment uncovered when it is valid and past seq — the
+// killed tail of the restarted log always is, and a kept file is always
+// safe —, and only a segment it cannot prove so is streamed, up to its
+// first record past seq.
+func segmentCovered(fsys vfs.FS, path string, seq uint64) (bool, error) {
 	size, _ := fsys.Stat(path)
 	f, err := fsys.Open(path)
 	if err != nil {
-		return d, err
+		return false, err
 	}
 	defer f.Close()
 	if ft, ok := readTail(f, size); ok && ft.records > 0 {
-		return decodedSegment{firstSeq: ft.minSeq, records: ft.records, maxSeq: ft.maxSeq}, nil
+		return ft.maxSeq <= seq, nil
 	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	var buf [RecordSize]byte
-	n, _ := io.ReadFull(br, buf[:segHeaderSize])
-	d.firstSeq, d.hdrOK = parseSegmentHeader(buf[:n])
-	for d.hdrOK {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			break
+	var last [RecordSize]byte
+	if at := size - (size-segHeaderSize)%RecordSize - RecordSize; at >= segHeaderSize {
+		if _, err := f.ReadAt(last[:], at); err == nil {
+			if rec, ok := DecodeRecord(last[:]); ok && rec.Seq > seq {
+				return false, nil
+			}
 		}
-		rec, ok := DecodeRecord(buf[:])
-		if !ok {
-			break
-		}
-		d.records, d.maxSeq = d.records+1, max(d.maxSeq, rec.Seq)
 	}
-	return d, nil
+	s := segStream{f: f}
+	buf := make([]byte, segHeaderSize+(64<<10)/RecordSize*RecordSize)
+	data := s.fill(buf)
+	firstSeq, ok := parseSegmentHeader(data)
+	if !ok {
+		return true, nil // no record: garbage, whose header seq 0 is covered
+	}
+	records := 0
+	for data = data[segHeaderSize:]; ; data = s.fill(buf[segHeaderSize:]) {
+		for ; len(data) >= RecordSize; data = data[RecordSize:] {
+			rec, ok := DecodeRecord(data)
+			if !ok {
+				return records > 0 || firstSeq <= seq, nil
+			}
+			if rec.Seq > seq {
+				return false, nil
+			}
+			records++
+		}
+		if s.err {
+			return false, nil // what was not read proves nothing: keep it
+		}
+		if len(data) > 0 || s.eof {
+			return records > 0 || firstSeq <= seq, nil
+		}
+	}
 }

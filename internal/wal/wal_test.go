@@ -69,8 +69,24 @@ func appendN(t *testing.T, l *Log, from, to int) {
 // worker observing exactly its partitions' records in file order. Every
 // replay-semantics test in this package funnels through here, so the
 // validator's torn-tail / seq-gap / continuity decisions are pinned at
-// every worker count.
+// every worker count — and at chunks of one record and of three, so
+// every segment boundary case also lands on chunk boundaries.
 func collect(t *testing.T, fs *simfs.FS, dir string, afterSeq uint64) ([]Record, ReplayStats) {
+	t.Helper()
+	want, wantStats := collectAt(t, fs, dir, afterSeq)
+	for _, n := range []int{1, 3} {
+		restore := SetChunkRecords(n)
+		got, stats := collectAt(t, fs, dir, afterSeq)
+		restore()
+		if stats != wantStats || !slices.Equal(got, want) {
+			t.Fatalf("%d-record chunks: %d records, stats %+v; default chunks %d, %+v", n, len(got), stats, len(want), wantStats)
+		}
+	}
+	return want, wantStats
+}
+
+// collectAt is collect at the current chunk size.
+func collectAt(t *testing.T, fs *simfs.FS, dir string, afterSeq uint64) ([]Record, ReplayStats) {
 	t.Helper()
 	streams, wantStats, err := pipelineRun(t, fs, dir, afterSeq, 1)
 	if err != nil {
@@ -266,6 +282,57 @@ func TestTruncateThrough(t *testing.T) {
 	got, stats = collect(t, fs, l.Dir(), 0)
 	if len(got) != 0 || stats.Segments != 0 {
 		t.Fatalf("replay from 0 walked a truncated head: %d records, stats %+v", len(got), stats)
+	}
+}
+
+// TestTruncateThroughReadsTheLastRecord: a footer-less segment — the
+// open tail a killed log leaves — whose last whole record is valid and
+// past the cut is kept after a read of its tail and one of that record,
+// whatever its length; a covered one is still streamed and removed;
+// and one whose last record is corrupt falls back to the stream, which
+// proves the valid prefix before it covered and removes it.
+func TestTruncateThroughReadsTheLastRecord(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		records int
+		cut     uint64
+		corrupt bool
+		removed int
+		reads   func(int64) bool
+	}{
+		{"uncovered", 1000, 500, false, 0, func(n int64) bool { return n == 2 }},
+		{"uncovered, 20x the records", 20000, 500, false, 0, func(n int64) bool { return n == 2 }},
+		{"covered", 20000, 20000, false, 1, func(n int64) bool { return n > 4 }},
+		{"corrupt last record", 20000, 19999, true, 1, func(n int64) bool { return n > 4 }},
+	} {
+		fs := testFS()
+		l := testOpen(t, fs, Options{Fsync: FsyncNever, SegmentBytes: 1 << 30})
+		recs := make([]Record, c.records)
+		for i := range recs {
+			recs[i] = rec(i + 1)
+		}
+		if err := l.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		segs, _ := listSegments(fs, l.Dir())
+		data, _ := fs.ReadFile(segs[0])
+		if err := fs.Truncate(segs[0], int64(len(data)-FooterLen(data))); err != nil {
+			t.Fatal(err)
+		}
+		if c.corrupt {
+			if err := fs.Corrupt(segs[0], int64(segHeaderSize+(c.records-1)*RecordSize+3), 0xff); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l = testOpen(t, fs, Options{Fsync: FsyncNever})
+		reads := fs.Ops(simfs.OpRead)
+		removed, err := l.TruncateThrough(c.cut)
+		n := fs.Ops(simfs.OpRead) - reads
+		if err != nil || removed != c.removed || !c.reads(n) {
+			t.Errorf("%s: TruncateThrough(%d) removed %d in %d reads, %v; want %d removed", c.name, c.cut, removed, n, err, c.removed)
+		}
+		l.Close()
 	}
 }
 
