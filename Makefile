@@ -32,7 +32,7 @@ race-all:
 # budgets skip themselves under race instrumentation, which allocates.
 # Same leg as the alloc-budget CI job.
 alloc-budget:
-	$(GO) test ./internal/serve -run AllocBudget -count=1 -v
+	$(GO) test ./internal/serve ./internal/router ./internal/replica -run AllocBudget -count=1 -v
 
 # The end-to-end benchmark (benchmark/, its own module) is frozen and
 # compiles against this tree: a renamed or re-typed name from the list

@@ -106,13 +106,7 @@ func validateSections(s Snapshot) error {
 // The first error wins; fn must be safe to run concurrently for
 // distinct indices.
 func forSections(nsec, bins int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nsec {
-		workers = nsec
-	}
-	if workers > 8 {
-		workers = 8
-	}
+	workers := min(runtime.GOMAXPROCS(0), nsec, 8)
 	if workers < 2 || bins < 1<<15 {
 		for i := 0; i < nsec; i++ {
 			if err := fn(i); err != nil {

@@ -17,9 +17,9 @@
 //
 // Encoding and decoding are allocation-free on the hot path, mirroring
 // the WAL's group-commit buffer reuse: AppendFrame appends into a
-// caller-owned buffer, and Conn reuses one payload buffer per
-// connection (a ReadFrame payload is valid only until the next
-// ReadFrame on that Conn).
+// caller-owned buffer, a Reader reuses one fill buffer (a ReadFrame
+// payload is valid only until the next ReadFrame), and a Writer
+// streams a load vector in fixed pieces instead of copying it.
 //
 // Malformed input never panics; it surfaces as one of the typed
 // errors (ErrMagic, ErrVersion, ErrType, ErrTooLarge, ErrCRC,
@@ -125,44 +125,15 @@ const (
 	maxType = TSnapshot
 )
 
+var typeNames = [...]string{TProbe: "PROBE", TSummary: "SUMMARY", TAdmit: "ADMIT", TAdmitOK: "ADMIT_OK",
+	TFree: "FREE", TFreeOK: "FREE_OK", TCrash: "CRASH", TCrashOK: "CRASH_OK", TState: "STATE",
+	TStateOK: "STATE_OK", TErr: "ERR", TSubscribe: "SUBSCRIBE", TSegHdr: "SEG_HDR",
+	TRecBatch: "REC_BATCH", THeartbeat: "HEARTBEAT", TPromote: "PROMOTE", TPromoteOK: "PROMOTE_OK",
+	TSnapshot: "SNAPSHOT"}
+
 func (t Type) String() string {
-	switch t {
-	case TProbe:
-		return "PROBE"
-	case TSummary:
-		return "SUMMARY"
-	case TAdmit:
-		return "ADMIT"
-	case TAdmitOK:
-		return "ADMIT_OK"
-	case TFree:
-		return "FREE"
-	case TFreeOK:
-		return "FREE_OK"
-	case TCrash:
-		return "CRASH"
-	case TCrashOK:
-		return "CRASH_OK"
-	case TState:
-		return "STATE"
-	case TStateOK:
-		return "STATE_OK"
-	case TErr:
-		return "ERR"
-	case TSubscribe:
-		return "SUBSCRIBE"
-	case TSegHdr:
-		return "SEG_HDR"
-	case TRecBatch:
-		return "REC_BATCH"
-	case THeartbeat:
-		return "HEARTBEAT"
-	case TPromote:
-		return "PROMOTE"
-	case TPromoteOK:
-		return "PROMOTE_OK"
-	case TSnapshot:
-		return "SNAPSHOT"
+	if t != 0 && t <= maxType {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
@@ -259,9 +230,9 @@ type Reader struct {
 	pos, end int
 }
 
-// readerBufSize is the initial fill-buffer size: comfortably larger
-// than any fixed-layout frame, so steady-state request/reply traffic
-// never regrows it (STATE replies grow it to the frame size once).
+// readerBufSize is the fill-buffer size: comfortably larger than any
+// fixed-layout frame, so steady-state request/reply traffic never
+// regrows it (a STATE reply grows it until the next fill).
 const readerBufSize = 4096
 
 // NewReader returns a Reader over r.
@@ -324,7 +295,8 @@ func (fr *Reader) ReadFrame() (Type, []byte, error) {
 				need = HeaderSize + int(n) + TrailerSize
 			}
 		}
-		if cap(fr.buf) < need {
+		// A buffer grown for a large frame shrinks back once it is read.
+		if c := cap(fr.buf); c < need || c > readerBufSize && need <= readerBufSize {
 			grown := make([]byte, need)
 			copy(grown, fr.buf[:fr.end])
 			fr.buf = grown
@@ -359,4 +331,50 @@ func (fw *Writer) WriteFrame(t Type, payload []byte) error {
 	fw.buf = AppendFrame(fw.buf[:0], t, payload)
 	_, err := fw.w.Write(fw.buf)
 	return err
+}
+
+// pieceSize bounds what a Writer holds while it streams a load vector.
+const pieceSize = 64 << 10
+
+// WriteState writes a STATE_OK frame of the clocks and load(b) for the
+// n bins: the bytes WriteFrame writes for the whole payload, encoded
+// and written a piece at a time, so no copy of the vector is held. A
+// vector too large for one frame is ErrTooLarge, and nothing is
+// written.
+func (fw *Writer) WriteState(allocs, frees int64, n int, load func(b int) int) error {
+	var h [20]byte
+	return fw.writeLoads(TStateOK, appendLoadHead(h[:0], allocs, frees, n), n, load)
+}
+
+// WriteSnapshot is WriteState for a SNAPSHOT frame: the seq, then what
+// STATE_OK carries.
+func (fw *Writer) WriteSnapshot(seq uint64, allocs, frees int64, n int, load func(b int) int) error {
+	var h [28]byte
+	return fw.writeLoads(TSnapshot, appendLoadHead(binary.LittleEndian.AppendUint64(h[:0], seq), allocs, frees, n), n, load)
+}
+
+// writeLoads streams one frame of type t whose payload is head followed
+// by the n loads, folding the CRC over each piece before writing it.
+func (fw *Writer) writeLoads(t Type, head []byte, n int, load func(b int) int) error {
+	size := len(head) + 4*n
+	if size > MaxPayload {
+		return fmt.Errorf("%w: %v of %d bins", ErrTooLarge, t, n)
+	}
+	if c := min(HeaderSize+size+TrailerSize, pieceSize); cap(fw.buf) < c {
+		fw.buf = make([]byte, 0, c)
+	}
+	b := append(fw.buf[:0], Magic, Version, byte(t), 0)
+	b = append(binary.LittleEndian.AppendUint32(b, uint32(size)), head...)
+	var crc uint32
+	for lo := 0; ; b = b[:0] {
+		hi := min(n, lo+(cap(b)-len(b)-TrailerSize)/4)
+		b = appendLoads(b, load, lo, hi)
+		crc = crc32.Update(crc, crcTable, b)
+		if lo = hi; lo == n {
+			b = binary.LittleEndian.AppendUint32(b, crc)
+		}
+		if _, err := fw.w.Write(b); err != nil || lo == n {
+			return err
+		}
+	}
 }

@@ -194,13 +194,19 @@ type StateReply struct {
 	Loads  []int32
 }
 
-// AppendStateReply appends the encoded form of s to dst.
-func AppendStateReply(dst []byte, s StateReply) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Allocs))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Frees))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Loads)))
-	for _, l := range s.Loads {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(l))
+// appendLoadHead appends what a STATE_OK payload carries ahead of its
+// loads: the clocks, then the bin count.
+func appendLoadHead(dst []byte, allocs, frees int64, n int) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(allocs))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(frees))
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+// appendLoads appends load(b) for the bins b in [lo, hi): the one load
+// encoder, behind AppendSnapshotMsg and the Writer's streamed frames.
+func appendLoads(dst []byte, load func(b int) int, lo, hi int) []byte {
+	for b := lo; b < hi; b++ {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(load(b)))
 	}
 	return dst
 }
@@ -243,16 +249,11 @@ const (
 	CodeInternal ErrCode = 4
 )
 
+var errCodeNames = [...]string{CodeBadRequest: "bad_request", CodeEmpty: "empty", CodeDraining: "draining", CodeInternal: "internal"}
+
 func (c ErrCode) String() string {
-	switch c {
-	case CodeBadRequest:
-		return "bad_request"
-	case CodeEmpty:
-		return "empty"
-	case CodeDraining:
-		return "draining"
-	case CodeInternal:
-		return "internal"
+	if c != 0 && int(c) < len(errCodeNames) {
+		return errCodeNames[c]
 	}
 	return fmt.Sprintf("code(%d)", uint8(c))
 }

@@ -188,10 +188,10 @@ type SnapshotMsg struct {
 }
 
 // AppendSnapshotMsg appends the encoded form of s to dst: the seq, then
-// the clocks and loads as a StateReply encodes them.
+// the clocks and loads as a STATE_OK payload carries them.
 func AppendSnapshotMsg(dst []byte, s SnapshotMsg) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, s.Seq)
-	return AppendStateReply(dst, StateReply{Allocs: s.Allocs, Frees: s.Frees, Loads: s.Loads})
+	dst = appendLoadHead(binary.LittleEndian.AppendUint64(dst, s.Seq), s.Allocs, s.Frees, len(s.Loads))
+	return appendLoads(dst, func(b int) int { return int(s.Loads[b]) }, 0, len(s.Loads))
 }
 
 // DecodeSnapshotMsg parses a SnapshotMsg payload, appending the loads

@@ -123,9 +123,8 @@ type Follower struct {
 	sinceCkpt    int64
 	promoteOK    chan uint64 // signalled by Deliver on TPromoteOK
 
-	recbuf  []byte // grow-only frame encode scratch (subscribe/promote)
-	recs    []wal.Record
-	loadbuf []int32
+	recbuf []byte // grow-only frame encode scratch (subscribe/promote)
+	recs   []wal.Record
 }
 
 // NewFollower restores the follower's warm store from its own
@@ -269,11 +268,10 @@ func (f *Follower) Deliver(t dgram.Type, payload []byte) error {
 		return nil
 
 	case dgram.TSnapshot:
-		snap, err := dgram.DecodeSnapshotMsg(payload, f.loadbuf[:0])
+		snap, err := dgram.DecodeSnapshotMsg(payload, nil)
 		if err != nil {
 			return err
 		}
-		f.loadbuf = snap.Loads
 		return f.applySnapshot(snap)
 
 	case dgram.TPromoteOK:

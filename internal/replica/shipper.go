@@ -81,7 +81,7 @@ type Shipper struct {
 	cfg   ShipperConfig
 	after uint64
 	tail  *wal.TailReader
-	pbuf  []byte // payload encode scratch
+	pbuf  []byte // SEG_HDR / REC_BATCH encode scratch
 
 	// gapCovered detects a resync that made no progress: a second gap
 	// at the same covered seq means the checkpoint cannot bridge it.
@@ -118,8 +118,24 @@ func (s *Shipper) Covered() uint64 {
 // A seq gap triggers one snapshot resync in place; a gap the snapshot
 // cannot bridge is ErrStreamGap.
 func (s *Shipper) Pump(send func(t dgram.Type, payload []byte) error) (caughtUp bool, err error) {
+	return s.pump(send, func(snap *checkpoint.Snapshot) error {
+		return send(dgram.TSnapshot, dgram.AppendSnapshotMsg(nil, dgram.SnapshotMsg{Seq: snap.Seq, Allocs: snap.Allocs, Frees: snap.Frees, Loads: snap.Loads}))
+	})
+}
+
+// PumpFrames is Pump onto a frame stream. A SNAPSHOT is streamed from
+// the checkpoint image through fw piece by piece, so neither the
+// shipper nor fw keeps a copy of it.
+func (s *Shipper) PumpFrames(fw *dgram.Writer) (caughtUp bool, err error) {
+	return s.pump(fw.WriteFrame, func(snap *checkpoint.Snapshot) error {
+		return fw.WriteSnapshot(snap.Seq, snap.Allocs, snap.Frees, len(snap.Loads), func(b int) int { return int(snap.Loads[b]) })
+	})
+}
+
+// pump is Pump with the SNAPSHOT frame sent by snapshot.
+func (s *Shipper) pump(send func(dgram.Type, []byte) error, snapshot func(*checkpoint.Snapshot) error) (bool, error) {
 	if s.tail == nil {
-		if err := s.initTail(send); err != nil {
+		if err := s.initTail(snapshot); err != nil {
 			return false, err
 		}
 	}
@@ -154,7 +170,7 @@ func (s *Shipper) Pump(send func(t dgram.Type, payload []byte) error) (caughtUp 
 			s.tail.Close()
 			s.tail = nil
 			s.after = covered
-			if err := s.resync(send); err != nil {
+			if err := s.resync(snapshot); err != nil {
 				return false, err
 			}
 		}
@@ -165,7 +181,7 @@ func (s *Shipper) Pump(send func(t dgram.Type, payload []byte) error) (caughtUp 
 // serve afterSeq+1 onward, send a SNAPSHOT when it cannot (or when the
 // follower is fresh — boot seeding lives only in the checkpoint), and
 // open the tail at the right floor.
-func (s *Shipper) initTail(send func(dgram.Type, []byte) error) error {
+func (s *Shipper) initTail(snapshot func(*checkpoint.Snapshot) error) error {
 	snap, _, err := checkpoint.LoadLatestFS(s.cfg.FS, s.cfg.Dir)
 	haveCkpt := err == nil
 	if err != nil && !errors.Is(err, checkpoint.ErrNoCheckpoint) {
@@ -193,7 +209,7 @@ func (s *Shipper) initTail(send func(dgram.Type, []byte) error) error {
 	}
 	after := s.after
 	if need {
-		if err := s.sendSnapshot(send, &snap); err != nil {
+		if err := snapshot(&snap); err != nil {
 			return err
 		}
 		if s.cfg.ForceSnapshot {
@@ -206,15 +222,9 @@ func (s *Shipper) initTail(send func(dgram.Type, []byte) error) error {
 	return nil
 }
 
-// sendSnapshot ships snap to the follower as one SNAPSHOT frame.
-func (s *Shipper) sendSnapshot(send func(dgram.Type, []byte) error, snap *checkpoint.Snapshot) error {
-	s.pbuf = dgram.AppendSnapshotMsg(s.pbuf[:0], dgram.SnapshotMsg{Seq: snap.Seq, Allocs: snap.Allocs, Frees: snap.Frees, Loads: snap.Loads})
-	return send(dgram.TSnapshot, s.pbuf)
-}
-
 // resync is initTail for the mid-stream gap case: the snapshot is
 // mandatory (a gap means the log alone cannot continue).
-func (s *Shipper) resync(send func(dgram.Type, []byte) error) error {
+func (s *Shipper) resync(snapshot func(*checkpoint.Snapshot) error) error {
 	snap, _, err := checkpoint.LoadLatestFS(s.cfg.FS, s.cfg.Dir)
 	if err != nil {
 		if errors.Is(err, checkpoint.ErrNoCheckpoint) {
@@ -222,7 +232,7 @@ func (s *Shipper) resync(send func(dgram.Type, []byte) error) error {
 		}
 		return fmt.Errorf("replica: resync: %w", err)
 	}
-	if err := s.sendSnapshot(send, &snap); err != nil {
+	if err := snapshot(&snap); err != nil {
 		return err
 	}
 	after := s.after

@@ -137,19 +137,16 @@ func (s *Streamer) handle(c net.Conn) {
 		}
 	}()
 
-	send := func(t dgram.Type, payload []byte) error {
-		return fw.WriteFrame(t, payload)
-	}
 	var hbuf []byte
 	var lastHB time.Time
 	for {
 		select {
 		case pr := <-promoteCh:
-			s.standDown(pr, ship, send)
+			s.standDown(pr, ship, fw)
 			return
 		default:
 		}
-		if _, err := ship.Pump(send); err != nil {
+		if _, err := ship.PumpFrames(fw); err != nil {
 			if errors.Is(err, ErrStreamGap) {
 				metrics.AddCounter("replica.stream.gaps", 1)
 			}
@@ -159,14 +156,14 @@ func (s *Streamer) handle(c net.Conn) {
 		// interval (or a promote fence / subscriber hangup).
 		if time.Since(lastHB) >= s.cfg.Heartbeat {
 			hbuf = dgram.AppendHeartbeat(hbuf[:0], dgram.Heartbeat{LastSeq: s.cfg.LastSeq()})
-			if err := send(dgram.THeartbeat, hbuf); err != nil {
+			if err := fw.WriteFrame(dgram.THeartbeat, hbuf); err != nil {
 				return
 			}
 			lastHB = time.Now()
 		}
 		select {
 		case pr := <-promoteCh:
-			s.standDown(pr, ship, send)
+			s.standDown(pr, ship, fw)
 			return
 		case <-readerDone:
 			return
@@ -180,7 +177,7 @@ func (s *Streamer) handle(c net.Conn) {
 // acknowledge with the final durable seq. By the time the follower
 // reads PROMOTE_OK it has (in stream order) already received every
 // record up to that seq.
-func (s *Streamer) standDown(pr dgram.PromoteReq, ship *Shipper, send func(dgram.Type, []byte) error) {
+func (s *Streamer) standDown(pr dgram.PromoteReq, ship *Shipper, fw *dgram.Writer) {
 	if s.cfg.OnPromote == nil {
 		return // fencing unsupported: drop the conn, follower times out
 	}
@@ -188,11 +185,9 @@ func (s *Streamer) standDown(pr dgram.PromoteReq, ship *Shipper, send func(dgram
 	if err != nil {
 		return
 	}
-	if _, err := ship.Pump(send); err != nil {
+	if _, err := ship.PumpFrames(fw); err != nil {
 		return
 	}
-	var buf []byte
-	buf = dgram.AppendPromoteOK(buf, dgram.PromoteOK{LastSeq: finalSeq})
-	send(dgram.TPromoteOK, buf)
+	fw.WriteFrame(dgram.TPromoteOK, dgram.AppendPromoteOK(nil, dgram.PromoteOK{LastSeq: finalSeq}))
 	metrics.AddCounter("replica.stream.standdowns", 1)
 }

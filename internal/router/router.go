@@ -656,10 +656,7 @@ func (s *Session) pickWeighted(r *rng.RNG) int {
 		if s.rt.shards[i].down.Load() {
 			continue
 		}
-		w := s.rt.shards[i].total.Load()
-		if w < 0 {
-			w = 0
-		}
+		w := max(s.rt.shards[i].total.Load(), 0)
 		s.weight[i] = w
 		total += w
 		live++
@@ -690,13 +687,7 @@ func (s *Session) pickWeighted(r *rng.RNG) int {
 		}
 		target -= s.weight[i]
 	}
-	// Rounding/race fallback: last live shard with weight.
-	for i := len(s.weight) - 1; i >= 0; i-- {
-		if s.weight[i] > 0 {
-			return i
-		}
-	}
-	return -1
+	return -1 // unreachable: the positive weights sum to total
 }
 
 // freeAt asks shard i for one departure drawn by its own scenario.

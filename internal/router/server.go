@@ -102,7 +102,8 @@ func errCode(err error) dgram.ErrCode {
 
 // handle is one connection's request loop. All reply encoding goes
 // through per-connection scratch buffers, so a steady request stream
-// does not allocate.
+// does not allocate, and a STATE reply holds one piece of the vector
+// at a time.
 func (s *Server) handle(c net.Conn) {
 	st := s.svc.Store()
 	lane := s.svc.NewLane(serve.DgramStream + s.connSeq.Add(1))
@@ -112,7 +113,6 @@ func (s *Server) handle(c net.Conn) {
 	var payload []byte           // reply payload scratch
 	var placed []serve.Placement // admit/free outcomes
 	var pairs []dgram.BinLoad    // ... in their wire form
-	var loads []int32            // STATE loads scratch
 
 	binLoads := func() []byte {
 		pairs = pairs[:0]
@@ -172,20 +172,15 @@ func (s *Server) handle(c net.Conn) {
 			rt, payload = dgram.TCrashOK, dgram.AppendLoad(payload[:0], int32(load))
 
 		case dgram.TState:
-			n := st.N()
-			if cap(loads) < n {
-				loads = make([]int32, n)
+			// Streamed from the store, so no copy of the vector is held.
+			// A store too large for one frame is refused before a byte
+			// is written; PROBE still serves it.
+			if err = fw.WriteState(st.Allocs(), st.Frees(), st.N(), st.Load); err == nil {
+				s.svc.Answered()
+				continue
 			}
-			loads = loads[:n]
-			for b := 0; b < n; b++ {
-				loads[b] = int32(st.Load(b))
-			}
-			w := dgram.StateReply{Allocs: st.Allocs(), Frees: st.Frees(), Loads: loads}
-			rt, payload = dgram.TStateOK, dgram.AppendStateReply(payload[:0], w)
-			if len(payload) > dgram.MaxPayload {
-				// WriteFrame panics past MaxPayload; PROBE still serves a
-				// store this large.
-				err = fmt.Errorf("state of %d bins exceeds one frame", n)
+			if !errors.Is(err, dgram.ErrTooLarge) {
+				return // connection gone
 			}
 
 		default:

@@ -183,6 +183,32 @@ func TestStateTooLargeForOneFrame(t *testing.T) {
 	}
 }
 
+// TestStateStreamsTheStore: a STATE_OK of several pieces carries the
+// store's clocks and every bin, through Session.State.
+func TestStateStreamsTheStore(t *testing.T) {
+	const n = 3<<14 + 1
+	st := serve.NewStoreShards(n, 8)
+	st.FillBalanced(2 * n)
+	a := startShardStore(t, st, 1, nil)
+	ses := newTestRouter(t, 1, a).NewSession()
+	defer ses.Close()
+	if _, err := ses.Crash(0, n-1, 5); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := ses.State(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Allocs != st.Allocs() || sr.Frees != st.Frees() || len(sr.Loads) != n {
+		t.Fatalf("state: clocks %d/%d, %d bins; store %d/%d, %d bins", sr.Allocs, sr.Frees, len(sr.Loads), st.Allocs(), st.Frees(), n)
+	}
+	for b, l := range st.LoadsCopy() {
+		if int(sr.Loads[b]) != l {
+			t.Fatalf("bin %d: state %d, store %d", b, sr.Loads[b], l)
+		}
+	}
+}
+
 // TestStandbyAnswersAsDraining: a Service still awaiting promotion
 // refuses the mutating frames with the code that makes a router push
 // the traffic elsewhere, and serves reads.

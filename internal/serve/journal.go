@@ -290,10 +290,12 @@ func (j *Journal) hasRoom(n int) bool {
 
 // waitRoom sleeps, with mu held, until n more records fit, the journal
 // closes, or StallTimeout (when set) runs out; the caller checks which.
+// Each wait is counted and timed here, off the fast path.
 func (j *Journal) waitRoom(n int) {
+	t0 := time.Now()
 	var deadline time.Time
 	if d := j.opts.StallTimeout; d > 0 {
-		deadline = time.Now().Add(d)
+		deadline = t0.Add(d)
 		defer time.AfterFunc(d, func() {
 			j.mu.Lock()
 			j.moved.Broadcast()
@@ -303,6 +305,8 @@ func (j *Journal) waitRoom(n int) {
 	for !j.closed && !j.hasRoom(n) && (deadline.IsZero() || time.Now().Before(deadline)) {
 		j.moved.Wait()
 	}
+	metrics.AddCounter("serve.journal.waits", 1)
+	metrics.ObserveHistogram("serve.journal.wait_ns", time.Since(t0).Nanoseconds())
 }
 
 // Drain blocks until every record enqueued before the call has been

@@ -941,7 +941,8 @@ func TestJournalLogIsInSeqOrderAcrossRotations(t *testing.T) {
 // TestCloseWakesPushBlockedOnFullSlab: queued-but-unappended records
 // never exceed Buffer, a push short of room when Close runs wakes,
 // sees the journal closed and is counted in serve.journal.dropped by
-// records — it neither hangs nor reaches a log that is closing.
+// records — it neither hangs nor reaches a log that is closing — and
+// its wait in serve.journal.waits and wait_ns.
 func TestCloseWakesPushBlockedOnFullSlab(t *testing.T) {
 	metrics.Reset()
 	metrics.Enable()
@@ -991,8 +992,14 @@ func TestCloseWakesPushBlockedOnFullSlab(t *testing.T) {
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	if got := metrics.Default().Snapshot().Counters["serve.journal.dropped"]; got != 3 {
+	snap := metrics.Default().Snapshot()
+	if got := snap.Counters["serve.journal.dropped"]; got != 3 {
 		t.Fatalf("serve.journal.dropped = %d, want the run's 3 records", got)
+	}
+	// The one push that found no room waited at least the 50 ms above;
+	// the two that found room recorded nothing.
+	if w, h := snap.Counters["serve.journal.waits"], snap.Histograms["serve.journal.wait_ns"]; w != 1 || h.Count != 1 || h.Sum < int64(50*time.Millisecond) {
+		t.Fatalf("serve.journal.waits = %d, wait_ns %d samples summing %d ns; want one wait of 50 ms or more", w, h.Count, h.Sum)
 	}
 	fresh := NewStoreShards(8, 1)
 	res, err := RestoreFSOpts(fresh, fs, "/wal", RestoreOptions{})

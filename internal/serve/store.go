@@ -140,15 +140,7 @@ func NewStoreShards(n, shards int) *Store {
 		shards:    make([]shard, shards),
 	}
 	for i := range st.shards {
-		lo := i * size
-		hi := lo + size
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		st.shards[i].lo, st.shards[i].hi = lo, hi
+		st.shards[i].lo, st.shards[i].hi = min(i*size, n), min((i+1)*size, n)
 	}
 	st.initIndex()
 	return st

@@ -35,13 +35,8 @@ const (
 )
 
 func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncAlways:
-		return "always"
-	case FsyncInterval:
-		return "interval"
-	case FsyncNever:
-		return "never"
+	if names := [...]string{FsyncInterval: "interval", FsyncAlways: "always", FsyncNever: "never"}; p >= 0 && int(p) < len(names) {
+		return names[p]
 	}
 	return fmt.Sprintf("fsync(%d)", int(p))
 }

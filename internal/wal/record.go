@@ -44,13 +44,8 @@ const (
 )
 
 func (o Op) String() string {
-	switch o {
-	case OpAlloc:
-		return "alloc"
-	case OpFree:
-		return "free"
-	case OpCrash:
-		return "crash"
+	if names := [...]string{OpAlloc: "alloc", OpFree: "free", OpCrash: "crash"}; o != 0 && int(o) < len(names) {
+		return names[o]
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
