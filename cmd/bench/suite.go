@@ -75,22 +75,22 @@ func suiteWorkloads(quick bool) []workload {
 			})
 		}
 	}
-	serveAdmit := func(n, workers int) func(uint64, int) {
+	serveAdmit := func(n int) func(uint64, int) {
 		return func(seed uint64, trials int) {
 			// Admission throughput of the live store: a closed-loop
 			// Scenario A drive at load factor 1, `trials` phases total.
-			// Shards are pinned so the measured contention is fixed
-			// rather than GOMAXPROCS-dependent.
+			// Shards are pinned so the store's layout does not depend
+			// on GOMAXPROCS.
 			st := serve.NewStoreShards(n, 64)
 			st.FillBalanced(n)
 			eng := serve.NewEngine(serve.Config{
 				Store: st, Policy: serve.NewABKUPolicy(2), Scenario: process.ScenarioA,
-				Workers: workers, Seed: seed, MaxSteps: int64(trials),
+				Seed: seed, MaxSteps: int64(trials),
 			})
 			eng.Run(context.Background())
 		}
 	}
-	serveDurableAdmit := func(n, workers int) func(uint64, int) {
+	serveDurableAdmit := func(n int) func(uint64, int) {
 		return func(seed uint64, trials int) {
 			// serve/admit with durability at its strictest (FsyncAlways):
 			// every admission's record must reach a synced WAL. The
@@ -112,7 +112,7 @@ func suiteWorkloads(quick bool) []workload {
 			j := serve.NewJournal(st, l, 0, serve.JournalOptions{Buffer: 4096})
 			eng := serve.NewEngine(serve.Config{
 				Store: st, Policy: serve.NewABKUPolicy(2), Scenario: process.ScenarioA,
-				Workers: workers, Seed: seed, MaxSteps: int64(trials),
+				Seed: seed, MaxSteps: int64(trials),
 			})
 			eng.Run(context.Background())
 			j.Drain()
@@ -155,9 +155,9 @@ func suiteWorkloads(quick bool) []workload {
 			}
 		}
 	}
-	serveDurableAdmitBatch := func(n, workers, batch int) func(uint64, int) {
+	serveDurableAdmitBatch := func(n, batch int) func(uint64, int) {
 		return func(seed uint64, trials int) {
-			// serve/durable-admit on the batch lane: engine workers drive
+			// serve/durable-admit on the batch lane: the engine drives
 			// Batch-sized super-phases whose admissions reach the journal
 			// through the run-based push (one seq reservation and one
 			// close-guard per shard group) and then the group-commit
@@ -177,7 +177,7 @@ func suiteWorkloads(quick bool) []workload {
 			j := serve.NewJournal(st, l, 0, serve.JournalOptions{Buffer: 4096})
 			eng := serve.NewEngine(serve.Config{
 				Store: st, Policy: serve.NewABKUPolicy(2), Scenario: process.ScenarioA,
-				Workers: workers, Seed: seed, MaxSteps: int64(trials), Batch: batch,
+				Seed: seed, MaxSteps: int64(trials), Batch: batch,
 			})
 			eng.Run(context.Background())
 			j.Drain()
@@ -573,11 +573,11 @@ func suiteWorkloads(quick bool) []workload {
 		{"scenarioB/coalescence/n=16", pick(6, 16), scenarioB(16)},
 		{"edgeorient/recovery/n=16", pick(6, 16), edgeRecovery(16)},
 		{"edgeorient/recovery/n=32", pick(4, 12), edgeRecovery(32)},
-		{"serve/admit/n=1e4/w=8", pick(50_000, 500_000), serveAdmit(10_000, 8)},
-		{"serve/admit/n=1e5/w=8", pick(50_000, 500_000), serveAdmit(100_000, 8)},
-		{"serve/durable-admit/n=1e4/w=8", pick(10_000, 100_000), serveDurableAdmit(10_000, 8)},
+		{"serve/admit/n=1e4", pick(50_000, 500_000), serveAdmit(10_000)},
+		{"serve/admit/n=1e5", pick(50_000, 500_000), serveAdmit(100_000)},
+		{"serve/durable-admit/n=1e4", pick(10_000, 100_000), serveDurableAdmit(10_000)},
 		{"serve/admit-batch/n=1e4/b=64", pick(100_000, 1_000_000), serveAdmitBatch(10_000, 64)},
-		{"serve/durable-admit-batch/n=1e4/w=8/b=64", pick(10_000, 100_000), serveDurableAdmitBatch(10_000, 8, 64)},
+		{"serve/durable-admit-batch/n=1e4/b=64", pick(10_000, 100_000), serveDurableAdmitBatch(10_000, 64)},
 		{"wal/append", pick(100_000, 1_000_000), walAppend()},
 		{"wal/append-batch/b=512", pick(100_000, 1_000_000), walAppendBatch(512)},
 		{"wal/replay", pick(100_000, 1_000_000), walReplay()},

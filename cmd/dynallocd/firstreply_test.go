@@ -138,7 +138,7 @@ func TestBootMaintenanceWaitsForFirstReply(t *testing.T) {
 	dir, garbage := bootDir(t, 64, 5000)
 	addr, _, done := boot(t, options{
 		addr: "", n: 64, m: 64, d: 2, scenario: "A",
-		seed: 5, workers: 1, slack: 1, checkInterval: time.Second,
+		seed: 5, slack: 1, checkInterval: time.Second,
 		walDir: dir, fsync: "never",
 	})
 	time.Sleep(300 * time.Millisecond)
@@ -162,7 +162,8 @@ func TestBootMaintenanceWaitsForFirstReply(t *testing.T) {
 // firstReplyBound is one sysmon tick: Go polls the network from sysmon
 // every 10 ms when no P is idle, so a reply queued behind work that
 // holds every P waits about that long. On 2 vCPUs single boots read
-// 0.6–1 ms, or 5–10 ms when the drive's two workers hold both Ps.
+// 0.3–1 ms, or 5–13 ms in about half of them: the drive and the
+// journal's writer are two running goroutines, enough to hold both Ps.
 const firstReplyBound = 10 * time.Millisecond
 
 // TestFirstReplyWithinASysmonTick: a restarted shard with a drive
@@ -179,7 +180,7 @@ func TestFirstReplyWithinASysmonTick(t *testing.T) {
 		dir, _ := bootDir(t, n, 200_000)
 		addr, t0, done := boot(t, options{
 			addr: "", n: n, m: n, d: 2, scenario: "A",
-			seed: uint64(11 + i), workers: 2, slack: 1, checkInterval: time.Second,
+			seed: uint64(11 + i), slack: 1, checkInterval: time.Second,
 			walDir: dir, fsync: "never",
 			drive: true, stay: true, batch: 64, checkEvery: 4096, crashK: n / 4,
 		})

@@ -64,7 +64,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -91,13 +90,11 @@ func main() {
 	flag.StringVar(&opt.ruleSpec, "rule", "", "admission rule spec: abku:D | adap:x1,x2,... | mixed:BETA | uniform (empty: abku:<-d>)")
 	flag.IntVar(&opt.d, "d", 2, "shorthand for -rule abku:D")
 	flag.StringVar(&opt.scenario, "scenario", "A", "departure scenario: A (uniform ball) or B (uniform nonempty bin)")
-	flag.Uint64Var(&opt.seed, "seed", 1998, "rng seed (workers use derived streams)")
-	flag.IntVar(&opt.workers, "workers", runtime.GOMAXPROCS(0), "drive worker goroutines (1 = deterministic)")
+	flag.Uint64Var(&opt.seed, "seed", 1998, "rng seed: the drive and each dgram connection draw derived streams")
 	flag.IntVar(&opt.slack, "slack", 1, "recovery threshold slack above the fluid-limit prediction")
 
 	flag.BoolVar(&opt.drive, "drive", false, "run the built-in traffic driver")
 	flag.IntVar(&opt.batch, "batch", 0, "drive pass size b: phases per admission pass (0 or 1: the paper's one-ball phase; see docs/SERVING.md)")
-	flag.Float64Var(&opt.rate, "rate", 0, "drive arrival rate per second, 0 = closed loop")
 	flag.IntVar(&opt.crashK, "crash", 0, "fault injection: add this many balls to one bin before driving")
 	flag.IntVar(&opt.crashBin, "crash-bin", 0, "bin the -crash balls land in")
 	flag.Int64Var(&opt.maxSteps, "max-steps", 0, "stop the drive after this many phases (0: 100x the Theorem 1 budget)")
@@ -109,8 +106,6 @@ func main() {
 	flag.DurationVar(&opt.ckptEvery, "checkpoint-every", 0, "periodic checkpoint cadence (0: only boot/shutdown/POST; needs -wal-dir)")
 	flag.StringVar(&opt.fsync, "fsync", "interval", "WAL fsync policy: always | interval | never")
 	flag.DurationVar(&opt.fsyncInterval, "fsync-interval", 100*time.Millisecond, "max fsync lag under -fsync interval")
-	flag.DurationVar(&opt.walStall, "wal-stall-timeout", 0, "drop a mutation's WAL record after waiting this long on a stalled writer (0: block, full backpressure)")
-	flag.IntVar(&opt.walMaxBatch, "wal-max-batch", 0, "max records per group-commit WAL batch (0: default 512)")
 
 	flag.StringVar(&opt.replicaListen, "replica-listen", "", "serve the WAL as a replication stream on this address (needs -wal-dir; port 0: ephemeral)")
 	flag.StringVar(&opt.replicaPortFile, "replica-port-file", "", "write the resolved replication listen address to this file once listening")
@@ -150,11 +145,9 @@ type options struct {
 	d             int
 	scenario      string
 	seed          uint64
-	workers       int
 	slack         int
 	drive         bool
 	batch         int
-	rate          float64
 	crashK        int
 	crashBin      int
 	maxSteps      int64
@@ -166,8 +159,6 @@ type options struct {
 	fsync         string
 	fp            wal.FsyncPolicy // -fsync parsed; set by run when -wal-dir is given
 	fsyncInterval time.Duration
-	walStall      time.Duration
-	walMaxBatch   int
 
 	replicaListen   string
 	replicaPortFile string
@@ -268,8 +259,8 @@ func run(opt options) int {
 		fmt.Printf("dynallocd: seeded %d balls into %d bins in %v\n", opt.m, opt.n, time.Since(t0))
 	}
 
-	fmt.Printf("dynallocd: n=%d m=%d rule=%s scenario=%s workers=%d shards=%d seed=%d\n",
-		opt.n, opt.m, pol.Name(), sc, opt.workers, st.Shards(), opt.seed)
+	fmt.Printf("dynallocd: n=%d m=%d rule=%s scenario=%s shards=%d seed=%d\n",
+		opt.n, opt.m, pol.Name(), sc, st.Shards(), opt.seed)
 	// Signals are the daemon's from before its listeners open: one that
 	// arrives as soon as a port file appears is a shutdown, not a kill.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -459,7 +450,7 @@ func (p *primary) arm(walFS vfs.FS, lastSeq uint64, m int, fault string, since t
 		if err != nil {
 			return fail(err)
 		}
-		jo := serve.JournalOptions{StallTimeout: opt.walStall, MaxBatch: opt.walMaxBatch}
+		var jo serve.JournalOptions
 		if opt.fp == wal.FsyncInterval {
 			jo.SyncEvery = opt.fsyncInterval
 		}
@@ -702,8 +693,7 @@ func runDrive(ctx context.Context, svc *serve.Service, opt options, target serve
 	}
 	eng := serve.NewEngine(serve.Config{
 		Store: st, Policy: svc.Policy(), Scenario: svc.Scenario(),
-		Workers: opt.workers, Seed: opt.seed, Rate: opt.rate,
-		Batch:    opt.batch,
+		Seed: opt.seed, Batch: opt.batch,
 		MaxSteps: maxSteps, Detector: det, CheckEvery: opt.checkEvery,
 		// Under chaos the drive is the traffic the store self-stabilizes
 		// through: it must keep running across every episode, not stop

@@ -159,7 +159,7 @@ func TestRunDriveRecovers(t *testing.T) {
 	code := run(options{
 		addr: "", n: 256, m: 256,
 		d: 2, scenario: "A",
-		seed: 2024, workers: 1, slack: 1,
+		seed: 2024, slack: 1,
 		drive: true, crashK: 128, crashBin: 0,
 	})
 	if code != 0 {
@@ -243,7 +243,7 @@ func TestRunDurableBootRestoreDrill(t *testing.T) {
 	base := options{
 		addr: "", n: 128, m: 128,
 		d: 2, scenario: "A",
-		seed: 11, workers: 1, slack: 1,
+		seed: 11, slack: 1,
 		walDir: dir, fsync: "never",
 	}
 	if code := run(base); code != 0 {
@@ -276,7 +276,7 @@ func TestRunDurableBootRestoreDrill(t *testing.T) {
 func TestRunRejectsBadFsyncPolicy(t *testing.T) {
 	code := run(options{
 		addr: "", n: 8, m: 8, d: 2, scenario: "A",
-		seed: 1, workers: 1, slack: 1,
+		seed: 1, slack: 1,
 		walDir: t.TempDir(), fsync: "sometimes",
 	})
 	if code != 2 {
@@ -290,7 +290,7 @@ func TestRunRejectsBadFsyncPolicy(t *testing.T) {
 func TestRunRejectsMPastTheBallBound(t *testing.T) {
 	code := run(options{
 		addr: "", n: 2, m: 1<<32 + 4, d: 2, scenario: "A",
-		seed: 1, workers: 1, slack: 1,
+		seed: 1, slack: 1,
 	})
 	if code != 2 {
 		t.Fatalf("-m 4294967300 exited %d, want 2", code)

@@ -41,8 +41,6 @@ type FollowerConfig struct {
 	// that many applied records, bounding the replay a follower restart
 	// (or the promotion hand-off) pays. 0 checkpoints only on snapshot.
 	CheckpointEvery int64
-	// KeepCheckpoints retains this many local checkpoints (default 2).
-	KeepCheckpoints int
 	// HeartbeatTimeout is how long the subscription may be silent
 	// before the primary is presumed dead (default 2s). Promote without
 	// force refuses while the subscription is within this window.
@@ -62,9 +60,6 @@ func (c *FollowerConfig) fill() error {
 	}
 	if c.FS == nil {
 		c.FS = vfs.OS
-	}
-	if c.KeepCheckpoints <= 0 {
-		c.KeepCheckpoints = 2
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 2 * time.Second
@@ -433,7 +428,7 @@ func (f *Follower) checkpointLocked() error {
 	}); err != nil {
 		return err
 	}
-	_, err := serve.RetainCheckpoints(f.log, f.cfg.KeepCheckpoints)
+	_, err := serve.RetainCheckpoints(f.log)
 	return err
 }
 

@@ -351,14 +351,19 @@ func TestClusterDetector(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Drain the crashed bin; interleave admissions so the step clock
-	// advances, then the detector must re-fire with a sane episode.
+	// Drain the crashed bin, then run admit/free pairs so the step
+	// clock advances; the detector must re-fire with a sane episode.
+	// The raw FREEs go first: nothing has left shard a since the crash
+	// put spike balls in bin 0, while the pairs' departures may take
+	// balls from bin 0 too.
 	raw := dialRaw(t, a)
 	freeBin0 := dgram.AppendFreeReq(nil, dgram.FreeReq{Mode: dgram.FreeBin, Bin: 0, Count: 1})
 	for i := 0; i < int(spike); i++ {
 		if typ, _ := raw.call(dgram.TFree, freeBin0); typ != dgram.TFreeOK {
 			t.Fatalf("FREE bin 0 answered %v", typ)
 		}
+	}
+	for i := 0; i < int(spike); i++ {
 		if _, err := ses.Admit(r); err != nil {
 			t.Fatal(err)
 		}

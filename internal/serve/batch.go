@@ -8,13 +8,13 @@ import (
 	"dynalloc/internal/rng"
 )
 
-// Batcher is one worker's admission lane through the engine — the only
-// one: each Pass drives up to `batch` remove-then-insert phases as one
-// critical section of the store (see the package comment): it takes
-// the store's mutex once, draws k departures through the scenario
-// exactly as a quiescent store would, picks k destinations through the
-// policy's batch path, admits all k in entry order, and publishes the
-// counters once. A pass of size 1 is exactly one phase of the paper's
+// Batcher is the engine's admission lane — its only one: each Pass
+// drives up to `batch` remove-then-insert phases as one critical
+// section of the store (see the package comment): it takes the store's
+// mutex once, draws k departures through the scenario exactly as a
+// quiescent store would, picks k destinations through the policy's
+// batch path, admits all k in entry order, and publishes the counters
+// once. A pass of size 1 is exactly one phase of the paper's
 // closed process: free draw, then pick, then admit, from one stream.
 // All pass state (the departed and destination bins, pre-resolved
 // metric counters) lives in the Batcher, so a steady stream of passes
@@ -28,7 +28,7 @@ import (
 // pipelined dgram AdmitBatch already accepts shard-to-router); the
 // departure draws of the next pass see every prior admission. Because
 // the policy picks inside the section, PickBatch must only read the
-// store. A Batcher is single-caller state: give each worker its own.
+// store. A Batcher is single-caller state: give each caller its own.
 type Batcher struct {
 	st    *Store
 	pol   Policy

@@ -322,7 +322,7 @@ func TestEngineBatchLaneDrives(t *testing.T) {
 			st.FillBalanced(256)
 			eng := NewEngine(Config{
 				Store: st, Policy: NewABKUPolicy(2), Scenario: sc,
-				Workers: 1, Seed: 42, MaxSteps: 10_000, Batch: 64,
+				Seed: 42, MaxSteps: 10_000, Batch: 64,
 			})
 			res := eng.Run(context.Background())
 			if res.Steps != 10_000 {
@@ -350,7 +350,7 @@ func TestEngineBatchDetectorCadence(t *testing.T) {
 	det := NewDetector(st, Target{PredictedMax: 64, Slack: 64})
 	eng := NewEngine(Config{
 		Store: st, Policy: NewABKUPolicy(2), Scenario: process.ScenarioA,
-		Workers: 1, Seed: 7, MaxSteps: 100_000, Batch: 48,
+		Seed: 7, MaxSteps: 100_000, Batch: 48,
 		Detector: det, CheckEvery: 100, StopOnRecovery: true,
 	})
 	res := eng.Run(context.Background())

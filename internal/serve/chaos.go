@@ -13,8 +13,8 @@ import (
 )
 
 // chaosStreamOffset keeps the injector's rng stream disjoint from the
-// drive workers' decision streams (0..W-1) and their pacing streams
-// (1<<32).
+// drive's decision stream (0) and from the dgram connections' streams,
+// which start at DgramStream + 1.
 const chaosStreamOffset = 1 << 34
 
 // Chaos catastrophe kinds. Each is one fault family the injector can

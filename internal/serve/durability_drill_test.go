@@ -31,7 +31,7 @@ func TestRestartDrillRecoversWithinBudget(t *testing.T) {
 	pol := NewABKUPolicy(2)
 	eng := NewEngine(Config{
 		Store: st, Policy: pol, Scenario: process.ScenarioA,
-		Workers: 1, Seed: 41, MaxSteps: 4 * n,
+		Seed: 41, MaxSteps: 4 * n,
 	})
 	eng.Run(context.Background())
 
@@ -41,7 +41,7 @@ func TestRestartDrillRecoversWithinBudget(t *testing.T) {
 	// without closing the journal (no final checkpoint, no clean seal).
 	eng2 := NewEngine(Config{
 		Store: st, Policy: pol, Scenario: process.ScenarioA,
-		Workers: 1, Seed: 43, MaxSteps: 2 * n,
+		Seed: 43, MaxSteps: 2 * n,
 	})
 	eng2.Run(context.Background())
 	waitForSeq(t, j, j.LastSeq())
@@ -76,7 +76,7 @@ func TestRestartDrillRecoversWithinBudget(t *testing.T) {
 	budget := int64(8 * target.BudgetSteps)
 	drill := NewEngine(Config{
 		Store: st2, Policy: pol, Scenario: process.ScenarioA,
-		Workers: 1, Seed: 47, MaxSteps: budget,
+		Seed: 47, MaxSteps: budget,
 		Detector: det, CheckEvery: int64(n), StopOnRecovery: true,
 	})
 	out := drill.Run(context.Background())

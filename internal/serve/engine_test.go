@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,7 +17,7 @@ func TestEngineClosedLoopConservesBalls(t *testing.T) {
 		st.FillBalanced(m)
 		eng := NewEngine(Config{
 			Store: st, Policy: NewABKUPolicy(2), Scenario: sc,
-			Workers: 1, Seed: 11, MaxSteps: steps,
+			Seed: 11, MaxSteps: steps,
 		})
 		res := eng.Run(context.Background())
 		if res.Steps != steps {
@@ -30,41 +32,68 @@ func TestEngineClosedLoopConservesBalls(t *testing.T) {
 	}
 }
 
-func TestEngineSingleWorkerDeterminism(t *testing.T) {
-	run := func() []int {
-		st := NewStoreShards(64, 8)
-		st.FillBalanced(96)
-		eng := NewEngine(Config{
-			Store: st, Policy: NewABKUPolicy(2), Scenario: process.ScenarioA,
-			Workers: 1, Seed: 1998, MaxSteps: 3000,
-		})
-		eng.Run(context.Background())
-		return st.LoadsCopy()
+// TestEngineDeterminism: a drive is a function of its seed. Two runs of
+// the same config — passes of 1 and of 64, Scenario A and B, and a
+// crash recovery under a detector with StopOnRecovery — end with the
+// same loads, the same clocks and the same episode, and a MaxSteps
+// drive runs exactly MaxSteps phases whatever the pass size.
+func TestEngineDeterminism(t *testing.T) {
+	type outcome struct {
+		loads          []int
+		allocs, frees  int64
+		steps, episode int64
 	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("bin %d diverged between identical runs: %d vs %d", i, a[i], b[i])
+	const n, m, steps = 64, 96, 3000
+	run := func(sc process.Scenario, batch int, crash bool) outcome {
+		st := NewStoreShards(n, 8)
+		st.FillBalanced(m)
+		cfg := Config{
+			Store: st, Policy: NewABKUPolicy(2), Scenario: sc,
+			Seed: 1998, MaxSteps: steps, Batch: batch,
+		}
+		if crash {
+			st.Crash(0, 2*m)
+			target, err := NewTarget(cfg.Policy, sc, n, 3*m, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Detector = NewDetector(st, target)
+			cfg.Detector.MarkDisrupted()
+			cfg.CheckEvery, cfg.StopOnRecovery = 32, true
+			cfg.MaxSteps = int64(40 * target.BudgetSteps)
+		}
+		res := NewEngine(cfg).Run(context.Background())
+		if crash && !res.Recovered {
+			t.Fatalf("no recovery within %d phases", cfg.MaxSteps)
+		}
+		if !crash && res.Steps != steps {
+			t.Fatalf("scenario %v, batch %d: ran %d phases, want exactly %d", sc, batch, res.Steps, steps)
+		}
+		return outcome{st.LoadsCopy(), st.Allocs(), st.Frees(), res.Steps, res.Episode.Steps}
+	}
+	type tc struct {
+		sc    process.Scenario
+		batch int
+		crash bool
+	}
+	cases := []tc{{process.ScenarioA, 1, true}}
+	for _, sc := range []process.Scenario{process.ScenarioA, process.ScenarioB} {
+		for _, batch := range []int{1, 64} {
+			cases = append(cases, tc{sc, batch, false})
 		}
 	}
-}
-
-func TestEngineMultiWorker(t *testing.T) {
-	const n, m, steps = 256, 512, 20000
-	st := NewStoreShards(n, 16)
-	st.FillBalanced(m)
-	eng := NewEngine(Config{
-		Store: st, Policy: NewABKUPolicy(2), Scenario: process.ScenarioA,
-		Workers: 8, Seed: 3, MaxSteps: steps,
-	})
-	res := eng.Run(context.Background())
-	// Workers race the MaxSteps check, so a handful of phases past the
-	// budget are possible — but never more than one extra per worker.
-	if res.Steps < steps || res.Steps > steps+8 {
-		t.Fatalf("ran %d steps, want ~%d", res.Steps, steps)
-	}
-	if st.Total() != m {
-		t.Fatalf("ball count drifted to %d, want %d", st.Total(), m)
+	for _, c := range cases {
+		a, b := run(c.sc, c.batch, c.crash), run(c.sc, c.batch, c.crash)
+		what := fmt.Sprintf("scenario %v, batch %d, crash %v", c.sc, c.batch, c.crash)
+		if !slices.Equal(a.loads, b.loads) {
+			t.Fatalf("%s: loads diverged between identical runs", what)
+		}
+		if a.allocs != b.allocs || a.frees != b.frees || a.steps != b.steps {
+			t.Fatalf("%s: clocks diverged: allocs %d/%d, frees %d/%d, steps %d/%d", what, a.allocs, b.allocs, a.frees, b.frees, a.steps, b.steps)
+		}
+		if a.episode != b.episode || (c.crash && a.episode <= 0) {
+			t.Fatalf("%s: episode steps %d and %d", what, a.episode, b.episode)
+		}
 	}
 }
 
@@ -72,7 +101,7 @@ func TestEngineEmptyStoreHalts(t *testing.T) {
 	st := NewStoreShards(16, 4) // no balls at all
 	eng := NewEngine(Config{
 		Store: st, Policy: NewABKUPolicy(2), Scenario: process.ScenarioA,
-		Workers: 2, Seed: 1, MaxSteps: 100,
+		Seed: 1, MaxSteps: 100,
 	})
 	done := make(chan Result, 1)
 	go func() { done <- eng.Run(context.Background()) }()
@@ -92,7 +121,7 @@ func TestEngineContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	eng := NewEngine(Config{
 		Store: st, Policy: NewABKUPolicy(2), Scenario: process.ScenarioA,
-		Workers: 2, Seed: 9, // no MaxSteps: only ctx stops it
+		Seed: 9, // no MaxSteps: only ctx stops it
 	})
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -107,19 +136,6 @@ func TestEngineContextCancel(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("engine ignored context cancellation")
-	}
-}
-
-func TestEngineOpenLoopPacing(t *testing.T) {
-	st := NewStoreShards(32, 4)
-	st.FillBalanced(32)
-	eng := NewEngine(Config{
-		Store: st, Policy: NewABKUPolicy(2), Scenario: process.ScenarioA,
-		Workers: 2, Seed: 4, Rate: 50000, MaxSteps: 200,
-	})
-	res := eng.Run(context.Background())
-	if res.Steps < 200 || res.Steps > 202 {
-		t.Fatalf("paced run executed %d phases, want ~200", res.Steps)
 	}
 }
 
@@ -150,7 +166,7 @@ func TestEngineCrashRecovery(t *testing.T) {
 	budget := int64(40 * target.BudgetSteps) // 40 · m·ln(4m)
 	eng := NewEngine(Config{
 		Store: st, Policy: pol, Scenario: process.ScenarioA,
-		Workers: 1, Seed: 2024, MaxSteps: budget,
+		Seed: 2024, MaxSteps: budget,
 		Detector: det, CheckEvery: 32, StopOnRecovery: true,
 	})
 	res := eng.Run(context.Background())

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,25 +24,10 @@ type JournalOptions struct {
 	// errors (a hung disk, not a failing one), and a blocked push holds
 	// the store's mutex, which the mutation that made it holds — so a
 	// wedged disk stalls every mutator at once, and any Checkpoint
-	// waiting for the store. The "WAL errors degrade
-	// durability, never availability" guarantee covers errors; for
-	// stalls, set StallTimeout.
+	// waiting for the store, until the disk answers. The "WAL errors
+	// degrade durability, never availability" guarantee covers errors;
+	// a stall is backpressure, and no acknowledged record is dropped.
 	Buffer int
-
-	// StallTimeout, when positive, bounds how long a mutation waits for
-	// room: a push that finds none within it drops its whole run of
-	// records before any of them draws a seq, notes the error (Err) and
-	// counts the records in serve.journal.stalled — durability degrades
-	// to keep the service available through a hung disk. 0 (the
-	// default) keeps the pure backpressure behavior described under
-	// Buffer.
-	StallTimeout time.Duration
-
-	// KeepCheckpoints is how many checkpoint files Checkpoint retains
-	// (default 2). The WAL is truncated only up to the *oldest* retained
-	// checkpoint's seq, so a corrupted newest checkpoint can still fall
-	// back to the previous one plus a longer replay.
-	KeepCheckpoints int
 
 	// SyncEvery, when positive, runs a background ticker that calls
 	// Log.Sync — useful with wal.FsyncInterval so an idle service still
@@ -72,9 +56,6 @@ type JournalOptions struct {
 func (o *JournalOptions) fill() {
 	if o.Buffer <= 0 {
 		o.Buffer = 4096
-	}
-	if o.KeepCheckpoints <= 0 {
-		o.KeepCheckpoints = 2
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 512
@@ -248,11 +229,10 @@ func (j *Journal) LastSeq() uint64 { return j.seq.Load() }
 // under the store's mutex (see StoreHook; an AdmitBatch is one run, a
 // section's departures another), so seq order equals mutation order,
 // and a Checkpoint holding the store's mutex observes a seq that covers
-// exactly the applied records. With no StallTimeout a push without
-// room blocks here — holding the store's mutex — until the
-// writer's watermark moves (see JournalOptions.Buffer for what that
-// stall mode means). A run longer than Buffer goes in Buffer-sized
-// pieces.
+// exactly the applied records. A push without room blocks here —
+// holding the store's mutex — until the writer's watermark moves (see
+// JournalOptions.Buffer for what that stall mode means). A run longer
+// than Buffer goes in Buffer-sized pieces.
 func (j *Journal) push(op wal.Op, bins []int, k int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -261,13 +241,8 @@ func (j *Journal) push(op wal.Op, bins []int, k int) {
 		if !j.closed && !j.hasRoom(n) {
 			j.waitRoom(n)
 		}
-		switch {
-		case j.closed:
+		if j.closed {
 			metrics.AddCounter("serve.journal.dropped", int64(len(bins)))
-			return
-		case !j.hasRoom(n):
-			j.noteErr(fmt.Errorf("serve: journal stalled for %v; %d records after seq %d dropped", j.opts.StallTimeout, len(bins), j.seq.Load()))
-			metrics.AddCounter("serve.journal.stalled", int64(len(bins)))
 			return
 		}
 		if len(j.q) == 0 {
@@ -288,21 +263,12 @@ func (j *Journal) hasRoom(n int) bool {
 	return j.seq.Load()-j.appended+uint64(n) <= uint64(j.opts.Buffer)
 }
 
-// waitRoom sleeps, with mu held, until n more records fit, the journal
-// closes, or StallTimeout (when set) runs out; the caller checks which.
-// Each wait is counted and timed here, off the fast path.
+// waitRoom sleeps, with mu held, until n more records fit or the
+// journal closes; the caller checks which. Each wait is counted and
+// timed here, off the fast path.
 func (j *Journal) waitRoom(n int) {
 	t0 := time.Now()
-	var deadline time.Time
-	if d := j.opts.StallTimeout; d > 0 {
-		deadline = t0.Add(d)
-		defer time.AfterFunc(d, func() {
-			j.mu.Lock()
-			j.moved.Broadcast()
-			j.mu.Unlock()
-		}).Stop()
-	}
-	for !j.closed && !j.hasRoom(n) && (deadline.IsZero() || time.Now().Before(deadline)) {
+	for !j.closed && !j.hasRoom(n) {
 		j.moved.Wait()
 	}
 	metrics.AddCounter("serve.journal.waits", 1)
@@ -429,7 +395,7 @@ func (j *Journal) Maintain() int {
 // (MaintErr, checkpoint.maintenance.errors) rather than returned:
 // durability is already intact and the next checkpoint retries.
 func (j *Journal) maintain() int {
-	segments, err := RetainCheckpoints(j.log, j.opts.KeepCheckpoints)
+	segments, err := RetainCheckpoints(j.log)
 	j.maintMu.Lock()
 	j.maintErr = err
 	j.maintMu.Unlock()
@@ -439,12 +405,19 @@ func (j *Journal) maintain() int {
 	return segments
 }
 
+// keepCheckpoints is how many checkpoint files retention keeps. The WAL
+// is truncated only up to the *oldest* retained checkpoint's seq, so a
+// corrupted newest checkpoint can still fall back to the previous one
+// plus a longer replay.
+const keepCheckpoints = 2
+
 // RetainCheckpoints is checkpoint retention in one pass, for a primary's
-// journal and a replica's follower alike: keep the newest keep
-// checkpoints in log's directory, then drop the WAL segments the oldest
-// survivor covers. It returns how many segments it removed.
-func RetainCheckpoints(log *wal.Log, keep int) (segments int, err error) {
-	if _, err := checkpoint.PruneFS(log.FS(), log.Dir(), keep); err != nil {
+// journal and a replica's follower alike: keep the newest
+// keepCheckpoints checkpoints in log's directory, then drop the WAL
+// segments the oldest survivor covers. It returns how many segments it
+// removed.
+func RetainCheckpoints(log *wal.Log) (segments int, err error) {
+	if _, err := checkpoint.PruneFS(log.FS(), log.Dir(), keepCheckpoints); err != nil {
 		return 0, err
 	}
 	metas, err := checkpoint.ListFS(log.FS(), log.Dir())

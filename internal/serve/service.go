@@ -133,10 +133,9 @@ type Placement struct {
 
 // Lane is one caller's handle on the mutating verbs: its own policy
 // clone, rng stream and chunk scratch, so callers never contend on
-// admission state — the isolation the Engine gives its workers. It is
-// single-caller state (one per connection, or one behind a mutex), and
-// a steady stream of calls allocates nothing once dst has grown to the
-// largest reply.
+// admission state. It is single-caller state (one per connection, or
+// one behind a mutex), and a steady stream of calls allocates nothing
+// once dst has grown to the largest reply.
 type Lane struct {
 	svc   *Service
 	pol   Policy
@@ -145,15 +144,11 @@ type Lane struct {
 	loads [laneChunk]int32
 }
 
-// The rng stream layout under one seed: the Engine's workers decide on
-// streams 0..W-1 and pace on PacingStream + worker, and the dgram
-// listener's connections draw from DgramStream + ordinal — disjoint, so
-// neither surface (nor an open-loop pacing draw) perturbs the other's
+// DgramStream is where the dgram listener's connections draw their
+// rng streams under the service's seed: DgramStream + ordinal, disjoint
+// from the Engine's stream 0, so neither surface perturbs the other's
 // allocation decisions.
-const (
-	PacingStream = 1 << 32
-	DgramStream  = 1 << 34
-)
+const DgramStream = 1 << 34
 
 // NewLane returns a lane drawing from rng stream `stream` of the
 // service's seed.

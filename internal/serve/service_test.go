@@ -384,7 +384,7 @@ func TestEngineRetracesPerPhaseGoldens(t *testing.T) {
 				st := NewStoreShards(257, 8)
 				st.FillBalanced(400)
 				st.Crash(3, 100)
-				eng := NewEngine(Config{Store: st, Policy: g.pol, Scenario: g.sc, Workers: 1, Seed: 1998, MaxSteps: 20000, Batch: batch})
+				eng := NewEngine(Config{Store: st, Policy: g.pol, Scenario: g.sc, Seed: 1998, MaxSteps: 20000, Batch: batch})
 				eng.Run(context.Background())
 				if h := loadsHash(st); h != want[batch] || st.Allocs() != 20000 || st.Frees() != 20000 {
 					t.Fatalf("final loads hash %#016x allocs %d frees %d, want %#016x 20000 20000",
@@ -410,7 +410,7 @@ func TestStripeCountIsNotAProcessParameter(t *testing.T) {
 					st := NewStoreShards(257, stripes)
 					st.FillBalanced(400)
 					st.Crash(3, 100)
-					eng := NewEngine(Config{Store: st, Policy: pol, Scenario: sc, Workers: 1, Seed: 1998, MaxSteps: 20000, Batch: batch})
+					eng := NewEngine(Config{Store: st, Policy: pol, Scenario: sc, Seed: 1998, MaxSteps: 20000, Batch: batch})
 					eng.Run(context.Background())
 					h := loadsHash(st)
 					if stripes == 1 {

@@ -25,8 +25,8 @@
 // maximum and histogram give LoadSummary and the detector the maximum
 // load and the histogram — lock-free, like every reader here: loads and
 // the index are written per ball, so a reader sees a section's balls
-// one by one and its counters at once. Single-worker runs from one rng
-// stream are deterministic; see Engine.
+// one by one and its counters at once. A drive from one rng stream is
+// deterministic; see Engine.
 package serve
 
 import (

@@ -48,7 +48,7 @@ func TestServeCrashRecoveryWithinTheorem1Scale(t *testing.T) {
 	budget := int64(8 * target.BudgetSteps)
 	eng := serve.NewEngine(serve.Config{
 		Store: st, Policy: pol, Scenario: process.ScenarioA,
-		Workers: 1, Seed: seed, MaxSteps: budget,
+		Seed: seed, MaxSteps: budget,
 		Detector: det, CheckEvery: 256, StopOnRecovery: true,
 	})
 	res := eng.Run(context.Background())
